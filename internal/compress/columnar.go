@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 
 	"rex/internal/dataset"
 )
@@ -48,12 +49,12 @@ func AppendRatingsColumnar(dst []byte, rs []dataset.Rating) []byte {
 	dst = appendPacked(dst, len(rs), ub, func(i int) uint32 { return rs[i].User })
 	dst = appendPacked(dst, len(rs), ib, func(i int) uint32 { return rs[i].Item })
 
-	var escapes []float32
+	escapes := false
 	var half byte
 	for i, r := range rs {
 		nb, ok := starToNibble(r.Value)
 		if !ok {
-			escapes = append(escapes, r.Value)
+			escapes = true
 		}
 		if i%2 == 0 {
 			half = nb << 4
@@ -64,8 +65,12 @@ func AppendRatingsColumnar(dst []byte, rs []dataset.Rating) []byte {
 	if len(rs)%2 == 1 {
 		dst = append(dst, half)
 	}
-	for _, v := range escapes {
-		dst = binary.LittleEndian.AppendUint32(dst, math.Float32bits(v))
+	if escapes {
+		for _, r := range rs {
+			if _, ok := starToNibble(r.Value); !ok {
+				dst = binary.LittleEndian.AppendUint32(dst, math.Float32bits(r.Value))
+			}
+		}
 	}
 	return dst
 }
@@ -73,13 +78,21 @@ func AppendRatingsColumnar(dst []byte, rs []dataset.Rating) []byte {
 // DecodeRatingsColumnar inverts AppendRatingsColumnar, returning the
 // decoded block and the unconsumed tail of b.
 func DecodeRatingsColumnar(b []byte) ([]dataset.Rating, []byte, error) {
+	return DecodeRatingsColumnarAppend(nil, b)
+}
+
+// DecodeRatingsColumnarAppend is DecodeRatingsColumnar appending the block
+// to dst (which may be nil, or a scratch being reused across frames: every
+// field of every appended entry is overwritten). On error dst's contents
+// beyond its length are unspecified and nil is returned.
+func DecodeRatingsColumnarAppend(dst []dataset.Rating, b []byte) ([]dataset.Rating, []byte, error) {
 	count, n := binary.Uvarint(b)
 	if n <= 0 {
 		return nil, nil, fmt.Errorf("compress: columnar count: truncated")
 	}
 	b = b[n:]
 	if count == 0 {
-		return nil, b, nil
+		return dst, b, nil
 	}
 	// Every rating costs at least 4 bits (its star nibble), so a count
 	// beyond 2x the remaining bytes cannot be genuine.
@@ -94,33 +107,26 @@ func DecodeRatingsColumnar(b []byte) ([]dataset.Rating, []byte, error) {
 	if ub > 32 || ib > 32 {
 		return nil, nil, fmt.Errorf("compress: columnar width %d/%d out of range", ub, ib)
 	}
-	out := make([]dataset.Rating, count)
-	users, b, err := unpackColumn(b, int(count), ub)
+	dst = slices.Grow(dst, int(count))
+	out := dst[len(dst) : len(dst)+int(count)]
+	b, err := unpackColumn(b, out, ub, false)
 	if err != nil {
 		return nil, nil, fmt.Errorf("compress: user column: %w", err)
 	}
-	items, b, err := unpackColumn(b, int(count), ib)
+	b, err = unpackColumn(b, out, ib, true)
 	if err != nil {
 		return nil, nil, fmt.Errorf("compress: item column: %w", err)
-	}
-	for i := range out {
-		out[i].User, out[i].Item = users[i], items[i]
 	}
 	nibbleBytes := (int(count) + 1) / 2
 	if len(b) < nibbleBytes {
 		return nil, nil, fmt.Errorf("compress: columnar nibbles: truncated")
 	}
-	var escapeIdx []int
+	nibbles := b[:nibbleBytes]
+	escapes := 0
 	for i := range out {
-		v := b[i/2]
-		if i%2 == 0 {
-			v >>= 4
-		} else {
-			v &= 0x0F
-		}
-		switch {
+		switch v := nibbleAt(nibbles, i); {
 		case v == 15:
-			escapeIdx = append(escapeIdx, i)
+			escapes++
 		case v > 9:
 			return nil, nil, fmt.Errorf("compress: bad star nibble %d", v)
 		default:
@@ -128,14 +134,25 @@ func DecodeRatingsColumnar(b []byte) ([]dataset.Rating, []byte, error) {
 		}
 	}
 	b = b[nibbleBytes:]
-	if len(b) < 4*len(escapeIdx) {
+	if len(b) < 4*escapes {
 		return nil, nil, fmt.Errorf("compress: columnar escapes: truncated")
 	}
-	for _, i := range escapeIdx {
-		out[i].Value = math.Float32frombits(binary.LittleEndian.Uint32(b))
-		b = b[4:]
+	for i := 0; escapes > 0; i++ {
+		if nibbleAt(nibbles, i) == 15 {
+			out[i].Value = math.Float32frombits(binary.LittleEndian.Uint32(b))
+			b = b[4:]
+			escapes--
+		}
 	}
-	return out, b, nil
+	return dst[:len(dst)+int(count)], b, nil
+}
+
+// nibbleAt returns the i-th 4-bit value of a high-nibble-first packing.
+func nibbleAt(b []byte, i int) byte {
+	if i%2 == 0 {
+		return b[i/2] >> 4
+	}
+	return b[i/2] & 0x0F
 }
 
 // appendPacked bit-packs n width-bit values MSB-first. Width 0 (all values
@@ -160,15 +177,13 @@ func appendPacked(dst []byte, n, width int, get func(i int) uint32) []byte {
 	return dst
 }
 
-// unpackColumn reads n width-bit values and returns the remaining bytes.
-func unpackColumn(b []byte, n, width int) ([]uint32, []byte, error) {
-	out := make([]uint32, n)
-	if width == 0 {
-		return out, b, nil
-	}
-	need := (n*width + 7) / 8
+// unpackColumn reads len(out) width-bit values into the User (or, with
+// item set, the Item) field of out and returns the remaining bytes. Width
+// 0 writes zeros: out may be a reused scratch.
+func unpackColumn(b []byte, out []dataset.Rating, width int, item bool) ([]byte, error) {
+	need := (len(out)*width + 7) / 8
 	if len(b) < need {
-		return nil, nil, fmt.Errorf("truncated (%d of %d bytes)", len(b), need)
+		return nil, fmt.Errorf("truncated (%d of %d bytes)", len(b), need)
 	}
 	var acc uint64
 	accBits := 0
@@ -180,10 +195,15 @@ func unpackColumn(b []byte, n, width int) ([]uint32, []byte, error) {
 			pos++
 			accBits += 8
 		}
-		out[i] = uint32(acc >> (accBits - width) & mask)
 		accBits -= width
+		v := uint32(acc >> accBits & mask)
+		if item {
+			out[i].Item = v
+		} else {
+			out[i].User = v
+		}
 	}
-	return out, b[need:], nil
+	return b[need:], nil
 }
 
 // AppendIndexDeltas packs a strictly-increasing index list (the delta
@@ -209,6 +229,12 @@ func AppendIndexDeltas(dst []byte, idx []uint32) []byte {
 // DecodeIndexDeltas inverts AppendIndexDeltas, validating monotonicity and
 // range, and returns the unconsumed tail.
 func DecodeIndexDeltas(b []byte) ([]uint32, []byte, error) {
+	return DecodeIndexDeltasAppend(nil, b)
+}
+
+// DecodeIndexDeltasAppend is DecodeIndexDeltas appending the indices to
+// dst (which may be nil or a reused scratch).
+func DecodeIndexDeltasAppend(dst []uint32, b []byte) ([]uint32, []byte, error) {
 	count, n := binary.Uvarint(b)
 	if n <= 0 {
 		return nil, nil, fmt.Errorf("compress: index count: truncated")
@@ -217,9 +243,9 @@ func DecodeIndexDeltas(b []byte) ([]uint32, []byte, error) {
 	if count > uint64(len(b)) {
 		return nil, nil, fmt.Errorf("compress: implausible index count %d", count)
 	}
-	out := make([]uint32, count)
+	dst = slices.Grow(dst, int(count))
 	prev := uint64(0)
-	for i := range out {
+	for i := 0; i < int(count); i++ {
 		d, n := binary.Uvarint(b)
 		if n <= 0 {
 			return nil, nil, fmt.Errorf("compress: index delta: truncated")
@@ -232,8 +258,8 @@ func DecodeIndexDeltas(b []byte) ([]uint32, []byte, error) {
 		if v > math.MaxUint32 {
 			return nil, nil, fmt.Errorf("compress: index %d overflows", v)
 		}
-		out[i] = uint32(v)
+		dst = append(dst, uint32(v))
 		prev = v
 	}
-	return out, b, nil
+	return dst, b, nil
 }

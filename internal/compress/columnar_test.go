@@ -3,6 +3,7 @@ package compress
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"rex/internal/dataset"
@@ -159,5 +160,48 @@ func TestIndexDeltasRoundtrip(t *testing.T) {
 	}
 	if n := len(AppendIndexDeltas(nil, dense)); n > 500 {
 		t.Errorf("400 dense refs cost %d bytes", n)
+	}
+}
+
+// TestColumnarAppendIntoDirtyScratch is the contract the runtime's
+// per-peer decode scratch relies on: appending a block to a buffer that
+// still holds an older, longer decode yields exactly the fresh decode
+// after the kept prefix — zero-width columns and escapes included — and
+// allocates nothing once the buffer fits.
+func TestColumnarAppendIntoDirtyScratch(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	zeroIDs := make([]dataset.Rating, 9) // both id columns have width 0
+	for i := range zeroIDs {
+		zeroIDs[i].Value = float32(i%5) + 1
+	}
+	zeroIDs[4].Value = 2.25 // escape
+	prefix := dataset.Rating{User: 77, Item: 88, Value: 0.5}
+	scratch := append([]dataset.Rating{prefix}, randomBlock(rng, 500)...)
+	idx := []uint32{1 << 31, 1<<31 + 1}
+	for _, rs := range [][]dataset.Rating{randomBlock(rng, 300), zeroIDs, nil, randomBlock(rng, 1)} {
+		enc := AppendIndexDeltas(AppendRatingsColumnar(nil, rs), []uint32{2, 3, 900})
+		want, _, err := DecodeRatingsColumnar(enc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var rest []byte
+		allocs := testing.AllocsPerRun(5, func() {
+			scratch, rest, err = DecodeRatingsColumnarAppend(scratch[:1], enc)
+			if err == nil {
+				idx, rest, err = DecodeIndexDeltasAppend(idx[:1], rest)
+			}
+		})
+		if err != nil || len(rest) != 0 {
+			t.Fatalf("%d ratings: err=%v, %d leftover bytes", len(rs), err, len(rest))
+		}
+		if allocs != 0 {
+			t.Fatalf("%d ratings: decode into a fitting scratch allocates %.0f objects", len(rs), allocs)
+		}
+		if scratch[0] != prefix || !slices.Equal(scratch[1:], want) {
+			t.Fatalf("%d ratings: dirty-scratch decode differs from a fresh one", len(rs))
+		}
+		if !slices.Equal(idx, []uint32{1 << 31, 2, 3, 900}) {
+			t.Fatalf("index list %v", idx)
+		}
 	}
 }

@@ -21,7 +21,7 @@ import "rex/internal/dataset"
 //
 // Only the explicit entries can be new to the receiving store, so only
 // their relative order matters: Explicit preserves the sample order, and
-// Payload appends the reference-resolved triplets after them. Any decoded
+// AppendPayload puts the reference-resolved triplets after them. Any decoded
 // payload therefore merges to a bit-identical store — and bit-identical
 // training trajectories — versus the full encoding.
 type DataDelta struct {
@@ -33,21 +33,19 @@ type DataDelta struct {
 	Refs []uint32
 }
 
-// Payload materializes the delta into a flat sample: explicit entries
-// first (their order is the one that matters), then the resolved
-// references. resolve maps a dictionary index to the triplet it named;
-// it reports false for an index the receiver does not hold, which makes
-// the whole payload undecodable (the caller rejects the frame and
-// requests a resync rather than merge a partial sample).
-func (d DataDelta) Payload(resolve func(uint32) (dataset.Rating, bool)) ([]dataset.Rating, bool) {
-	out := make([]dataset.Rating, 0, len(d.Explicit)+len(d.Refs))
-	out = append(out, d.Explicit...)
+// AppendPayload materializes the delta into a flat sample appended to dst:
+// explicit entries first (their order is the one that matters), then the
+// references resolved against dict, the receiver's reconstruction of the
+// sender's dictionary. It reports false for an index dict does not hold,
+// which makes the whole payload undecodable (the caller rejects the frame
+// and requests a resync rather than merge a partial sample).
+func (d DataDelta) AppendPayload(dst, dict []dataset.Rating) ([]dataset.Rating, bool) {
+	dst = append(dst, d.Explicit...)
 	for _, idx := range d.Refs {
-		r, ok := resolve(idx)
-		if !ok {
+		if int(idx) >= len(dict) {
 			return nil, false
 		}
-		out = append(out, r)
+		dst = append(dst, dict[idx])
 	}
-	return out, true
+	return dst, true
 }

@@ -132,7 +132,7 @@ type shareScratch struct {
 	models [3]model.Model      // MS payload snapshots (refreshed via model.Copier)
 	data   [3][]dataset.Rating // DS payload samples
 	idx    int
-	perm   []int            // store-sampling permutation scratch
+	perm   []int            // store-sampling scratch (one entry per sampled point)
 	poison []dataset.Rating // Byzantine poisoned-sample scratch (local only)
 }
 
@@ -310,7 +310,7 @@ func (n *Node) Share(selfDegree int, retained bool) Payload {
 			n.scr.data[n.scr.idx] = buf
 			p.Data = buf
 		} else {
-			p.Data = n.Store.Sample(n.Cfg.SharePoints, n.rng)
+			p.Data = n.Store.SampleAppend(nil, n.Cfg.SharePoints, n.rng, &n.scr.perm)
 		}
 		if n.Cfg.Byzantine {
 			for i := range p.Data {

@@ -1,6 +1,9 @@
 package dataset
 
-import "math/rand"
+import (
+	"math/rand"
+	"slices"
+)
 
 // keyIndex is a compact open-addressing hash from a Rating.Key() to its
 // position in the ratings slice: linear probing, power-of-two capacity,
@@ -128,44 +131,52 @@ func (s *Store) Contains(user, item uint32) bool {
 	return ok
 }
 
-// Sample draws n data points uniformly at random *with replacement is not
-// used*: it picks n distinct positions when n < Len, else returns a copy of
-// everything. This implements the paper's stateless sampling (§III-E): the
-// sampler keeps no memory of what was previously shared, so across epochs
-// the same point may be re-sent.
+// Sample draws n distinct data points uniformly at random, without
+// replacement: it picks n distinct positions when n < Len, else returns a
+// copy of everything. This implements the paper's stateless sampling
+// (§III-E): the sampler keeps no memory of what was previously shared, so
+// across epochs the same point may be re-sent.
 func (s *Store) Sample(n int, rng *rand.Rand) []Rating {
 	var perm []int
 	return s.SampleAppend(nil, n, rng, &perm)
 }
 
 // SampleAppend is Sample with caller-owned buffers: the drawn points are
-// appended to dst and *perm is reused as permutation scratch. The rng draw
-// sequence is identical to Sample's (it replays rand.Perm's swaps into the
-// scratch buffer), so pooled and unpooled sampling produce bit-identical
-// trajectories; a node sampling every epoch stops allocating once its
-// buffers reach steady-state capacity.
+// appended to dst and *perm is reused as an n-entry scratch. The picks and
+// the rng draw sequence are exactly those of rand.Perm(Len)[:n], so pooled
+// and unpooled sampling produce bit-identical trajectories; a node
+// sampling every epoch stops allocating once its buffers hold n entries,
+// however large the store grows.
 func (s *Store) SampleAppend(dst []Rating, n int, rng *rand.Rand, perm *[]int) []Rating {
 	if n >= len(s.ratings) {
 		return append(dst, s.ratings...)
 	}
-	// rand.Perm(len) inlined over the reusable scratch: the loop below is
-	// math/rand's exactly — including the wasted Intn(1) draw at i=0 that
-	// Perm keeps for Go 1 stream compatibility — so the rng advances
-	// identically, with no per-call permutation allocation. Every cell is
-	// written before it is read, so the scratch needs no clearing.
+	// rand.Perm's inside-out shuffle, keeping only the first n cells. Step
+	// i sets p[i] = p[j], p[j] = i for j = Intn(i+1): cells at or beyond n
+	// are only ever copied into other cells at or beyond n, so the window
+	// p[:n] never reads them and they need no storage. Every step still
+	// draws — including the wasted Intn(1) at i=0 that Perm keeps for Go 1
+	// stream compatibility — so the rng advances identically. Every window
+	// cell is written before it is read, so the scratch needs no clearing.
 	p := *perm
-	if need := len(s.ratings); cap(p) < need {
-		p = make([]int, need)
+	if cap(p) < n {
+		p = make([]int, n)
 	} else {
-		p = p[:need]
+		p = p[:n]
 	}
-	for i := 0; i < len(p); i++ {
+	for i := 0; i < n; i++ {
 		j := rng.Intn(i + 1)
 		p[i] = p[j]
 		p[j] = i
 	}
+	for i := n; i < len(s.ratings); i++ {
+		if j := rng.Intn(i + 1); j < n {
+			p[j] = i
+		}
+	}
 	*perm = p
-	for _, j := range p[:n] {
+	dst = slices.Grow(dst, n)
+	for _, j := range p {
 		dst = append(dst, s.ratings[j])
 	}
 	return dst

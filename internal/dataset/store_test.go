@@ -146,3 +146,65 @@ func TestStoreInsertionOrderStable(t *testing.T) {
 		}
 	}
 }
+
+// TestSampleAppendMatchesPerm is the windowed sampler's contract: for any
+// store size, sample size and seed it picks exactly rand.Perm(len)[:n] and
+// leaves the rng where Perm would have.
+func TestSampleAppendMatchesPerm(t *testing.T) {
+	meta := rand.New(rand.NewSource(5))
+	var perm []int
+	for trial := 0; trial < 300; trial++ {
+		size := 1 + meta.Intn(400)
+		n := meta.Intn(size + 20) // sometimes >= size: the copy-everything path
+		seed := meta.Int63()
+		rs := make([]Rating, size)
+		for i := range rs {
+			rs[i] = Rating{User: uint32(i), Item: uint32(trial), Value: float32(i % 5)}
+		}
+		s := NewStore(rs)
+
+		ref := rand.New(rand.NewSource(seed))
+		var want []Rating
+		if n >= size {
+			want = rs
+		} else {
+			for _, j := range ref.Perm(size)[:n] {
+				want = append(want, rs[j])
+			}
+		}
+		rng := rand.New(rand.NewSource(seed))
+		got := s.SampleAppend(nil, n, rng, &perm)
+		if len(got) != len(want) {
+			t.Fatalf("size=%d n=%d: %d picks, want %d", size, n, len(got), len(want))
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("size=%d n=%d seed=%d: pick %d = %+v, want %+v", size, n, seed, i, got[i], want[i])
+			}
+		}
+		if g, w := rng.Int63(), ref.Int63(); g != w {
+			t.Fatalf("size=%d n=%d seed=%d: rng diverged after sampling", size, n, seed)
+		}
+	}
+}
+
+// TestSampleAppendSteadyStateAllocs guards the share path's sampler: with
+// buffers that have held one sample it allocates nothing, and its scratch
+// stays sample-sized however much the store has grown since.
+func TestSampleAppendSteadyStateAllocs(t *testing.T) {
+	rs := mkRatings(4000, 40, 500, 3)
+	s := NewStore(rs[:1000])
+	rng := rand.New(rand.NewSource(4))
+	var perm []int
+	dst := s.SampleAppend(nil, 300, rng, &perm)
+	s.Append(rs[1000:])
+	allocs := testing.AllocsPerRun(20, func() {
+		dst = s.SampleAppend(dst[:0], 300, rng, &perm)
+	})
+	if allocs != 0 {
+		t.Fatalf("steady-state SampleAppend allocates %.0f objects per call", allocs)
+	}
+	if cap(perm) != 300 {
+		t.Fatalf("sampling scratch holds %d entries for a 300-point sample", cap(perm))
+	}
+}

@@ -5,7 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
+	"math/bits"
+	"slices"
 
 	"rex/internal/compress"
 	"rex/internal/core"
@@ -83,12 +84,14 @@ const resetRetryFrames = 2
 // case (every point explicit) would push the explicit-entry count past
 // this, the frame is sent as a self-contained stream reset instead,
 // restarting the dictionary. This is what keeps per-edge delta state —
-// the sender's lastSent map and the receiver's dict/prevDict windows —
-// O(cap) on arbitrarily long runs with churning samples, instead of
-// growing with stream lifetime. The cap must comfortably exceed one
-// frame's sample size; below that every frame degenerates to a (correct
-// but uncompressed) reset.
+// the sender's txDict and the receiver's dict/prevDict windows — at a
+// fixed footprint, allocated once, on arbitrarily long runs with churning
+// samples. The cap must comfortably exceed one frame's sample size; below
+// that every frame degenerates to a (correct but uncompressed) reset.
 const deltaDictCap = 4096
+
+// txDict slots hold a dictionary index plus one in 16 bits.
+const _ = uint16(deltaDictCap)
 
 // deflateModelThreshold is the model-section size above which delta
 // frames try DEFLATE on the marshaled parameters. Raw-data payloads never
@@ -122,19 +125,19 @@ type deltaTx struct {
 	// receiving contiguously. Acks only ever advance it: a lower ack on a
 	// reordered frame is old news, not a regression.
 	ackedSeq uint64
-	// lastResetSeq is the sequence of the last reset frame, for the
-	// one-reset-in-flight suppression window.
+	// lastResetSeq is the sequence of the last reset frame, 0 on a stream
+	// never reset: where the current dictionary starts (txDict.seqs count
+	// from it) and the anchor of the one-reset-in-flight suppression
+	// window.
 	lastResetSeq uint64
-	// lastSent maps a rating key to its latest explicit mention. A
-	// triplet is back-referenced only when that mention is acked and its
-	// value still matches: the receiver then provably resolves the same
-	// triplet from its dictionary.
-	lastSent map[uint64]txEntry
-	// dictLen counts explicit entries emitted since the stream (re)start;
-	// the next explicit entry gets this dictionary index.
-	dictLen uint32
-	// dictCap rolls the stream over (full-frame reset) before dictLen can
-	// exceed it; deltaDictCap by default, 0 disables the cap.
+	// dict holds every explicit mention since the stream (re)start. A
+	// triplet is back-referenced only when its latest mention is acked and
+	// its value still matches: the receiver then provably resolves the
+	// same triplet from its dictionary.
+	dict txDict
+	// dictCap rolls the stream over (full-frame reset) before the
+	// dictionary can exceed it; deltaDictCap, lower in tests. It is fixed
+	// once the first data frame has sized the dictionary.
 	dictCap uint32
 	// pendingReset makes the next frame a stream reset (resync request
 	// received, or first frame after a daemon resume).
@@ -144,10 +147,61 @@ type deltaTx struct {
 	refBuf []uint32
 }
 
-type txEntry struct {
-	value float32
-	seq   uint64
-	idx   uint32
+// txDict is the sender's dictionary: entry i is the i-th explicit triplet
+// since the stream (re)start, as the receiver numbers it, with the frame
+// that carried it; an open-addressing table (linear probing, at most half
+// full, no deletion) finds a key's latest entry. All three arrays are
+// allocated once, by the edge's first data frame, for the dictionary cap:
+// a roll-over clears the table in place and entries are overwritten in
+// index order, so an edge's footprint never changes after that.
+type txDict struct {
+	slots []uint16         // dictionary index+1 of the key's latest entry; 0 = empty
+	ents  []dataset.Rating // by dictionary index
+	seqs  []uint32         // by dictionary index: frame seq minus deltaTx.lastResetSeq
+	n     uint32           // entries in use; the next explicit entry's index
+	shift uint8            // 64 - log2(len(slots))
+}
+
+// size allocates the dictionary for capacity entries.
+func (d *txDict) size(capacity uint32) {
+	lg := bits.Len32(2*capacity - 1) // table at most half full
+	d.slots = make([]uint16, 1<<lg)
+	d.ents = make([]dataset.Rating, capacity)
+	d.seqs = make([]uint32, capacity)
+	d.shift = uint8(64 - lg)
+}
+
+// reset empties the dictionary in place.
+func (d *txDict) reset() {
+	clear(d.slots)
+	d.n = 0
+}
+
+// find returns the table slot of rt's key and, when the key has an entry,
+// its latest dictionary index.
+func (d *txDict) find(rt dataset.Rating) (slot, idx uint32, ok bool) {
+	mask := uint32(len(d.slots) - 1)
+	// Fibonacci hashing: the product's top bits depend on every key bit.
+	slot = uint32(rt.Key() * 0x9E3779B97F4A7C15 >> d.shift)
+	for {
+		s := d.slots[slot]
+		if s == 0 {
+			return slot, 0, false
+		}
+		if e := d.ents[s-1]; e.User == rt.User && e.Item == rt.Item {
+			return slot, uint32(s - 1), true
+		}
+		slot = (slot + 1) & mask
+	}
+}
+
+// add registers rt as the next dictionary entry, sent in the frame rel
+// past the stream start, and points the key's slot (from find) at it.
+func (d *txDict) add(slot uint32, rt dataset.Rating, rel uint32) {
+	d.ents[d.n] = rt
+	d.seqs[d.n] = rel
+	d.n++
+	d.slots[slot] = uint16(d.n)
 }
 
 // requestReset arms a stream reset unless one is already in flight and
@@ -168,16 +222,18 @@ func (tx *deltaTx) requestReset() {
 // coding (their order is merge-irrelevant — see core.DataDelta).
 func (tx *deltaTx) split(data []dataset.Rating) (explicit []dataset.Rating, refs []uint32) {
 	explicit, refs = tx.expBuf[:0], tx.refBuf[:0]
+	d := &tx.dict
+	rel := uint32(tx.seqOut - tx.lastResetSeq)
 	for _, rt := range data {
-		if e, ok := tx.lastSent[rt.Key()]; ok && e.seq <= tx.ackedSeq && e.value == rt.Value {
-			refs = append(refs, e.idx)
+		slot, idx, ok := d.find(rt)
+		if ok && tx.lastResetSeq+uint64(d.seqs[idx]) <= tx.ackedSeq && d.ents[idx].Value == rt.Value {
+			refs = append(refs, idx)
 			continue
 		}
-		tx.lastSent[rt.Key()] = txEntry{value: rt.Value, seq: tx.seqOut, idx: tx.dictLen}
-		tx.dictLen++
+		d.add(slot, rt, rel)
 		explicit = append(explicit, rt)
 	}
-	sort.Slice(refs, func(i, j int) bool { return refs[i] < refs[j] })
+	slices.Sort(refs)
 	tx.expBuf, tx.refBuf = explicit, refs
 	return explicit, refs
 }
@@ -205,15 +261,23 @@ type deltaRx struct {
 	// pre-reset frame overtaken by the reset (adjacent-swap reorder)
 	// still resolves its references and merges exactly as the full
 	// encoding would. One generation suffices: at most one reset is in
-	// flight per stream.
+	// flight per stream. dict and prevDict are two buffers of
+	// deltaDictCap entries that trade places at each reset.
 	prevBase uint64
 	prevDict []dataset.Rating
-	// segs holds explicit entries of frames received beyond the
-	// watermark, keyed by seq, until the gap below them fills.
+	// segs holds (copies of) the explicit entries of frames received
+	// beyond the watermark, keyed by seq, until the gap below them fills.
 	segs map[uint64][]dataset.Rating
 	// wantResync piggybacks a resync request on outbound frames until the
 	// stream is contiguous again.
 	wantResync bool
+
+	// Decode scratch: the parsed frame (its explicit block and reference
+	// list) and the reconstructed sample. The payload decodeDeltaFrame
+	// returns aliases it and stays valid until the peer's next frame is
+	// decoded — one round later; stream state keeps copies only.
+	frame  deltaFrame
+	sample []dataset.Rating
 }
 
 // ackPlus1 is the piggybacked ack field: watermark+1, or 0 when nothing
@@ -256,89 +320,93 @@ func payloadChecksum(rs []dataset.Rating) uint32 {
 	return h
 }
 
-// parseDeltaFrame validates and decodes a delta frame body (everything
-// after the outer kind byte, post-decryption). It is pure: no receiver
-// state is read or written, so rejected bytes cannot corrupt a stream.
-// Unknown flags, implausible sections and trailing bytes are all errors.
-func parseDeltaFrame(body []byte) (*deltaFrame, error) {
+// parse validates and decodes a delta frame body (everything after the
+// outer kind byte, post-decryption) into f, reusing f's explicit block and
+// reference list as scratch. It is pure: no receiver state is read or
+// written, so rejected bytes cannot corrupt a stream. Unknown flags,
+// implausible sections and trailing bytes are all errors; after an error
+// f's contents are unspecified.
+func (f *deltaFrame) parse(body []byte) error {
 	if len(body) < 10 {
-		return nil, fmt.Errorf("runtime: delta frame too short (%d bytes)", len(body))
+		return fmt.Errorf("runtime: delta frame too short (%d bytes)", len(body))
 	}
-	f := &deltaFrame{
+	*f = deltaFrame{
 		from:        int(binary.LittleEndian.Uint32(body)),
 		degree:      int(binary.LittleEndian.Uint32(body[4:])),
 		flags:       body[8],
 		payloadKind: body[9],
+		data:        core.DataDelta{Explicit: f.data.Explicit[:0], Refs: f.data.Refs[:0]},
 	}
 	if f.flags&^deltaFlagsKnown != 0 {
-		return nil, fmt.Errorf("runtime: unknown delta flags %#x", f.flags)
+		return fmt.Errorf("runtime: unknown delta flags %#x", f.flags)
 	}
 	rest := body[10:]
 	var n int
 	f.seq, n = binary.Uvarint(rest)
 	if n <= 0 || f.seq == 0 {
-		return nil, fmt.Errorf("runtime: bad delta seq")
+		return fmt.Errorf("runtime: bad delta seq")
 	}
 	rest = rest[n:]
 	f.ackPlus1, n = binary.Uvarint(rest)
 	if n <= 0 {
-		return nil, fmt.Errorf("runtime: bad delta ack")
+		return fmt.Errorf("runtime: bad delta ack")
 	}
 	rest = rest[n:]
 	switch f.payloadKind {
 	case payloadEmpty:
 		if len(rest) != 0 {
-			return nil, fmt.Errorf("runtime: %d trailing bytes in empty delta frame", len(rest))
+			return fmt.Errorf("runtime: %d trailing bytes in empty delta frame", len(rest))
 		}
 	case payloadModel:
 		if len(rest) < 1 || rest[0] > 1 {
-			return nil, fmt.Errorf("runtime: bad model section header")
+			return fmt.Errorf("runtime: bad model section header")
 		}
 		deflated := rest[0] == 1
 		rest = rest[1:]
 		ln, n := binary.Uvarint(rest)
 		if n <= 0 || ln != uint64(len(rest)-n) {
-			return nil, fmt.Errorf("runtime: bad model section length")
+			return fmt.Errorf("runtime: bad model section length")
 		}
 		f.modelBytes = rest[n:]
 		if deflated {
 			raw, err := compress.InflateLimit(f.modelBytes, maxModelSection)
 			if err != nil {
-				return nil, fmt.Errorf("runtime: model section: %w", err)
+				return fmt.Errorf("runtime: model section: %w", err)
 			}
 			f.modelBytes = raw
 		}
 	case payloadData:
-		var err error
-		f.data.Explicit, rest, err = compress.DecodeRatingsColumnar(rest)
+		explicit, rest, err := compress.DecodeRatingsColumnarAppend(f.data.Explicit, rest)
 		if err != nil {
-			return nil, fmt.Errorf("runtime: delta explicit block: %w", err)
+			return fmt.Errorf("runtime: delta explicit block: %w", err)
 		}
-		f.data.Refs, rest, err = compress.DecodeIndexDeltas(rest)
+		f.data.Explicit = explicit
+		refs, rest, err := compress.DecodeIndexDeltasAppend(f.data.Refs, rest)
 		if err != nil {
-			return nil, fmt.Errorf("runtime: delta ref block: %w", err)
+			return fmt.Errorf("runtime: delta ref block: %w", err)
 		}
+		f.data.Refs = refs
 		if len(rest) != 4 {
-			return nil, fmt.Errorf("runtime: delta checksum: %d bytes", len(rest))
+			return fmt.Errorf("runtime: delta checksum: %d bytes", len(rest))
 		}
 		f.sum = binary.LittleEndian.Uint32(rest)
 		if len(f.data.Refs) > 0 && f.flags&deltaFlagReset != 0 {
-			return nil, fmt.Errorf("runtime: reset frame carries refs")
+			return fmt.Errorf("runtime: reset frame carries refs")
 		}
 	default:
-		return nil, fmt.Errorf("runtime: unknown delta payload kind %d", f.payloadKind)
+		return fmt.Errorf("runtime: unknown delta payload kind %d", f.payloadKind)
 	}
-	return f, nil
+	return nil
 }
 
 // apply validates f against the stream state and, only when every check
 // passes, commits it: dictionary growth, watermark advance, gap tracking.
 // On error the receiver state is untouched, so arbitrary rejected bytes
 // can never corrupt the stream. The returned ratings are the
-// reconstructed flat sample (nil for empty/model frames), which is
-// produced — and merged by the caller — for every accepted frame whether
-// or not it commits: duplicates and overtaken pre-reset frames merge
-// exactly as the full encoding would have.
+// reconstructed flat sample (empty for empty/model frames), held in the
+// decode scratch, which is produced — and merged by the caller — for every
+// accepted frame whether or not it commits: duplicates and overtaken
+// pre-reset frames merge exactly as the full encoding would have.
 func (rx *deltaRx) apply(f *deltaFrame) ([]dataset.Rating, error) {
 	if f.flags&deltaFlagReset != 0 {
 		return rx.applyReset(f)
@@ -353,15 +421,11 @@ func (rx *deltaRx) apply(f *deltaFrame) ([]dataset.Rating, error) {
 		}
 		dict = rx.prevDict
 	}
-	sample, ok := f.data.Payload(func(idx uint32) (dataset.Rating, bool) {
-		if int(idx) >= len(dict) {
-			return dataset.Rating{}, false
-		}
-		return dict[idx], true
-	})
+	sample, ok := f.data.AppendPayload(rx.sample[:0], dict)
 	if !ok {
 		return nil, fmt.Errorf("%w: unresolvable dictionary reference", errDeltaDiscard)
 	}
+	rx.sample = sample
 	if f.payloadKind == payloadData && payloadChecksum(sample) != f.sum {
 		return nil, fmt.Errorf("%w: payload checksum mismatch", errDeltaDiscard)
 	}
@@ -392,10 +456,12 @@ func (rx *deltaRx) applyReset(f *deltaFrame) ([]dataset.Rating, error) {
 		// Duplicate of the current stream start: re-deriving dict would be
 		// a no-op by construction.
 	case f.seq > rx.watermark:
-		// Archive the window this reset replaces, then rebase on it.
-		rx.prevBase, rx.prevDict = rx.base, rx.dict
+		// Archive the window this reset replaces, then rebase on it, in
+		// the buffer of the archive this one supersedes.
+		rx.prevBase = rx.base
+		rx.prevDict, rx.dict = rx.dict, rx.prevDict[:0]
 		rx.base, rx.watermark = f.seq, f.seq
-		rx.dict = append([]dataset.Rating(nil), f.data.Explicit...)
+		rx.extendDict(f.data.Explicit)
 		for s := range rx.segs {
 			if s <= f.seq {
 				delete(rx.segs, s)
@@ -419,17 +485,27 @@ func (rx *deltaRx) commit(seq uint64, explicit []dataset.Rating) {
 	}
 	if seq == rx.watermark+1 {
 		rx.watermark = seq
-		rx.dict = append(rx.dict, explicit...)
+		rx.extendDict(explicit)
 		rx.drain()
 		return
 	}
 	if rx.segs == nil {
 		rx.segs = make(map[uint64][]dataset.Rating)
 	}
-	rx.segs[seq] = explicit
+	rx.segs[seq] = slices.Clone(explicit) // explicit is decode scratch
 	if rx.highSeen-rx.watermark >= gapResyncThreshold {
 		rx.wantResync = true
 	}
+}
+
+// extendDict appends a frame's explicit entries to the live dictionary. A
+// dictionary buffer is allocated when first needed, at the capacity an
+// honest sender never exceeds, so appending does not regrow it.
+func (rx *deltaRx) extendDict(explicit []dataset.Rating) {
+	if cap(rx.dict) == 0 && len(explicit) > 0 {
+		rx.dict = make([]dataset.Rating, 0, max(deltaDictCap, len(explicit)))
+	}
+	rx.dict = append(rx.dict, explicit...)
 }
 
 // drain advances the watermark over any now-contiguous buffered segments
@@ -442,7 +518,7 @@ func (rx *deltaRx) drain() {
 		}
 		delete(rx.segs, rx.watermark+1)
 		rx.watermark++
-		rx.dict = append(rx.dict, seg...)
+		rx.extendDict(seg)
 	}
 	if rx.watermark == rx.highSeen {
 		rx.wantResync = false
@@ -466,7 +542,7 @@ func (r *runner) initDelta(resume bool) {
 		// is deliberately not snapshotted), so its first frame to every
 		// peer is a reset; the peers' stale view of this node's stream
 		// heals through the resync protocol.
-		r.tx[nb] = &deltaTx{lastSent: make(map[uint64]txEntry), pendingReset: resume, dictCap: deltaDictCap}
+		r.tx[nb] = &deltaTx{pendingReset: resume, dictCap: deltaDictCap}
 		r.rx[nb] = &deltaRx{}
 	}
 }
@@ -489,16 +565,17 @@ func (r *runner) encodeDeltaBody(dst []byte, nb int, p core.Payload) ([]byte, de
 	tx.seqOut++
 	var st deltaSendStats
 	// Dictionary overflow check against the worst case (every point
-	// explicit): conservative, so a ref-heavy steady state whose dictLen
-	// has stopped growing never resets spuriously.
-	if p.Data != nil && tx.dictCap > 0 && tx.dictLen+uint32(len(p.Data)) > tx.dictCap {
+	// explicit): conservative, so a ref-heavy steady state whose dictionary
+	// has stopped growing never resets spuriously — until its frames are
+	// too far past the stream start for txDict.seqs to count.
+	if p.Data != nil && (tx.dict.n+uint32(len(p.Data)) > tx.dictCap ||
+		tx.seqOut-tx.lastResetSeq > math.MaxUint32) {
 		tx.pendingReset = true
 	}
 	var flags byte
 	if tx.pendingReset {
 		flags |= deltaFlagReset
-		tx.lastSent = make(map[uint64]txEntry)
-		tx.dictLen = 0
+		tx.dict.reset()
 		tx.lastResetSeq = tx.seqOut
 		tx.pendingReset = false
 		st.resync = true
@@ -527,17 +604,26 @@ func (r *runner) encodeDeltaBody(dst []byte, nb int, p core.Payload) ([]byte, de
 	case p.Model != nil:
 		dst = append(dst, r.modelSection...)
 	case p.Data != nil:
+		if tx.dict.slots == nil {
+			tx.dict.size(tx.dictCap)
+		}
 		explicit := p.Data
 		var refs []uint32
-		if flags&deltaFlagReset == 0 {
+		switch {
+		case flags&deltaFlagReset == 0:
 			explicit, refs = tx.split(p.Data)
-		} else {
+		case uint32(len(p.Data)) <= tx.dictCap:
 			// A reset frame is self-contained: everything explicit, and
 			// the dictionary restarts from it.
 			for _, rt := range p.Data {
-				tx.lastSent[rt.Key()] = txEntry{value: rt.Value, seq: tx.seqOut, idx: tx.dictLen}
-				tx.dictLen++
+				slot, _, _ := tx.dict.find(rt)
+				tx.dict.add(slot, rt, 0)
 			}
+		default:
+			// A sample larger than the whole dictionary is counted, not
+			// registered: the count alone makes the next data frame roll
+			// over again, so no entry of this one is ever looked up.
+			tx.dict.n = uint32(len(p.Data))
 		}
 		st.explicit, st.refs = int64(len(explicit)), int64(len(refs))
 		dst = compress.AppendRatingsColumnar(dst, explicit)
@@ -573,14 +659,15 @@ func (r *runner) buildModelSection(p core.Payload) error {
 // frame to the receiver state, and reconstruct the flat payload. Runs on
 // the peer's gather worker. A rejected frame never mutates stream state;
 // the runner discards it (errDeltaDiscard folds like a seccha replay)
-// and the piggybacked request machinery restores the stream.
+// and the piggybacked request machinery restores the stream. The payload's
+// Data aliases the peer's decode scratch (see deltaRx).
 func (r *runner) decodeDeltaFrame(from int, body []byte) (core.Payload, error) {
 	tx, rx := r.tx[from], r.rx[from]
 	if tx == nil {
 		return core.Payload{}, fmt.Errorf("%w: no stream state for peer", errDeltaDiscard)
 	}
-	f, err := parseDeltaFrame(body)
-	if err != nil {
+	f := &rx.frame
+	if err := f.parse(body); err != nil {
 		rx.wantResync = true
 		return core.Payload{}, fmt.Errorf("%w: %v", errDeltaDiscard, err)
 	}
@@ -605,7 +692,9 @@ func (r *runner) decodeDeltaFrame(from int, body []byte) (core.Payload, error) {
 			return core.Payload{}, fmt.Errorf("%w: model payload without NewModel", errDeltaDiscard)
 		}
 		m := r.cfg.NewModel()
-		if err := m.Unmarshal(f.modelBytes); err != nil {
+		err := m.Unmarshal(f.modelBytes)
+		f.modelBytes = nil // f outlives the round: do not pin the inflated section
+		if err != nil {
 			rx.wantResync = true
 			return core.Payload{}, fmt.Errorf("%w: unmarshaling model: %v", errDeltaDiscard, err)
 		}

@@ -1,11 +1,16 @@
 package runtime
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
+	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
+	"rex/internal/compress"
 	"rex/internal/core"
 	"rex/internal/dataset"
 	"rex/internal/mf"
@@ -179,15 +184,17 @@ func TestDeltaDuplicateAndReorder(t *testing.T) {
 	body2, _ := a.encodeDeltaBody(nil, 1, core.Payload{From: 0, Degree: 1, Data: s2})
 	body3, _ := a.encodeDeltaBody(nil, 1, core.Payload{From: 0, Degree: 1, Data: s3})
 
+	// A decoded payload aliases the peer's decode scratch: check each one
+	// before the next frame is decoded.
 	p3, err := b.decodeDeltaFrame(0, body3)
 	if err != nil {
 		t.Fatal(err)
 	}
+	sameMultiset(t, p3.Data, s3)
 	p2, err := b.decodeDeltaFrame(0, body2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sameMultiset(t, p3.Data, s3)
 	sameMultiset(t, p2.Data, s2)
 	rx := b.rx[0]
 	if rx.watermark != 3 || rx.wantResync {
@@ -356,8 +363,8 @@ func TestDeltaDictCapReset(t *testing.T) {
 	if st := sendAndAck(sampleRatings(8, 22)); st.resync || st.explicit != 8 {
 		t.Fatalf("under cap: resync=%v explicit=%d", st.resync, st.explicit)
 	}
-	if a.tx[1].dictLen != 16 {
-		t.Fatalf("dictLen = %d, want 16", a.tx[1].dictLen)
+	if a.tx[1].dict.n != 16 {
+		t.Fatalf("dictionary holds %d entries, want 16", a.tx[1].dict.n)
 	}
 
 	// A third fresh sample would overflow: the frame must roll the stream
@@ -367,8 +374,8 @@ func TestDeltaDictCapReset(t *testing.T) {
 	if !st.resync || st.explicit != 8 || st.refs != 0 {
 		t.Fatalf("overflow frame: resync=%v explicit=%d refs=%d", st.resync, st.explicit, st.refs)
 	}
-	if a.tx[1].dictLen != 8 || len(a.tx[1].lastSent) != 8 {
-		t.Fatalf("sender dict not restarted: dictLen=%d lastSent=%d", a.tx[1].dictLen, len(a.tx[1].lastSent))
+	if d := &a.tx[1].dict; d.n != 8 || d.occupied() != 8 {
+		t.Fatalf("sender dict not restarted: %d entries, %d keys", d.n, d.occupied())
 	}
 	rx := b.rx[0]
 	if rx.base != 3 || rx.watermark != 3 || len(rx.dict) != 8 {
@@ -428,5 +435,245 @@ func TestDeltaModelSection(t *testing.T) {
 		if got.Model.Predict(probe[0], probe[1]) != m.Predict(probe[0], probe[1]) {
 			t.Fatalf("model drifted at %v", probe)
 		}
+	}
+}
+
+// occupied counts the keys in the dictionary's table.
+func (d *txDict) occupied() int {
+	n := 0
+	for _, s := range d.slots {
+		if s != 0 {
+			n++
+		}
+	}
+	return n
+}
+
+// mapDict is the reference model of the sender's dictionary: the Go map
+// the compact txDict replaced, keyed by Rating.Key, with absolute frame
+// sequences.
+type mapDict struct {
+	lastSent map[uint64]mapEntry
+	dictLen  uint32
+}
+
+type mapEntry struct {
+	value float32
+	seq   uint64
+	idx   uint32
+}
+
+// encode is encodeDeltaBody over the reference dictionary. The stream's
+// scalar state (sequence, ack, reset arming) is the real deltaTx's as it
+// stood before the real encode: only the dictionary is modelled.
+func (m *mapDict) encode(tx deltaTx, flags byte, ackPlus1 uint64, p core.Payload) (body []byte, explicit []dataset.Rating, refs []uint32) {
+	seq := tx.seqOut + 1
+	if tx.pendingReset || m.dictLen+uint32(len(p.Data)) > tx.dictCap {
+		flags |= deltaFlagReset
+		m.lastSent = make(map[uint64]mapEntry)
+		m.dictLen = 0
+	}
+	for _, rt := range p.Data {
+		if e, ok := m.lastSent[rt.Key()]; flags&deltaFlagReset == 0 && ok && e.seq <= tx.ackedSeq && e.value == rt.Value {
+			refs = append(refs, e.idx)
+			continue
+		}
+		m.lastSent[rt.Key()] = mapEntry{value: rt.Value, seq: seq, idx: m.dictLen}
+		m.dictLen++
+		explicit = append(explicit, rt)
+	}
+	sort.Slice(refs, func(i, j int) bool { return refs[i] < refs[j] })
+
+	body = binary.LittleEndian.AppendUint32(body, uint32(p.From))
+	body = binary.LittleEndian.AppendUint32(body, uint32(p.Degree))
+	body = append(body, flags, payloadData)
+	body = binary.AppendUvarint(body, seq)
+	body = binary.AppendUvarint(body, ackPlus1)
+	body = compress.AppendRatingsColumnar(body, explicit)
+	body = compress.AppendIndexDeltas(body, refs)
+	body = binary.LittleEndian.AppendUint32(body, payloadChecksum(p.Data))
+	return body, explicit, refs
+}
+
+// TestTxDictMatchesMapModel drives one edge through random sequences of
+// sends (fresh keys, re-sent keys, changed values), frame loss, ack
+// carriers, dictionary roll-overs and resync resets, and checks the
+// compact dictionary makes the reference map's decisions exactly: the
+// same explicit entries, the same references, the same frame bytes.
+func TestTxDictMatchesMapModel(t *testing.T) {
+	var refs, resets, oversized int64
+	for trial := int64(0); trial < 40; trial++ {
+		rng := rand.New(rand.NewSource(100 + trial))
+		a, b := newDeltaPair()
+		tx := a.tx[1]
+		tx.dictCap = []uint32{24, 64, 300}[trial%3]
+		model := &mapDict{lastSent: map[uint64]mapEntry{}}
+		pool := sampleRatings(120, trial)
+		for step := 0; step < 400; step++ {
+			// A sample of distinct pool entries, now and then larger than
+			// the whole dictionary; some values drift between sends.
+			n := 1 + rng.Intn(30)
+			sample := make([]dataset.Rating, 0, n)
+			for _, j := range rng.Perm(len(pool))[:n] {
+				if rng.Intn(10) == 0 {
+					pool[j].Value = float32(rng.Intn(9)+2) / 2
+				}
+				sample = append(sample, pool[j])
+			}
+			if rng.Intn(25) == 0 {
+				tx.pendingReset = true // a resync the peer asked for
+			}
+			p := core.Payload{From: 0, Degree: 1, Data: sample}
+			var flags byte
+			if a.rx[1].wantResync {
+				flags = deltaFlagResyncReq
+			}
+			want, wantExp, wantRefs := model.encode(*tx, flags, a.rx[1].ackPlus1(), p)
+			got, st := a.encodeDeltaBody(nil, 1, p)
+			if !bytes.Equal(got, want) {
+				t.Fatalf("trial %d step %d: frame bytes differ from the map model", trial, step)
+			}
+			if st.explicit != int64(len(wantExp)) || st.refs != int64(len(wantRefs)) {
+				t.Fatalf("trial %d step %d: explicit/refs = %d/%d, model %d/%d",
+					trial, step, st.explicit, st.refs, len(wantExp), len(wantRefs))
+			}
+			if st.resync != (got[8]&deltaFlagReset != 0) {
+				t.Fatalf("trial %d step %d: resync stat disagrees with the frame", trial, step)
+			}
+			if !st.resync && (!slices.Equal(tx.expBuf, wantExp) || !slices.Equal(tx.refBuf, wantRefs)) {
+				t.Fatalf("trial %d step %d: split differs from the map model", trial, step)
+			}
+			if tx.dict.n != model.dictLen {
+				t.Fatalf("trial %d step %d: %d entries, model %d", trial, step, tx.dict.n, model.dictLen)
+			}
+			refs += st.refs
+			if st.resync {
+				resets++
+			}
+			if len(sample) > int(tx.dictCap) {
+				oversized++
+			}
+			if rng.Intn(5) == 0 {
+				continue // frame lost: acks lag, gaps open, resyncs follow
+			}
+			if pl, err := b.decodeDeltaFrame(0, got); err == nil {
+				sameMultiset(t, pl.Data, sample)
+			} else if !errors.Is(err, errDeltaDiscard) {
+				t.Fatalf("trial %d step %d: %v", trial, step, err)
+			}
+			if rng.Intn(3) > 0 { // the reverse frame carries ack and resync request
+				ship(t, b, a, 1, 0, core.Payload{From: 1, Degree: 1})
+			}
+		}
+		if tx.dict.occupied() > int(tx.dict.n) {
+			t.Fatalf("trial %d: %d keys for %d entries", trial, tx.dict.occupied(), tx.dict.n)
+		}
+	}
+	if refs == 0 || resets == 0 || oversized == 0 {
+		t.Fatalf("sequences too tame: %d references, %d resets, %d oversized samples", refs, resets, oversized)
+	}
+	t.Logf("%d references, %d resets, %d oversized samples", refs, resets, oversized)
+}
+
+// TestDeltaParkedSegmentSurvivesScratchReuse parks an out-of-order frame
+// in rx.segs and decodes two more frames through the same scratch: the
+// parked entries must be the receiver's own copy, and once the gap fills
+// the dictionary is the in-order concatenation.
+func TestDeltaParkedSegmentSurvivesScratchReuse(t *testing.T) {
+	a, b := newDeltaPair()
+	frames := make([][]dataset.Rating, 5)
+	bodies := make([][]byte, 5)
+	for i := range frames {
+		frames[i] = sampleRatings(6+i, int64(40+i))
+		for j := range frames[i] {
+			frames[i][j].Item += uint32(100 * i) // distinct keys across frames: all explicit
+		}
+		bodies[i], _ = a.encodeDeltaBody(nil, 1, core.Payload{From: 0, Degree: 1, Data: frames[i]})
+	}
+	deliver := func(i int) {
+		t.Helper()
+		p, err := b.decodeDeltaFrame(0, bodies[i])
+		if err != nil {
+			t.Fatalf("frame %d: %v", i+1, err)
+		}
+		sameMultiset(t, p.Data, frames[i])
+	}
+	rx := b.rx[0]
+	deliver(0)
+	deliver(2) // seq 3 overtakes seq 2: parked
+	deliver(3) // two more frames reuse the decode scratch
+	deliver(4)
+	if rx.watermark != 1 || len(rx.segs) != 3 {
+		t.Fatalf("watermark=%d parked=%d, want 1 and 3", rx.watermark, len(rx.segs))
+	}
+	if !slices.Equal(rx.segs[3], frames[2]) {
+		t.Fatalf("parked segment rewritten by later decodes: %+v", rx.segs[3])
+	}
+	deliver(1)
+	if rx.watermark != 5 || len(rx.segs) != 0 {
+		t.Fatalf("gap fill: watermark=%d parked=%d", rx.watermark, len(rx.segs))
+	}
+	if want := slices.Concat(frames...); !slices.Equal(rx.dict, want) {
+		t.Fatalf("dictionary is not the in-order concatenation (%d entries, want %d)", len(rx.dict), len(want))
+	}
+}
+
+// TestDeltaWireSteadyStateAllocs guards the raw-data epoch's codec: once an
+// edge's buffers have held a frame, encoding (back-referencing frames and
+// the dictionary roll-over alike) and decoding a data frame allocate
+// nothing.
+func TestDeltaWireSteadyStateAllocs(t *testing.T) {
+	a, b := newDeltaPair()
+	const pts = 300
+	pool := sampleRatings(2*pts, 7)
+	var buf, ack []byte
+	round := func(reset bool) {
+		off := rand.Intn(pts)
+		a.tx[1].pendingReset = reset
+		var st deltaSendStats
+		buf, st = a.encodeDeltaBody(buf[:0], 1, core.Payload{From: 0, Degree: 1, Data: pool[off : off+pts]})
+		if reset && !st.resync {
+			t.Fatal("armed reset did not go out")
+		}
+		if _, err := b.decodeDeltaFrame(0, buf); err != nil {
+			t.Fatal(err)
+		}
+		ack, _ = b.encodeDeltaBody(ack[:0], 0, core.Payload{From: 1, Degree: 1})
+		if _, err := a.decodeDeltaFrame(1, ack); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 40; i++ { // warm up through a few roll-overs: both rx dictionaries exist
+		round(false)
+	}
+	if n := testing.AllocsPerRun(40, func() { round(false) }); n != 0 {
+		t.Fatalf("steady-state delta round trip allocates %.0f objects", n)
+	}
+	if n := testing.AllocsPerRun(10, func() { round(true) }); n != 0 {
+		t.Fatalf("reset-frame delta round trip allocates %.0f objects", n)
+	}
+	if rx := b.rx[0]; cap(rx.dict) != deltaDictCap || cap(rx.prevDict) != deltaDictCap {
+		t.Fatalf("rx dictionaries hold %d and %d entries, want exactly %d", cap(rx.dict), cap(rx.prevDict), deltaDictCap)
+	}
+}
+
+// TestDeltaSeqOffsetRollover pins the other roll-over trigger: dictionary
+// entries record their frame as a 32-bit offset from the stream start, so
+// a data frame that far past it restarts the stream rather than wrap.
+func TestDeltaSeqOffsetRollover(t *testing.T) {
+	a, b := newDeltaPair()
+	s := sampleRatings(5, 3)
+	ship(t, a, b, 0, 1, core.Payload{From: 0, Degree: 1, Data: s})
+	a.tx[1].seqOut = math.MaxUint32 // the next frame is 2^32 past the start
+	if _, st := ship(t, a, b, 0, 1, core.Payload{From: 0, Degree: 1}); st.resync {
+		t.Fatal("an empty frame registers nothing and must not reset")
+	}
+	got, st := ship(t, a, b, 0, 1, core.Payload{From: 0, Degree: 1, Data: s})
+	if !st.resync || st.explicit != 5 {
+		t.Fatalf("frame 2^32+1 past the start: resync=%v explicit=%d", st.resync, st.explicit)
+	}
+	sameMultiset(t, got.Data, s)
+	if tx := a.tx[1]; tx.lastResetSeq != tx.seqOut || tx.dict.seqs[0] != 0 {
+		t.Fatalf("stream not restarted at the reset: lastResetSeq=%d seqOut=%d", tx.lastResetSeq, tx.seqOut)
 	}
 }

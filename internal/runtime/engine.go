@@ -278,10 +278,17 @@ func (e *Engine) Step() (float64, error) {
 	}
 	e.epoch++
 	if r.cfg.Publish {
+		m := r.cfg.Node.Model.Clone()
+		// Readers on several goroutines marshal a published model (rexd's
+		// persist loop, /snapshot): its lazy layout must be built before
+		// they can race to build it.
+		if c, ok := m.(model.Canonicalizer); ok {
+			c.Canonicalize()
+		}
 		e.snap.Store(&Snapshot{
 			Epoch:   e.epoch,
 			RMSE:    rmse,
-			Model:   r.cfg.Node.Model.Clone(),
+			Model:   m,
 			Ratings: r.cfg.Node.Store.Snapshot(),
 		})
 	}

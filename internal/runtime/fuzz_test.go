@@ -3,6 +3,7 @@ package runtime
 import (
 	"encoding/binary"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"rex/internal/core"
@@ -67,7 +68,9 @@ func FuzzDecodePayload(f *testing.F) {
 // truncated or reordered inputs must never panic, and a rejected frame
 // must leave the stream reconstruction (base, watermark, dictionary,
 // buffered segments) exactly as it was — the reject-without-mutation
-// contract that lets the resync protocol recover from any garbage.
+// contract that lets the resync protocol recover from any garbage — and
+// must leave nothing in the per-peer decode scratch that changes how the
+// next genuine frame decodes.
 func FuzzDecodeDeltaPayload(f *testing.F) {
 	mcfg := mf.DefaultConfig()
 	seedPair := func() (*runner, *runner) {
@@ -118,7 +121,8 @@ func FuzzDecodeDeltaPayload(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0, 0xff, 2, 1, 0})
 
 	f.Fuzz(func(t *testing.T, body []byte) {
-		if fr, err := parseDeltaFrame(body); err == nil && fr.payloadKind == payloadModel &&
+		var fr deltaFrame
+		if err := fr.parse(body); err == nil && fr.payloadKind == payloadModel &&
 			mfAllocHeavy(fr.modelBytes, mcfg.K) {
 			t.Skip("alloc-heavy model body") // see FuzzDecodePayload
 		}
@@ -128,17 +132,36 @@ func FuzzDecodeDeltaPayload(f *testing.F) {
 		dict := append([]dataset.Rating(nil), rx.dict...)
 		segs := len(rx.segs)
 		_, err := rcv.decodeDeltaFrame(0, body)
-		if err == nil {
-			return // a valid frame may mutate; invariants below are for rejects
-		}
-		if rx.base != base || rx.watermark != watermark || rx.highSeen != high ||
-			len(rx.dict) != len(dict) || len(rx.segs) != segs {
-			t.Fatalf("rejected frame mutated stream state: %v", err)
-		}
-		for i := range dict {
-			if rx.dict[i] != dict[i] {
-				t.Fatalf("rejected frame rewrote dict[%d]", i)
+		if err != nil {
+			// A valid frame may mutate; a rejected one may not.
+			if rx.base != base || rx.watermark != watermark || rx.highSeen != high ||
+				len(rx.dict) != len(dict) || len(rx.segs) != segs {
+				t.Fatalf("rejected frame mutated stream state: %v", err)
 			}
+			for i := range dict {
+				if rx.dict[i] != dict[i] {
+					t.Fatalf("rejected frame rewrote dict[%d]", i)
+				}
+			}
+		}
+
+		// Whatever body left in the decode scratch, the next genuine frame
+		// decodes as it does on a receiver in the same stream state whose
+		// scratch was never used.
+		_, clean := seedPair()
+		clean.decodeDeltaFrame(0, body)
+		clean.rx[0].frame, clean.rx[0].sample = deltaFrame{}, nil
+		got, gotErr := rcv.decodeDeltaFrame(0, refFrame)
+		want, wantErr := clean.decodeDeltaFrame(0, refFrame)
+		if (gotErr == nil) != (wantErr == nil) {
+			t.Fatalf("dirty scratch: err=%v, clean scratch: err=%v", gotErr, wantErr)
+		}
+		if got.From != want.From || got.Degree != want.Degree || !slices.Equal(got.Data, want.Data) {
+			t.Fatalf("dirty scratch decoded %+v, clean scratch %+v", got, want)
+		}
+		if cx := clean.rx[0]; rx.base != cx.base || rx.watermark != cx.watermark || rx.highSeen != cx.highSeen ||
+			rx.wantResync != cx.wantResync || !slices.Equal(rx.dict, cx.dict) || len(rx.segs) != len(cx.segs) {
+			t.Fatal("dirty scratch left a different stream state than clean scratch")
 		}
 	})
 }

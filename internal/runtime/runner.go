@@ -1,10 +1,12 @@
 package runtime
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"io"
 	goruntime "runtime"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -304,7 +306,9 @@ type openResult struct {
 //
 // The returned payloads are ordered by ascending neighbor id regardless
 // of arrival or open order — the invariant that keeps learning
-// trajectories deterministic for a fixed seed.
+// trajectories deterministic for a fixed seed. They are valid until the
+// next gatherRound: the slice and, on the delta wire, each payload's Data
+// (per-peer decode scratch) are reused by it.
 func (r *runner) gatherRound(e int) ([]core.Payload, error) {
 	need := r.gatherNeed
 	if need == nil {
@@ -391,7 +395,11 @@ func (r *runner) gatherRound(e int) ([]core.Payload, error) {
 	for _, nb := range r.neighbors {
 		if q := r.pending[nb]; len(q) > 0 && need[nb] {
 			dispatch(nb, q[0])
-			r.pending[nb] = q[1:]
+			// Pop by shifting (the queue is a frame or two deep; Delete
+			// clears the vacated slot): slicing the head off would walk the
+			// backing array forward, so every buffered frame regrew it and
+			// consumed frames stayed reachable.
+			r.pending[nb] = slices.Delete(q, 0, 1)
 			r.pendingN--
 			delete(need, nb)
 			delete(r.miss, nb)
@@ -449,7 +457,7 @@ func (r *runner) gatherRound(e int) ([]core.Payload, error) {
 	}
 
 	r.openedBuf = opened
-	sort.Slice(opened, func(i, j int) bool { return opened[i].from < opened[j].from })
+	slices.SortFunc(opened, func(a, b openResult) int { return cmp.Compare(a.from, b.from) })
 	payloads := r.gatherPl[:0]
 	for _, o := range opened {
 		if o.err != nil {
@@ -469,8 +477,8 @@ func (r *runner) gatherRound(e int) ([]core.Payload, error) {
 		r.stats.Open += o.dur
 		payloads = append(payloads, o.pl)
 	}
-	// The returned slice is valid until the next gatherRound: Engine.Step
-	// merges it before the next round starts, so reuse is safe.
+	// Engine.Step merges the payloads before the next round starts, so
+	// reuse is safe.
 	r.gatherPl = payloads
 	return payloads, nil
 }

@@ -109,7 +109,15 @@ type Channel struct {
 	recvMax  uint64
 	recvMask uint64
 	recvAny  bool
+
+	// Nonce scratch, one per direction: a channel's sends and receives run
+	// on different goroutines (share and gather workers), each direction on
+	// one at a time.
+	sendNonce, recvNonce [nonceSize]byte
 }
+
+// nonceSize is the AES-GCM standard nonce length.
+const nonceSize = 12
 
 // NewChannel builds a channel from a 32-byte key. Exactly one peer must
 // pass initiator=true (REX uses the lexicographic order of node ids).
@@ -128,15 +136,19 @@ func NewChannel(key []byte, initiator bool) (*Channel, error) {
 	return &Channel{aead: aead, initiator: initiator}, nil
 }
 
+// nonce builds the nonce for seq in the direction's scratch array.
 func (c *Channel) nonce(seq uint64, sending bool) []byte {
-	n := make([]byte, 12)
+	n := &c.recvNonce
+	if sending {
+		n = &c.sendNonce
+	}
 	dir := byte(0)
 	if c.initiator == sending { // initiator's sends and responder's receives share space 1
 		dir = 1
 	}
 	n[0] = dir
 	binary.BigEndian.PutUint64(n[4:], seq)
-	return n
+	return n[:]
 }
 
 // Seal encrypts and authenticates plaintext, advancing the send sequence.

@@ -159,3 +159,26 @@ func TestSeqBidirectional(t *testing.T) {
 		t.Fatalf("b->a: %v %q", err, pt)
 	}
 }
+
+// TestSeqAppendAllocs guards the gossip hot path: sealing and opening a
+// frame into buffers that already fit it allocates nothing (the nonce is
+// built in the channel, not on the heap).
+func TestSeqAppendAllocs(t *testing.T) {
+	a, b := pair(t)
+	msg := bytes.Repeat([]byte{7}, 1024)
+	fr := make([]byte, 0, len(msg)+SeqOverhead+a.Overhead())
+	pt := make([]byte, 0, len(msg))
+	allocs := testing.AllocsPerRun(50, func() {
+		fr = a.SealSeqAppend(fr[:0], msg)
+		var err error
+		if pt, err = b.OpenSeqAppend(pt[:0], fr); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("seal+open of a 1 KB frame allocates %.0f objects", allocs)
+	}
+	if !bytes.Equal(pt, msg) {
+		t.Fatal("roundtrip mismatch")
+	}
+}
