@@ -8,17 +8,22 @@ import (
 	"io"
 	"math"
 	"math/rand"
+	"net/http"
+	"net/http/httptest"
 	"testing"
 	"time"
 
 	"rex/internal/core"
+	"rex/internal/dataset"
 	"rex/internal/experiments"
 	"rex/internal/gossip"
 	"rex/internal/mf"
 	"rex/internal/model"
 	"rex/internal/movielens"
 	"rex/internal/nn"
+	"rex/internal/rank"
 	"rex/internal/runtime"
+	"rex/internal/serve"
 	"rex/internal/sim"
 	"rex/internal/topology"
 )
@@ -230,6 +235,62 @@ func BenchmarkMFMarshalAlloc(b *testing.B) {
 		}
 	}
 }
+
+// servingData is the serve-rw shape: ML-latest at half scale, a 4.5 k-item
+// catalog under 50 k ratings.
+func servingData() *dataset.Dataset { return movielens.Generate(movielens.Latest().Scaled(0.5)) }
+
+// fixedNode is a serve.Node that publishes one snapshot forever.
+type fixedNode struct{ snap *runtime.Snapshot }
+
+func (n fixedNode) Snapshot() *runtime.Snapshot { return n.snap }
+func (n fixedNode) Status() *runtime.Status     { return &runtime.Status{Epoch: n.snap.Epoch} }
+func (n fixedNode) Ingest([]dataset.Rating) int { return 0 }
+func (n fixedNode) Drain()                      {}
+
+// BenchmarkRecommend measures one GET /recommend?n=10 through the real
+// handler on the MF path, users in rotation, index already built: routing,
+// catalog scoring, top-n selection and the JSON answer.
+func BenchmarkRecommend(b *testing.B) {
+	ds := servingData()
+	m := mf.New(mf.DefaultConfig())
+	m.Train(ds.Ratings, 50_000, rand.New(rand.NewSource(1)))
+	srv, err := serve.New(serve.Config{
+		Node:     fixedNode{&runtime.Snapshot{Epoch: 1, Model: m, Ratings: ds.Ratings}},
+		NumItems: ds.NumItems,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	h := srv.Handler()
+	reqs := make([]*http.Request, 64)
+	for u := range reqs {
+		reqs[u] = httptest.NewRequest("GET", fmt.Sprintf("/recommend?user=%d&n=10", u), nil)
+	}
+	h.ServeHTTP(httptest.NewRecorder(), reqs[0]) // builds the rank index
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, reqs[i%len(reqs)])
+		if w.Code != http.StatusOK {
+			b.Fatalf("status %d: %s", w.Code, w.Body)
+		}
+	}
+}
+
+// BenchmarkIndexBuild measures rank.NewIndex over the same store: what the
+// first query after every publish pays.
+func BenchmarkIndexBuild(b *testing.B) {
+	ds := servingData()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		benchIndex = rank.NewIndex(ds.Ratings, ds.NumItems)
+	}
+}
+
+var benchIndex *rank.Index // keeps BenchmarkIndexBuild's result alive
 
 // BenchmarkNNForward measures the DNN eval path: one batched forward pass
 // over 256 examples per op via PredictBatch (the test-stage workload).

@@ -367,6 +367,35 @@ func (m *Model) PredictBatch(users, items []uint32, out []float32) {
 	}
 }
 
+// ScoreItems implements model.ItemScorer: out[i] receives exactly what
+// Predict(user, i) would return. The user is resolved once; every item
+// starts at the cold score mean (+ b_u), and one walk over the packed item
+// table in slot order overwrites the items the model holds. The sums keep
+// predictOne's association, ((mean + b_u) + b_i) + x_u·y_i, so the bits
+// match.
+func (m *Model) ScoreItems(user uint32, out []float32) {
+	cold := float32(m.cfg.GlobalMean)
+	var x []float32 // the user's factors; nil for a user the model lacks
+	if us, ok := m.users.idx.get(int32(user)); ok {
+		cold += m.users.b[us]
+		x = m.users.row(us)
+	}
+	for i := range out {
+		out[i] = cold
+	}
+	items, k := m.items, m.cfg.K
+	for s, id := range items.ids {
+		if int(uint32(id)) >= len(out) { // as Predict's uint32 sees the id
+			continue
+		}
+		p := cold + items.b[s]
+		if x != nil {
+			p += vec.Dot(x, items.f[s*k:(s+1)*k])
+		}
+		out[id] = p
+	}
+}
+
 func (m *Model) predictOne(u, it int) float32 {
 	p := float32(m.cfg.GlobalMean)
 	us, hasU := m.users.idx.get(int32(u))

@@ -64,6 +64,16 @@ type BatchPredictor interface {
 	PredictBatch(users, items []uint32, out []float32)
 }
 
+// ItemScorer is an optional Model extension for the ranking path, which
+// scores one user against the whole catalog: ScoreItems fills out[i] with
+// exactly what Predict(user, uint32(i)) would return, bit for bit, for
+// every i < len(out) — whether or not the model knows the user or item i.
+// An implementation resolves the user once and walks its item parameters
+// in storage order instead of hashing every item id.
+type ItemScorer interface {
+	ScoreItems(user uint32, out []float32)
+}
+
 // AppendMarshaler is an optional Model extension: MarshalAppend appends
 // the model's canonical serialization (identical bytes to Marshal) to dst
 // and returns the extended slice, letting callers reuse buffers across

@@ -1,6 +1,7 @@
 // Package modeltest is the conformance suite every model.Model
 // implementation runs: one shared set of invariants over Predict /
-// PredictBatch / Marshal / Unmarshal / MergeWeighted / Clone / WireSize,
+// PredictBatch / ScoreItems / Marshal / Unmarshal / MergeWeighted / Clone /
+// WireSize,
 // so the REX protocol can swap model families (§II-A) without re-deriving
 // per-family tests. mf and nn both invoke Run from their own test
 // packages; a new model family gets the whole battery with one call.
@@ -40,6 +41,7 @@ func Run(t *testing.T, cfg Config) {
 	}
 	t.Run("EmptyPredictFallback", func(t *testing.T) { emptyPredictFallback(t, cfg) })
 	t.Run("BatchMatchesScalar", func(t *testing.T) { batchMatchesScalar(t, cfg) })
+	t.Run("ScoreItemsMatchesPredict", func(t *testing.T) { scoreItemsMatchesPredict(t, cfg) })
 	t.Run("MarshalRoundtrip", func(t *testing.T) { marshalRoundtrip(t, cfg) })
 	t.Run("MarshalAppendCanonical", func(t *testing.T) { marshalAppendCanonical(t, cfg) })
 	t.Run("CloneIndependent", func(t *testing.T) { cloneIndependent(t, cfg) })
@@ -109,6 +111,58 @@ func batchMatchesScalar(t *testing.T, cfg Config) {
 				i, users[i], items[i], out[i], want)
 		}
 	}
+}
+
+// scoreItemsMatchesPredict: ScoreItems must reproduce Predict bit for bit
+// for known and out-of-vocabulary users, over catalogs cut below and
+// stretched past the model's highest item id — on a fresh model, a trained
+// one, and models whose internal layout Unmarshal and MergeWeighted rebuilt.
+func scoreItemsMatchesPredict(t *testing.T, cfg Config) {
+	m := trained(t, cfg)
+	if _, ok := m.(model.ItemScorer); !ok {
+		t.Skip("model does not implement ItemScorer")
+	}
+	maxItem := 0
+	for _, r := range cfg.Data {
+		maxItem = max(maxItem, int(r.Item))
+	}
+	check := func(name string, m model.Model) {
+		t.Helper()
+		for _, user := range []uint32{cfg.Data[0].User, cfg.Data[len(cfg.Data)-1].User, cfg.OOVUser} {
+			for _, n := range []int{0, maxItem/2 + 1, maxItem + 1, maxItem + 300} {
+				out := make([]float32, n)
+				for i := range out {
+					out[i] = -77 // a reused buffer's stale contents must not survive
+				}
+				m.(model.ItemScorer).ScoreItems(user, out)
+				for i, got := range out {
+					if want := m.Predict(user, uint32(i)); math.Float32bits(got) != math.Float32bits(want) {
+						t.Fatalf("%s model, user %d, %d-item catalog: ScoreItems[%d] = %v, Predict = %v",
+							name, user, n, i, got, want)
+					}
+				}
+			}
+		}
+	}
+	check("fresh", cfg.New())
+	check("trained", m)
+
+	buf, err := m.Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	restored := cfg.New()
+	if err := restored.Unmarshal(buf); err != nil {
+		t.Fatal(err)
+	}
+	check("unmarshaled", restored)
+
+	// A receiver that trained on a corner of the data learns the rest from
+	// the merge, which appends those rows in merge order, not touch order.
+	merged := cfg.New()
+	merged.Train(cfg.Data[:len(cfg.Data)/8+1], cfg.TrainSteps/4+1, rand.New(rand.NewSource(19)))
+	merged.MergeWeighted(0.5, []model.Weighted{{M: m, W: 0.5}})
+	check("merged", merged)
 }
 
 // marshalRoundtrip: WireSize must equal the marshaled length, a fresh

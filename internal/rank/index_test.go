@@ -2,6 +2,8 @@ package rank
 
 import (
 	"math/rand"
+	"slices"
+	"sync"
 	"testing"
 
 	"rex/internal/dataset"
@@ -108,31 +110,88 @@ func TestIndexMatchesUncachedTopN(t *testing.T) {
 	}
 }
 
-// TestIndexSeenExclusion verifies the seen sets the index caches equal
-// SeenSet's, and that exclusion removes exactly those items.
+// TestIndexSeenExclusion verifies the index excludes exactly SeenSet's
+// items — duplicates, other users' interactions and interactions outside
+// the catalog change nothing — by asking for the whole catalog.
 func TestIndexSeenExclusion(t *testing.T) {
 	ratings := []dataset.Rating{
-		{User: 7, Item: 1}, {User: 7, Item: 3}, {User: 8, Item: 2},
-		{User: 7, Item: 1}, // duplicate interaction
+		{User: 7, Item: 3}, {User: 7, Item: 1}, {User: 8, Item: 2},
+		{User: 7, Item: 1},  // duplicate interaction
+		{User: 8, Item: 60}, // not in the 6-item catalog
 	}
 	ix := NewIndex(ratings, 6)
-	want := SeenSet(ratings, 7)
-	got := ix.Seen(7)
-	if len(got) != len(want) {
-		t.Fatalf("seen sets differ: %v vs %v", got, want)
-	}
-	for it := range want {
-		if !got[it] {
-			t.Fatalf("item %d missing from cached seen set", it)
+	for user, candidates := range map[uint32]int{7: 4, 8: 5, 9: 6} {
+		want := SeenSet(ratings, user)
+		rec := ix.TopN(scoreByID{}, user, 6)
+		if len(rec) != candidates {
+			t.Fatalf("user %d: %d candidates after exclusion, want %d", user, len(rec), candidates)
+		}
+		for _, it := range rec {
+			if want[it.ID] {
+				t.Fatalf("user %d: seen item %d recommended", user, it.ID)
+			}
 		}
 	}
-	rec := ix.TopN(scoreByID{}, 7, 6)
-	if len(rec) != 4 {
-		t.Fatalf("%d candidates after exclusion, want 4", len(rec))
-	}
-	for _, it := range rec {
-		if want[it.ID] {
-			t.Fatalf("seen item %d recommended", it.ID)
+}
+
+// indexWorkload trains a small MF model and indexes its ratings.
+func indexWorkload(t *testing.T) (*mf.Model, *Index, []uint32) {
+	t.Helper()
+	spec := movielens.Latest().Scaled(0.05)
+	spec.Seed = 21
+	ds := movielens.Generate(spec)
+	m := mf.New(mf.DefaultConfig())
+	m.Train(ds.Ratings, 20_000, rand.New(rand.NewSource(22)))
+	var users []uint32
+	for _, r := range ds.Ratings {
+		if len(users) == 0 || users[len(users)-1] != r.User {
+			users = append(users, r.User)
 		}
 	}
+	return m, NewIndex(ds.Ratings, ds.NumItems), users
+}
+
+// TestIndexTopNSteadyStateAllocs pins the serving path's garbage: once the
+// score buffer is pooled, a query allocates its result list and nothing
+// catalog-sized. (The race detector makes sync.Pool drop a quarter of its
+// puts; the bound leaves room for that.)
+func TestIndexTopNSteadyStateAllocs(t *testing.T) {
+	m, ix, users := indexWorkload(t)
+	i := 0
+	avg := testing.AllocsPerRun(200, func() {
+		ix.TopN(m, users[i%len(users)], 10)
+		i++
+	})
+	if avg > 2 {
+		t.Fatalf("Index.TopN allocates %.1f times per query, want <= 2", avg)
+	}
+}
+
+// TestIndexTopNConcurrent queries one immutable index and one model from
+// eight goroutines; every answer must equal the serial one, which it would
+// not if two queries ever shared a pooled score buffer.
+func TestIndexTopNConcurrent(t *testing.T) {
+	m, ix, users := indexWorkload(t)
+	users = append(users, 1<<30)
+	want := make([][]Item, len(users))
+	for i, u := range users {
+		want[i] = ix.TopN(m, u, 10)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for round := 0; round < 3; round++ {
+				for j := range users {
+					i := (j + g*7) % len(users)
+					if got := ix.TopN(m, users[i], 10); !slices.Equal(got, want[i]) {
+						t.Errorf("goroutine %d user %d: %v, serial %v", g, users[i], got, want[i])
+						return
+					}
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }

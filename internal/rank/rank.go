@@ -7,7 +7,8 @@ package rank
 
 import (
 	"math"
-	"sort"
+	"slices"
+	"sync"
 
 	"rex/internal/dataset"
 	"rex/internal/model"
@@ -22,36 +23,106 @@ type Item struct {
 // Predictor is the minimal surface ranking needs: a rating prediction per
 // (user, item) pair. model.Model satisfies it; so do adapters over
 // recommenders outside the model contract (e.g. internal/knn served from
-// a node's raw-data store).
+// a node's raw-data store). A predictor that is also a model.ItemScorer
+// scores the catalog in one call instead of one Predict per item.
 type Predictor interface {
 	Predict(user, item uint32) float32
 }
 
 // TopN returns the n highest-predicted items for a user, excluding the
 // items in seen (typically the user's training interactions). Candidates
-// are 0..numItems-1. Ties break toward lower item ids for determinism.
+// are 0..numItems-1. Ties break toward lower item ids for determinism, and
+// a NaN score ranks below every number.
 func TopN(m Predictor, user uint32, numItems, n int, seen map[uint32]bool) []Item {
+	return topN(m, user, numItems, n, func(id uint32) bool { return seen[id] })
+}
+
+// outranks is the ranking's total order: higher score first, NaN after
+// every number, equal scores (and NaNs among themselves) by ascending id.
+func outranks(a, b Item) bool {
+	switch {
+	case a.Score > b.Score:
+		return true
+	case a.Score < b.Score:
+		return false
+	}
+	// Equal, or at least one NaN (x != x only for NaN).
+	if aNaN, bNaN := a.Score != a.Score, b.Score != b.Score; aNaN != bNaN {
+		return bNaN
+	}
+	return a.ID < b.ID
+}
+
+// scorePool recycles the catalog-sized score buffers across queries.
+var scorePool = sync.Pool{New: func() any { return new([]float32) }}
+
+// topN is the one ranking kernel. It scores the whole catalog into a pooled
+// buffer — through model.ItemScorer when the predictor has it, per-item
+// Predict otherwise — and scans the scores in ascending id order through an
+// n-entry heap whose root is the worst survivor. seen is asked only about an
+// item that would otherwise enter the heap, and only the survivors are
+// sorted, so a query allocates its result and nothing catalog-sized.
+func topN(m Predictor, user uint32, numItems, n int, seen func(uint32) bool) []Item {
 	if n <= 0 || numItems <= 0 {
 		return nil
 	}
-	items := make([]Item, 0, numItems)
-	for i := 0; i < numItems; i++ {
-		id := uint32(i)
-		if seen[id] {
-			continue
-		}
-		items = append(items, Item{ID: id, Score: m.Predict(user, id)})
+	n = min(n, numItems)
+	buf := scorePool.Get().(*[]float32)
+	defer scorePool.Put(buf)
+	if cap(*buf) < numItems {
+		*buf = make([]float32, numItems)
 	}
-	sort.Slice(items, func(a, b int) bool {
-		if items[a].Score != items[b].Score {
-			return items[a].Score > items[b].Score
+	scores := (*buf)[:numItems]
+	if s, ok := m.(model.ItemScorer); ok {
+		s.ScoreItems(user, scores)
+	} else {
+		for i := range scores {
+			scores[i] = m.Predict(user, uint32(i))
 		}
-		return items[a].ID < items[b].ID
-	})
-	if len(items) > n {
-		items = items[:n]
 	}
-	return items
+
+	h := make([]Item, 0, n)
+	i := 0
+	for ; i < numItems && len(h) < n; i++ {
+		if !seen(uint32(i)) {
+			h = append(h, Item{ID: uint32(i), Score: scores[i]})
+		}
+	}
+	for r := len(h)/2 - 1; r >= 0; r-- {
+		siftDown(h, r)
+	}
+	for ; i < numItems; i++ {
+		if c := (Item{ID: uint32(i), Score: scores[i]}); outranks(c, h[0]) && !seen(c.ID) {
+			h[0] = c
+			siftDown(h, 0)
+		}
+	}
+	// Heapsort in place: each pop moves the worst survivor behind the rest,
+	// leaving the list best first.
+	for end := len(h) - 1; end > 0; end-- {
+		h[0], h[end] = h[end], h[0]
+		siftDown(h[:end], 0)
+	}
+	return h
+}
+
+// siftDown restores the heap order (every parent is outranked by its
+// children, so h[0] is the worst) below position r.
+func siftDown(h []Item, r int) {
+	for {
+		c := 2*r + 1
+		if c >= len(h) {
+			return
+		}
+		if c+1 < len(h) && outranks(h[c], h[c+1]) {
+			c++
+		}
+		if !outranks(h[r], h[c]) {
+			return
+		}
+		h[r], h[c] = h[c], h[r]
+		r = c
+	}
 }
 
 // SeenSet builds the exclusion set of items a user interacted with.
@@ -83,15 +154,7 @@ func Evaluate(m model.Model, train, test []dataset.Rating, numItems, k int) Metr
 	if k <= 0 {
 		return Metrics{}
 	}
-	trainSeen := make(map[uint32]map[uint32]bool)
-	for _, r := range train {
-		mset, ok := trainSeen[r.User]
-		if !ok {
-			mset = make(map[uint32]bool)
-			trainSeen[r.User] = mset
-		}
-		mset[r.Item] = true
-	}
+	ix := NewIndex(train, numItems)
 	relevant := make(map[uint32]map[uint32]bool)
 	for _, r := range test {
 		if r.Value < RelevanceThreshold {
@@ -105,12 +168,18 @@ func Evaluate(m model.Model, train, test []dataset.Rating, numItems, k int) Metr
 		mset[r.Item] = true
 	}
 
+	// Ascending user id, not map order: the float sums must repeat bit for
+	// bit from run to run.
+	users := make([]uint32, 0, len(relevant))
+	for user := range relevant {
+		users = append(users, user)
+	}
+	slices.Sort(users)
+
 	var out Metrics
-	for user, rel := range relevant {
-		if len(rel) == 0 {
-			continue
-		}
-		rec := TopN(m, user, numItems, k, trainSeen[user])
+	for _, user := range users {
+		rel := relevant[user]
+		rec := ix.TopN(m, user, k)
 		hits := 0
 		dcg := 0.0
 		for pos, it := range rec {

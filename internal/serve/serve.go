@@ -13,14 +13,16 @@
 //	GET  /snapshot                          serialized serving state
 //
 // Ranking goes through a cached candidate index (rank.Index) rebuilt once
-// per snapshot epoch, not per query; results are bit-identical to running
-// the uncached rank.TopN offline against the same snapshot — the contract
-// the daemon's acceptance test pins. model=knn serves user-based KNN from
+// per snapshot epoch, not per query; a query is then one pass over the
+// catalog (rank.TopN's kernel). Results are bit-identical to running the
+// uncached rank.TopN offline against the same snapshot — the contract the
+// daemon's acceptance test pins. model=knn serves user-based KNN from
 // the node's raw-data store through the same handler, the profile database
 // that raw-data sharing uniquely provides (§II-B).
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -170,10 +172,18 @@ func (s *Server) instrument(name string, h http.HandlerFunc) http.HandlerFunc {
 // Handler returns the http.Handler for the API.
 func (s *Server) Handler() http.Handler { return s.mux }
 
+// writeJSON encodes before it sends the status, so a value JSON cannot carry
+// (a poisoned model's NaN score) is a 500 with an error body, not a cut-off 200.
 func writeJSON(w http.ResponseWriter, status int, v any) {
+	var body bytes.Buffer
+	if err := json.NewEncoder(&body).Encode(v); err != nil {
+		status = http.StatusInternalServerError
+		body.Reset()
+		json.NewEncoder(&body).Encode(map[string]string{"error": "encoding response: " + err.Error()})
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(v)
+	w.Write(body.Bytes()) // a client that hung up has no one left to tell
 }
 
 func writeErr(w http.ResponseWriter, status int, format string, args ...any) {

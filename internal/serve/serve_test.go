@@ -220,6 +220,37 @@ func TestSnapshotNaNRMSESanitized(t *testing.T) {
 	}
 }
 
+// nanModel is a poisoned model: every prediction is NaN.
+type nanModel struct{ model.Model }
+
+func (nanModel) Predict(_, _ uint32) float32 { return float32(math.NaN()) }
+
+// TestRecommendNaNScoresAre500: JSON cannot carry a NaN, so a list with NaN
+// scores must fail as a 500 with a JSON error — not as a 200 whose body
+// stops where the encoder gave up — and be counted as one.
+func TestRecommendNaNScoresAre500(t *testing.T) {
+	n := &fakeNode{
+		status: &runtime.Status{},
+		snap:   &runtime.Snapshot{Epoch: 1, Model: nanModel{mf.New(mf.DefaultConfig())}},
+	}
+	s, err := New(Config{Node: n, NumItems: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, body := get(t, s.Handler(), "/recommend?user=1&n=3")
+	if w.Code != http.StatusInternalServerError {
+		t.Fatalf("/recommend over NaN scores: %d %v, want 500", w.Code, body)
+	}
+	if msg, _ := body["error"].(string); !strings.Contains(msg, "encoding response") {
+		t.Fatalf("error body %v does not name the encoding failure", body)
+	}
+	_, m := get(t, s.Handler(), "/metrics")
+	statuses := m["endpoints"].(map[string]any)["recommend"].(map[string]any)["statuses"].(map[string]any)
+	if statuses["500"] != float64(1) || statuses["200"] != nil {
+		t.Fatalf("recommend statuses %v, want one 500 and no 200", statuses)
+	}
+}
+
 // engineNode spins up a real single-node engine over a movielens shard and
 // steps it twice so a published snapshot exists.
 func engineNode(t *testing.T) (*runtime.Engine, int, func()) {
