@@ -11,7 +11,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strconv"
 	"strings"
 	"time"
 
@@ -27,20 +26,14 @@ func main() {
 		seed       = flag.Int64("seed", 1, "deterministic seed")
 		points     = flag.Int("points", 12, "series rows printed per curve")
 		workers    = flag.Int("workers", 0, "simulator goroutines per epoch (0 = GOMAXPROCS, 1 = sequential; results are identical)")
-		scenario   = flag.String("scenario", "", "chaos scenario: a canned name (see internal/faultnet.Canned) or a JSON spec file; injects seeded message loss/delay/duplication/reordering, partitions and churn into every simulated run — combined with -load it runs the workload under the fault schedule (chaos-load)")
+		scenario   = flag.String("scenario", "", "chaos scenario: a canned name (see internal/faultnet.Canned) or a JSON spec file; injects seeded message loss/delay/duplication/reordering, partitions and churn into every simulated run — combined with -load it runs the workload under the fault schedule")
 		list       = flag.Bool("list", false, "list available experiments")
-		scale      = flag.Bool("scale", false, "run the users-vs-cost scale sweep instead of a paper artifact")
-		scaleUsers = flag.String("scale-users", "1000,10000,50000,100000", "comma-separated node counts for -scale")
-		scaleEp    = flag.Int("scale-epochs", 3, "epochs per size for -scale")
-		scaleOut   = flag.String("scale-out", "", "write the -scale report as JSON (BENCH_scale.json schema) to this path")
 		load       = flag.String("load", "", "run a declarative load workload instead of a paper artifact: a canned spec name (steady, zipf-burst, flashcrowd) or a JSON spec file")
 		loadTarget = flag.String("load-target", "", "comma-separated rexd base URLs for live replay (e.g. http://127.0.0.1:8800,http://127.0.0.1:8801); empty = in-process sim cluster")
 		loadNodes  = flag.Int("load-nodes", 2, "sim-mode cluster size for -load")
 		loadWork   = flag.Int("load-workers", 4, "dispatch concurrency for -load")
-		loadOut    = flag.String("load-out", "", "write the -load report as JSON (BENCH_load.json schema) to this path")
 		loadRetry  = flag.Int("load-retries", 0, "per-event retry budget on 429/503/transport errors (deterministic backoff from the event hash)")
 		loadTO     = flag.Duration("load-timeout", 0, "per-request timeout in live mode (0 = 30s)")
-		chaosOut   = flag.String("chaos-out", "", "with -load and -scenario: write the chaos-load report as JSON (BENCH_chaosload.json schema) to this path")
 	)
 	flag.Parse()
 
@@ -54,79 +47,23 @@ func main() {
 		if *loadTarget != "" {
 			urls = strings.Split(*loadTarget, ",")
 		}
-		// -scenario (or -chaos-out) composes the chaos harness with the
-		// load run: faults are injected under the workload (sim mode owns
-		// the engines and wraps them; live mode expects the daemons to run
-		// the same -scenario) and the report carries the invariant
-		// evidence — acked-rating survival, shed fraction, fault counters.
-		if *scenario != "" || *chaosOut != "" {
-			var sc *faultnet.Scenario
-			if *scenario != "" {
-				sc, err = faultnet.Resolve(*scenario)
-				if err != nil {
-					fmt.Fprintf(os.Stderr, "rexbench: %v\n", err)
-					os.Exit(2)
-				}
-			}
-			rep, err := experiments.RunChaosLoad(experiments.ChaosLoadConfig{
-				Spec: spec, Scenario: sc, TargetURLs: urls, Nodes: *loadNodes,
-				Workers: *loadWork, Retries: *loadRetry, Timeout: *loadTO,
-				Out: os.Stdout,
-			})
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "rexbench: chaos-load: %v\n", err)
-				os.Exit(1)
-			}
-			if *chaosOut != "" {
-				if err := experiments.WriteChaosLoadReport(rep, *chaosOut); err != nil {
-					fmt.Fprintf(os.Stderr, "rexbench: chaos-load: %v\n", err)
-					os.Exit(1)
-				}
-				fmt.Printf("### chaos-load report written to %s\n", *chaosOut)
-			}
-			return
-		}
-		rep, err := experiments.RunLoad(experiments.LoadConfig{
-			Spec: spec, TargetURLs: urls, Nodes: *loadNodes, Workers: *loadWork,
-			Retries: *loadRetry, Timeout: *loadTO, Out: os.Stdout,
-		})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "rexbench: load: %v\n", err)
-			os.Exit(1)
-		}
-		if *loadOut != "" {
-			if err := experiments.WriteLoadReport(rep, *loadOut); err != nil {
-				fmt.Fprintf(os.Stderr, "rexbench: load: %v\n", err)
-				os.Exit(1)
-			}
-			fmt.Printf("### load report written to %s\n", *loadOut)
-		}
-		return
-	}
-
-	if *scale {
-		var sizes []int
-		for _, f := range strings.Split(*scaleUsers, ",") {
-			v, err := strconv.Atoi(strings.TrimSpace(f))
-			if err != nil || v <= 0 {
-				fmt.Fprintf(os.Stderr, "rexbench: bad -scale-users entry %q\n", f)
+		var sc *faultnet.Scenario
+		if *scenario != "" {
+			if sc, err = faultnet.Resolve(*scenario); err != nil {
+				fmt.Fprintf(os.Stderr, "rexbench: %v\n", err)
 				os.Exit(2)
 			}
-			sizes = append(sizes, v)
 		}
-		rep, err := experiments.RunScale(experiments.ScaleConfig{
-			Sizes: sizes, Epochs: *scaleEp, Seed: *seed, Out: os.Stdout,
-		})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "rexbench: scale: %v\n", err)
+		// The runner judges its own run: a broken invariant (an acked
+		// rating lost, a perturbed schedule, unbounded shedding, ...) comes
+		// back as the error, and the exit code is the verdict.
+		if _, err := experiments.RunLoad(experiments.LoadConfig{
+			Spec: spec, Scenario: sc, TargetURLs: urls, Nodes: *loadNodes,
+			Workers: *loadWork, Retries: *loadRetry, Timeout: *loadTO,
+			Out: os.Stdout,
+		}); err != nil {
+			fmt.Fprintf(os.Stderr, "rexbench: load: %v\n", err)
 			os.Exit(1)
-		}
-		if *scaleOut != "" {
-			if err := experiments.WriteScaleReport(rep, *scaleOut); err != nil {
-				fmt.Fprintf(os.Stderr, "rexbench: scale: %v\n", err)
-				os.Exit(1)
-			}
-			fmt.Printf("### scale report written to %s\n", *scaleOut)
 		}
 		return
 	}

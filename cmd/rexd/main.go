@@ -196,9 +196,16 @@ func run(o daemonOpts) error {
 		if err != nil {
 			return fmt.Errorf("loading %s: %w", o.dataDir, err)
 		}
-		if snap == nil {
+		switch {
+		case snap == nil && len(replayed) == 0:
 			log.Printf("node %d: -resume with empty %s, starting fresh", o.id, o.dataDir)
-		} else {
+		case snap == nil:
+			// Killed before the first snapshot landed: the WAL is all the
+			// durable state there is, and every rating in it was acked.
+			node.Store.Append(replayed)
+			resumed = true
+			log.Printf("node %d: resumed at epoch 0 (no snapshot, %d WAL ratings replayed)", o.id, len(replayed))
+		default:
 			m := mf.New(mcfg)
 			if err := m.Unmarshal(snap.Model); err != nil {
 				return fmt.Errorf("restoring model: %w", err)

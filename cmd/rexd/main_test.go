@@ -500,6 +500,89 @@ func TestShedLeavesNoWALTrace(t *testing.T) {
 	}
 }
 
+// TestResumeFromWALOnly: a data directory that holds a WAL and no snapshot
+// — a node killed before its first snapshot landed — is durable state too.
+// -resume must apply the replayed ratings to the fresh node and keep
+// serving them after later snapshots have rotated and pruned the log they
+// came from. No race with the persist loop: the directory is prepared
+// through the store API before the daemon starts.
+func TestResumeFromWALOnly(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and execs rexd")
+	}
+	bin := buildRexd(t)
+	dirs := []string{t.TempDir(), t.TempDir()}
+	acked := []dataset.Rating{
+		{User: 910_001, Item: 1, Value: 4},
+		{User: 910_002, Item: 2, Value: 2.5},
+		{User: 910_003, Item: 3, Value: 5},
+	}
+	dir, err := store.Open(dirs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := dir.Append(acked[:2]); err != nil {
+		t.Fatal(err)
+	}
+	if err := dir.Append(acked[2:]); err != nil {
+		t.Fatal(err)
+	}
+	if err := dir.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	gossip := freePorts(t, 2)
+	web := freePorts(t, 2)
+	args := func(id int) []string {
+		return []string{
+			"-id", fmt.Sprint(id),
+			"-nodes", strings.Join(gossip, ","),
+			"-http", web[id],
+			"-data", dirs[id],
+			"-generations", "0",
+			"-gen-epochs", "1", // one snapshot per epoch
+			"-seed", "5", "-scale", "0.03", "-steps", "200", "-share", "40",
+			"-round-timeout", "750ms", "-peer-grace", "2",
+		}
+	}
+	d0 := startDaemon(t, bin, append(args(0), "-resume")...)
+	d1 := startDaemon(t, bin, args(1)...)
+	defer func() {
+		d0.cmd.Process.Kill()
+		d1.cmd.Process.Kill()
+		if t.Failed() {
+			t.Logf("node 0 output:\n%s", d0.out.String())
+			t.Logf("node 1 output:\n%s", d1.out.String())
+		}
+	}()
+
+	// generation counts up before its snapshot is written, so 3 means two
+	// snapshots are on disk and prune has run twice.
+	st := waitStatus(t, web[0], "two snapshots past the resume", func(st map[string]any) bool {
+		return num(st, "generation") >= 3
+	})
+	if st["resumed"] != true {
+		t.Errorf("/status resumed = %v after recovering a WAL, want true", st["resumed"])
+	}
+	var snap SnapshotHTTP
+	if code, err := getJSON(web[0], "/snapshot", &snap); err != nil || code != http.StatusOK {
+		t.Fatalf("/snapshot: %d %v", code, err)
+	}
+	ratings, _, err := dataset.DecodeRatings(snap.Ratings)
+	if err != nil {
+		t.Fatal(err)
+	}
+	served := map[dataset.Rating]bool{}
+	for _, r := range ratings {
+		served[r] = true
+	}
+	for _, r := range acked {
+		if !served[r] {
+			t.Errorf("WAL rating %+v missing from /snapshot at epoch %d", r, snap.Epoch)
+		}
+	}
+}
+
 // SnapshotHTTP mirrors serve.SnapshotResponse (kept local so the test
 // exercises the wire format, not shared structs).
 type SnapshotHTTP struct {

@@ -16,8 +16,8 @@ import (
 
 // Params are the cost-model constants. Defaults are calibrated so the
 // SGX-vs-native overhead ratios land in the ranges Table IV reports
-// (REX 5–17%, model sharing 51–135%); EXPERIMENTS.md documents the
-// calibration.
+// (REX 5–17%, model sharing 51–135%); `rexbench -exp table4` prints the
+// reproduced ratios and TestSGXExperimentShape holds their shape.
 type Params struct {
 	// EPCBytes is the usable enclave page cache. The paper's machines
 	// expose 93.5 MiB of the 128 MiB EPC to enclaves (§IV-D).

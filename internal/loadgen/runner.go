@@ -103,7 +103,7 @@ type EndpointReport struct {
 	Statuses map[int]uint64 `json:"statuses,omitempty"`
 }
 
-// Report is the outcome of one load run — the schema of BENCH_load.json.
+// Report is the outcome of one load run.
 type Report struct {
 	// Spec echoes the workload that ran.
 	Spec *Spec `json:"spec"`

@@ -205,16 +205,23 @@ func newTCPMesh(t *testing.T, n int) []*TCPNet {
 // clusterWorkload builds a small live cluster configuration.
 func clusterWorkload(t testing.TB, n int, mode core.Mode, algo gossip.Algo, epochs int) ClusterConfig {
 	t.Helper()
+	return clusterWorkloadSized(t, n, mode, algo, epochs, 21, 100, 30)
+}
+
+// clusterWorkloadSized is clusterWorkload with the seed and the per-epoch
+// SGD step and share-point budgets chosen by the caller.
+func clusterWorkloadSized(t testing.TB, n int, mode core.Mode, algo gossip.Algo, epochs int, seed int64, steps, share int) ClusterConfig {
+	t.Helper()
 	spec := movielens.Latest().Scaled(0.05)
-	spec.Seed = 21
+	spec.Seed = seed
 	ds := movielens.Generate(spec)
-	rng := rand.New(rand.NewSource(21))
+	rng := rand.New(rand.NewSource(seed))
 	tr, te := ds.SplitPerUser(0.7, rng)
-	trainParts, err := tr.PartitionUsersAcross(n, rand.New(rand.NewSource(21)))
+	trainParts, err := tr.PartitionUsersAcross(n, rand.New(rand.NewSource(seed)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	testParts, err := te.PartitionUsersAcross(n, rand.New(rand.NewSource(21)))
+	testParts, err := te.PartitionUsersAcross(n, rand.New(rand.NewSource(seed)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,7 +230,7 @@ func clusterWorkload(t testing.TB, n int, mode core.Mode, algo gossip.Algo, epoc
 	for i := range nodes {
 		nodes[i] = core.NewNode(core.Config{
 			ID: i, Mode: mode, Algo: algo,
-			StepsPerEpoch: 100, SharePoints: 30, Seed: 21,
+			StepsPerEpoch: steps, SharePoints: share, Seed: seed,
 		}, mf.New(mcfg), trainParts[i], testParts[i])
 	}
 	return ClusterConfig{

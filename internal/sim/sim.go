@@ -215,7 +215,8 @@ func (h HeapFactors) orDefault() HeapFactors {
 // PaperHeapFactors approximate the paper implementation's memory overhead
 // (Eigen sparse containers, STL maps, JSON serialization buffers) relative
 // to this package's packed formats; calibrated against the RAM column of
-// Table IV (see EXPERIMENTS.md).
+// Table IV (`rexbench -exp table4` prints it; TestSGXExperimentShape holds
+// its shape).
 func PaperHeapFactors() HeapFactors { return HeapFactors{Model: 8, Store: 2, Buffer: 16} }
 
 // message is an in-flight gossip payload.

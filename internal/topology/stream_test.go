@@ -212,19 +212,6 @@ func TestERStreamLargeSparse(t *testing.T) {
 	}
 }
 
-func BenchmarkERStreamNeighbors(b *testing.B) {
-	const n = 1 << 20
-	s := NewERStream(n, 8.0/(n-1), 7)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		// Fresh cache slots would dominate; cycle through distinct nodes so
-		// each iteration computes (not just loads) a list.
-		node := i % n
-		s.cache.slots[node].Store(nil)
-		_ = s.Neighbors(node)
-	}
-}
-
 // TestRandomNeighborOfMatchesGraph pins that the generic helper consumes
 // the rng exactly like Graph.RandomNeighbor, so swapping a materialized
 // graph for any Source keeps RMW trajectories bit-identical.

@@ -1,6 +1,7 @@
 package vec
 
 import (
+	"flag"
 	"math"
 	"math/rand"
 	"testing"
@@ -315,9 +316,9 @@ func TestShortSourcePanics(t *testing.T) {
 	})
 }
 
-// --- benchmarks: the numbers behind README's kernel table and the CI
-// bench-regression gate (cmd/benchgate compares the dispatched path
-// against REX_VEC=go runs of these same benchmarks) ---
+// --- benchmarks: per-kernel numbers for whoever works on a kernel; run
+// them under REX_VEC=go and without it for the dispatch speed-up.
+// TestSIMDPaysForItself holds the two stream kernels to a ratio floor ---
 
 func benchSlices(n int) ([]float32, []float32) {
 	rng := rand.New(rand.NewSource(9))
@@ -337,28 +338,89 @@ func BenchmarkDot(b *testing.B) {
 	}
 }
 
+func benchAddScaled(n int) func(*testing.B) {
+	a, c := benchSlices(n)
+	return func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			AddScaled(a, c, 0.5)
+		}
+	}
+}
+
 func BenchmarkAddScaled(b *testing.B) {
 	for _, n := range []int{10, 64, 1024} {
-		a, c := benchSlices(n)
-		b.Run(sizeName(n), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				AddScaled(a, c, 0.5)
-			}
-		})
+		b.Run(sizeName(n), benchAddScaled(n))
+	}
+}
+
+func benchScale(n int) func(*testing.B) {
+	a, _ := benchSlices(n)
+	return func(b *testing.B) {
+		// alpha=-1 keeps magnitudes constant across iterations: a
+		// decaying alpha would drive the buffer into subnormals and
+		// measure FP-assist stalls instead of the kernel.
+		for i := 0; i < b.N; i++ {
+			Scale(-1, a)
+		}
 	}
 }
 
 func BenchmarkScale(b *testing.B) {
 	for _, n := range []int{64, 1024} {
-		a, _ := benchSlices(n)
-		b.Run(sizeName(n), func(b *testing.B) {
-			// alpha=-1 keeps magnitudes constant across iterations: a
-			// decaying alpha would drive the buffer into subnormals and
-			// measure FP-assist stalls instead of the kernel.
-			for i := 0; i < b.N; i++ {
-				Scale(-1, a)
-			}
-		})
+		b.Run(sizeName(n), benchScale(n))
+	}
+}
+
+// TestSIMDPaysForItself holds the dispatched kernels to a speed-up over
+// the portable loops on the two pure stream kernels, where the gap is wide
+// (4-7x with AVX2, 3-4x with SSE2 on a shared 2-vCPU box) and a 2x floor
+// leaves room for noise: both sides are timed in this process, back to
+// back, and each side is the minimum of three runs, so the machine cancels
+// out. The 1.1-1.6x kernels (fused SGD step, Adam) cannot be held by a wall
+// clock; run their benchmarks under REX_VEC=go and without it.
+func TestSIMDPaysForItself(t *testing.T) {
+	if testing.Short() {
+		t.Skip("timing test")
+	}
+	auto := Impl()
+	if auto == "go" {
+		t.Skip("portable kernels dispatched; nothing to compare")
+	}
+	defer func() {
+		if err := Use(auto); err != nil {
+			t.Fatal(err)
+		}
+	}()
+	// 30 ms a run keeps the twelve runs near half a second in any build.
+	benchtime := flag.Lookup("test.benchtime").Value
+	prev := benchtime.String()
+	defer benchtime.Set(prev)
+	if err := benchtime.Set("30ms"); err != nil {
+		t.Fatal(err)
+	}
+	best := func(impl string, body func(*testing.B)) float64 {
+		if err := Use(impl); err != nil {
+			t.Fatal(err)
+		}
+		min := math.Inf(1)
+		for rep := 0; rep < 3; rep++ {
+			r := testing.Benchmark(body)
+			min = math.Min(min, float64(r.T.Nanoseconds())/float64(r.N))
+		}
+		return min
+	}
+	for _, k := range []struct {
+		name string
+		body func(*testing.B)
+	}{
+		{"AddScaled/n=1024", benchAddScaled(1024)},
+		{"Scale/n=1024", benchScale(1024)},
+	} {
+		slow, fast := best("go", k.body), best(auto, k.body)
+		t.Logf("%s: go %.1f ns/op, %s %.1f ns/op, %.1fx", k.name, slow, auto, fast, slow/fast)
+		if slow < 2*fast {
+			t.Errorf("%s: %s is %.2fx the portable loop, want >= 2x", k.name, auto, slow/fast)
+		}
 	}
 }
 

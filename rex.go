@@ -201,7 +201,8 @@ func Simulate(cfg SimConfig) (*SimResult, error) { return sim.Run(cfg) }
 type EnclaveParams = enclave.Params
 
 // DefaultEnclaveParams returns the calibrated SGX cost constants
-// (EPC 93.5 MiB, 8µs transitions; see EXPERIMENTS.md).
+// (EPC 93.5 MiB, 8µs transitions; `rexbench -exp table4` shows their
+// effect).
 func DefaultEnclaveParams() EnclaveParams { return enclave.DefaultParams() }
 
 // NodeConfig parameterizes one protocol node.
