@@ -114,15 +114,21 @@ func (x *idIndex) grow(ncap int) {
 	}
 }
 
-// reserve sizes the index for n entries up front without rehashing.
+// reserve empties the index and sizes it for n entries up front, so the
+// puts that follow never rehash. Arrays that can already hold n entries at
+// the load bound are cleared and kept.
 func (x *idIndex) reserve(n int) {
+	x.n = 0
+	if 3*len(x.keys) >= 4*n {
+		clear(x.keys)
+		return
+	}
 	c := 16
 	for 3*c < 4*n {
 		c *= 2
 	}
 	x.keys = make([]int32, c)
 	x.slots = make([]int32, c)
-	x.n = 0
 }
 
 func (x *idIndex) copyFrom(src *idIndex) {
@@ -160,13 +166,21 @@ func (t *table) has(id int) bool {
 	return ok
 }
 
-// reserve pre-sizes the packed arrays for exactly n rows (merges and
-// unmarshal use it so peers' slack capacity never compounds).
+// reserve empties the table and makes room for n rows, so that appending
+// n ascending ids allocates nothing more. Unmarshal uses it on a receiver
+// that is decoded into again and again: arrays whose capacity suffices are
+// kept; otherwise all are reallocated with headroom, because a peer's model
+// is a little larger every epoch (the rule of internal/runtime's grow).
 func (t *table) reserve(n int) {
-	t.f = make([]float32, 0, n*t.k)
-	t.b = make([]float32, 0, n)
-	t.ids = make([]int32, 0, n)
-	t.order = make([]int32, 0, n)
+	if cap(t.ids) < n || cap(t.b) < n || cap(t.order) < n || cap(t.f) < n*t.k {
+		c := n + n/8
+		t.f = make([]float32, 0, c*t.k)
+		t.b = make([]float32, 0, c)
+		t.ids = make([]int32, 0, c)
+		t.order = make([]int32, 0, c)
+	}
+	t.f, t.b, t.ids, t.order = t.f[:0], t.b[:0], t.ids[:0], t.order[:0]
+	t.orderStale, t.maxID = false, 0
 	t.idx.reserve(n)
 }
 
@@ -633,8 +647,12 @@ func emitTable(buf []byte, off int, t *table) int {
 // Unmarshal replaces the model's parameters with the serialized ones. The
 // serialized K must match the receiver's configuration, and each section's
 // record ids must be strictly increasing — Marshal's canonical order — so
-// duplicated or reordered records are rejected as corruption. On error the
-// receiver is left unchanged.
+// duplicated or reordered records are rejected as corruption. The whole
+// buffer is validated before the receiver is touched: on error it is left
+// unchanged. On success it is overwritten in place, reusing its arrays when
+// they are large enough, and is indistinguishable from a fresh decode — a
+// receiver that decodes a peer's model every epoch stops allocating once
+// its capacity covers that model.
 func (m *Model) Unmarshal(b []byte) error {
 	if len(b) < 16 {
 		return fmt.Errorf("mf: buffer too short (%d bytes)", len(b))
@@ -653,47 +671,54 @@ func (m *Model) Unmarshal(b []byte) error {
 	if len(b) != need {
 		return fmt.Errorf("mf: buffer %d bytes, want %d", len(b), need)
 	}
-	fresh := New(m.cfg)
-	off := 16
-	read := func(t *table, n int) error {
-		if n == 0 {
-			return nil
-		}
-		// Marshal emits records in strictly increasing id order, so the
-		// section's last record carries its highest id: validate it before
-		// touching the table. (The sparse layout allocates by record count,
-		// not by id, so a huge id is no longer a decompression bomb — the
-		// bound is kept as a wire-compatibility sanity check: real id
-		// spaces here are ~10^4-10^5, anything wildly beyond is corruption.)
-		last := int(binary.LittleEndian.Uint32(b[off+(n-1)*rec:]))
-		if last > maxEntityID {
-			return fmt.Errorf("mf: implausible entity id %d", last)
-		}
-		t.reserve(n)
-		prev := -1
-		for i := 0; i < n; i++ {
-			id := int(binary.LittleEndian.Uint32(b[off:]))
-			if id <= prev || id > last {
-				return fmt.Errorf("mf: record %d id %d violates strict id order (previous %d, section max %d)", i, id, prev, last)
-			}
-			prev = id
-			slot := t.appendRow(id)
-			t.b[slot] = math.Float32frombits(binary.LittleEndian.Uint32(b[off+4:]))
-			row := t.row(slot)
-			src := b[off+8 : off+rec]
-			for d := range row {
-				row[d] = math.Float32frombits(binary.LittleEndian.Uint32(src[4*d:]))
-			}
-			off += rec
-		}
+	users, items := b[16:16+rec*nu], b[16+rec*nu:]
+	if err := checkSection(users, nu, rec); err != nil {
+		return err
+	}
+	if err := checkSection(items, ni, rec); err != nil {
+		return err
+	}
+	m.users.load(users, rec)
+	m.items.load(items, rec)
+	return nil
+}
+
+// checkSection validates the ids of one section's n records.
+func checkSection(b []byte, n, rec int) error {
+	if n == 0 {
 		return nil
 	}
-	if err := read(fresh.users, nu); err != nil {
-		return err
+	// Marshal emits records in strictly increasing id order, so the
+	// section's last record carries its highest id. (The sparse layout
+	// allocates by record count, not by id, so a huge id is no
+	// decompression bomb — the bound is kept as a wire-compatibility sanity
+	// check: real id spaces here are ~10^4-10^5, anything wildly beyond is
+	// corruption.)
+	last := int(binary.LittleEndian.Uint32(b[(n-1)*rec:]))
+	if last > maxEntityID {
+		return fmt.Errorf("mf: implausible entity id %d", last)
 	}
-	if err := read(fresh.items, ni); err != nil {
-		return err
+	prev := -1
+	for i := 0; i < n; i++ {
+		id := int(binary.LittleEndian.Uint32(b[i*rec:]))
+		if id <= prev || id > last {
+			return fmt.Errorf("mf: record %d id %d violates strict id order (previous %d, section max %d)", i, id, prev, last)
+		}
+		prev = id
 	}
-	m.users, m.items = fresh.users, fresh.items
 	return nil
+}
+
+// load overwrites t with one validated section of rec-byte records.
+func (t *table) load(b []byte, rec int) {
+	t.reserve(len(b) / rec)
+	for ; len(b) > 0; b = b[rec:] {
+		slot := t.appendRow(int(binary.LittleEndian.Uint32(b)))
+		t.b[slot] = math.Float32frombits(binary.LittleEndian.Uint32(b[4:]))
+		row := t.row(slot)
+		src := b[8:rec]
+		for d := range row {
+			row[d] = math.Float32frombits(binary.LittleEndian.Uint32(src[4*d:]))
+		}
+	}
 }

@@ -7,6 +7,7 @@ package model
 import (
 	"math"
 	"math/rand"
+	"sync"
 
 	"rex/internal/dataset"
 )
@@ -102,9 +103,20 @@ type Copier interface {
 }
 
 // rmseBatch is the chunk size of the batched RMSE path: big enough to
-// amortize batch dispatch, small enough to keep the id/pred scratch on the
-// stack.
+// amortize batch dispatch, small enough that the id/pred scratch stays in
+// L1.
 const rmseBatch = 512
+
+// rmseScratch is one RMSE call's id/pred scratch. It escapes through the
+// BatchPredictor interface call, so it is pooled rather than declared per
+// call (6 KB a call otherwise, from every node every epoch); a pool and not
+// a field because the simulator evaluates nodes from several workers.
+type rmseScratch struct {
+	users, items [rmseBatch]uint32
+	preds        [rmseBatch]float32
+}
+
+var rmsePool = sync.Pool{New: func() any { return new(rmseScratch) }}
 
 // RMSE computes the root mean squared error of the model over the data,
 // clamping predictions into the valid star range — the paper's test metric
@@ -118,18 +130,18 @@ func RMSE(m Model, data []dataset.Rating) float64 {
 	}
 	var se float64
 	if bp, ok := m.(BatchPredictor); ok {
-		var users, items [rmseBatch]uint32
-		var preds [rmseBatch]float32
+		s := rmsePool.Get().(*rmseScratch)
 		for start := 0; start < len(data); start += rmseBatch {
 			chunk := data[start:min(start+rmseBatch, len(data))]
 			for i, r := range chunk {
-				users[i], items[i] = r.User, r.Item
+				s.users[i], s.items[i] = r.User, r.Item
 			}
-			bp.PredictBatch(users[:len(chunk)], items[:len(chunk)], preds[:len(chunk)])
+			bp.PredictBatch(s.users[:len(chunk)], s.items[:len(chunk)], s.preds[:len(chunk)])
 			for i, r := range chunk {
-				se += clampedSqErr(preds[i], r.Value)
+				se += clampedSqErr(s.preds[i], r.Value)
 			}
 		}
+		rmsePool.Put(s)
 	} else {
 		for _, r := range data {
 			se += clampedSqErr(m.Predict(r.User, r.Item), r.Value)

@@ -32,8 +32,9 @@ type ClusterConfig struct {
 	// NodesPerPlatform groups enclaves onto simulated SGX machines
 	// (paper: 2 processes per machine). Defaults to 2.
 	NodesPerPlatform int
-	// NewModel decodes model-sharing payloads (must be safe for
-	// concurrent calls; see Config.NewModel).
+	// NewModel supplies the models model-sharing payloads are decoded
+	// into (see Config.NewModel). It must be safe for concurrent calls:
+	// the nodes build their engines in parallel.
 	NewModel func() model.Model
 	// Entropy defaults to crypto/rand.Reader; a non-nil reader is shared
 	// by all nodes and must be safe for concurrent reads.

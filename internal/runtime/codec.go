@@ -82,18 +82,7 @@ func EncodePayloadAppend(dst []byte, p core.Payload) ([]byte, error) {
 	switch {
 	case p.Model != nil:
 		dst[off+8] = payloadModel
-		if am, ok := p.Model.(model.AppendMarshaler); ok {
-			out, err := am.MarshalAppend(dst)
-			if err != nil {
-				return nil, fmt.Errorf("runtime: marshaling model: %w", err)
-			}
-			return out, nil
-		}
-		b, err := p.Model.Marshal()
-		if err != nil {
-			return nil, fmt.Errorf("runtime: marshaling model: %w", err)
-		}
-		return append(dst, b...), nil
+		return marshalAppend(dst, p.Model)
 	case p.Data != nil:
 		dst[off+8] = payloadData
 		return dataset.EncodeRatingsAppend(dst, p.Data), nil
@@ -103,9 +92,38 @@ func EncodePayloadAppend(dst []byte, p core.Payload) ([]byte, error) {
 	}
 }
 
+// marshalAppend appends m's serialization to dst. Models supporting
+// model.AppendMarshaler serialize straight into the buffer, with no
+// staging copy of the (large) parameter body.
+func marshalAppend(dst []byte, m model.Model) ([]byte, error) {
+	var err error
+	if am, ok := m.(model.AppendMarshaler); ok {
+		dst, err = am.MarshalAppend(dst)
+	} else {
+		var b []byte
+		b, err = m.Marshal()
+		dst = append(dst, b...)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("runtime: marshaling model: %w", err)
+	}
+	return dst, nil
+}
+
 // DecodePayload parses EncodePayload output. newModel supplies an empty
 // model for unmarshaling when the payload carries parameters.
 func DecodePayload(b []byte, newModel func() model.Model) (core.Payload, error) {
+	var m model.Model
+	if len(b) >= 9 && b[8] == payloadModel {
+		m = newModel()
+	}
+	return decodePayloadInto(b, m)
+}
+
+// decodePayloadInto is DecodePayload with the receiving model supplied:
+// parameters are unmarshaled into m, which the returned payload then
+// carries. A nil m refuses model payloads.
+func decodePayloadInto(b []byte, m model.Model) (core.Payload, error) {
 	if len(b) < 9 {
 		return core.Payload{}, fmt.Errorf("runtime: payload too short (%d bytes)", len(b))
 	}
@@ -117,7 +135,9 @@ func DecodePayload(b []byte, newModel func() model.Model) (core.Payload, error) 
 	switch b[8] {
 	case payloadEmpty:
 	case payloadModel:
-		m := newModel()
+		if m == nil {
+			return core.Payload{}, fmt.Errorf("runtime: model payload without a model to decode into")
+		}
 		if err := m.Unmarshal(body); err != nil {
 			return core.Payload{}, fmt.Errorf("runtime: unmarshaling model: %w", err)
 		}

@@ -296,7 +296,7 @@ type deltaFrame struct {
 	seq          uint64
 	ackPlus1     uint64
 	payloadKind  byte
-	modelBytes   []byte // marshaled model (already inflated)
+	modelBytes   []byte // marshaled model (already inflated; aliases the frame or the worker's scratch)
 	data         core.DataDelta
 	sum          uint32 // payload checksum (data frames)
 }
@@ -320,13 +320,18 @@ func payloadChecksum(rs []dataset.Rating) uint32 {
 	return h
 }
 
+// deltaHeaderMax bounds a delta frame body's header: sender, degree, flags,
+// payload kind, then the seq and ack uvarints.
+const deltaHeaderMax = 10 + 2*binary.MaxVarintLen64
+
 // parse validates and decodes a delta frame body (everything after the
 // outer kind byte, post-decryption) into f, reusing f's explicit block and
-// reference list as scratch. It is pure: no receiver state is read or
-// written, so rejected bytes cannot corrupt a stream. Unknown flags,
-// implausible sections and trailing bytes are all errors; after an error
-// f's contents are unspecified.
-func (f *deltaFrame) parse(body []byte) error {
+// reference list as scratch; a deflated model section is inflated into the
+// gather worker's scratch s, which f.modelBytes then aliases. It is pure:
+// no receiver state is read or written, so rejected bytes cannot corrupt a
+// stream. Unknown flags, implausible sections and trailing bytes are all
+// errors; after an error f's contents are unspecified.
+func (f *deltaFrame) parse(body []byte, s *gatherSlot) error {
 	if len(body) < 10 {
 		return fmt.Errorf("runtime: delta frame too short (%d bytes)", len(body))
 	}
@@ -369,11 +374,13 @@ func (f *deltaFrame) parse(body []byte) error {
 		}
 		f.modelBytes = rest[n:]
 		if deflated {
-			raw, err := compress.InflateLimit(f.modelBytes, maxModelSection)
+			// A sender deflates only when that wins, so the section's own
+			// length is a floor for what it inflates to.
+			raw, err := s.z.Append(grow(s.inflated, len(f.modelBytes)), f.modelBytes, maxModelSection)
 			if err != nil {
 				return fmt.Errorf("runtime: model section: %w", err)
 			}
-			f.modelBytes = raw
+			s.inflated, f.modelBytes = raw, raw
 		}
 	case payloadData:
 		explicit, rest, err := compress.DecodeRatingsColumnarAppend(f.data.Explicit, rest)
@@ -536,7 +543,6 @@ func (r *runner) initDelta(resume bool) {
 	}
 	r.tx = make(map[int]*deltaTx, len(r.cfg.Neighbors))
 	r.rx = make(map[int]*deltaRx, len(r.cfg.Neighbors))
-	r.deltaScratch = make(map[int][]byte, len(r.cfg.Neighbors))
 	for _, nb := range r.cfg.Neighbors {
 		// A resumed daemon rebuilds delta state from nothing (stream state
 		// is deliberately not snapshotted), so its first frame to every
@@ -633,24 +639,39 @@ func (r *runner) encodeDeltaBody(dst []byte, nb int, p core.Payload) ([]byte, de
 	return dst, st
 }
 
+// sectionHeaderMax bounds a model section's header: the deflated flag and
+// the uvarint length.
+const sectionHeaderMax = 1 + binary.MaxVarintLen64
+
 // buildModelSection pre-encodes the epoch's (peer-independent) model
 // section on the protocol thread: a deflated-flag byte, a uvarint length,
 // and the marshaled parameters, DEFLATE-compressed above the size
-// threshold when that actually wins.
+// threshold when that actually wins. The parameters are marshaled into a
+// reused buffer and deflated straight into the section's; the header, whose
+// length depends on the outcome, is then written backwards from the
+// content, so nothing is copied to make room for it.
 func (r *runner) buildModelSection(p core.Payload) error {
-	raw, err := p.Model.Marshal()
+	raw, err := marshalAppend(grow(r.marshalBuf, p.Model.WireSize()), p.Model)
 	if err != nil {
-		return fmt.Errorf("runtime: marshaling model: %w", err)
+		return err
 	}
-	chosen, deflated := raw, byte(0)
+	r.marshalBuf = raw
+	buf := grow(r.sectionBuf, sectionHeaderMax+len(raw))[:sectionHeaderMax]
+	deflated := byte(0)
 	if len(raw) >= deflateModelThreshold {
-		if comp, err := compress.Deflate(raw, 0); err == nil && len(comp) < len(raw) {
-			chosen, deflated = comp, 1
+		if out, err := r.deflater.Append(buf, raw); err == nil && len(out)-sectionHeaderMax < len(raw) {
+			buf, deflated = out, 1
 		}
 	}
-	r.modelSection = append(r.modelSection[:0], deflated)
-	r.modelSection = binary.AppendUvarint(r.modelSection, uint64(len(chosen)))
-	r.modelSection = append(r.modelSection, chosen...)
+	if deflated == 0 {
+		buf = append(buf, raw...)
+	}
+	r.sectionBuf = buf
+	var hdr [sectionHeaderMax]byte
+	hdr[0] = deflated
+	n := 1 + binary.PutUvarint(hdr[1:], uint64(len(buf)-sectionHeaderMax))
+	r.modelSection = buf[sectionHeaderMax-n:]
+	copy(r.modelSection, hdr[:n])
 	return nil
 }
 
@@ -660,14 +681,15 @@ func (r *runner) buildModelSection(p core.Payload) error {
 // the peer's gather worker. A rejected frame never mutates stream state;
 // the runner discards it (errDeltaDiscard folds like a seccha replay)
 // and the piggybacked request machinery restores the stream. The payload's
-// Data aliases the peer's decode scratch (see deltaRx).
-func (r *runner) decodeDeltaFrame(from int, body []byte) (core.Payload, error) {
+// Data aliases the peer's decode scratch (see deltaRx) and its Model is the
+// peer's recvModel entry; slot is the gather worker's scratch.
+func (r *runner) decodeDeltaFrame(slot, from int, body []byte) (core.Payload, error) {
 	tx, rx := r.tx[from], r.rx[from]
 	if tx == nil {
 		return core.Payload{}, fmt.Errorf("%w: no stream state for peer", errDeltaDiscard)
 	}
 	f := &rx.frame
-	if err := f.parse(body); err != nil {
+	if err := f.parse(body, &r.gather[slot]); err != nil {
 		rx.wantResync = true
 		return core.Payload{}, fmt.Errorf("%w: %v", errDeltaDiscard, err)
 	}
@@ -688,12 +710,12 @@ func (r *runner) decodeDeltaFrame(from int, body []byte) (core.Payload, error) {
 		// Unmarshal before touching stream state: a frame whose model bytes
 		// do not decode is discarded whole, not half-committed (the
 		// watermark must never ack a frame that was not merged).
-		if r.cfg.NewModel == nil {
+		m := r.recvModel[from]
+		if m == nil {
 			return core.Payload{}, fmt.Errorf("%w: model payload without NewModel", errDeltaDiscard)
 		}
-		m := r.cfg.NewModel()
 		err := m.Unmarshal(f.modelBytes)
-		f.modelBytes = nil // f outlives the round: do not pin the inflated section
+		f.modelBytes = nil // f outlives the round: do not pin the frame
 		if err != nil {
 			rx.wantResync = true
 			return core.Payload{}, fmt.Errorf("%w: unmarshaling model: %v", errDeltaDiscard, err)

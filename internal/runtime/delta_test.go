@@ -2,8 +2,10 @@ package runtime
 
 import (
 	"bytes"
+	"compress/flate"
 	"encoding/binary"
 	"errors"
+	"io"
 	"math"
 	"math/rand"
 	"slices"
@@ -16,6 +18,7 @@ import (
 	"rex/internal/gossip"
 	"rex/internal/mf"
 	"rex/internal/model"
+	"rex/internal/seccha"
 )
 
 // newDeltaPair builds two bare runners wired as mutual neighbors (ids 0
@@ -23,10 +26,8 @@ import (
 // encodeDeltaBody / decodeDeltaFrame directly without a transport.
 func newDeltaPair() (a, b *runner) {
 	newModel := func() model.Model { return mf.New(mf.DefaultConfig()) }
-	a = &runner{cfg: Config{Neighbors: []int{1}, Wire: WireDelta, NewModel: newModel}}
-	b = &runner{cfg: Config{Neighbors: []int{0}, Wire: WireDelta, NewModel: newModel}}
-	a.initDelta(false)
-	b.initDelta(false)
+	a = newRunner(Config{Neighbors: []int{1}, Wire: WireDelta, NewModel: newModel}, false)
+	b = newRunner(Config{Neighbors: []int{0}, Wire: WireDelta, NewModel: newModel}, false)
 	return a, b
 }
 
@@ -35,7 +36,7 @@ func newDeltaPair() (a, b *runner) {
 func ship(t *testing.T, from, to *runner, fromID, toID int, p core.Payload) (core.Payload, deltaSendStats) {
 	t.Helper()
 	body, st := from.encodeDeltaBody(nil, toID, p)
-	got, err := to.decodeDeltaFrame(fromID, body)
+	got, err := to.decodeDeltaFrame(0, fromID, body)
 	if err != nil {
 		t.Fatalf("decode: %v", err)
 	}
@@ -187,12 +188,12 @@ func TestDeltaDuplicateAndReorder(t *testing.T) {
 
 	// A decoded payload aliases the peer's decode scratch: check each one
 	// before the next frame is decoded.
-	p3, err := b.decodeDeltaFrame(0, body3)
+	p3, err := b.decodeDeltaFrame(0, 0, body3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	sameMultiset(t, p3.Data, s3)
-	p2, err := b.decodeDeltaFrame(0, body2)
+	p2, err := b.decodeDeltaFrame(0, 0, body2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +203,7 @@ func TestDeltaDuplicateAndReorder(t *testing.T) {
 		t.Fatalf("after swap: watermark=%d wantResync=%v", rx.watermark, rx.wantResync)
 	}
 
-	dup, err := b.decodeDeltaFrame(0, body2)
+	dup, err := b.decodeDeltaFrame(0, 0, body2)
 	if err != nil {
 		t.Fatalf("duplicate rejected: %v", err)
 	}
@@ -275,7 +276,7 @@ func TestDeltaStalePreResetFrame(t *testing.T) {
 		t.Fatalf("rebase: base=%d watermark=%d", rx.base, rx.watermark)
 	}
 
-	p, err := b.decodeDeltaFrame(0, held)
+	p, err := b.decodeDeltaFrame(0, 0, held)
 	if err != nil {
 		t.Fatalf("stale frame rejected: %v", err)
 	}
@@ -296,14 +297,14 @@ func TestDeltaChecksumDiscard(t *testing.T) {
 	body, _ := a.encodeDeltaBody(nil, 1, core.Payload{From: 0, Degree: 1, Data: s})
 	bad := append([]byte(nil), body...)
 	bad[len(bad)-1] ^= 0xff
-	if _, err := b.decodeDeltaFrame(0, bad); !errors.Is(err, errDeltaDiscard) {
+	if _, err := b.decodeDeltaFrame(0, 0, bad); !errors.Is(err, errDeltaDiscard) {
 		t.Fatalf("corrupt checksum: err=%v", err)
 	}
 	rx := b.rx[0]
 	if rx.watermark != 1 || !rx.wantResync {
 		t.Fatalf("discard state: watermark=%d wantResync=%v", rx.watermark, rx.wantResync)
 	}
-	if _, err := b.decodeDeltaFrame(0, body); err != nil {
+	if _, err := b.decodeDeltaFrame(0, 0, body); err != nil {
 		t.Fatalf("intact redelivery rejected: %v", err)
 	}
 	if rx.watermark != 2 {
@@ -326,7 +327,7 @@ func TestDeltaRejectWithoutMutation(t *testing.T) {
 	}
 	b0, w0, h0, d0, g0 := snap()
 	for cut := 0; cut < len(body); cut++ {
-		if _, err := b.decodeDeltaFrame(0, body[:cut]); err == nil {
+		if _, err := b.decodeDeltaFrame(0, 0, body[:cut]); err == nil {
 			t.Fatalf("truncation at %d accepted", cut)
 		}
 		b1, w1, h1, d1, g1 := snap()
@@ -336,7 +337,7 @@ func TestDeltaRejectWithoutMutation(t *testing.T) {
 	}
 	flipped := append([]byte(nil), body...)
 	flipped[8] |= 0x80 // unknown flag bit
-	if _, err := b.decodeDeltaFrame(0, flipped); !errors.Is(err, errDeltaDiscard) {
+	if _, err := b.decodeDeltaFrame(0, 0, flipped); !errors.Is(err, errDeltaDiscard) {
 		t.Fatalf("unknown flag: err=%v", err)
 	}
 	if b1, w1, h1, d1, g1 := snap(); b1 != b0 || w1 != w0 || h1 != h0 || d1 != d0 || g1 != g0 {
@@ -557,7 +558,7 @@ func TestTxDictMatchesMapModel(t *testing.T) {
 			if rng.Intn(5) == 0 {
 				continue // frame lost: acks lag, gaps open, resyncs follow
 			}
-			if pl, err := b.decodeDeltaFrame(0, got); err == nil {
+			if pl, err := b.decodeDeltaFrame(0, 0, got); err == nil {
 				sameMultiset(t, pl.Data, sample)
 			} else if !errors.Is(err, errDeltaDiscard) {
 				t.Fatalf("trial %d step %d: %v", trial, step, err)
@@ -593,7 +594,7 @@ func TestDeltaParkedSegmentSurvivesScratchReuse(t *testing.T) {
 	}
 	deliver := func(i int) {
 		t.Helper()
-		p, err := b.decodeDeltaFrame(0, bodies[i])
+		p, err := b.decodeDeltaFrame(0, 0, bodies[i])
 		if err != nil {
 			t.Fatalf("frame %d: %v", i+1, err)
 		}
@@ -636,11 +637,11 @@ func TestDeltaWireSteadyStateAllocs(t *testing.T) {
 		if reset && !st.resync {
 			t.Fatal("armed reset did not go out")
 		}
-		if _, err := b.decodeDeltaFrame(0, buf); err != nil {
+		if _, err := b.decodeDeltaFrame(0, 0, buf); err != nil {
 			t.Fatal(err)
 		}
 		ack, _ = b.encodeDeltaBody(ack[:0], 0, core.Payload{From: 1, Degree: 1})
-		if _, err := a.decodeDeltaFrame(1, ack); err != nil {
+		if _, err := a.decodeDeltaFrame(0, 1, ack); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -655,6 +656,81 @@ func TestDeltaWireSteadyStateAllocs(t *testing.T) {
 	}
 	if rx := b.rx[0]; cap(rx.dict) != deltaDictCap || cap(rx.prevDict) != deltaDictCap {
 		t.Fatalf("rx dictionaries hold %d and %d entries, want exactly %d", cap(rx.dict), cap(rx.prevDict), deltaDictCap)
+	}
+}
+
+// captureEndpoint is the transport of a frame-path test: Send keeps (a copy
+// of, as every Endpoint must) the last frame in a reused buffer.
+type captureEndpoint struct {
+	Endpoint
+	frame []byte
+}
+
+func (c *captureEndpoint) Send(_ int, data []byte) error {
+	c.frame = append(c.frame[:0], data...)
+	return nil
+}
+
+// TestModelFrameSteadyStateAllocs guards the model-sharing epoch's frame
+// path as its neighbor above guards the raw-data one: once every buffer on
+// the way has held a frame of this size — marshal and section buffers, the
+// send worker's body and sealed frame, the gather worker's opened and
+// inflated plaintext, the peer's receive model — building, sealing,
+// opening and decoding a model frame allocates nothing of the runtime's.
+// What remains is the standard library's: its inflater builds second-level
+// Huffman tables per block (see compress.TestCodecWarmRoundTripDoesNotAllocate),
+// measured here on a bare flate reader over the same section.
+func TestModelFrameSteadyStateAllocs(t *testing.T) {
+	a, b := newDeltaPair()
+	key := bytes.Repeat([]byte{7}, 32)
+	for _, r := range []*runner{a, b} {
+		r.cfg.Secure = true
+		ch, err := seccha.NewChannel(key, r == a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r.channels = map[int]*seccha.Channel{0: ch, 1: ch}
+	}
+	ep := &captureEndpoint{}
+	a.cfg.Endpoint = ep
+
+	m := mf.New(mf.DefaultConfig())
+	m.Train(sampleRatings(900, 13), 4000, rand.New(rand.NewSource(2)))
+	want, _ := m.Marshal()
+	p := core.Payload{From: 0, Degree: 1, Model: m}
+	var got core.Payload
+	round := func() {
+		a.shareP = p
+		if err := a.buildModelSection(p); err != nil {
+			t.Fatal(err)
+		}
+		var out sendOut
+		a.sendOne(&a.send[0], 1, true, &out)
+		res := b.open(0, 0, ep.frame)
+		if out.err != nil || res.err != nil {
+			t.Fatalf("send: %v, open: %v", out.err, res.err)
+		}
+		got = res.pl
+	}
+	round()
+	if a.modelSection[0] != 1 {
+		t.Fatal("test premise broken: the model section was not deflated")
+	}
+	_, n := binary.Uvarint(a.modelSection[1:])
+	section := a.modelSection[1+n:]
+	var src bytes.Reader
+	fr := flate.NewReader(&src)
+	fixed := make([]byte, len(want))
+	stdlib := testing.AllocsPerRun(20, func() {
+		src.Reset(section)
+		fr.(flate.Resetter).Reset(&src, nil)
+		io.ReadFull(fr, fixed)
+	})
+	if n := testing.AllocsPerRun(20, round); n != stdlib {
+		t.Fatalf("warm model frame round trip allocates %.0f objects, inflating its section alone %.0f", n, stdlib)
+	}
+	if out, _ := got.Model.Marshal(); !bytes.Equal(out, want) || got.Model != b.recvModel[0] {
+		t.Fatal("the decoded model is not the sent one, in the peer's receive model")
 	}
 }
 

@@ -104,22 +104,13 @@ func NewEngine(cfg Config) (*Engine, error) {
 	if cfg.Secure && (cfg.Platform == nil || cfg.Infra == nil) {
 		return nil, fmt.Errorf("runtime: secure mode requires a platform and infrastructure")
 	}
-	e := &Engine{
-		r: &runner{
-			cfg:         cfg,
-			stats:       &Stats{},
-			neighbors:   append([]int(nil), cfg.Neighbors...),
-			pending:     make(map[int][][]byte),
-			sealScratch: make(map[int][]byte),
-		},
-		epoch: cfg.StartEpoch,
-	}
-	// Delta stream state is built once, here on the protocol thread, for
-	// every configured neighbor. A resumed daemon (StartEpoch > 0) starts
-	// every stream with a reset frame: stream state is not persisted in
-	// snapshots, and peers that kept running hold a view of the old
-	// stream that must not be referenced into.
-	e.r.initDelta(cfg.StartEpoch > 0)
+	// Per-peer state (receive models, delta streams) is built once, here
+	// on the protocol thread, for every configured neighbor. A resumed
+	// daemon (StartEpoch > 0) starts every stream with a reset frame:
+	// stream state is not persisted in snapshots, and peers that kept
+	// running hold a view of the old stream that must not be referenced
+	// into.
+	e := &Engine{r: newRunner(cfg, cfg.StartEpoch > 0), epoch: cfg.StartEpoch}
 	return e, nil
 }
 

@@ -46,13 +46,6 @@ func FuzzDecodePayload(f *testing.F) {
 	}())
 
 	f.Fuzz(func(t *testing.T, b []byte) {
-		if len(b) > 9 && b[8] == payloadModel && mfAllocHeavy(b[9:], mcfg.K) {
-			// Structurally valid model bodies with very large entity ids
-			// decode into tens of megabytes of dense table. That is an
-			// error-free (attested peers run honest code) but slow path;
-			// keep the fuzzer fast by skipping the giant-allocation cases.
-			t.Skip("alloc-heavy model body")
-		}
 		p, err := DecodePayload(b, func() model.Model { return mf.New(mcfg) })
 		if err != nil {
 			return
@@ -75,10 +68,8 @@ func FuzzDecodeDeltaPayload(f *testing.F) {
 	mcfg := mf.DefaultConfig()
 	seedPair := func() (*runner, *runner) {
 		newModel := func() model.Model { return mf.New(mcfg) }
-		a := &runner{cfg: Config{Neighbors: []int{1}, Wire: WireDelta, NewModel: newModel}}
-		b := &runner{cfg: Config{Neighbors: []int{0}, Wire: WireDelta, NewModel: newModel}}
-		a.initDelta(false)
-		b.initDelta(false)
+		a := newRunner(Config{Neighbors: []int{1}, Wire: WireDelta, NewModel: newModel}, false)
+		b := newRunner(Config{Neighbors: []int{0}, Wire: WireDelta, NewModel: newModel}, false)
 		sample := []dataset.Rating{
 			{User: 5, Item: 6, Value: 2.5}, {User: 7, Item: 8, Value: 4},
 			{User: 5, Item: 9, Value: 1.5},
@@ -87,12 +78,12 @@ func FuzzDecodeDeltaPayload(f *testing.F) {
 		// and the third frame's references resolve.
 		for i := 0; i < 2; i++ {
 			body, _ := a.encodeDeltaBody(nil, 1, core.Payload{From: 0, Degree: 2, Data: sample})
-			if _, err := b.decodeDeltaFrame(0, body); err != nil {
+			if _, err := b.decodeDeltaFrame(0, 0, body); err != nil {
 				f.Fatal(err)
 			}
 		}
 		back, _ := b.encodeDeltaBody(nil, 0, core.Payload{From: 1, Degree: 2})
-		if _, err := a.decodeDeltaFrame(1, back); err != nil {
+		if _, err := a.decodeDeltaFrame(0, 1, back); err != nil {
 			f.Fatal(err)
 		}
 		return a, b
@@ -121,17 +112,12 @@ func FuzzDecodeDeltaPayload(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0, 0xff, 2, 1, 0})
 
 	f.Fuzz(func(t *testing.T, body []byte) {
-		var fr deltaFrame
-		if err := fr.parse(body); err == nil && fr.payloadKind == payloadModel &&
-			mfAllocHeavy(fr.modelBytes, mcfg.K) {
-			t.Skip("alloc-heavy model body") // see FuzzDecodePayload
-		}
 		_, rcv := seedPair()
 		rx := rcv.rx[0]
 		base, watermark, high := rx.base, rx.watermark, rx.highSeen
 		dict := append([]dataset.Rating(nil), rx.dict...)
 		segs := len(rx.segs)
-		_, err := rcv.decodeDeltaFrame(0, body)
+		_, err := rcv.decodeDeltaFrame(0, 0, body)
 		if err != nil {
 			// A valid frame may mutate; a rejected one may not.
 			if rx.base != base || rx.watermark != watermark || rx.highSeen != high ||
@@ -149,10 +135,10 @@ func FuzzDecodeDeltaPayload(f *testing.F) {
 		// decodes as it does on a receiver in the same stream state whose
 		// scratch was never used.
 		_, clean := seedPair()
-		clean.decodeDeltaFrame(0, body)
+		clean.decodeDeltaFrame(0, 0, body)
 		clean.rx[0].frame, clean.rx[0].sample = deltaFrame{}, nil
-		got, gotErr := rcv.decodeDeltaFrame(0, refFrame)
-		want, wantErr := clean.decodeDeltaFrame(0, refFrame)
+		got, gotErr := rcv.decodeDeltaFrame(0, 0, refFrame)
+		want, wantErr := clean.decodeDeltaFrame(0, 0, refFrame)
 		if (gotErr == nil) != (wantErr == nil) {
 			t.Fatalf("dirty scratch: err=%v, clean scratch: err=%v", gotErr, wantErr)
 		}
@@ -164,28 +150,4 @@ func FuzzDecodeDeltaPayload(f *testing.F) {
 			t.Fatal("dirty scratch left a different stream state than clean scratch")
 		}
 	})
-}
-
-// mfAllocHeavy reports whether a serialized mf model would pass Unmarshal's
-// structural checks while claiming entity ids past 2^20 — legal on the
-// wire (the id space cap is 2^24) but a dense-table allocation too large
-// to exercise thousands of times per second under the fuzzer.
-func mfAllocHeavy(body []byte, k int) bool {
-	if len(body) < 16 || int(binary.LittleEndian.Uint32(body[4:])) != k {
-		return false // header errors reject it before any allocation
-	}
-	nu := int(binary.LittleEndian.Uint32(body[8:]))
-	ni := int(binary.LittleEndian.Uint32(body[12:]))
-	rec := 4 + 4 + 4*k
-	if nu < 0 || ni < 0 || len(body) != 16+rec*(nu+ni) {
-		return false
-	}
-	const limit = 1 << 20
-	if nu > 0 && int(binary.LittleEndian.Uint32(body[16+(nu-1)*rec:])) > limit {
-		return true
-	}
-	if ni > 0 && int(binary.LittleEndian.Uint32(body[16+(nu+ni-1)*rec:])) > limit {
-		return true
-	}
-	return false
 }

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"rex/internal/attest"
+	"rex/internal/compress"
 	"rex/internal/core"
 	"rex/internal/gossip"
 	"rex/internal/model"
@@ -49,9 +50,9 @@ type Config struct {
 	Entropy io.Reader
 
 	// NewModel constructs an empty model for decoding model-sharing
-	// payloads; required in ModelSharing mode. It must be safe for
-	// concurrent calls: the gather pipeline decodes frames from distinct
-	// peers in parallel workers.
+	// payloads; required in ModelSharing mode. The engine calls it once per
+	// neighbor, at construction: each peer's frames are decoded into that
+	// peer's model, round after round.
 	NewModel func() model.Model
 
 	// OnEpoch, when set, observes each completed epoch's test RMSE.
@@ -212,12 +213,14 @@ type runner struct {
 	// Share-path scratch, reused across epochs so steady-state epochs
 	// allocate no per-frame encode buffers: the full and empty payload
 	// encodings (no kind byte), their kind-prefixed plaintext frames for
-	// the insecure path, and one sealed-frame buffer per neighbor.
+	// the insecure path, and one frame body and sealed frame per send
+	// worker — Endpoint.Send copies, so a worker reuses its pair for every
+	// peer it serves.
 	encFull, encEmpty     []byte
 	plainFull, plainEmpty []byte
-	sealScratch           map[int][]byte
-	// openScratch holds one plaintext buffer per gather worker slot.
-	openScratch [][]byte
+	send                  []sendSlot
+	// gather holds the scratch of each gather worker.
+	gather []gatherSlot
 	// Gather-path scratch, reused across rounds: the still-expected peer
 	// set, the opened-frame and payload collection buffers, and a copy of
 	// the neighbor list for the timeout sweep (notePeerMiss mutates
@@ -226,18 +229,78 @@ type runner struct {
 	openedBuf   []openResult
 	gatherPl    []core.Payload
 	timeoutScan []int
+	// recvModel is the model each neighbor's model payloads are decoded
+	// into (Config.NewModel), so a round's decode reuses last round's
+	// tables. Like tx and rx it is fully populated before any worker runs
+	// and never changed afterwards; a gather worker touches only the entry
+	// of the peer whose frame it holds.
+	recvModel map[int]model.Model
 
 	// Delta wire state (Config.Wire == WireDelta): per-peer send/receive
-	// stream halves, a per-peer body scratch, the epoch's payload held
-	// for per-peer encoding, and the pre-built model section. The maps
-	// are fully populated on the protocol thread before any worker runs
-	// (initDelta); workers only ever touch their own peer's entries.
+	// stream halves, the epoch's payload held for per-peer encoding, and
+	// the pre-built model section with the buffers and compressor that
+	// build it. The maps are fully populated on the protocol thread before
+	// any worker runs (initDelta); workers only ever touch their own
+	// peer's entries.
 	tx           map[int]*deltaTx
 	rx           map[int]*deltaRx
-	deltaScratch map[int][]byte
 	shareP       core.Payload
-	modelSection []byte
+	modelSection []byte // a suffix of sectionBuf
+	marshalBuf   []byte
+	sectionBuf   []byte
+	deflater     compress.Deflater
 }
+
+// sendSlot is one send worker's scratch: the delta frame body it encodes
+// and the frame it seals that body into.
+type sendSlot struct{ body, sealed []byte }
+
+// gatherSlot is one gather worker's scratch: the plaintext it opens a
+// frame into, and the inflater and buffer for a deflated model section.
+type gatherSlot struct {
+	opened   []byte
+	inflated []byte
+	z        compress.Inflater
+}
+
+// newRunner builds the runner and, on the calling (protocol) thread, all
+// the per-peer state workers later reach through maps. A resumed daemon
+// (resume) starts every delta stream with a reset frame.
+func newRunner(cfg Config, resume bool) *runner {
+	r := &runner{
+		cfg:       cfg,
+		stats:     &Stats{},
+		neighbors: append([]int(nil), cfg.Neighbors...),
+		pending:   make(map[int][][]byte),
+		send:      make([]sendSlot, 1),
+		gather:    make([]gatherSlot, 1),
+	}
+	if cfg.NewModel != nil {
+		r.recvModel = make(map[int]model.Model, len(cfg.Neighbors))
+		for _, nb := range cfg.Neighbors {
+			r.recvModel[nb] = cfg.NewModel()
+		}
+	}
+	r.initDelta(resume)
+	return r
+}
+
+// grow returns buf emptied and able to hold need bytes: buf itself when
+// its capacity suffices, else a new buffer with an eighth to spare. Under
+// model sharing frames get a little larger every epoch (rows materialize
+// on first touch and on merge), so a buffer sized to fit is outgrown by
+// the next frame; the spare eighth is what lets reuse pay. (A quarter
+// allocates 7 % less on the 8-node mesh and keeps 6 % more heap live.)
+func grow(buf []byte, need int) []byte {
+	if cap(buf) >= need {
+		return buf[:0]
+	}
+	return make([]byte, 0, need+need/8)
+}
+
+// workersFor is how many workers open or seal the frames of n peers: one
+// per P, never more than there are peers.
+func workersFor(n int) int { return max(1, min(goruntime.GOMAXPROCS(0), n)) }
 
 // recvStatus reports how a receive attempt ended.
 type recvStatus int
@@ -307,8 +370,11 @@ type openResult struct {
 // The returned payloads are ordered by ascending neighbor id regardless
 // of arrival or open order — the invariant that keeps learning
 // trajectories deterministic for a fixed seed. They are valid until the
-// next gatherRound: the slice and, on the delta wire, each payload's Data
-// (per-peer decode scratch) are reused by it.
+// next gatherRound, which reuses the slice, each payload's Model (the
+// peer's entry of recvModel) and, on the delta wire, its Data (per-peer
+// decode scratch). Engine.Step merges them before the next round, and
+// nothing else keeps one: a published Snapshot clones the node's own
+// model only.
 func (r *runner) gatherRound(e int) ([]core.Payload, error) {
 	need := r.gatherNeed
 	if need == nil {
@@ -325,15 +391,9 @@ func (r *runner) gatherRound(e int) ([]core.Payload, error) {
 		}
 		need[nb] = true
 	}
-	workers := goruntime.GOMAXPROCS(0)
-	if workers > len(r.neighbors) {
-		workers = len(r.neighbors)
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	for len(r.openScratch) < workers {
-		r.openScratch = append(r.openScratch, nil)
+	workers := workersFor(len(r.neighbors))
+	for len(r.gather) < workers {
+		r.gather = append(r.gather, gatherSlot{})
 	}
 
 	opened := r.openedBuf[:0]
@@ -477,8 +537,6 @@ func (r *runner) gatherRound(e int) ([]core.Payload, error) {
 		r.stats.Open += o.dur
 		payloads = append(payloads, o.pl)
 	}
-	// Engine.Step merges the payloads before the next round starts, so
-	// reuse is safe.
 	r.gatherPl = payloads
 	return payloads, nil
 }
@@ -486,9 +544,10 @@ func (r *runner) gatherRound(e int) ([]core.Payload, error) {
 // open decrypts (when secure) and decodes one gossip frame. The frame
 // arrives with its kind byte (which rides outside the seal); decoding
 // dispatches on it, so full and delta senders interoperate in one
-// cluster. slot selects the per-worker plaintext scratch (reused across
-// epochs; the decoded payload never aliases it — model and ratings
-// decoding copy out).
+// cluster. slot selects the worker's scratch, reused from frame to frame:
+// the decoded payload never aliases it — a model is unmarshaled into the
+// peer's recvModel entry, ratings into the peer's decode scratch or a new
+// slice — but it does alias those (see gatherRound).
 func (r *runner) open(slot, from int, frame []byte) openResult {
 	t0 := time.Now()
 	res := openResult{from: from, bytes: len(frame) - 1} // kind byte is framing
@@ -500,13 +559,15 @@ func (r *runner) open(slot, from int, frame []byte) openResult {
 			res.err = fmt.Errorf("gossip from unattested peer")
 			return res
 		}
-		pt, err := ch.OpenSeqAppend(r.openScratch[slot][:0], body)
+		s := &r.gather[slot]
+		s.opened = grow(s.opened, len(body))
+		pt, err := ch.OpenSeqAppend(s.opened, body)
 		if err != nil {
 			res.err = err
 			res.dur = time.Since(t0)
 			return res
 		}
-		r.openScratch[slot] = pt
+		s.opened = pt
 		body = pt
 	}
 	switch kind {
@@ -518,14 +579,10 @@ func (r *runner) open(slot, from int, frame []byte) openResult {
 			// never hit this.
 			res.err = fmt.Errorf("%w: delta frame but wire mode is full", errDeltaDiscard)
 		} else {
-			res.pl, res.err = r.decodeDeltaFrame(from, body)
+			res.pl, res.err = r.decodeDeltaFrame(slot, from, body)
 		}
 	default:
-		newModel := r.cfg.NewModel
-		if newModel == nil {
-			newModel = func() model.Model { return nil }
-		}
-		res.pl, res.err = DecodePayload(body, newModel)
+		res.pl, res.err = decodePayloadInto(body, r.recvModel[from])
 	}
 	res.dur = time.Since(t0)
 	return res
@@ -588,9 +645,8 @@ func (r *runner) rejoinPeer(id int, frame []byte) {
 }
 
 // dropPeer removes a failed neighbor from the live set and releases the
-// state held for it (buffered frames, seal scratch). With Config.Rejoin
-// the peer is remembered: probes keep flowing and resumed gossip readmits
-// it.
+// frames buffered for it. With Config.Rejoin the peer is remembered: probes
+// keep flowing and resumed gossip readmits it.
 func (r *runner) dropPeer(id int) {
 	for i, nb := range r.neighbors {
 		if nb == id {
@@ -598,7 +654,6 @@ func (r *runner) dropPeer(id int) {
 			r.stats.PeersLost++
 			r.pendingN -= len(r.pending[id])
 			delete(r.pending, id)
-			delete(r.sealScratch, id)
 			delete(r.miss, id)
 			if r.cfg.Rejoin {
 				r.lost = append(r.lost, id)
@@ -657,7 +712,7 @@ func (r *runner) startShare(e int) (<-chan shareResult, error) {
 		}
 	} else {
 		var err error
-		r.encFull, err = EncodePayloadAppend(r.encFull[:0], payload)
+		r.encFull, err = EncodePayloadAppend(grow(r.encFull, 9+payloadBodySize(payload)), payload)
 		if err != nil {
 			return nil, err
 		}
@@ -702,97 +757,41 @@ func (r *runner) startShare(e int) (<-chan shareResult, error) {
 	return done, nil
 }
 
-// sendShare seals this epoch's frame for each neighbor — concurrently
-// across neighbors when more than one CPU is available; each per-pair
-// channel is touched by exactly one goroutine — and enqueues them on the
-// transport. Probes (empty frames to dropped-but-rejoinable peers) ride
+// sendOut is what sending one peer its frame produced.
+type sendOut struct {
+	n    int64 // payload bytes of the frame, without the kind byte
+	st   deltaSendStats
+	seal time.Duration
+	wire time.Duration
+	err  error
+}
+
+// sendShare seals this epoch's frame for each neighbor and enqueues it on
+// the transport, on min(GOMAXPROCS, peers) workers as gatherRound opens
+// them: worker w serves peers w, w+workers, ... from its own scratch slot,
+// so each per-pair channel and delta stream is touched by exactly one
+// goroutine. Probes (empty frames to dropped-but-rejoinable peers) ride
 // along with errors ignored. Per-peer transport failures are reported as
 // lost peers; only the closure of the node's own endpoint is fatal.
 func (r *runner) sendShare(neighbors, probes []int, targets map[int]bool) shareResult {
 	start := time.Now()
-	type sendOut struct {
-		buf  []byte
-		dbuf []byte
-		n    int64
-		st   deltaSendStats
-		seal time.Duration
-		wire time.Duration
-		err  error
-	}
 	all := neighbors
 	if len(probes) > 0 {
 		all = append(append(make([]int, 0, len(neighbors)+len(probes)), neighbors...), probes...)
 	}
 	outs := make([]sendOut, len(all))
-	sendOne := func(i, nb int) {
-		o := &outs[i]
-		var frame []byte
-		switch {
-		case r.cfg.Wire == WireDelta:
-			// Per-peer delta encode against this peer's stream state; the
-			// worker owns the peer's tx/rx halves for the whole phase.
-			p := core.Payload{From: r.shareP.From, Degree: r.shareP.Degree}
-			if targets[nb] {
-				p = r.shareP
-			}
-			if r.cfg.Secure {
-				var body []byte
-				body, o.st = r.encodeDeltaBody(r.deltaScratch[nb][:0], nb, p)
-				o.dbuf = body
-				t0 := time.Now()
-				buf := append(r.sealScratch[nb][:0], kindGossipDelta)
-				frame = r.channels[nb].SealSeqAppend(buf, body)
-				o.seal = time.Since(t0)
-				o.buf = frame
-			} else {
-				frame, o.st = r.encodeDeltaBody(append(r.deltaScratch[nb][:0], kindGossipDelta), nb, p)
-				o.dbuf = frame
-			}
-		case r.cfg.Secure:
-			body := r.encEmpty
-			if targets[nb] {
-				body = r.encFull
-			}
-			t0 := time.Now()
-			buf := append(r.sealScratch[nb][:0], kindGossip)
-			frame = r.channels[nb].SealSeqAppend(buf, body)
-			o.seal = time.Since(t0)
-			o.buf = frame
-		case targets[nb]:
-			frame = r.plainFull
-		default:
-			frame = r.plainEmpty
-		}
-		o.n = int64(len(frame) - 1) // the kind byte is framing, not payload
-		t0 := time.Now()
-		o.err = r.cfg.Endpoint.Send(nb, frame)
-		o.wire = time.Since(t0)
+	workers := 1
+	if r.cfg.Secure || r.cfg.Wire == WireDelta {
+		workers = workersFor(len(all))
 	}
-	if (r.cfg.Secure || r.cfg.Wire == WireDelta) && len(all) > 1 && goruntime.GOMAXPROCS(0) > 1 {
-		var wg sync.WaitGroup
-		for i, nb := range all {
-			wg.Add(1)
-			go func(i, nb int) {
-				defer wg.Done()
-				sendOne(i, nb)
-			}(i, nb)
-		}
-		wg.Wait()
-	} else {
-		for i, nb := range all {
-			sendOne(i, nb)
-		}
+	for len(r.send) < workers {
+		r.send = append(r.send, sendSlot{})
 	}
+	r.sendAll(workers, all, targets, outs)
 	var res shareResult
 	for i, nb := range all {
 		o := outs[i]
 		probe := i >= len(neighbors)
-		if o.buf != nil {
-			r.sealScratch[nb] = o.buf
-		}
-		if o.dbuf != nil {
-			r.deltaScratch[nb] = o.dbuf
-		}
 		res.seal += o.seal
 		res.wire += o.wire
 		switch {
@@ -816,4 +815,85 @@ func (r *runner) sendShare(neighbors, probes []int, targets map[int]bool) shareR
 	}
 	res.dur = time.Since(start)
 	return res
+}
+
+// sendAll runs the send workers and waits for them. The caller is worker
+// 0, and the only one when there is one: no goroutine, and nothing
+// allocated.
+func (r *runner) sendAll(workers int, all []int, targets map[int]bool, outs []sendOut) {
+	if workers == 1 {
+		r.sendStride(0, 1, all, targets, outs)
+		return
+	}
+	var wg sync.WaitGroup
+	for w := 1; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			r.sendStride(w, workers, all, targets, outs)
+		}(w)
+	}
+	r.sendStride(0, workers, all, targets, outs)
+	wg.Wait()
+}
+
+// sendStride is send worker w of workers: it sends every workers-th peer
+// of all its frame, starting at the w-th.
+func (r *runner) sendStride(w, workers int, all []int, targets map[int]bool, outs []sendOut) {
+	for i := w; i < len(all); i += workers {
+		r.sendOne(&r.send[w], all[i], targets[all[i]], &outs[i])
+	}
+}
+
+// sendOne builds peer nb's frame — this epoch's payload when full, else an
+// empty notification — in the worker's scratch s and hands it to the
+// transport.
+func (r *runner) sendOne(s *sendSlot, nb int, full bool, o *sendOut) {
+	var frame []byte
+	switch {
+	case r.cfg.Wire == WireDelta:
+		// Per-peer delta encode against this peer's stream state; the
+		// worker owns the peer's tx/rx halves for the whole phase.
+		p := core.Payload{From: r.shareP.From, Degree: r.shareP.Degree}
+		need := 0 // data and empty bodies are small and settle: append sizes them
+		if full {
+			p = r.shareP
+			if p.Model != nil {
+				need = 1 + deltaHeaderMax + len(r.modelSection)
+			}
+		}
+		s.body = append(grow(s.body, need), kindGossipDelta)
+		s.body, o.st = r.encodeDeltaBody(s.body, nb, p)
+		frame = s.body
+		if r.cfg.Secure {
+			t0 := time.Now()
+			frame = r.seal(s, nb, kindGossipDelta, s.body[1:])
+			o.seal = time.Since(t0)
+		}
+	case r.cfg.Secure:
+		body := r.encEmpty
+		if full {
+			body = r.encFull
+		}
+		t0 := time.Now()
+		frame = r.seal(s, nb, kindGossip, body)
+		o.seal = time.Since(t0)
+	case full:
+		frame = r.plainFull
+	default:
+		frame = r.plainEmpty
+	}
+	o.n = int64(len(frame) - 1) // the kind byte is framing, not payload
+	t0 := time.Now()
+	o.err = r.cfg.Endpoint.Send(nb, frame)
+	o.wire = time.Since(t0)
+}
+
+// seal encrypts body for peer nb into the worker's frame buffer, behind
+// the kind byte (which rides outside the seal).
+func (r *runner) seal(s *sendSlot, nb int, kind byte, body []byte) []byte {
+	ch := r.channels[nb]
+	s.sealed = append(grow(s.sealed, 1+seccha.SeqOverhead+len(body)+ch.Overhead()), kind)
+	s.sealed = ch.SealSeqAppend(s.sealed, body)
+	return s.sealed
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	goruntime "runtime"
 	"sync"
 	"testing"
 	"time"
@@ -418,6 +419,46 @@ func TestClusterGoldenDeterminism(t *testing.T) {
 			if math.Float64bits(a[i].RMSE[e]) != math.Float64bits(native[i].RMSE[e]) {
 				t.Fatalf("node %d epoch %d: secure %v != native %v", i, e, a[i].RMSE[e], native[i].RMSE[e])
 			}
+		}
+	}
+}
+
+// TestModelSharingAcrossWorkerCounts runs secure model sharing on a 4-node
+// full mesh with one P and with four. With four, three send workers and
+// three gather workers per node share out the peers, each with its own
+// seal, open and inflate scratch, decoding into per-peer receive models;
+// with one, a single slot serves every peer in turn. The learning and the
+// gossip bytes must not know the difference (and -race must see no worker
+// touch another's slot or peer).
+func TestModelSharingAcrossWorkerCounts(t *testing.T) {
+	run := func(procs int) []*Stats {
+		defer goruntime.GOMAXPROCS(goruntime.GOMAXPROCS(procs))
+		cfg := clusterWorkload(t, 4, core.ModelSharing, gossip.DPSGD, 5)
+		cfg.Secure = true
+		stats, err := RunCluster(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return stats
+	}
+	one, four := run(1), run(4)
+	for i := range one {
+		if len(one[i].RMSE) != 5 || len(four[i].RMSE) != 5 {
+			t.Fatalf("node %d: short trajectory", i)
+		}
+		for e := range one[i].RMSE {
+			if math.Float64bits(one[i].RMSE[e]) != math.Float64bits(four[i].RMSE[e]) {
+				t.Fatalf("node %d epoch %d: RMSE %v on one P, %v on four", i, e, one[i].RMSE[e], four[i].RMSE[e])
+			}
+		}
+		if one[i].BytesOut != four[i].BytesOut || one[i].BytesIn != four[i].BytesIn {
+			t.Fatalf("node %d: gossip bytes out/in %d/%d on one P, %d/%d on four",
+				i, one[i].BytesOut, one[i].BytesIn, four[i].BytesOut, four[i].BytesIn)
+		}
+		// BytesOnWire adds the attestation quotes, whose ECDSA signatures
+		// vary by a few bytes of DER from run to run.
+		if d := one[i].BytesOnWire - four[i].BytesOnWire; d < -64 || d > 64 {
+			t.Fatalf("node %d: %d bytes on the wire on one P, %d on four", i, one[i].BytesOnWire, four[i].BytesOnWire)
 		}
 	}
 }

@@ -225,7 +225,8 @@ type ShardConfig struct {
 	// local block's platforms are used. Required when Secure.
 	Platforms []*attest.Platform
 	Infra     *attest.Infrastructure
-	// NewModel decodes model-sharing payloads (safe for concurrent calls).
+	// NewModel supplies the models model-sharing payloads are decoded into
+	// (safe for concurrent calls: the shard's nodes start in parallel).
 	NewModel func() model.Model
 	// RoundTimeout enables per-round failure detection.
 	RoundTimeout time.Duration

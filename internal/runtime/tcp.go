@@ -422,17 +422,16 @@ func (l *tcpLane) discard() {
 	}
 }
 
-// buffer returns a frame buffer of length n, reusing a recycled one when
-// it fits.
+// buffer returns a frame buffer of length n: a recycled one when it fits,
+// else a new one with headroom (see grow), so that next epoch's slightly
+// larger frame still fits the buffer this one leaves on the free list.
 func (l *tcpLane) buffer(n int) []byte {
+	var b []byte
 	select {
-	case b := <-l.free:
-		if cap(b) >= n {
-			return b[:n]
-		}
+	case b = <-l.free:
 	default:
 	}
-	return make([]byte, n)
+	return grow(b, n)[:n]
 }
 
 func (l *tcpLane) recycle(b []byte) {

@@ -191,7 +191,7 @@ func (d *Dir) SaveSnapshot(epoch int, rmse float64, m model.Model, ratings []dat
 	if err := d.rotateWAL(epoch); err != nil {
 		return err
 	}
-	return d.prune(epoch)
+	return d.prune()
 }
 
 // rotateWAL closes the current log and opens a fresh one for this epoch.
@@ -214,16 +214,18 @@ func (d *Dir) rotateWAL(epoch int) error {
 // logged against the previous epoch (mailbox lag). A WAL is deleted only
 // once two newer snapshots exist — by then the engine has drained its
 // mailbox at least a full generation after the log rotated away, so every
-// rating the log held is in the newest snapshot's store.
-func (d *Dir) prune(newest int) error {
+// rating the log held is in the newest snapshot's store. With fewer than
+// two snapshots nothing is old enough to go: the first generation's log
+// (wal-0) holds ratings the first snapshot's capture may have missed.
+func (d *Dir) prune() error {
 	snaps, err := d.list(snapPrefix)
 	if err != nil {
 		return err
 	}
-	keepFrom := newest
-	if len(snaps) >= 2 {
-		keepFrom = snaps[len(snaps)-2]
+	if len(snaps) < 2 {
+		return nil
 	}
+	keepFrom := snaps[len(snaps)-2]
 	for _, ep := range snaps {
 		if ep < keepFrom {
 			os.Remove(d.snapName(ep))

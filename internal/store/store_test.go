@@ -218,6 +218,62 @@ func TestAckedRatingSurvivesSnapshotRotation(t *testing.T) {
 	}
 }
 
+// TestFirstGenerationLogSurvivesFirstSnapshot pins the same contract at the
+// start of a node's life, where the rating sits in the epoch-0 log: the
+// first snapshot has no older one beside it, and pruning must not take that
+// for "everything before it is obsolete". The log goes only once two newer
+// snapshots exist.
+func TestFirstGenerationLogSurvivesFirstSnapshot(t *testing.T) {
+	d, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	m := trainedModel(t)
+	acked := dataset.Rating{User: 999_999, Item: 3, Value: 4.5}
+	if err := d.Append([]dataset.Rating{acked}); err != nil { // no snapshot yet: wal-0
+		t.Fatal(err)
+	}
+	// The first snapshot was captured while the rating was in the mailbox.
+	if err := d.SaveSnapshot(1, 1.0, m, testRatings(10, 0)); err != nil {
+		t.Fatal(err)
+	}
+	load := func() (*Snapshot, []dataset.Rating) { // "kill -9": reopen without Close
+		t.Helper()
+		d2, err := Open(d.Path())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer d2.Close()
+		snap, replayed, err := d2.Load()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return snap, replayed
+	}
+	snap, replayed := load()
+	if snap == nil || snap.Epoch != 1 {
+		t.Fatalf("loaded %+v, want the epoch-1 snapshot", snap)
+	}
+	if len(replayed) != 1 || replayed[0] != acked {
+		t.Fatalf("acknowledged rating lost at the first snapshot: replayed %+v", replayed)
+	}
+	// Two snapshots later the store that holds the rating is on disk and
+	// the log may go.
+	withAcked := append(testRatings(10, 0), acked)
+	for _, ep := range []int{2, 3} {
+		if err := d.SaveSnapshot(ep, 1.0, m, withAcked); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := os.Stat(d.walName(0)); !os.IsNotExist(err) {
+		t.Fatalf("wal-0 still present after two newer snapshots (stat: %v)", err)
+	}
+	if _, replayed = load(); len(replayed) != 0 {
+		t.Fatalf("replayed %+v from logs that hold nothing", replayed)
+	}
+}
+
 func TestCorruptNewestSnapshotFallsBack(t *testing.T) {
 	d, err := Open(t.TempDir())
 	if err != nil {
