@@ -66,10 +66,11 @@ func TestDeflaterStreamIsTheOneShotStream(t *testing.T) {
 
 // TestCodecWarmRoundTripDoesNotAllocate: once a Deflater and an Inflater
 // have run and their buffers have held a section this large, a round trip
-// allocates nothing of theirs. The standard library's decoder builds
-// second-level Huffman tables per block whenever a code is longer than nine
-// bits, reset or not; that cost is measured on a bare, reset flate reader
-// filling a fixed buffer, and is all the Inflater may allocate.
+// allocates nothing of theirs; likewise a PlaneEncoder and a PlaneDecoder.
+// The standard library's decoder builds second-level Huffman tables per
+// block whenever a code is longer than nine bits, reset or not; that cost
+// is measured on a bare, reset flate reader filling a fixed buffer, and is
+// all the Inflater, or the PlaneDecoder on its coded planes, may allocate.
 func TestCodecWarmRoundTripDoesNotAllocate(t *testing.T) {
 	var d Deflater
 	var z Inflater
@@ -96,6 +97,25 @@ func TestCodecWarmRoundTripDoesNotAllocate(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(20, func() { out, _ = z.Append(out[:0], comp, len(in)) }); n != stdlib {
 		t.Fatalf("warm Inflater allocates %.0f objects, a reset flate reader alone %.0f", n, stdlib)
+	}
+
+	var pe PlaneEncoder
+	var pd PlaneDecoder
+	in = floatish(60000, 1)
+	planes, err := pe.Append(nil, in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(20, func() { planes, _ = pe.Append(planes[:0], in) }); n != 0 {
+		t.Fatalf("warm PlaneEncoder allocates %.0f objects", n)
+	}
+	out, err = pd.Append(out[:0], planes, len(in))
+	if err != nil || !bytes.Equal(out, in) {
+		t.Fatalf("word-plane round trip mismatch (err %v)", err)
+	}
+	stdlib = bareInflateAllocs(t, in, planes[0])
+	if n := testing.AllocsPerRun(20, func() { out, _ = pd.Append(out[:0], planes, len(in)) }); n != stdlib {
+		t.Fatalf("warm PlaneDecoder allocates %.0f objects, a reset flate reader on its coded planes alone %.0f", n, stdlib)
 	}
 }
 

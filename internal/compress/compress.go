@@ -2,8 +2,12 @@
 // in §IV-E-e: "recommendation systems are based on ratings that can take
 // very few values (only 10 in the case of MovieLens ...), data sharing in
 // this area is also highly compressible." Raw rating triplets are packed
-// with sorted delta-varint ids and 4-bit star values; model payloads go
-// through DEFLATE. Both are evaluated by the ext-compression experiment.
+// with sorted delta-varint ids and 4-bit star values (the live wire's
+// columnar codec is in columnar.go); model payloads are coded as word
+// planes (planes.go: Huffman-coded exponent bytes, stored mantissa bytes),
+// which is what a model frame carries. DEFLATE (Deflater, Inflater) is the
+// entropy coder under the planes and the general-purpose yardstick beside
+// them. All are evaluated by the ext-compression experiment.
 package compress
 
 import (

@@ -19,8 +19,8 @@ type WireMode uint8
 const (
 	// WireDelta (the default) sends versioned delta frames: per-peer
 	// acked-state tracking, back-references for triplets the peer already
-	// holds, columnar bit-packing for the rest, and DEFLATE for large
-	// model sections. Decoded state is bit-identical to WireFull.
+	// holds, columnar bit-packing for the rest, and Huffman-coded word
+	// planes for model sections. Decoded state is bit-identical to WireFull.
 	WireDelta WireMode = iota
 	// WireFull is the compatibility/escape hatch: every frame carries the
 	// complete flat payload, exactly the pre-delta wire format.
@@ -93,13 +93,16 @@ const deltaDictCap = 4096
 // txDict slots hold a dictionary index plus one in 16 bits.
 const _ = uint16(deltaDictCap)
 
-// deflateModelThreshold is the model-section size above which delta
-// frames try DEFLATE on the marshaled parameters. Raw-data payloads never
-// go through flate: their columnar packing is tighter and deterministic
-// in cost.
-const deflateModelThreshold = 512
+// Model section forms: the marshaled parameters as they are, or coded as
+// word planes (compress.PlaneEncoder). 1, once a DEFLATE stream, stays
+// unassigned. Raw-data payloads never take a section form: their columnar
+// packing is tighter and deterministic in cost.
+const (
+	sectionRaw    byte = 0
+	sectionPlanes byte = 2
+)
 
-// maxModelSection bounds the inflated size a delta model section may
+// maxModelSection bounds the marshaled size a word-plane model section may
 // claim, so a corrupt length cannot make the decoder allocate without
 // limit before validation fails.
 const maxModelSection = 64 << 20
@@ -296,7 +299,7 @@ type deltaFrame struct {
 	seq          uint64
 	ackPlus1     uint64
 	payloadKind  byte
-	modelBytes   []byte // marshaled model (already inflated; aliases the frame or the worker's scratch)
+	modelBytes   []byte // marshaled model (planes already undone; aliases the frame or the worker's scratch)
 	data         core.DataDelta
 	sum          uint32 // payload checksum (data frames)
 }
@@ -326,7 +329,7 @@ const deltaHeaderMax = 10 + 2*binary.MaxVarintLen64
 
 // parse validates and decodes a delta frame body (everything after the
 // outer kind byte, post-decryption) into f, reusing f's explicit block and
-// reference list as scratch; a deflated model section is inflated into the
+// reference list as scratch; a word-plane model section is decoded into the
 // gather worker's scratch s, which f.modelBytes then aliases. It is pure:
 // no receiver state is read or written, so rejected bytes cannot corrupt a
 // stream. Unknown flags, implausible sections and trailing bytes are all
@@ -363,24 +366,22 @@ func (f *deltaFrame) parse(body []byte, s *gatherSlot) error {
 			return fmt.Errorf("runtime: %d trailing bytes in empty delta frame", len(rest))
 		}
 	case payloadModel:
-		if len(rest) < 1 || rest[0] > 1 {
+		if len(rest) < 1 || (rest[0] != sectionRaw && rest[0] != sectionPlanes) {
 			return fmt.Errorf("runtime: bad model section header")
 		}
-		deflated := rest[0] == 1
+		form := rest[0]
 		rest = rest[1:]
 		ln, n := binary.Uvarint(rest)
 		if n <= 0 || ln != uint64(len(rest)-n) {
 			return fmt.Errorf("runtime: bad model section length")
 		}
 		f.modelBytes = rest[n:]
-		if deflated {
-			// A sender deflates only when that wins, so the section's own
-			// length is a floor for what it inflates to.
-			raw, err := s.z.Append(grow(s.inflated, len(f.modelBytes)), f.modelBytes, maxModelSection)
+		if form == sectionPlanes {
+			raw, err := s.planes.Append(s.marshaled[:0], f.modelBytes, maxModelSection)
 			if err != nil {
 				return fmt.Errorf("runtime: model section: %w", err)
 			}
-			s.inflated, f.modelBytes = raw, raw
+			s.marshaled, f.modelBytes = raw, raw
 		}
 	case payloadData:
 		explicit, rest, err := compress.DecodeRatingsColumnarAppend(f.data.Explicit, rest)
@@ -639,36 +640,34 @@ func (r *runner) encodeDeltaBody(dst []byte, nb int, p core.Payload) ([]byte, de
 	return dst, st
 }
 
-// sectionHeaderMax bounds a model section's header: the deflated flag and
-// the uvarint length.
+// sectionHeaderMax bounds a model section's header: the form byte and the
+// uvarint length.
 const sectionHeaderMax = 1 + binary.MaxVarintLen64
 
 // buildModelSection pre-encodes the epoch's (peer-independent) model
-// section on the protocol thread: a deflated-flag byte, a uvarint length,
-// and the marshaled parameters, DEFLATE-compressed above the size
-// threshold when that actually wins. The parameters are marshaled into a
-// reused buffer and deflated straight into the section's; the header, whose
-// length depends on the outcome, is then written backwards from the
-// content, so nothing is copied to make room for it.
+// section on the protocol thread: a form byte, a uvarint length, and the
+// marshaled parameters, coded as word planes when that actually wins (a
+// model of a few rows, or one whose exponents are all over the place, goes
+// as it is). The parameters are marshaled into a reused buffer and coded
+// straight into the section's; the header, whose length depends on the
+// outcome, is then written backwards from the content, so nothing is
+// copied to make room for it.
 func (r *runner) buildModelSection(p core.Payload) error {
 	raw, err := marshalAppend(grow(r.marshalBuf, p.Model.WireSize()), p.Model)
 	if err != nil {
 		return err
 	}
 	r.marshalBuf = raw
-	buf := grow(r.sectionBuf, sectionHeaderMax+len(raw))[:sectionHeaderMax]
-	deflated := byte(0)
-	if len(raw) >= deflateModelThreshold {
-		if out, err := r.deflater.Append(buf, raw); err == nil && len(out)-sectionHeaderMax < len(raw) {
-			buf, deflated = out, 1
-		}
+	var hdr [sectionHeaderMax]byte
+	buf, err := r.planes.Append(append(r.sectionBuf[:0], hdr[:]...), raw)
+	if err != nil {
+		return err
 	}
-	if deflated == 0 {
-		buf = append(buf, raw...)
+	hdr[0] = sectionPlanes
+	if len(buf)-sectionHeaderMax >= len(raw) {
+		buf, hdr[0] = append(buf[:sectionHeaderMax], raw...), sectionRaw
 	}
 	r.sectionBuf = buf
-	var hdr [sectionHeaderMax]byte
-	hdr[0] = deflated
 	n := 1 + binary.PutUvarint(hdr[1:], uint64(len(buf)-sectionHeaderMax))
 	r.modelSection = buf[sectionHeaderMax-n:]
 	copy(r.modelSection, hdr[:n])

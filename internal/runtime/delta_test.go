@@ -7,6 +7,7 @@ import (
 	"errors"
 	"io"
 	"math"
+	"math/bits"
 	"math/rand"
 	"slices"
 	"sort"
@@ -18,6 +19,8 @@ import (
 	"rex/internal/gossip"
 	"rex/internal/mf"
 	"rex/internal/model"
+	"rex/internal/movielens"
+	"rex/internal/nn"
 	"rex/internal/seccha"
 )
 
@@ -112,6 +115,31 @@ func TestDeltaWireSavingFloor(t *testing.T) {
 		if ratio < floor {
 			t.Errorf("secure=%v: full/delta wire bytes %.2fx, want >= %.1fx", secure, ratio, floor)
 		}
+	}
+}
+
+// TestModelSectionSavingFloor holds the word planes' reason to exist: on a
+// trained MF model of at least 2,000 rows the section is at most 0.86 of
+// the marshaled bytes, and smaller than default-level DEFLATE makes them
+// (0.92, at 35–60× the time). Bytes are deterministic per seed.
+func TestModelSectionSavingFloor(t *testing.T) {
+	spec := movielens.Latest().Scaled(0.5)
+	spec.Seed = 33
+	m := mf.New(mf.DefaultConfig())
+	m.Train(movielens.Generate(spec).Ratings, 40000, rand.New(rand.NewSource(33)))
+	if rows := m.NumUsers() + m.NumItems(); rows < 2000 {
+		t.Fatalf("test premise broken: the model has %d rows", rows)
+	}
+	a, _ := newDeltaPair()
+	section, raw := planeSection(t, a, m)
+	deflated, err := compress.Deflate(raw, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ratio := float64(len(section)) / float64(len(raw))
+	t.Logf("%d rows, %d B marshaled: word planes %.3f, DEFLATE %.3f", m.NumUsers()+m.NumItems(), len(raw), ratio, float64(len(deflated))/float64(len(raw)))
+	if section[0] != sectionPlanes || ratio > 0.86 || len(section) >= len(deflated) {
+		t.Fatalf("model section %d B (form %d), DEFLATE %d B, marshaled %d B", len(section), section[0], len(deflated), len(raw))
 	}
 }
 
@@ -343,6 +371,46 @@ func TestDeltaRejectWithoutMutation(t *testing.T) {
 	if b1, w1, h1, d1, g1 := snap(); b1 != b0 || w1 != w0 || h1 != h0 || d1 != d0 || g1 != g0 {
 		t.Fatal("unknown flag mutated stream state")
 	}
+
+	// A word-plane model section that does not decode — a bit of its last
+	// Huffman stream's trailer flipped, or that plane cut short under a
+	// section length that still matches — is discarded whole: a resync is
+	// requested and the watermark does not move, though the frame's sequence
+	// number was the next one due.
+	if _, err := b.decodeDeltaFrame(0, 0, body); err != nil {
+		t.Fatal(err)
+	}
+	b0, w0, h0, d0, g0 = snap()
+	m := trainedMF(64, 50)
+	if section, _ := planeSection(t, a, m); section[0] != sectionPlanes {
+		t.Fatal("test premise broken: the model section is not word planes")
+	}
+	body, _ = a.encodeDeltaBody(nil, 1, core.Payload{From: 0, Degree: 1, Model: m})
+	corrupt := func(name string, bad []byte) {
+		t.Helper()
+		rx.wantResync = false
+		if _, err := b.decodeDeltaFrame(0, 0, bad); !errors.Is(err, errDeltaDiscard) {
+			t.Fatalf("%s: err=%v", name, err)
+		}
+		if b1, w1, h1, d1, g1 := snap(); b1 != b0 || w1 != w0 || h1 != h0 || d1 != d0 || g1 != g0 || !rx.wantResync {
+			t.Fatalf("%s: stream state mutated or no resync requested (wantResync=%v)", name, rx.wantResync)
+		}
+	}
+	for back := 1; back <= 4; back++ { // the stream's closing empty stored block: LEN and ^LEN
+		flipped = append(flipped[:0], body...)
+		flipped[len(flipped)-back] ^= 0x10
+		corrupt("flipped Huffman stream", flipped)
+	}
+	// Dropping one byte and patching the (one- or two-byte) section length
+	// keeps the frame well-formed down to the planes.
+	short := append([]byte(nil), body[:len(body)-1]...)
+	at := len(short) - len(a.modelSection) + 2 // past the form byte
+	ln, n := binary.Uvarint(short[at:])
+	binary.PutUvarint(short[at:at+n], ln-1)
+	corrupt("truncated plane", short)
+	if got, err := b.decodeDeltaFrame(0, 0, body); err != nil || got.Model == nil || rx.watermark != w0+1 {
+		t.Fatalf("the intact frame after the corrupt ones: err=%v watermark=%d", err, rx.watermark)
+	}
 }
 
 // TestDeltaDictCapReset drives a stream into its dictionary cap and
@@ -410,33 +478,73 @@ func TestRequestResetSuppression(t *testing.T) {
 	}
 }
 
-// TestDeltaModelSection round-trips a model payload, covering the
-// DEFLATE-above-threshold path.
-func TestDeltaModelSection(t *testing.T) {
-	mcfg := mf.DefaultConfig()
-	m := mf.New(mcfg)
-	m.Train(sampleRatings(64, 13), 50, rand.New(rand.NewSource(2)))
+// trainedMF returns an MF model trained on n of sampleRatings' ratings.
+func trainedMF(n, steps int) *mf.Model {
+	m := mf.New(mf.DefaultConfig())
+	m.Train(sampleRatings(n, 13), steps, rand.New(rand.NewSource(2)))
+	return m
+}
 
-	a, b := newDeltaPair()
-	p := core.Payload{From: 0, Degree: 1, Model: m}
-	if err := a.buildModelSection(p); err != nil {
+// planeSection builds m's model section on a and returns it with m's
+// marshaled bytes.
+func planeSection(t *testing.T, a *runner, m model.Model) (section, raw []byte) {
+	t.Helper()
+	if err := a.buildModelSection(core.Payload{Model: m}); err != nil {
 		t.Fatal(err)
 	}
 	raw, err := m.Marshal()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(raw) >= deflateModelThreshold && len(a.modelSection) >= len(raw) {
-		t.Fatalf("model section not compressed: %d >= %d", len(a.modelSection), len(raw))
-	}
-	got, _ := ship(t, a, b, 0, 1, p)
-	if got.Model == nil {
-		t.Fatal("model payload lost")
-	}
-	for _, probe := range [][2]uint32{{1, 2}, {17, 3}, {150, 40}} {
-		if got.Model.Predict(probe[0], probe[1]) != m.Predict(probe[0], probe[1]) {
-			t.Fatalf("model drifted at %v", probe)
+	return a.modelSection, raw
+}
+
+// TestDeltaModelSection round-trips model payloads from a single row pair
+// up: the section is word planes whenever that is smaller and the marshaled
+// bytes otherwise, with no size threshold — a model of under 512 B, which
+// once went out raw untried, already gains.
+func TestDeltaModelSection(t *testing.T) {
+	for _, tc := range []struct {
+		ratings int
+		form    byte
+	}{{1, sectionRaw}, {4, sectionPlanes}, {64, sectionPlanes}} {
+		m := trainedMF(tc.ratings, 50)
+		a, b := newDeltaPair()
+		section, raw := planeSection(t, a, m)
+		if section[0] != tc.form || (tc.form == sectionPlanes) != (len(section) < len(raw)) {
+			t.Fatalf("%d ratings: %d-byte model in a %d-byte section of form %d, want form %d",
+				tc.ratings, len(raw), len(section), section[0], tc.form)
 		}
+		if tc.ratings == 4 && len(raw) >= 512 {
+			t.Fatalf("test premise broken: the small model marshals to %d bytes", len(raw))
+		}
+		got, _ := ship(t, a, b, 0, 1, core.Payload{From: 0, Degree: 1, Model: m})
+		if got.Model == nil {
+			t.Fatal("model payload lost")
+		}
+		if out, _ := got.Model.Marshal(); !bytes.Equal(out, raw) {
+			t.Fatalf("%d ratings: model drifted on the wire", tc.ratings)
+		}
+	}
+}
+
+// TestModelSectionIsModelAgnostic: the planes know words, not models — a
+// dense float32 network gains and round-trips bit for bit through a model
+// frame exactly as the sparse MF tables do.
+func TestModelSectionIsModelAgnostic(t *testing.T) {
+	ncfg := nn.DefaultConfig(200, 40)
+	newModel := func() model.Model { return nn.NewNet(ncfg) }
+	a := newRunner(Config{Neighbors: []int{1}, Wire: WireDelta, NewModel: newModel}, false)
+	b := newRunner(Config{Neighbors: []int{0}, Wire: WireDelta, NewModel: newModel}, false)
+	m := nn.NewNet(ncfg)
+	m.Train(sampleRatings(30, 5), 20, rand.New(rand.NewSource(3)))
+	section, raw := planeSection(t, a, m)
+	if section[0] != sectionPlanes || float64(len(section)) > 0.9*float64(len(raw)) {
+		t.Fatalf("%d-byte network in a %d-byte section of form %d", len(raw), len(section), section[0])
+	}
+	got, _ := ship(t, a, b, 0, 1, core.Payload{From: 0, Degree: 1, Model: m})
+	if out, _ := got.Model.Marshal(); !bytes.Equal(out, raw) || got.Model != b.recvModel[0] {
+		t.Fatal("the decoded network is not the sent one, in the peer's receive model")
 	}
 }
 
@@ -673,13 +781,14 @@ func (c *captureEndpoint) Send(_ int, data []byte) error {
 
 // TestModelFrameSteadyStateAllocs guards the model-sharing epoch's frame
 // path as its neighbor above guards the raw-data one: once every buffer on
-// the way has held a frame of this size — marshal and section buffers, the
-// send worker's body and sealed frame, the gather worker's opened and
-// inflated plaintext, the peer's receive model — building, sealing,
-// opening and decoding a model frame allocates nothing of the runtime's.
-// What remains is the standard library's: its inflater builds second-level
-// Huffman tables per block (see compress.TestCodecWarmRoundTripDoesNotAllocate),
-// measured here on a bare flate reader over the same section.
+// the way has held a frame of this size — marshal, plane and section
+// buffers, the send worker's body and sealed frame, the gather worker's
+// opened plaintext, plane scratch and marshaled bytes, the peer's receive
+// model — building and sealing a model frame allocates nothing, and opening
+// and decoding one allocates nothing of the runtime's. What remains is the
+// standard library's: its inflater builds second-level Huffman tables per
+// block (see compress.TestCodecWarmRoundTripDoesNotAllocate), measured here
+// on a bare flate reader over the coded planes alone.
 func TestModelFrameSteadyStateAllocs(t *testing.T) {
 	a, b := newDeltaPair()
 	key := bytes.Repeat([]byte{7}, 32)
@@ -694,40 +803,72 @@ func TestModelFrameSteadyStateAllocs(t *testing.T) {
 	ep := &captureEndpoint{}
 	a.cfg.Endpoint = ep
 
-	m := mf.New(mf.DefaultConfig())
-	m.Train(sampleRatings(900, 13), 4000, rand.New(rand.NewSource(2)))
+	m := trainedMF(900, 4000)
 	want, _ := m.Marshal()
 	p := core.Payload{From: 0, Degree: 1, Model: m}
-	var got core.Payload
-	round := func() {
+	send := func() {
 		a.shareP = p
 		if err := a.buildModelSection(p); err != nil {
 			t.Fatal(err)
 		}
 		var out sendOut
 		a.sendOne(&a.send[0], 1, true, &out)
+		if out.err != nil {
+			t.Fatalf("send: %v", out.err)
+		}
+	}
+	var got core.Payload
+	open := func() {
 		res := b.open(0, 0, ep.frame)
-		if out.err != nil || res.err != nil {
-			t.Fatalf("send: %v, open: %v", out.err, res.err)
+		if res.err != nil {
+			t.Fatalf("open: %v", res.err)
 		}
 		got = res.pl
 	}
-	round()
-	if a.modelSection[0] != 1 {
-		t.Fatal("test premise broken: the model section was not deflated")
+	send()
+	open()
+	if a.modelSection[0] != sectionPlanes {
+		t.Fatal("test premise broken: the model section is not word planes")
 	}
+	// The coded planes, re-made here: bytes 2 and 3 of each word rotated
+	// left by one, through a Huffman-only flate writer, for each plane the
+	// section's flags (its first byte, after the form and length) say is
+	// coded.
 	_, n := binary.Uvarint(a.modelSection[1:])
-	section := a.modelSection[1+n:]
+	flags := a.modelSection[1+n]
+	if flags&2 == 0 {
+		t.Fatal("test premise broken: the exponent plane is not coded")
+	}
+	var streams [][]byte
+	for i, shift := range []uint{16, 24} {
+		if flags&(1<<i) == 0 {
+			continue
+		}
+		plane := make([]byte, 0, len(want)/4)
+		for o := 0; o+4 <= len(want); o += 4 {
+			plane = append(plane, byte(bits.RotateLeft32(binary.LittleEndian.Uint32(want[o:]), 1)>>shift))
+		}
+		stream, err := compress.Deflate(plane, flate.HuffmanOnly)
+		if err != nil {
+			t.Fatal(err)
+		}
+		streams = append(streams, stream)
+	}
 	var src bytes.Reader
 	fr := flate.NewReader(&src)
-	fixed := make([]byte, len(want))
+	fixed := make([]byte, len(want)/4)
 	stdlib := testing.AllocsPerRun(20, func() {
-		src.Reset(section)
-		fr.(flate.Resetter).Reset(&src, nil)
-		io.ReadFull(fr, fixed)
+		for _, stream := range streams {
+			src.Reset(stream)
+			fr.(flate.Resetter).Reset(&src, nil)
+			io.ReadFull(fr, fixed)
+		}
 	})
-	if n := testing.AllocsPerRun(20, round); n != stdlib {
-		t.Fatalf("warm model frame round trip allocates %.0f objects, inflating its section alone %.0f", n, stdlib)
+	if n := testing.AllocsPerRun(20, send); n != 0 {
+		t.Fatalf("building and sealing a warm model frame allocates %.0f objects", n)
+	}
+	if n := testing.AllocsPerRun(20, func() { send(); open() }); n != stdlib {
+		t.Fatalf("warm model frame round trip allocates %.0f objects, inflating its coded planes alone %.0f", n, stdlib)
 	}
 	if out, _ := got.Model.Marshal(); !bytes.Equal(out, want) || got.Model != b.recvModel[0] {
 		t.Fatal("the decoded model is not the sent one, in the peer's receive model")

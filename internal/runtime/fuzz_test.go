@@ -90,7 +90,7 @@ func FuzzDecodeDeltaPayload(f *testing.F) {
 	}
 
 	// Seed corpus: a reference-carrying data frame, an empty frame, a
-	// model frame and a reset, plus parser traps.
+	// model frame of each section form and a reset, plus parser traps.
 	a, _ := seedPair()
 	refFrame, _ := a.encodeDeltaBody(nil, 1, core.Payload{From: 0, Degree: 2,
 		Data: []dataset.Rating{{User: 5, Item: 6, Value: 2.5}, {User: 1, Item: 2, Value: 3}}})
@@ -99,9 +99,14 @@ func FuzzDecodeDeltaPayload(f *testing.F) {
 	f.Add(empty)
 	m := mf.New(mcfg)
 	m.Train([]dataset.Rating{{User: 1, Item: 2, Value: 4}}, 50, rand.New(rand.NewSource(1)))
-	if err := a.buildModelSection(core.Payload{Model: m}); err == nil {
-		mb, _ := a.encodeDeltaBody(nil, 1, core.Payload{From: 0, Degree: 2, Model: m})
-		f.Add(mb)
+	for _, m := range []*mf.Model{m, trainedMF(64, 50)} { // 112 B goes raw, 3 KB as word planes
+		if err := a.buildModelSection(core.Payload{Model: m}); err == nil {
+			mb, _ := a.encodeDeltaBody(nil, 1, core.Payload{From: 0, Degree: 2, Model: m})
+			f.Add(mb)
+		}
+	}
+	if a.modelSection[0] != sectionPlanes {
+		f.Fatal("seed corpus lacks a word-plane model frame")
 	}
 	a.tx[1].pendingReset = true
 	reset, _ := a.encodeDeltaBody(nil, 1, core.Payload{From: 0, Degree: 2,

@@ -238,7 +238,7 @@ type runner struct {
 
 	// Delta wire state (Config.Wire == WireDelta): per-peer send/receive
 	// stream halves, the epoch's payload held for per-peer encoding, and
-	// the pre-built model section with the buffers and compressor that
+	// the pre-built model section with the buffers and encoder that
 	// build it. The maps are fully populated on the protocol thread before
 	// any worker runs (initDelta); workers only ever touch their own
 	// peer's entries.
@@ -248,7 +248,7 @@ type runner struct {
 	modelSection []byte // a suffix of sectionBuf
 	marshalBuf   []byte
 	sectionBuf   []byte
-	deflater     compress.Deflater
+	planes       compress.PlaneEncoder
 }
 
 // sendSlot is one send worker's scratch: the delta frame body it encodes
@@ -256,11 +256,11 @@ type runner struct {
 type sendSlot struct{ body, sealed []byte }
 
 // gatherSlot is one gather worker's scratch: the plaintext it opens a
-// frame into, and the inflater and buffer for a deflated model section.
+// frame into, and the decoder and buffer for a word-plane model section.
 type gatherSlot struct {
-	opened   []byte
-	inflated []byte
-	z        compress.Inflater
+	opened    []byte
+	marshaled []byte
+	planes    compress.PlaneDecoder
 }
 
 // newRunner builds the runner and, on the calling (protocol) thread, all
