@@ -41,10 +41,10 @@ func sameAsFresh(t *testing.T, got *Model, want []byte) {
 	}
 	for name, tabs := range map[string][2]*table{"users": {got.users, fresh.users}, "items": {got.items, fresh.items}} {
 		g, f := tabs[0], tabs[1]
-		if g.maxID != f.maxID || g.orderStale != f.orderStale || g.idx.n != f.idx.n ||
+		if g.maxID != f.maxID || g.orderStale != f.orderStale || g.idx.occupied() != f.idx.occupied() ||
 			!slices.Equal(g.order, f.order) || !slices.Equal(g.ids, f.ids) {
 			t.Fatalf("%s table differs from a fresh decode: maxID %d/%d stale %v/%v index %d/%d entries",
-				name, g.maxID, f.maxID, g.orderStale, f.orderStale, g.idx.n, f.idx.n)
+				name, g.maxID, f.maxID, g.orderStale, f.orderStale, g.idx.occupied(), f.idx.occupied())
 		}
 	}
 	out, err := got.Marshal()

@@ -37,8 +37,11 @@ type engine struct {
 	// Per-epoch scratch, reused across epochs. results[i] is written only
 	// by the worker stepping node i; rmse/rmseOK, payloadBuf and targetBuf
 	// likewise. payloadBuf pools the merge-input views and targetBuf the
-	// gossip target lists, so the steady-state epoch loop allocates nothing
-	// per node once the buffers reach their working capacity.
+	// gossip target lists. Like inbox[i] and results[i].out they hold one
+	// entry per neighbor, so newEngine sizes all four from the graph's
+	// degree and the epoch loop allocates nothing per node for messages; a
+	// dynamic topology or a duplicate fault that needs more grows them by
+	// append.
 	results    []nodeResult
 	rmse       []float64
 	rmseOK     []bool
@@ -146,10 +149,14 @@ func newEngine(cfg Config, n int) *engine {
 		}, cfg.NewModel(i), cfg.Train[i], cfg.Test[i])
 		eng.encl[i] = enclave.New(meas, cfg.Enclave, cfg.SGX)
 		eng.encl[i].SetHeap(nodeHeap(eng.nodes[i], eng.heapF, 0))
+		d := cfg.Graph.Degree(i)
+		eng.inbox[i] = make([]message, 0, d)
+		eng.results[i].out = make([]delivery, 0, d)
+		eng.payloadBuf[i] = make([]core.Payload, 0, d)
+		eng.targetBuf[i] = make([]int, 0, d)
 		if cfg.SGX {
 			// Mutual attestation with every neighbor before any data
 			// flows (§III-A); pairs overlap, so charge per neighbor.
-			d := cfg.Graph.Degree(i)
 			eng.clocks[i] = cfg.AttestSetupSec * float64(d)
 			eng.res.Attestations += d
 		}

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -123,5 +124,36 @@ func TestShareParallelOverlapCost(t *testing.T) {
 	// the identical workload (equality was the pre-fix symptom).
 	if shareDom.TotalTimeMax >= seq.TotalTimeMax {
 		t.Fatalf("overlap saved nothing: %v >= %v", shareDom.TotalTimeMax, seq.TotalTimeMax)
+	}
+}
+
+// TestMessageBuffersSizedFromGraph pins where the per-node message buffers
+// get their capacity: newEngine gives each of the four one entry per
+// neighbor, and on a static fault-free topology no epoch outgrows that.
+func TestMessageBuffersSizedFromGraph(t *testing.T) {
+	for _, algo := range []gossip.Algo{gossip.DPSGD, gossip.RMW} {
+		cfg := smallConfig(t, core.DataSharing, algo)
+		cfg.Epochs, cfg.TestEvery, cfg.Net = 4, 1, DefaultNet()
+		eng := newEngine(cfg, cfg.Graph.N())
+		defer eng.pool.close()
+		check := func(when string) {
+			t.Helper()
+			for i := 0; i < eng.n; i++ {
+				d := cfg.Graph.Degree(i)
+				if cap(eng.inbox[i]) != d || cap(eng.results[i].out) != d ||
+					cap(eng.payloadBuf[i]) != d || cap(eng.targetBuf[i]) != d {
+					t.Fatalf("%v %s: node %d of degree %d has capacities inbox %d, out %d, payloads %d, targets %d",
+						algo, when, i, d, cap(eng.inbox[i]), cap(eng.results[i].out), cap(eng.payloadBuf[i]), cap(eng.targetBuf[i]))
+				}
+			}
+		}
+		check("after newEngine")
+		for e := 0; e < cfg.Epochs; e++ {
+			eng.runEpoch(e)
+			check(fmt.Sprintf("after epoch %d", e))
+			if got := len(eng.inbox[0]); got != cfg.Graph.Degree(0) {
+				t.Fatalf("%v: node 0 holds %d messages after epoch %d, want one per neighbor", algo, got, e)
+			}
+		}
 	}
 }

@@ -188,7 +188,7 @@ func TestERStreamLargeSparse(t *testing.T) {
 		t.Fatal("large sparse graph should take the bucketed path")
 	}
 	for step := 0; step < 400; step++ {
-		i := (step * 2654435761) % n
+		i := int(uint32(step) * 2654435761 % uint32(n)) // uint32: the product overflows a 32-bit int
 		nb := s.Neighbors(i)
 		nb2 := s2.Neighbors(i)
 		if len(nb) != len(nb2) {
