@@ -7,21 +7,24 @@
 // Predictions are p_ij = x_i·y_j + b_i + c_j. Hyperparameters follow
 // §IV-A3a: η = 0.005, λ = 0.1, k = 10.
 //
-// Storage is sparse: factor rows live densely packed in slot order with a
-// compact id→slot hash index on top, so a node's memory is proportional to
-// the users/items it has actually trained on or merged in — never to the
-// highest id it has ever seen. Marshaling walks ids in ascending order, so
-// the wire format is byte-identical to the earlier dense-table layout, and
-// initial embeddings stay a pure function of (seed, id), so trajectories
-// are bit-identical regardless of storage layout or touch order.
+// Storage is sparse: each user or item the model holds is one record of
+// k+1 words, its bias then its k factors (the wire record without its id).
+// Records lie densely packed in slot order with a compact id→slot hash
+// index on top, so a node's memory is proportional to the users/items it
+// has actually trained on or merged in — never to the highest id it has
+// ever seen. Marshaling walks ids in ascending order, so the wire format is
+// byte-identical to the earlier dense-table layout, and initial embeddings
+// stay a pure function of (seed, id), so trajectories are bit-identical
+// regardless of storage layout or touch order.
 package mf
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
+	"slices"
 
 	"rex/internal/dataset"
 	"rex/internal/model"
@@ -129,17 +132,21 @@ func (x *idIndex) copyFrom(src *idIndex) {
 	x.cells = append(x.cells[:0], src.cells...)
 }
 
-// table is one side's sparse storage (users or items): factor rows packed
-// back to back in materialization order, biases and entity ids alongside,
-// and an id→slot index for lookups. An ascending-id slot permutation is
-// maintained lazily for the order-sensitive walks (marshal, merge).
+// table is one side's sparse storage (users or items): records packed back
+// to back in materialization order, entity ids alongside, and an id→slot
+// index for lookups. A record is k+1 words, the bias then the k factors:
+// SGD updates the two together, a merge averages them together through one
+// kernel call, and marshal copies them out as one run. Only grow allocates
+// rec and ids, always together at the same row capacity, so one table
+// growth costs two allocations and cap(rec) == (k+1)·cap(ids) holds
+// throughout. An ascending-id slot permutation is maintained lazily for the
+// order-sensitive walks (marshal, merge).
 type table struct {
 	k       int
 	seed    uint64
 	initStd float32
-	f       []float32 // count*k packed factor rows, slot-major
-	b       []float32 // count per-slot biases
-	ids     []int32   // count slot -> entity id
+	rec     []float32 // count records of k+1 words (bias, factors), slot-major
+	ids     []int32   // count slot -> entity id, in lockstep with rec
 	idx     idIndex   // entity id -> slot
 
 	order      []int32 // slots in ascending-id order; valid when !orderStale
@@ -153,7 +160,7 @@ func newTable(k int, seed uint64, initStd float64) *table {
 
 func (t *table) count() int { return len(t.ids) }
 
-// slot returns where id's row is stored.
+// slot returns where id's record is stored.
 func (t *table) slot(id int32) (int32, bool) { return t.idx.get(t.ids, id) }
 
 func (t *table) has(id int) bool {
@@ -167,30 +174,35 @@ func (t *table) has(id int) bool {
 // kept; otherwise all are reallocated with headroom, because a peer's model
 // is a little larger every epoch (the rule of internal/runtime's grow).
 func (t *table) reserve(n int) {
-	if cap(t.ids) < n || cap(t.b) < n || cap(t.order) < n || cap(t.f) < n*t.k {
+	t.rec, t.ids, t.order = t.rec[:0], t.ids[:0], t.order[:0]
+	if cap(t.ids) < n || cap(t.order) < n {
 		c := n + n/8
-		t.f = make([]float32, 0, c*t.k)
-		t.b = make([]float32, 0, c)
-		t.ids = make([]int32, 0, c)
+		t.grow(c)
 		t.order = make([]int32, 0, c)
 	}
-	t.f, t.b, t.ids, t.order = t.f[:0], t.b[:0], t.ids[:0], t.order[:0]
 	t.orderStale, t.maxID = false, 0
 	t.idx.reserve(n)
 }
 
-// appendRow adds a zeroed row for a not-yet-present id and returns its slot.
+// grow moves rec and ids, contents kept, to new arrays of c rows each.
+func (t *table) grow(c int) {
+	rec := make([]float32, len(t.rec), c*(t.k+1))
+	copy(rec, t.rec)
+	ids := make([]int32, len(t.ids), c)
+	copy(ids, t.ids)
+	t.rec, t.ids = rec, ids
+}
+
+// appendRow adds a zeroed record for a not-yet-present id and returns its
+// slot.
 func (t *table) appendRow(id int) int32 {
 	slot := int32(len(t.ids))
-	n := len(t.f)
-	if cap(t.f) < n+t.k {
-		grown := make([]float32, n, 2*n+16*t.k)
-		copy(grown, t.f)
-		t.f = grown
+	if len(t.ids) == cap(t.ids) {
+		t.grow(2*len(t.ids) + 16)
 	}
-	t.f = t.f[:n+t.k]
-	vec.Zero(t.f[n:])
-	t.b = append(t.b, 0)
+	n := len(t.rec)
+	t.rec = t.rec[:n+t.k+1]
+	vec.Zero(t.rec[n:])
 	t.ids = append(t.ids, int32(id))
 	t.idx.add(t.ids)
 	if !t.orderStale {
@@ -209,23 +221,29 @@ func (t *table) appendRow(id int) int32 {
 // ordered returns the slots in ascending entity-id order, rebuilding the
 // permutation only when out-of-order materializations invalidated it.
 // Unmarshal and merge materialize ids ascending, so their appends keep the
-// permutation valid for free; only random-order training touches pay a sort.
+// permutation valid for free; only random-order training touches pay a sort,
+// and the sort allocates nothing (ids are unique, so no two slots tie).
 func (t *table) ordered() []int32 {
 	if t.orderStale || len(t.order) != len(t.ids) {
 		t.order = t.order[:0]
 		for s := range t.ids {
 			t.order = append(t.order, int32(s))
 		}
-		sort.Slice(t.order, func(i, j int) bool { return t.ids[t.order[i]] < t.ids[t.order[j]] })
+		ids := t.ids
+		slices.SortFunc(t.order, func(a, b int32) int { return cmp.Compare(ids[a], ids[b]) })
 		t.orderStale = false
 	}
 	return t.order
 }
 
-// row returns the factor row stored at slot.
-func (t *table) row(slot int32) []float32 {
-	return t.f[int(slot)*t.k : (int(slot)+1)*t.k]
+// record returns the record stored at slot: the bias, then the factors.
+func (t *table) record(slot int32) []float32 {
+	w := t.k + 1
+	return t.rec[int(slot)*w : (int(slot)+1)*w]
 }
+
+// row returns the factors stored at slot.
+func (t *table) row(slot int32) []float32 { return t.record(slot)[1:] }
 
 // vec materializes (if needed) and returns the factor row for id.
 func (t *table) vec(id int) []float32 {
@@ -262,9 +280,9 @@ func (t *table) materialize(id int) []float32 {
 
 func (t *table) clone() *table {
 	c := &table{k: t.k, seed: t.seed, initStd: t.initStd, maxID: t.maxID, orderStale: t.orderStale}
-	c.f = append([]float32(nil), t.f...)
-	c.b = append([]float32(nil), t.b...)
-	c.ids = append([]int32(nil), t.ids...)
+	c.grow(len(t.ids))
+	c.rec = append(c.rec, t.rec...)
+	c.ids = append(c.ids, t.ids...)
 	if !t.orderStale {
 		c.order = append([]int32(nil), t.order...)
 	}
@@ -273,11 +291,15 @@ func (t *table) clone() *table {
 }
 
 // copyFrom overwrites t with src's contents, reusing t's backing arrays.
+// Arrays that are too small are replaced with the headroom reserve gives.
 func (t *table) copyFrom(src *table) {
 	t.k, t.seed, t.initStd, t.maxID = src.k, src.seed, src.initStd, src.maxID
-	t.f = append(t.f[:0], src.f...)
-	t.b = append(t.b[:0], src.b...)
-	t.ids = append(t.ids[:0], src.ids...)
+	t.rec, t.ids = t.rec[:0], t.ids[:0]
+	if n := len(src.ids); cap(t.ids) < n {
+		t.grow(n + n/8)
+	}
+	t.rec = append(t.rec, src.rec...)
+	t.ids = append(t.ids, src.ids...)
 	t.order = append(t.order[:0], src.order...)
 	t.orderStale = src.orderStale
 	t.idx.copyFrom(&src.idx)
@@ -326,7 +348,7 @@ func (m *Model) Train(data []dataset.Rating, steps int, rng *rand.Rand) {
 	if len(data) == 0 || steps <= 0 {
 		return
 	}
-	k := m.cfg.K
+	w := m.cfg.K + 1
 	lr := float32(m.cfg.LearningRate)
 	reg := float32(m.cfg.Reg)
 	mean := float32(m.cfg.GlobalMean)
@@ -348,10 +370,10 @@ func (m *Model) Train(data []dataset.Rating, steps int, rng *rand.Rand) {
 				items.materialize(int(r.Item))
 				is, _ = items.slot(int32(r.Item))
 			}
-			x := users.f[int(us)*k : (int(us)+1)*k]
-			y := items.f[int(is)*k : (int(is)+1)*k]
-			users.b[us], items.b[is] = vec.FusedSGDStep(
-				x, y, r.Value, mean, users.b[us], items.b[is], lr, reg)
+			ur := users.rec[int(us)*w : (int(us)+1)*w]
+			ir := items.rec[int(is)*w : (int(is)+1)*w]
+			ur[0], ir[0] = vec.FusedSGDStep(
+				ur[1:], ir[1:], r.Value, mean, ur[0], ir[0], lr, reg)
 		}
 		remaining -= bsz
 	}
@@ -377,27 +399,33 @@ func (m *Model) PredictBatch(users, items []uint32, out []float32) {
 // ScoreItems implements model.ItemScorer: out[i] receives exactly what
 // Predict(user, i) would return. The user is resolved once; every item
 // starts at the cold score mean (+ b_u), and one walk over the packed item
-// table in slot order overwrites the items the model holds. The sums keep
+// records in slot order overwrites the items the model holds. The sums keep
 // predictOne's association, ((mean + b_u) + b_i) + x_u·y_i, so the bits
 // match.
 func (m *Model) ScoreItems(user uint32, out []float32) {
 	cold := float32(m.cfg.GlobalMean)
 	var x []float32 // the user's factors; nil for a user the model lacks
 	if us, ok := m.users.slot(int32(user)); ok {
-		cold += m.users.b[us]
-		x = m.users.row(us)
+		ur := m.users.record(us)
+		cold += ur[0]
+		x = ur[1:]
 	}
-	for i := range out {
-		out[i] = cold
+	// Doubling copies fill out with cold through memmove's vector loop
+	// rather than one store per catalog item.
+	if len(out) > 0 {
+		out[0] = cold
+		for n := 1; n < len(out); n *= 2 {
+			copy(out[n:], out[:n])
+		}
 	}
-	items, k := m.items, m.cfg.K
+	items, w := m.items, m.cfg.K+1
 	for s, id := range items.ids {
 		if int(uint32(id)) >= len(out) { // as Predict's uint32 sees the id
 			continue
 		}
-		p := cold + items.b[s]
+		p := cold + items.rec[s*w]
 		if x != nil {
-			p += vec.Dot(x, items.f[s*k:(s+1)*k])
+			p += vec.Dot(x, items.rec[s*w+1:(s+1)*w])
 		}
 		out[id] = p
 	}
@@ -407,14 +435,17 @@ func (m *Model) predictOne(u, it int) float32 {
 	p := float32(m.cfg.GlobalMean)
 	us, hasU := m.users.slot(int32(u))
 	is, hasI := m.items.slot(int32(it))
+	var ur, ir []float32
 	if hasU {
-		p += m.users.b[us]
+		ur = m.users.record(us)
+		p += ur[0]
 	}
 	if hasI {
-		p += m.items.b[is]
+		ir = m.items.record(is)
+		p += ir[0]
 	}
 	if hasU && hasI {
-		p += vec.Dot(m.users.row(us), m.items.row(is))
+		p += vec.Dot(ur[1:], ir[1:])
 	}
 	return p
 }
@@ -492,11 +523,13 @@ func (m *Model) MergeWeighted(selfW float64, others []model.Weighted) {
 
 // mergeTables folds the source tables into dst in a single ascending-id
 // union walk over the tables' ordered slot permutations: each id's
-// source-presence set is computed once from the walk cursors and replayed
-// through the vec kernels. The id visit order (ascending) and the per-id
-// accumulation order — dst scaled first, then each source added in peer
-// order — match the dense implementation exactly, so merges stay
-// bit-identical to the recorded golden trajectories.
+// source-presence set is computed once from the walk cursors and each
+// id's whole record, bias and factors, is replayed through the vec kernels.
+// The id visit order (ascending) and the per-id accumulation order — dst
+// scaled first, then each source added in peer order — match the dense
+// implementation exactly, and the kernels round every product before its
+// sum as the scalar bias loop did, so merges stay bit-identical to the
+// recorded golden trajectories.
 func mergeTables(dst *table, selfW float32, srcs []*table, ws []float32) {
 	dstOrd := dst.ordered()
 	dpos := 0
@@ -511,7 +544,7 @@ func mergeTables(dst *table, selfW float32, srcs []*table, ws []float32) {
 	if total == 0 {
 		return
 	}
-	// New dst rows materialize in ascending id order during the walk.
+	// New dst records materialize in ascending id order during the walk.
 	// dstOrd views dst.order's pre-merge prefix; in-order appends extend
 	// past it and cannot disturb the walk.
 	for {
@@ -549,27 +582,17 @@ func mergeTables(dst *table, selfW float32, srcs []*table, ws []float32) {
 			if dstHas {
 				dslot = dstOrd[dpos]
 			} else {
-				dslot = dst.appendRow(int(id)) // zeroed row, marked present
+				dslot = dst.appendRow(int(id)) // zeroed record, marked present
 			}
-			drow := dst.row(dslot)
-			var bias float32
+			drec := dst.record(dslot)
 			if dstHas {
-				w := selfW / wsum
-				vec.Scale(w, drow)
-				bias = dst.b[dslot] * w
+				vec.Scale(selfW/wsum, drec)
 			}
 			for si, s := range srcs {
-				if !match[si] {
-					continue
+				if match[si] {
+					vec.AddScaled(drec, s.record(sOrd[si][pos[si]]), ws[si]/wsum)
 				}
-				w := ws[si] / wsum
-				ss := sOrd[si][pos[si]]
-				vec.AddScaled(drow, s.row(ss), w)
-				// float32(...) bars FMA contraction on arm64 (golden merge
-				// hashes are recorded on amd64 — see internal/vec's doc).
-				bias += float32(w * s.b[ss])
 			}
-			dst.b[dslot] = bias
 		}
 		if dstHas {
 			dpos++
@@ -623,12 +646,11 @@ func (m *Model) MarshalAppend(dst []byte) ([]byte, error) {
 // (not a closure) so the write cursor stays in a register on the
 // serialization hot path.
 func emitTable(buf []byte, off int, t *table) int {
-	k := t.k
+	w := t.k + 1
 	for _, slot := range t.ordered() {
 		binary.LittleEndian.PutUint32(buf[off:], uint32(t.ids[slot]))
-		binary.LittleEndian.PutUint32(buf[off+4:], math.Float32bits(t.b[slot]))
-		o := off + 8
-		for _, x := range t.f[int(slot)*k : (int(slot)+1)*k] {
+		o := off + 4
+		for _, x := range t.rec[int(slot)*w : (int(slot)+1)*w] {
 			binary.LittleEndian.PutUint32(buf[o:], math.Float32bits(x))
 			o += 4
 		}
@@ -706,12 +728,10 @@ func checkSection(b []byte, n, rec int) error {
 func (t *table) load(b []byte, rec int) {
 	t.reserve(len(b) / rec)
 	for ; len(b) > 0; b = b[rec:] {
-		slot := t.appendRow(int(binary.LittleEndian.Uint32(b)))
-		t.b[slot] = math.Float32frombits(binary.LittleEndian.Uint32(b[4:]))
-		row := t.row(slot)
-		src := b[8:rec]
-		for d := range row {
-			row[d] = math.Float32frombits(binary.LittleEndian.Uint32(src[4*d:]))
+		r := t.record(t.appendRow(int(binary.LittleEndian.Uint32(b))))
+		src := b[4:rec]
+		for d := range r {
+			r[d] = math.Float32frombits(binary.LittleEndian.Uint32(src[4*d:]))
 		}
 	}
 }

@@ -257,11 +257,11 @@ func TestMergeWeightedAverage(t *testing.T) {
 	b := New(cfg)
 	// Handcraft: set biases via direct table access.
 	a.users.vec(0)
-	a.users.b[0] = 1.0
+	a.users.record(0)[0] = 1.0
 	b.users.vec(0)
-	b.users.b[0] = 3.0
+	b.users.record(0)[0] = 3.0
 	a.MergeWeighted(0.25, []model.Weighted{{M: b, W: 0.75}})
-	if got := a.users.b[0]; got != 0.25*1.0+0.75*3.0 {
+	if got := a.users.record(0)[0]; got != 0.25*1.0+0.75*3.0 {
 		t.Fatalf("weighted bias %v, want 2.5", got)
 	}
 }
@@ -269,12 +269,12 @@ func TestMergeWeightedAverage(t *testing.T) {
 func TestMergeIncompatibleIgnored(t *testing.T) {
 	a := New(DefaultConfig())
 	a.users.vec(0)
-	a.users.b[0] = 2
+	a.users.record(0)[0] = 2
 	other := DefaultConfig()
 	other.K = 20
 	b := New(other)
 	a.MergeWeighted(0.5, []model.Weighted{{M: b, W: 0.5}})
-	if a.users.b[0] != 2 {
+	if a.users.record(0)[0] != 2 {
 		t.Fatal("incompatible merge modified the model")
 	}
 }
@@ -308,11 +308,11 @@ func TestMergeCapacityStable(t *testing.T) {
 		a.MergeWeighted(0.5, []model.Weighted{{M: b, W: 0.5}})
 		b.MergeWeighted(0.5, []model.Weighted{{M: a, W: 0.5}})
 	}
-	// The packed layout stores one row per distinct id — a single hot item
-	// id (900) must cost one slot, not a 901-entry dense prefix, and
+	// The packed layout stores one record per distinct id — a single hot
+	// item id (900) must cost one slot, not a 901-entry dense prefix, and
 	// repeated merging must not grow the backing arrays at all.
-	if c := cap(a.items.b); c > 16 {
-		t.Fatalf("packed capacity ballooned to %d slots for 1 item", c)
+	if c := cap(a.items.rec) / (cfg.K + 1); c > 16 {
+		t.Fatalf("packed capacity ballooned to %d records for 1 item", c)
 	}
 }
 
