@@ -71,7 +71,6 @@ func main() {
 		modeStr    = flag.String("mode", "rex", "sharing mode: rex (raw data) or ms (model parameters)")
 		algoStr    = flag.String("algo", "dpsgd", "dissemination: dpsgd or rmw")
 		secure     = flag.Bool("secure", false, "attest peers and encrypt gossip; incompatible with -resume")
-		wireStr    = flag.String("wire", "delta", "gossip wire encoding: delta (per-peer delta frames) or full (flat frames)")
 		seed       = flag.Int64("seed", 1, "shared dataset/partition seed (must match across the cluster)")
 		scale      = flag.Float64("scale", 0.1, "MovieLens-Latest scale factor for the synthetic dataset")
 		points     = flag.Int("share", 100, "raw data points shared per epoch")
@@ -88,7 +87,7 @@ func main() {
 	if err := run(daemonOpts{
 		id: *id, nodes: *nodes, httpAddr: *httpAddr, dataDir: *dataDir,
 		resume: *resume, generations: *gens, genEpochs: *genEpochs,
-		modeStr: *modeStr, algoStr: *algoStr, secure: *secure, wireStr: *wireStr,
+		modeStr: *modeStr, algoStr: *algoStr, secure: *secure,
 		seed: *seed, scale: *scale, points: *points, steps: *steps,
 		roundTimeout: *roundTO, peerGrace: *grace,
 		scenario: *scenario, rateLimit: *rateLimit, rateBurst: *rateBurst,
@@ -109,7 +108,6 @@ type daemonOpts struct {
 	modeStr      string
 	algoStr      string
 	secure       bool
-	wireStr      string
 	seed         int64
 	scale        float64
 	points       int
@@ -130,10 +128,6 @@ func run(o daemonOpts) error {
 		return err
 	}
 	algo, err := gossip.ParseAlgo(o.algoStr)
-	if err != nil {
-		return err
-	}
-	wire, err := runtime.ParseWireMode(o.wireStr)
 	if err != nil {
 		return err
 	}
@@ -263,7 +257,6 @@ func run(o daemonOpts) error {
 	cfg := runtime.Config{
 		Node: node, Endpoint: ep, Neighbors: neighbors,
 		Secure:     o.secure,
-		Wire:       wire,
 		NewModel:   func() model.Model { return mf.New(mcfg) },
 		StartEpoch: startEpoch,
 		Publish:    true,

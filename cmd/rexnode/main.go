@@ -51,7 +51,6 @@ type options struct {
 	mode     core.Mode
 	algo     gossip.Algo
 	secure   bool
-	wire     runtime.WireMode
 	seed     int64
 	scale    float64
 	points   int
@@ -70,7 +69,6 @@ func main() {
 		modeStr  = flag.String("mode", "rex", "sharing mode: rex (raw data) or ms (model parameters)")
 		algoStr  = flag.String("algo", "dpsgd", "dissemination: dpsgd or rmw")
 		secure   = flag.Bool("secure", true, "attest peers and encrypt gossip (REX); false = native plaintext")
-		wireStr  = flag.String("wire", "delta", "gossip wire encoding: delta (per-peer delta frames) or full (flat frames)")
 		seed     = flag.Int64("seed", 1, "shared dataset/partition seed (must match across the cluster)")
 		scale    = flag.Float64("scale", 0.1, "MovieLens-Latest scale factor for the synthetic dataset")
 		points   = flag.Int("share", 100, "raw data points shared per epoch")
@@ -87,12 +85,8 @@ func main() {
 	if err != nil {
 		log.Fatalf("rexnode: %v", err)
 	}
-	wire, err := runtime.ParseWireMode(*wireStr)
-	if err != nil {
-		log.Fatalf("rexnode: %v", err)
-	}
 	opts := options{
-		epochs: *epochs, mode: mode, algo: algo, secure: *secure, wire: wire,
+		epochs: *epochs, mode: mode, algo: algo, secure: *secure,
 		seed: *seed, scale: *scale, points: *points, steps: *steps,
 	}
 	if *scenario != "" {
@@ -186,7 +180,6 @@ func runSingle(id int, nodesList string, o options) {
 	cfg := runtime.Config{
 		Node: node, Endpoint: ep, Neighbors: neighbors, Epochs: o.epochs,
 		Secure:   o.secure,
-		Wire:     o.wire,
 		NewModel: func() model.Model { return mf.New(mcfg) },
 		OnEpoch: func(e int, rmse float64) {
 			if e%10 == 0 || e == o.epochs-1 {
@@ -243,7 +236,6 @@ func runSharded(shardSpec, peersList string, n int, o options) {
 		ListenAddr: addrs[shard], ShardAddrs: shardAddrs,
 		Epochs:   o.epochs,
 		Secure:   o.secure,
-		Wire:     o.wire,
 		NewModel: func() model.Model { return mf.New(mcfg) },
 		OnEpoch: func(node, e int, rmse float64) {
 			if e%10 == 0 || e == o.epochs-1 {

@@ -10,16 +10,16 @@ import (
 	"rex/internal/dataset"
 )
 
-// Columnar packers for the runtime's delta wire format (frame version 3).
+// Columnar packers for the runtime's delta wire format (frame kind 3).
 //
-// Unlike PackRatings, AppendRatingsColumnar preserves the input order —
-// the delta codec needs it: entries that may be new to the receiving
-// store must arrive in the sender's sample order so the store's
-// first-occurrence insertion order (and with it the training trajectory)
-// stays bit-identical to the uncompressed path. Order-preserving rules
-// out the sorted delta coding PackRatings uses, so ids are bit-packed
-// instead: one width per column, sized to the block's maximum id.
-// Values reuse the 4-bit star grid with float32 escapes.
+// AppendRatingsColumnar preserves the input order — the delta codec needs
+// it: entries that may be new to the receiving store must arrive in the
+// sender's sample order so the store's first-occurrence insertion order
+// (and with it the training trajectory) stays bit-identical to the
+// uncompressed path. Order-preserving rules out sorting the block and
+// delta-coding its ids, so ids are bit-packed instead: one width per
+// column, sized to the block's maximum id. Values take the 4-bit star grid
+// with float32 escapes.
 //
 // Both decoders are wire-facing: they validate counts, widths and lengths
 // against the buffer before allocating, and return the unconsumed tail so
@@ -146,6 +146,21 @@ func DecodeRatingsColumnarAppend(dst []dataset.Rating, b []byte) ([]dataset.Rati
 	}
 	return dst[:len(dst)+int(count)], b, nil
 }
+
+// starToNibble maps the ten MovieLens star levels (0.5..5.0 step 0.5) to
+// 0..9; out-of-grid values get the escape nibble 15 and ride as float32.
+// The range is checked before any float-to-int conversion: converting a
+// NaN, infinity or huge float to int is implementation-defined in Go, so
+// the old `int(doubled)` probe could not be trusted to classify them.
+func starToNibble(v float32) (byte, bool) {
+	doubled := float64(v) * 2 // float64 holds any float32*2 exactly
+	if !(doubled >= 1 && doubled <= 10) || doubled != math.Trunc(doubled) {
+		return 15, false // off-grid, NaN or infinite: escape to float32
+	}
+	return byte(int(doubled) - 1), true // 0.5 -> 0, 5.0 -> 9
+}
+
+func nibbleToStar(n byte) float32 { return float32(n+1) / 2 }
 
 // nibbleAt returns the i-th 4-bit value of a high-nibble-first packing.
 func nibbleAt(b []byte, i int) byte {

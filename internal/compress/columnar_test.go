@@ -7,12 +7,13 @@ import (
 	"testing"
 
 	"rex/internal/dataset"
+	"rex/internal/movielens"
 )
 
 // TestStarNibbleBoundaries pins the grid classification down value by
 // value: every on-grid star maps to its nibble, and everything else —
 // boundary neighbors, NaN, infinities, huge floats — takes the escape
-// path and still round-trips bit for bit through PackRatings.
+// path and still round-trips bit for bit through the columnar codec.
 func TestStarNibbleBoundaries(t *testing.T) {
 	cases := []struct {
 		v      float32
@@ -39,7 +40,7 @@ func TestStarNibbleBoundaries(t *testing.T) {
 			t.Errorf("starToNibble(%v) = %d,%v want %d,%v", tc.v, nb, ok, tc.nibble, tc.onGrid)
 		}
 		rs := []dataset.Rating{{User: 3, Item: 7, Value: tc.v}}
-		got, err := UnpackRatings(PackRatings(rs))
+		got, _, err := DecodeRatingsColumnar(AppendRatingsColumnar(nil, rs))
 		if err != nil {
 			t.Fatalf("roundtrip %v: %v", tc.v, err)
 		}
@@ -62,16 +63,23 @@ func randomBlock(rng *rand.Rand, n int) []dataset.Rating {
 }
 
 // TestColumnarRoundtripPreservesOrder is the property the delta codec
-// leans on: the block comes back in exactly the input order, not the
-// sorted order PackRatings canonicalizes to.
+// leans on: the block comes back in exactly the input order, not sorted.
+// Random blocks of 400 ratings and a 500-rating MovieLens sample (real id
+// and star distributions) pack to at most 5 bytes a rating against the
+// 12-byte raw encoding.
 func TestColumnarRoundtripPreservesOrder(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
+	blocks := [][]dataset.Rating{movielens.Generate(movielens.Latest().Scaled(0.05)).Ratings[:500]}
 	for _, n := range []int{0, 1, 2, 3, 30, 400} {
 		rs := randomBlock(rng, n)
 		if n > 2 {
 			rs[1].Value = 9.75               // escape path
 			rs[2] = dataset.Rating{Value: 3} // zero ids
 		}
+		blocks = append(blocks, rs)
+	}
+	for _, rs := range blocks {
+		n := len(rs)
 		enc := AppendRatingsColumnar(nil, rs)
 		got, rest, err := DecodeRatingsColumnar(enc)
 		if err != nil {
@@ -89,10 +97,10 @@ func TestColumnarRoundtripPreservesOrder(t *testing.T) {
 				t.Fatalf("n=%d index %d: %+v != %+v", n, i, got[i], rs[i])
 			}
 		}
-		if n == 400 {
+		if n >= 400 {
 			perRating := float64(len(enc)) / float64(n)
 			if perRating > 5 {
-				t.Errorf("columnar block costs %.2f B/rating, want <= 5", perRating)
+				t.Errorf("%d-rating block costs %.2f B/rating, want <= 5", n, perRating)
 			}
 		}
 	}
@@ -127,6 +135,11 @@ func TestColumnarGarbage(t *testing.T) {
 		if _, _, err := DecodeRatingsColumnar(enc[:cut]); err == nil {
 			t.Fatalf("truncation at %d of %d decoded cleanly", cut, len(enc))
 		}
+	}
+	// A count no buffer of this size can hold must be refused before
+	// anything is sized by it.
+	if _, _, err := DecodeRatingsColumnar([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01}); err == nil {
+		t.Fatal("implausible count accepted")
 	}
 }
 

@@ -4,112 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"testing"
-	"testing/quick"
-
-	"rex/internal/dataset"
-	"rex/internal/movielens"
 )
-
-func sortedEqual(a, b []dataset.Rating) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	am := make(map[uint64]float32, len(a))
-	for _, r := range a {
-		am[r.Key()] = r.Value
-	}
-	for _, r := range b {
-		v, ok := am[r.Key()]
-		if !ok || v != r.Value {
-			return false
-		}
-	}
-	return true
-}
-
-func TestPackRoundtrip(t *testing.T) {
-	spec := movielens.Latest().Scaled(0.05)
-	ds := movielens.Generate(spec)
-	rs := ds.Ratings[:500]
-	packed := PackRatings(rs)
-	got, err := UnpackRatings(packed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !sortedEqual(rs, got) {
-		t.Fatal("pack roundtrip lost ratings")
-	}
-}
-
-func TestPackCompressionRatio(t *testing.T) {
-	spec := movielens.Latest().Scaled(0.1)
-	ds := movielens.Generate(spec)
-	raw := len(dataset.EncodeRatings(ds.Ratings))
-	packed := len(PackRatings(ds.Ratings))
-	if packed*2 > raw {
-		t.Fatalf("packing saves too little: %d -> %d bytes", raw, packed)
-	}
-	perRating := float64(packed) / float64(len(ds.Ratings))
-	if perRating > 7 {
-		t.Fatalf("%.1f bytes/rating after packing, expected <7", perRating)
-	}
-}
-
-func TestPackEmpty(t *testing.T) {
-	got, err := UnpackRatings(PackRatings(nil))
-	if err != nil || len(got) != 0 {
-		t.Fatalf("empty roundtrip: %v %v", got, err)
-	}
-}
-
-func TestPackOffGridValues(t *testing.T) {
-	rs := []dataset.Rating{
-		{User: 1, Item: 2, Value: 3.14}, // escape path
-		{User: 1, Item: 3, Value: 4.5},  // on-grid
-		{User: 2, Item: 1, Value: 0.5},
-	}
-	got, err := UnpackRatings(PackRatings(rs))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !sortedEqual(rs, got) {
-		t.Fatalf("off-grid roundtrip: %+v", got)
-	}
-}
-
-func TestPackRoundtripProperty(t *testing.T) {
-	f := func(seed int64, n uint8) bool {
-		rng := rand.New(rand.NewSource(seed))
-		seen := make(map[uint64]bool)
-		var rs []dataset.Rating
-		for len(rs) < int(n) {
-			r := dataset.Rating{
-				User:  uint32(rng.Intn(100)),
-				Item:  uint32(rng.Intn(1000)),
-				Value: float32(rng.Intn(10)+1) / 2,
-			}
-			if seen[r.Key()] {
-				continue
-			}
-			seen[r.Key()] = true
-			rs = append(rs, r)
-		}
-		got, err := UnpackRatings(PackRatings(rs))
-		return err == nil && sortedEqual(rs, got)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestUnpackGarbage(t *testing.T) {
-	if _, err := UnpackRatings([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01}); err == nil {
-		t.Fatal("implausible count accepted")
-	}
-	if _, err := UnpackRatings([]byte{5}); err == nil {
-		t.Fatal("truncated stream accepted")
-	}
-}
 
 func TestDeflateRoundtrip(t *testing.T) {
 	data := make([]byte, 10000)

@@ -218,11 +218,13 @@ func init() {
 			ds := movielens.Generate(spec)
 			rng := rand.New(rand.NewSource(p.Seed))
 
-			// Raw-data payload: the 300-point epoch sample of §IV-A3a.
+			// Raw-data payload: the 300-point epoch sample of §IV-A3a, packed
+			// by the columnar codec a data frame carries it in.
 			sample := dataset.NewStore(ds.Ratings).Sample(sharePoints(p.Full), rng)
 			raw := len(dataset.EncodeRatings(sample))
-			packed := len(compress.PackRatings(sample))
-			packedFlate, err := compress.Deflate(compress.PackRatings(sample), 9)
+			columnar := compress.AppendRatingsColumnar(nil, sample)
+			packed := len(columnar)
+			packedFlate, err := compress.Deflate(columnar, 9)
 			if err != nil {
 				return err
 			}

@@ -42,11 +42,6 @@ type Workload struct {
 	Train, Test [][]dataset.Rating
 	Graph       *topology.Graph
 	MCfg        mf.Config
-	// Wire selects the gossip frame encoding for the live backends (the
-	// zero value is the delta wire, so the whole conformance matrix runs
-	// over delta streams by default); the wire-equivalence tests flip it
-	// to runtime.WireFull and assert identical trajectories.
-	Wire runtime.WireMode
 }
 
 // NewWorkload builds the workload deterministically from a fixed dataset
@@ -138,7 +133,7 @@ func RunChanNet(t testing.TB, w *Workload, sc *faultnet.Scenario, secure bool) *
 	t.Helper()
 	cfg := runtime.ClusterConfig{
 		Graph: w.Graph, Nodes: w.nodes(), Epochs: sc.Epochs,
-		Secure: secure, Wire: w.Wire,
+		Secure: secure,
 		// Entropy stays nil (crypto/rand): it feeds only key material,
 		// never the learning, so replay determinism is unaffected.
 		NewModel: func() model.Model { return mf.New(w.MCfg) },
@@ -181,7 +176,6 @@ func RunShardTCP(t testing.TB, w *Workload, sc *faultnet.Scenario) *Run {
 					Shard: s, NumShards: shards,
 					ListenAddr: addrs[s], ShardAddrs: shardAddrs,
 					Epochs:   sc.Epochs,
-					Wire:     w.Wire,
 					NewModel: func() model.Model { return mf.New(w.MCfg) },
 				}
 				sc.ApplyShard(&cfg, &log)

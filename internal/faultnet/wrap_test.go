@@ -49,7 +49,7 @@ func (m *mockEndpoint) frames() []mockSend {
 	return append([]mockSend(nil), m.sends...)
 }
 
-func gossipFrame(b byte) []byte { return []byte{runtime.FrameKindGossip, b} }
+func gossipFrame(b byte) []byte { return []byte{runtime.FrameKindGossipDelta, b} }
 
 func TestWrapDropsAndCounts(t *testing.T) {
 	inner := newMock()

@@ -26,9 +26,6 @@ type ClusterConfig struct {
 	Epochs int
 	// Secure enables attestation + encryption.
 	Secure bool
-	// Wire selects the gossip frame encoding for every node (see
-	// Config.Wire); the zero value is the delta wire.
-	Wire WireMode
 	// NodesPerPlatform groups enclaves onto simulated SGX machines
 	// (paper: 2 processes per machine). Defaults to 2.
 	NodesPerPlatform int
@@ -108,7 +105,6 @@ func RunCluster(cfg ClusterConfig) ([]*Stats, error) {
 				Neighbors:    cfg.Graph.Neighbors(i),
 				Epochs:       cfg.Epochs,
 				Secure:       cfg.Secure,
-				Wire:         cfg.Wire,
 				Platform:     platforms[i],
 				Infra:        inf,
 				Measurement:  enclaveMeasurement,

@@ -11,29 +11,28 @@ import (
 
 // Message kinds on the wire. Attestation traffic is cleartext (it carries
 // no secrets — paper Algorithm 1 commentary); gossip payloads are sealed
-// by the per-pair AES-GCM channel once attestation completes.
+// by the per-pair AES-GCM channel once attestation completes. Kind 2, once
+// the flat gossip encoding, is retired and never reassigned: a receiver
+// ignores it like any other kind it does not know.
 const (
 	kindAttest      byte = 1 // JSON attestation message (hello or quote)
-	kindGossip      byte = 2 // sealed protocol payload, full (flat) encoding
 	kindGossipDelta byte = 3 // sealed protocol payload, delta wire format
 )
 
-// FrameKindAttest, FrameKindGossip and FrameKindGossipDelta expose the
-// wire frame kinds so transport wrappers (internal/faultnet) can tell
-// attestation handshakes from gossip payloads without decoding them:
-// faults apply to gossip only — the bootstrap handshake has no retry
-// path.
+// FrameKindAttest and FrameKindGossipDelta expose the wire frame kinds so
+// transport wrappers (internal/faultnet) can tell attestation handshakes
+// from gossip payloads without decoding them: faults apply to gossip only
+// — the bootstrap handshake has no retry path.
 const (
 	FrameKindAttest      = kindAttest
-	FrameKindGossip      = kindGossip
 	FrameKindGossipDelta = kindGossipDelta
 )
 
-// IsGossipFrame reports whether a wire frame carries a gossip payload of
-// either encoding (full or delta). The kind byte stays outside the seal,
-// so wrappers and the receive path classify frames without decrypting.
+// IsGossipFrame reports whether a wire frame carries a gossip payload. The
+// kind byte stays outside the seal, so wrappers and the receive path
+// classify frames without decrypting.
 func IsGossipFrame(data []byte) bool {
-	return len(data) > 0 && (data[0] == kindGossip || data[0] == kindGossipDelta)
+	return len(data) > 0 && data[0] == kindGossipDelta
 }
 
 // wrap prefixes the kind byte.
@@ -51,8 +50,10 @@ const (
 	payloadData  byte = 2
 )
 
-// EncodePayload serializes a protocol payload (pre-encryption): sender id,
-// degree, kind, then the model or ratings bytes.
+// EncodePayload serializes a protocol payload flat: sender id, degree,
+// kind, then the model or ratings bytes. No gossip frame carries it; it is
+// the reference encoding the delta wire is measured against
+// (Stats.WireRawBytes counts what it would have cost).
 func EncodePayload(p core.Payload) ([]byte, error) {
 	return EncodePayloadAppend(make([]byte, 0, 9+payloadBodySize(p)), p)
 }
@@ -69,11 +70,10 @@ func payloadBodySize(p core.Payload) int {
 }
 
 // EncodePayloadAppend appends the EncodePayload serialization to dst and
-// returns the extended slice — the share path reuses one buffer per
-// runner across epochs, so steady-state epochs encode with zero
-// allocations. Models supporting model.AppendMarshaler serialize straight
-// into the output buffer, with no staging copy of the (large) parameter
-// body.
+// returns the extended slice, so a caller reusing one buffer encodes with
+// zero allocations. Models supporting model.AppendMarshaler serialize
+// straight into the output buffer, with no staging copy of the (large)
+// parameter body.
 func EncodePayloadAppend(dst []byte, p core.Payload) ([]byte, error) {
 	off := len(dst)
 	dst = append(dst, make([]byte, 9)...)
@@ -113,17 +113,6 @@ func marshalAppend(dst []byte, m model.Model) ([]byte, error) {
 // DecodePayload parses EncodePayload output. newModel supplies an empty
 // model for unmarshaling when the payload carries parameters.
 func DecodePayload(b []byte, newModel func() model.Model) (core.Payload, error) {
-	var m model.Model
-	if len(b) >= 9 && b[8] == payloadModel {
-		m = newModel()
-	}
-	return decodePayloadInto(b, m)
-}
-
-// decodePayloadInto is DecodePayload with the receiving model supplied:
-// parameters are unmarshaled into m, which the returned payload then
-// carries. A nil m refuses model payloads.
-func decodePayloadInto(b []byte, m model.Model) (core.Payload, error) {
 	if len(b) < 9 {
 		return core.Payload{}, fmt.Errorf("runtime: payload too short (%d bytes)", len(b))
 	}
@@ -135,9 +124,7 @@ func decodePayloadInto(b []byte, m model.Model) (core.Payload, error) {
 	switch b[8] {
 	case payloadEmpty:
 	case payloadModel:
-		if m == nil {
-			return core.Payload{}, fmt.Errorf("runtime: model payload without a model to decode into")
-		}
+		m := newModel()
 		if err := m.Unmarshal(body); err != nil {
 			return core.Payload{}, fmt.Errorf("runtime: unmarshaling model: %w", err)
 		}

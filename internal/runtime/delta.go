@@ -13,42 +13,11 @@ import (
 	"rex/internal/dataset"
 )
 
-// WireMode selects the gossip frame encoding on the share path.
-type WireMode uint8
-
-const (
-	// WireDelta (the default) sends versioned delta frames: per-peer
-	// acked-state tracking, back-references for triplets the peer already
-	// holds, columnar bit-packing for the rest, and Huffman-coded word
-	// planes for model sections. Decoded state is bit-identical to WireFull.
-	WireDelta WireMode = iota
-	// WireFull is the compatibility/escape hatch: every frame carries the
-	// complete flat payload, exactly the pre-delta wire format.
-	WireFull
-)
-
-// String implements fmt.Stringer.
-func (m WireMode) String() string {
-	switch m {
-	case WireDelta:
-		return "delta"
-	case WireFull:
-		return "full"
-	default:
-		return fmt.Sprintf("WireMode(%d)", int(m))
-	}
-}
-
-// ParseWireMode converts a -wire flag value into a WireMode.
-func ParseWireMode(s string) (WireMode, error) {
-	switch s {
-	case "delta", "":
-		return WireDelta, nil
-	case "full":
-		return WireFull, nil
-	}
-	return 0, fmt.Errorf("runtime: unknown wire mode %q (want full or delta)", s)
-}
+// Gossip travels as delta frames, the one wire encoding: per-peer
+// acked-state tracking, back-references for triplets the peer already
+// holds, columnar bit-packing for the rest, and Huffman-coded word planes
+// for model sections. What a receiver merges is exactly the payload the
+// sender's core.Node produced.
 
 // Delta frame flags.
 const (
@@ -262,8 +231,8 @@ type deltaRx struct {
 	dict []dataset.Rating
 	// prevBase/prevDict archive the window that a reset replaced, so a
 	// pre-reset frame overtaken by the reset (adjacent-swap reorder)
-	// still resolves its references and merges exactly as the full
-	// encoding would. One generation suffices: at most one reset is in
+	// still resolves its references and merges exactly the sample its
+	// sender encoded. One generation suffices: at most one reset is in
 	// flight per stream. dict and prevDict are two buffers of
 	// deltaDictCap entries that trade places at each reset.
 	prevBase uint64
@@ -414,7 +383,7 @@ func (f *deltaFrame) parse(body []byte, s *gatherSlot) error {
 // reconstructed flat sample (empty for empty/model frames), held in the
 // decode scratch, which is produced — and merged by the caller — for every
 // accepted frame whether or not it commits: duplicates and overtaken
-// pre-reset frames merge exactly as the full encoding would have.
+// pre-reset frames merge exactly the sample their sender encoded.
 func (rx *deltaRx) apply(f *deltaFrame) ([]dataset.Rating, error) {
 	if f.flags&deltaFlagReset != 0 {
 		return rx.applyReset(f)
@@ -539,9 +508,6 @@ func (rx *deltaRx) drain() {
 // streams exist) and never deleted (a dropped peer's streams survive for
 // its rejoin; a permanently dead peer's state is idle).
 func (r *runner) initDelta(resume bool) {
-	if r.cfg.Wire != WireDelta {
-		return
-	}
 	r.tx = make(map[int]*deltaTx, len(r.cfg.Neighbors))
 	r.rx = make(map[int]*deltaRx, len(r.cfg.Neighbors))
 	for _, nb := range r.cfg.Neighbors {
@@ -557,7 +523,7 @@ func (r *runner) initDelta(resume bool) {
 // deltaSendStats is the per-frame accounting a share worker returns.
 type deltaSendStats struct {
 	refs, explicit int64
-	raw            int64 // bytes the full-mode plaintext frame would have cost
+	raw            int64 // bytes EncodePayload's flat frame, behind a kind byte, would have cost
 	resync         bool  // frame carried a stream reset
 }
 

@@ -3,7 +3,9 @@ package runtime
 import (
 	"bytes"
 	"compress/flate"
+	"crypto/sha256"
 	"encoding/binary"
+	"encoding/hex"
 	"errors"
 	"io"
 	"math"
@@ -12,6 +14,7 @@ import (
 	"slices"
 	"sort"
 	"testing"
+	"time"
 
 	"rex/internal/compress"
 	"rex/internal/core"
@@ -29,8 +32,8 @@ import (
 // encodeDeltaBody / decodeDeltaFrame directly without a transport.
 func newDeltaPair() (a, b *runner) {
 	newModel := func() model.Model { return mf.New(mf.DefaultConfig()) }
-	a = newRunner(Config{Neighbors: []int{1}, Wire: WireDelta, NewModel: newModel}, false)
-	b = newRunner(Config{Neighbors: []int{0}, Wire: WireDelta, NewModel: newModel}, false)
+	a = newRunner(Config{Neighbors: []int{1}, NewModel: newModel}, false)
+	b = newRunner(Config{Neighbors: []int{0}, NewModel: newModel}, false)
 	return a, b
 }
 
@@ -78,42 +81,60 @@ func sampleRatings(n int, seed int64) []dataset.Rating {
 	return out
 }
 
+// savingFloorFlatDigest is rmseDigest of the trajectories the flat-frame
+// wire produced on TestDeltaWireSavingFloor's workload, native and secure
+// alike. It was recorded at commit 2e0ec37, the last to carry that wire
+// (identical under REX_VEC=go and avx2, -cpu 1 and 4), and is never
+// regenerated: it stands in for the second encoder the floor used to run
+// beside the delta wire.
+const savingFloorFlatDigest = "9344ad83b6f7a50e8a284ef06e6b6826d65781b3d8b7ce548544bdbd965fb587"
+
+// rmseDigest hashes every node's RMSE trajectory: the node count, then per
+// node its epoch count and every epoch's RMSE bits, all little-endian.
+func rmseDigest(stats []*Stats) string {
+	b := binary.LittleEndian.AppendUint32(nil, uint32(len(stats)))
+	for _, s := range stats {
+		b = binary.LittleEndian.AppendUint32(b, uint32(len(s.RMSE)))
+		for _, v := range s.RMSE {
+			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
+		}
+	}
+	sum := sha256.Sum256(b)
+	return hex.EncodeToString(sum[:])
+}
+
 // TestDeltaWireSavingFloor holds the delta wire's reason to exist: on the
 // live 8-node full mesh (D-PSGD raw-data sharing, light training, 400
-// shared points per epoch — the runtime-weighted workload) flat frames
-// must cost at least 3x the bytes of delta frames, native and secure, with
-// every node's final RMSE bit-equal across the two encodings. Bytes are
-// deterministic per seed, so the floor cannot flake. The workload matters:
-// on a 4-node x 30-point cluster the secure ratio is 2.2x, because the
-// attestation handshakes dominate.
+// shared points per epoch — the runtime-weighted workload) the flat
+// reference encoding of the frames sent (Stats.WireRawBytes) must cost at
+// least 3x the bytes the delta wire put on it (Stats.BytesOnWire), native
+// and secure, with every node's trajectory the one the flat wire produced.
+// Bytes are deterministic per seed, so the floor cannot flake. Secure
+// reads lower (4.9x against 5.76x) because BytesOnWire also pays the seal
+// overhead and the attestation handshakes. The workload matters: on the
+// fault-free 4-node x 30-point scenariotest cluster the secure ratio is
+// 1.6x (native 4.3x), because the handshakes dominate.
 func TestDeltaWireSavingFloor(t *testing.T) {
 	const floor = 3.0
 	for _, secure := range []bool{false, true} {
-		run := func(wire WireMode) ([]*Stats, int64) {
-			cfg := clusterWorkloadSized(t, 8, core.DataSharing, gossip.DPSGD, 6, 33, 50, 400)
-			cfg.Secure, cfg.Wire = secure, wire
-			stats, err := RunCluster(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			var onWire int64
-			for _, s := range stats {
-				onWire += s.BytesOnWire
-			}
-			return stats, onWire
+		cfg := clusterWorkloadSized(t, 8, core.DataSharing, gossip.DPSGD, 6, 33, 50, 400)
+		cfg.Secure = secure
+		stats, err := RunCluster(cfg)
+		if err != nil {
+			t.Fatal(err)
 		}
-		full, fullBytes := run(WireFull)
-		delta, deltaBytes := run(WireDelta)
-		for i := range full {
-			if math.Float64bits(full[i].FinalRMSE) != math.Float64bits(delta[i].FinalRMSE) {
-				t.Fatalf("secure=%v node %d: wire modes diverged: full %v delta %v",
-					secure, i, full[i].FinalRMSE, delta[i].FinalRMSE)
-			}
+		if got := rmseDigest(stats); got != savingFloorFlatDigest {
+			t.Fatalf("secure=%v: trajectory digest %s, the flat wire recorded %s", secure, got, savingFloorFlatDigest)
 		}
-		ratio := float64(fullBytes) / float64(deltaBytes)
-		t.Logf("secure=%v: full %d B, delta %d B, %.2fx", secure, fullBytes, deltaBytes, ratio)
+		var raw, onWire int64
+		for _, s := range stats {
+			raw += s.WireRawBytes
+			onWire += s.BytesOnWire
+		}
+		ratio := float64(raw) / float64(onWire)
+		t.Logf("secure=%v: flat %d B, delta %d B on the wire, %.2fx", secure, raw, onWire, ratio)
 		if ratio < floor {
-			t.Errorf("secure=%v: full/delta wire bytes %.2fx, want >= %.1fx", secure, ratio, floor)
+			t.Errorf("secure=%v: flat/delta wire bytes %.2fx, want >= %.1fx", secure, ratio, floor)
 		}
 	}
 }
@@ -140,27 +161,6 @@ func TestModelSectionSavingFloor(t *testing.T) {
 	t.Logf("%d rows, %d B marshaled: word planes %.3f, DEFLATE %.3f", m.NumUsers()+m.NumItems(), len(raw), ratio, float64(len(deflated))/float64(len(raw)))
 	if section[0] != sectionPlanes || ratio > 0.86 || len(section) >= len(deflated) {
 		t.Fatalf("model section %d B (form %d), DEFLATE %d B, marshaled %d B", len(section), section[0], len(deflated), len(raw))
-	}
-}
-
-func TestParseWireMode(t *testing.T) {
-	for _, tc := range []struct {
-		in   string
-		want WireMode
-		ok   bool
-	}{
-		{"", WireDelta, true},
-		{"delta", WireDelta, true},
-		{"full", WireFull, true},
-		{"flat", 0, false},
-	} {
-		got, err := ParseWireMode(tc.in)
-		if (err == nil) != tc.ok || got != tc.want {
-			t.Fatalf("ParseWireMode(%q) = %v, %v", tc.in, got, err)
-		}
-	}
-	if WireDelta.String() != "delta" || WireFull.String() != "full" {
-		t.Fatal("String() drifted from flag values")
 	}
 }
 
@@ -201,6 +201,57 @@ func TestDeltaRefRoundtrip(t *testing.T) {
 		t.Fatalf("value change: explicit=%d refs=%d", st.explicit, st.refs)
 	}
 	sameMultiset(t, got.Data, s2)
+}
+
+// TestRetiredFrameKindIgnored pins frame kind 2, once the flat gossip
+// encoding and now retired: a neighbor's kind-2 frame (a well-formed flat
+// payload, as that encoding carried it) and a frame of a kind never
+// assigned, reaching a node while its round waits on that neighbor, are
+// neither merged nor fatal, and the round completes on the neighbor's next
+// delta frame.
+func TestRetiredFrameKindIgnored(t *testing.T) {
+	eps := NewChanNet(2)
+	defer eps[0].Close()
+	defer eps[1].Close()
+	newModel := func() model.Model { return mf.New(mf.DefaultConfig()) }
+	// The timeout only bounds a failure: a round the delta frame does not
+	// complete fails the test instead of hanging it.
+	a := newRunner(Config{Endpoint: eps[0], Neighbors: []int{1}, NewModel: newModel, RoundTimeout: time.Minute}, false)
+	b := newRunner(Config{Neighbors: []int{0}, NewModel: newModel}, false)
+	s := sampleRatings(8, 5)
+	p := core.Payload{From: 1, Degree: 1, Data: s}
+	flat, err := EncodePayload(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	delta, _ := b.encodeDeltaBody([]byte{kindGossipDelta}, 0, p)
+
+	type round struct {
+		pls []core.Payload
+		err error
+	}
+	done := make(chan round, 1)
+	go func() {
+		pls, err := a.gatherRound(1)
+		done <- round{pls, err}
+	}()
+	for _, frame := range [][]byte{append([]byte{2}, flat...), append([]byte{7}, flat...), delta} {
+		if err := eps[1].Send(0, frame); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got := <-done
+	if got.err != nil {
+		t.Fatalf("round failed: %v", got.err)
+	}
+	if len(got.pls) != 1 || got.pls[0].From != 1 {
+		t.Fatalf("round gathered %d payloads, want the delta frame's alone", len(got.pls))
+	}
+	sameMultiset(t, got.pls[0].Data, s)
+	if a.stats.BytesIn != int64(len(delta)-1) || a.rx[1].watermark != 1 || a.pendingN != 0 || a.stats.PeersLost != 0 {
+		t.Fatalf("bytes in %d (delta frame %d), watermark %d, %d frames pending, %d peers lost",
+			a.stats.BytesIn, len(delta)-1, a.rx[1].watermark, a.pendingN, a.stats.PeersLost)
+	}
 }
 
 // TestDeltaDuplicateAndReorder checks the faultnet-visible cases: an
@@ -534,8 +585,8 @@ func TestDeltaModelSection(t *testing.T) {
 func TestModelSectionIsModelAgnostic(t *testing.T) {
 	ncfg := nn.DefaultConfig(200, 40)
 	newModel := func() model.Model { return nn.NewNet(ncfg) }
-	a := newRunner(Config{Neighbors: []int{1}, Wire: WireDelta, NewModel: newModel}, false)
-	b := newRunner(Config{Neighbors: []int{0}, Wire: WireDelta, NewModel: newModel}, false)
+	a := newRunner(Config{Neighbors: []int{1}, NewModel: newModel}, false)
+	b := newRunner(Config{Neighbors: []int{0}, NewModel: newModel}, false)
 	m := nn.NewNet(ncfg)
 	m.Train(sampleRatings(30, 5), 20, rand.New(rand.NewSource(3)))
 	section, raw := planeSection(t, a, m)

@@ -12,11 +12,11 @@ import (
 	"rex/internal/model"
 )
 
-// FuzzDecodePayload throws arbitrary bytes at the gossip frame decoder:
+// FuzzDecodePayload throws arbitrary bytes at the flat payload decoder:
 // malformed, truncated, oversized or reordered inputs must produce an
 // error, never a panic, and a successful decode must re-encode cleanly.
-// Every frame a live node gathers passes through this path after
-// decryption, so it is the runtime's parser attack surface.
+// No gossip frame carries the flat encoding, but DecodePayload is
+// exported, so it is held to the same bar as the delta decoder.
 func FuzzDecodePayload(f *testing.F) {
 	mcfg := mf.DefaultConfig()
 	// Seed corpus: one valid frame per payload kind, plus classic parser
@@ -68,8 +68,8 @@ func FuzzDecodeDeltaPayload(f *testing.F) {
 	mcfg := mf.DefaultConfig()
 	seedPair := func() (*runner, *runner) {
 		newModel := func() model.Model { return mf.New(mcfg) }
-		a := newRunner(Config{Neighbors: []int{1}, Wire: WireDelta, NewModel: newModel}, false)
-		b := newRunner(Config{Neighbors: []int{0}, Wire: WireDelta, NewModel: newModel}, false)
+		a := newRunner(Config{Neighbors: []int{1}, NewModel: newModel}, false)
+		b := newRunner(Config{Neighbors: []int{0}, NewModel: newModel}, false)
 		sample := []dataset.Rating{
 			{User: 5, Item: 6, Value: 2.5}, {User: 7, Item: 8, Value: 4},
 			{User: 5, Item: 9, Value: 1.5},
@@ -154,5 +154,27 @@ func FuzzDecodeDeltaPayload(f *testing.F) {
 			rx.wantResync != cx.wantResync || !slices.Equal(rx.dict, cx.dict) || len(rx.segs) != len(cx.segs) {
 			t.Fatal("dirty scratch left a different stream state than clean scratch")
 		}
+	})
+}
+
+// FuzzDeltaStream is TestDeltaStreamDeliversSenderPayload with the input
+// as the schedule: each choice runDeltaStream makes consumes one byte (its
+// value modulo the choices), and the schedule ends where the bytes do.
+func FuzzDeltaStream(f *testing.F) {
+	f.Add([]byte{})
+	for seed := int64(0); seed < 4; seed++ {
+		b := make([]byte, 512)
+		rand.New(rand.NewSource(seed)).Read(b)
+		f.Add(b)
+	}
+	f.Fuzz(func(t *testing.T, b []byte) {
+		runDeltaStream(t, func(n int) (int, bool) {
+			if len(b) == 0 {
+				return 0, false
+			}
+			v := int(b[0]) % n
+			b = b[1:]
+			return v, true
+		})
 	})
 }

@@ -34,13 +34,6 @@ type Config struct {
 	// exchange, and AES-GCM sealing of every gossip payload. False runs
 	// the paper's "native" build: same protocol, plaintext, unattested.
 	Secure bool
-	// Wire selects the gossip frame encoding: WireDelta (the zero value,
-	// and the default) sends per-peer delta frames with acked-state
-	// back-references and columnar packing; WireFull sends the flat
-	// pre-delta format. Decoding is driven by each frame's kind byte, so
-	// mixed-mode clusters interoperate — the knob only affects what this
-	// node sends.
-	Wire WireMode
 	// Platform, Infra and Measurement configure attestation when Secure.
 	Platform    *attest.Platform
 	Infra       *attest.Infrastructure
@@ -142,18 +135,19 @@ type Stats struct {
 	// (Config.Rejoin).
 	Rejoins int
 	// DeltaRefs and DeltaExplicit count rating triplets sent as
-	// dictionary back-references versus explicit entries on the delta
-	// wire (Config.Wire); both zero under WireFull.
+	// dictionary back-references versus explicit entries; both stay zero
+	// under model sharing, whose frames carry no triplets.
 	DeltaRefs, DeltaExplicit int64
 	// Resyncs counts stream-reset frames sent: full-frame resyncs
 	// triggered by peers whose view of this node's delta stream gapped
 	// (drops, churn, restarts).
 	Resyncs int64
 	// WireRawBytes accumulates, for every gossip frame actually handed to
-	// the transport, the plaintext bytes the full (flat) encoding would
-	// have cost. WireRawBytes-BytesOnWire is the volume the delta wire
-	// saved; in secure mode the comparison is approximate (it ignores the
-	// constant per-frame AEAD overhead both encodings pay).
+	// the transport, the plaintext bytes its payload would have cost in the
+	// flat reference encoding (EncodePayload behind a kind byte).
+	// WireRawBytes-BytesOnWire is the volume the delta wire saved; in
+	// secure mode it understates the saving, because BytesOnWire also
+	// counts the per-frame AEAD overhead and the attestation handshakes.
 	WireRawBytes int64
 	// DroppedFrames and DelayedFrames count faults injected by a
 	// fault-injecting transport wrapper, when the endpoint reports them
@@ -211,14 +205,10 @@ type runner struct {
 	pendingN int
 
 	// Share-path scratch, reused across epochs so steady-state epochs
-	// allocate no per-frame encode buffers: the full and empty payload
-	// encodings (no kind byte), their kind-prefixed plaintext frames for
-	// the insecure path, and one frame body and sealed frame per send
-	// worker — Endpoint.Send copies, so a worker reuses its pair for every
-	// peer it serves.
-	encFull, encEmpty     []byte
-	plainFull, plainEmpty []byte
-	send                  []sendSlot
+	// allocate no per-frame encode buffers: one frame body and sealed frame
+	// per send worker — Endpoint.Send copies, so a worker reuses its pair
+	// for every peer it serves.
+	send []sendSlot
 	// gather holds the scratch of each gather worker.
 	gather []gatherSlot
 	// Gather-path scratch, reused across rounds: the still-expected peer
@@ -236,12 +226,11 @@ type runner struct {
 	// of the peer whose frame it holds.
 	recvModel map[int]model.Model
 
-	// Delta wire state (Config.Wire == WireDelta): per-peer send/receive
-	// stream halves, the epoch's payload held for per-peer encoding, and
-	// the pre-built model section with the buffers and encoder that
-	// build it. The maps are fully populated on the protocol thread before
-	// any worker runs (initDelta); workers only ever touch their own
-	// peer's entries.
+	// Delta wire state: per-peer send/receive stream halves, the epoch's
+	// payload held for per-peer encoding, and the pre-built model section
+	// with the buffers and encoder that build it. The maps are fully
+	// populated on the protocol thread before any worker runs (initDelta);
+	// workers only ever touch their own peer's entries.
 	tx           map[int]*deltaTx
 	rx           map[int]*deltaRx
 	shareP       core.Payload
@@ -371,10 +360,9 @@ type openResult struct {
 // of arrival or open order — the invariant that keeps learning
 // trajectories deterministic for a fixed seed. They are valid until the
 // next gatherRound, which reuses the slice, each payload's Model (the
-// peer's entry of recvModel) and, on the delta wire, its Data (per-peer
-// decode scratch). Engine.Step merges them before the next round, and
-// nothing else keeps one: a published Snapshot clones the node's own
-// model only.
+// peer's entry of recvModel) and its Data (per-peer decode scratch).
+// Engine.Step merges them before the next round, and nothing else keeps
+// one: a published Snapshot clones the node's own model only.
 func (r *runner) gatherRound(e int) ([]core.Payload, error) {
 	need := r.gatherNeed
 	if need == nil {
@@ -491,7 +479,7 @@ func (r *runner) gatherRound(e int) ([]core.Payload, error) {
 			continue
 		}
 		if !IsGossipFrame(env.Data) {
-			continue // stray attestation retransmit; ignore
+			continue // stray attestation retransmit, or a kind we do not speak; ignore
 		}
 		frame := env.Data
 		switch {
@@ -542,16 +530,14 @@ func (r *runner) gatherRound(e int) ([]core.Payload, error) {
 }
 
 // open decrypts (when secure) and decodes one gossip frame. The frame
-// arrives with its kind byte (which rides outside the seal); decoding
-// dispatches on it, so full and delta senders interoperate in one
-// cluster. slot selects the worker's scratch, reused from frame to frame:
-// the decoded payload never aliases it — a model is unmarshaled into the
-// peer's recvModel entry, ratings into the peer's decode scratch or a new
-// slice — but it does alias those (see gatherRound).
+// arrives with its kind byte (which rides outside the seal, and which
+// IsGossipFrame already checked). slot selects the worker's scratch,
+// reused from frame to frame: the decoded payload never aliases it — a
+// model is unmarshaled into the peer's recvModel entry, ratings into the
+// peer's decode scratch — but it does alias those (see gatherRound).
 func (r *runner) open(slot, from int, frame []byte) openResult {
 	t0 := time.Now()
 	res := openResult{from: from, bytes: len(frame) - 1} // kind byte is framing
-	kind := frame[0]
 	body := frame[1:]
 	if r.cfg.Secure {
 		ch := r.channels[from]
@@ -570,20 +556,7 @@ func (r *runner) open(slot, from int, frame []byte) openResult {
 		s.opened = pt
 		body = pt
 	}
-	switch kind {
-	case kindGossipDelta:
-		if r.tx == nil {
-			// A delta frame reached a node running without delta state
-			// (Wire == WireFull). Stream reconstruction needs the state,
-			// so the frame is discarded like a replay; same-mode clusters
-			// never hit this.
-			res.err = fmt.Errorf("%w: delta frame but wire mode is full", errDeltaDiscard)
-		} else {
-			res.pl, res.err = r.decodeDeltaFrame(slot, from, body)
-		}
-	default:
-		res.pl, res.err = decodePayloadInto(body, r.recvModel[from])
-	}
+	res.pl, res.err = r.decodeDeltaFrame(slot, from, body)
 	res.dur = time.Since(t0)
 	return res
 }
@@ -697,35 +670,15 @@ func (r *runner) startShare(e int) (<-chan shareResult, error) {
 			targets[nb] = true
 		}
 	}
-	payload := node.Share(deg, false)
-	if r.cfg.Wire == WireDelta {
-		// Delta frames are per-peer (each peer's stream state decides what
-		// goes explicit), so encoding happens on the send workers; only
-		// the peer-independent pieces are built here on the protocol
-		// thread: the payload itself (its RNG draws must stay in protocol
-		// order) and the model section.
-		r.shareP = payload
-		if payload.Model != nil {
-			if err := r.buildModelSection(payload); err != nil {
-				return nil, err
-			}
-		}
-	} else {
-		var err error
-		r.encFull, err = EncodePayloadAppend(grow(r.encFull, 9+payloadBodySize(payload)), payload)
-		if err != nil {
+	// Delta frames are per-peer (each peer's stream state decides what goes
+	// explicit), so encoding happens on the send workers; only the
+	// peer-independent pieces are built here on the protocol thread: the
+	// payload itself (its RNG draws must stay in protocol order) and the
+	// model section.
+	r.shareP = node.Share(deg, false)
+	if r.shareP.Model != nil {
+		if err := r.buildModelSection(r.shareP); err != nil {
 			return nil, err
-		}
-		r.encEmpty, err = EncodePayloadAppend(r.encEmpty[:0], core.Payload{From: node.Cfg.ID, Degree: deg})
-		if err != nil {
-			return nil, err
-		}
-		if !r.cfg.Secure {
-			// The insecure path shares one kind-prefixed frame per body;
-			// transports copy on Send, so reusing the buffers next epoch is
-			// safe.
-			r.plainFull = append(append(r.plainFull[:0], kindGossip), r.encFull...)
-			r.plainEmpty = append(append(r.plainEmpty[:0], kindGossip), r.encEmpty...)
 		}
 	}
 	// The send rule under oracle churn: a frame shared at epoch e is
@@ -780,10 +733,7 @@ func (r *runner) sendShare(neighbors, probes []int, targets map[int]bool) shareR
 		all = append(append(make([]int, 0, len(neighbors)+len(probes)), neighbors...), probes...)
 	}
 	outs := make([]sendOut, len(all))
-	workers := 1
-	if r.cfg.Secure || r.cfg.Wire == WireDelta {
-		workers = workersFor(len(all))
-	}
+	workers := workersFor(len(all))
 	for len(r.send) < workers {
 		r.send = append(r.send, sendSlot{})
 	}
@@ -846,42 +796,25 @@ func (r *runner) sendStride(w, workers int, all []int, targets map[int]bool, out
 }
 
 // sendOne builds peer nb's frame — this epoch's payload when full, else an
-// empty notification — in the worker's scratch s and hands it to the
-// transport.
+// empty notification — in the worker's scratch s, delta-encoded against
+// the peer's stream state (the worker owns the peer's tx/rx halves for the
+// whole phase), and hands it to the transport.
 func (r *runner) sendOne(s *sendSlot, nb int, full bool, o *sendOut) {
-	var frame []byte
-	switch {
-	case r.cfg.Wire == WireDelta:
-		// Per-peer delta encode against this peer's stream state; the
-		// worker owns the peer's tx/rx halves for the whole phase.
-		p := core.Payload{From: r.shareP.From, Degree: r.shareP.Degree}
-		need := 0 // data and empty bodies are small and settle: append sizes them
-		if full {
-			p = r.shareP
-			if p.Model != nil {
-				need = 1 + deltaHeaderMax + len(r.modelSection)
-			}
+	p := core.Payload{From: r.shareP.From, Degree: r.shareP.Degree}
+	need := 0 // data and empty bodies are small and settle: append sizes them
+	if full {
+		p = r.shareP
+		if p.Model != nil {
+			need = 1 + deltaHeaderMax + len(r.modelSection)
 		}
-		s.body = append(grow(s.body, need), kindGossipDelta)
-		s.body, o.st = r.encodeDeltaBody(s.body, nb, p)
-		frame = s.body
-		if r.cfg.Secure {
-			t0 := time.Now()
-			frame = r.seal(s, nb, kindGossipDelta, s.body[1:])
-			o.seal = time.Since(t0)
-		}
-	case r.cfg.Secure:
-		body := r.encEmpty
-		if full {
-			body = r.encFull
-		}
+	}
+	s.body = append(grow(s.body, need), kindGossipDelta)
+	s.body, o.st = r.encodeDeltaBody(s.body, nb, p)
+	frame := s.body
+	if r.cfg.Secure {
 		t0 := time.Now()
-		frame = r.seal(s, nb, kindGossip, body)
+		frame = r.seal(s, nb, s.body[1:])
 		o.seal = time.Since(t0)
-	case full:
-		frame = r.plainFull
-	default:
-		frame = r.plainEmpty
 	}
 	o.n = int64(len(frame) - 1) // the kind byte is framing, not payload
 	t0 := time.Now()
@@ -891,9 +824,9 @@ func (r *runner) sendOne(s *sendSlot, nb int, full bool, o *sendOut) {
 
 // seal encrypts body for peer nb into the worker's frame buffer, behind
 // the kind byte (which rides outside the seal).
-func (r *runner) seal(s *sendSlot, nb int, kind byte, body []byte) []byte {
+func (r *runner) seal(s *sendSlot, nb int, body []byte) []byte {
 	ch := r.channels[nb]
-	s.sealed = append(grow(s.sealed, 1+seccha.SeqOverhead+len(body)+ch.Overhead()), kind)
+	s.sealed = append(grow(s.sealed, 1+seccha.SeqOverhead+len(body)+ch.Overhead()), kindGossipDelta)
 	s.sealed = ch.SealSeqAppend(s.sealed, body)
 	return s.sealed
 }

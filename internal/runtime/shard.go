@@ -214,11 +214,6 @@ type ShardConfig struct {
 
 	Epochs int
 	Secure bool
-	// Wire selects the gossip frame encoding for the local nodes (see
-	// Config.Wire); the zero value is the delta wire. Mixed-mode shard
-	// deployments interoperate (decoding is kind-driven), but matched
-	// modes are what the golden trajectory tests pin.
-	Wire WireMode
 	// Platforms holds attestation platforms for all n nodes and Infra the
 	// shared infrastructure root. Every process must derive identical
 	// collateral (e.g. from a shared seed, as cmd/rexnode does); only the
@@ -299,7 +294,6 @@ func RunShard(cfg ShardConfig) (map[int]*Stats, error) {
 				Neighbors:    cfg.Graph.Neighbors(i),
 				Epochs:       cfg.Epochs,
 				Secure:       cfg.Secure,
-				Wire:         cfg.Wire,
 				Platform:     platform,
 				Infra:        cfg.Infra,
 				Measurement:  enclaveMeasurement,

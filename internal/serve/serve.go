@@ -403,7 +403,8 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 		"rejoins":       st.Rejoins,
 		"attested":      st.Attested,
 		"num_items":     s.cfg.NumItems,
-		// Delta-wire counters: zero across the board on the full wire.
+		// Delta wire counters. The saving clamps at zero: until gossip
+		// flows, the bytes on the wire are attestation handshakes alone.
 		"delta_refs":     st.DeltaRefs,
 		"delta_explicit": st.DeltaExplicit,
 		"resyncs":        st.Resyncs,

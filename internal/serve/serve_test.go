@@ -451,9 +451,10 @@ func TestSnapshotEndpointRoundtrip(t *testing.T) {
 	}
 }
 
-// TestStatusWireCounters: the delta-wire counters surface in /status, and
-// the reported saving is raw-equivalent minus on-wire bytes, clamped at
-// zero (full-wire runs report no negative savings).
+// TestStatusWireCounters: the delta wire counters surface in /status, and
+// the reported saving is raw-equivalent minus bytes on the wire, clamped at
+// zero (a node whose wire has carried only handshakes reports no negative
+// saving).
 func TestStatusWireCounters(t *testing.T) {
 	n := &fakeNode{status: &runtime.Status{
 		DeltaRefs: 7, DeltaExplicit: 3, Resyncs: 2,
@@ -472,11 +473,11 @@ func TestStatusWireCounters(t *testing.T) {
 		}
 	}
 
-	// Full wire: no raw-equivalent accounting, saving clamps at zero.
+	// Handshakes only: nothing raw-equivalent yet, the saving clamps at zero.
 	n.status = &runtime.Status{BytesOnWire: 400}
 	_, body = get(t, s.Handler(), "/status")
 	if got, _ := body["wire_saved_bytes"].(float64); got != 0 {
-		t.Fatalf("full-wire saving = %v, want 0", got)
+		t.Fatalf("handshake-only saving = %v, want 0", got)
 	}
 }
 
