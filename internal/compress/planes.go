@@ -1,7 +1,6 @@
 package compress
 
 import (
-	"compress/flate"
 	"encoding/binary"
 	"fmt"
 	"math/bits"
@@ -15,15 +14,15 @@ import (
 // into four byte planes. The two low planes are mantissa bits, which nothing
 // compresses: they are stored as they are. The two high planes — exponents,
 // which take a handful of values in a trained model, and the top mantissa
-// bits, which are zero in every small integer — go through DEFLATE's Huffman
-// coder alone (flate.HuffmanOnly: no LZ77 match search, which finds nothing
-// in parameters and costs 35–60× the time), each kept only when it comes out
-// smaller than the plane.
+// bits, which are zero in every small integer — each go through a canonical
+// Huffman coder of their own (huffman.go: no match search, which finds
+// nothing in parameters, and one 11-bit table lookup per byte to decode),
+// each kept only when it comes out smaller than the plane.
 //
 //	[flags][uvarint n][plane 0: n/4 bytes][plane 1: n/4 bytes][tail: n%4 bytes][plane 2][plane 3]
 //
 // flags bit 0 says plane 2 is coded, bit 1 plane 3; a coded plane is
-// [u32 length][HuffmanOnly DEFLATE stream], a stored one its n/4 bytes.
+// [u32 length][Huffman-coded plane], a stored one its n/4 bytes.
 const (
 	planeCoded2 byte = 1 << iota
 	planeCoded3
@@ -45,23 +44,25 @@ func reserve(dst []byte, n int) []byte {
 	return append(make([]byte, 0, len(dst)+n+n/8), dst...)
 }
 
-// PlaneEncoder is a reusable word-plane encoder: one Huffman-only Deflater
-// and the scratch the two high planes are gathered into. The zero value is
-// ready. Not safe for concurrent use.
+// PlaneEncoder is a reusable word-plane encoder: one Huffman coder, whose
+// tables the first Append allocates, and the scratch the two high planes are
+// gathered into. The zero value is ready. Not safe for concurrent use.
 type PlaneEncoder struct {
-	d  Deflater
+	h  *huffEncoder
 	hi [2][]byte
 }
 
 // Append encodes b as word planes, appending to dst. The output is never
 // more than planeHeaderMax bytes longer than b, and decodes to exactly b
 // whatever b holds.
-func (e *PlaneEncoder) Append(dst, b []byte) ([]byte, error) {
-	e.d.Level = flate.HuffmanOnly
+func (e *PlaneEncoder) Append(dst, b []byte) []byte {
+	if e.h == nil {
+		e.h = new(huffEncoder)
+	}
 	words := len(b) / 4
-	// The room a losing Huffman attempt may take before it is cut back: a
-	// stored block costs five bytes for every 64 KB.
-	dst = reserve(dst, planeHeaderMax+len(b)+words>>12+16)
+	// Eight bytes to spare: the Huffman coder stores its bit accumulator
+	// whole.
+	dst = reserve(dst, planeHeaderMax+len(b)+8)
 	flagAt := len(dst)
 	dst = append(dst, 0)
 	dst = binary.AppendUvarint(dst, uint64(len(b)))
@@ -76,27 +77,22 @@ func (e *PlaneEncoder) Append(dst, b []byte) ([]byte, error) {
 	}
 	dst = append(dst, b[4*words:]...)
 	for i, p := range e.hi {
-		mark := len(dst)
-		out, err := e.d.Append(append(dst, 0, 0, 0, 0), p)
-		if err != nil {
-			return nil, err
-		}
-		if coded := len(out) - mark - 4; coded+4 < words {
-			binary.LittleEndian.PutUint32(out[mark:], uint32(coded))
-			out[flagAt] |= planeCoded2 << i
-			dst = out
+		if coded := e.h.plan(p); coded+4 < words {
+			dst = binary.LittleEndian.AppendUint32(dst, uint32(coded))
+			dst = e.h.append(dst, p)
+			dst[flagAt] |= planeCoded2 << i
 		} else {
-			dst = append(out[:mark], p...)
+			dst = append(dst, p...)
 		}
 	}
-	return dst, nil
+	return dst
 }
 
-// PlaneDecoder is a reusable word-plane decoder: one Inflater and the
-// scratch coded planes are inflated into. The zero value is ready. Not safe
-// for concurrent use.
+// PlaneDecoder is a reusable word-plane decoder: one Huffman decode table,
+// which the first coded plane allocates, and the scratch coded planes are
+// decoded into. The zero value is ready. Not safe for concurrent use.
 type PlaneDecoder struct {
-	z  Inflater
+	h  *huffDecoder
 	hi [2][]byte
 }
 
@@ -105,8 +101,9 @@ type PlaneDecoder struct {
 // the declared length is checked against max and against the bytes b can
 // supply before any buffer is sized to it, so the decoder's scratch never
 // exceeds half of len(b) and dst grows by at most min(max, 2·len(b)) bytes,
-// each with reserve's eighth to spare; a coded plane that does not inflate
-// to exactly its n/4 bytes, unknown flags and trailing bytes are errors.
+// each with reserve's eighth to spare; a coded plane that is not exactly
+// the coding of n/4 bytes (see huffDecoder.decode), unknown flags and
+// trailing bytes are errors.
 // Stored planes are read in place.
 func (d *PlaneDecoder) Append(dst, b []byte, max int) ([]byte, error) {
 	if len(b) < 2 || b[0]&^planeFlagsKnown != 0 {
@@ -146,15 +143,13 @@ func (d *PlaneDecoder) Append(dst, b []byte, max int) ([]byte, error) {
 		}
 		coded := rest[:cl]
 		rest = rest[cl:]
-		// One byte past the plane, so the inflater sees the stream end
-		// without growing the buffer.
-		p, err := d.z.Append(reserve(d.hi[i][:0], words+1), coded, words)
-		if err != nil {
-			return nil, fmt.Errorf("compress: word plane %d: %w", 2+i, err)
-		}
+		p := reserve(d.hi[i][:0], words)[:words]
 		d.hi[i] = p
-		if len(p) != words {
-			return nil, fmt.Errorf("compress: word plane %d inflates to %d bytes, want %d", 2+i, len(p), words)
+		if d.h == nil {
+			d.h = new(huffDecoder)
+		}
+		if err := d.h.decode(p, coded); err != nil {
+			return nil, fmt.Errorf("compress: word plane %d: %w", 2+i, err)
 		}
 		hi[i] = p
 	}

@@ -2,47 +2,11 @@ package compress
 
 import (
 	"bytes"
-	"compress/flate"
 	"encoding/binary"
-	"io"
 	"math/bits"
 	"math/rand"
 	"testing"
 )
-
-// highPlanes is the test's own split of b: bytes 2 and 3 of every word
-// rotated left by one — what a PlaneEncoder hands its Huffman coder.
-func highPlanes(b []byte) (hi [2][]byte) {
-	for i := 0; i+4 <= len(b); i += 4 {
-		w := bits.RotateLeft32(binary.LittleEndian.Uint32(b[i:]), 1)
-		hi[0], hi[1] = append(hi[0], byte(w>>16)), append(hi[1], byte(w>>24))
-	}
-	return hi
-}
-
-// bareInflateAllocs is what the standard library's inflater allocates, warm
-// and reset, on the Huffman streams of those of b's high planes that the
-// encoding's flags say are coded: its per-block link tables, which no
-// caller can pool.
-func bareInflateAllocs(t *testing.T, b []byte, flags byte) float64 {
-	t.Helper()
-	var streams [][]byte
-	for i, p := range highPlanes(b) {
-		if flags&(planeCoded2<<i) != 0 {
-			streams = append(streams, stdlibDeflate(t, p, flate.HuffmanOnly))
-		}
-	}
-	var src bytes.Reader
-	fr := flate.NewReader(&src)
-	fixed := make([]byte, len(b)/4)
-	return testing.AllocsPerRun(20, func() {
-		for _, s := range streams {
-			src.Reset(s)
-			fr.(flate.Resetter).Reset(&src, nil)
-			io.ReadFull(fr, fixed)
-		}
-	})
-}
 
 func TestWordPlanesRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
@@ -67,10 +31,7 @@ func TestWordPlanesRoundTrip(t *testing.T) {
 		{"noise", noise, false},
 		{"params again", floatish(80000, 1), true}, // smaller-after-larger scratch, same bytes as the first time
 	} {
-		enc, err := e.Append([]byte("hdr"), tc.in)
-		if err != nil {
-			t.Fatalf("%s: %v", tc.name, err)
-		}
+		enc := e.Append([]byte("hdr"), tc.in)
 		if string(enc[:3]) != "hdr" || len(enc)-3 > len(tc.in)+planeHeaderMax {
 			t.Fatalf("%s: %d bytes encode to %d behind prefix %q", tc.name, len(tc.in), len(enc)-3, enc[:3])
 		}
@@ -85,7 +46,7 @@ func TestWordPlanesRoundTrip(t *testing.T) {
 			t.Fatalf("%s: decoded past the limit", tc.name)
 		}
 		var fresh PlaneEncoder
-		if one, _ := fresh.Append(nil, tc.in); !bytes.Equal(one, enc[3:]) {
+		if one := fresh.Append(nil, tc.in); !bytes.Equal(one, enc[3:]) {
 			t.Fatalf("%s: a reused encoder's bytes differ from a new one's", tc.name)
 		}
 	}
@@ -97,10 +58,7 @@ func TestWordPlanesRoundTrip(t *testing.T) {
 func TestWordPlanesBeatDeflate(t *testing.T) {
 	in := floatish(160000, 4)
 	var e PlaneEncoder
-	enc, err := e.Append(nil, in)
-	if err != nil {
-		t.Fatal(err)
-	}
+	enc := e.Append(nil, in)
 	def, _ := Deflate(in, 0)
 	t.Logf("%d B: word planes %.3f, DEFLATE %.3f", len(in), float64(len(enc))/float64(len(in)), float64(len(def))/float64(len(in)))
 	if len(enc) >= len(def) || float64(len(enc)) > 0.86*float64(len(in)) {
@@ -111,25 +69,62 @@ func TestWordPlanesBeatDeflate(t *testing.T) {
 	}
 }
 
+// codedPlane is a huffEncoder's coding of p, as a coded plane's section
+// holds it behind its u32 length.
+func codedPlane(p []byte) []byte {
+	var h huffEncoder
+	h.plan(p)
+	return h.append(nil, p)
+}
+
 // malformedPlanes returns word-plane sections a decoder must refuse, built
-// from the valid encoding of 64 parameters (exponent plane coded).
+// from the valid encoding of 256 parameters (exponent plane coded): the
+// section's own framing broken, and plane 3's Huffman coding broken in
+// every way the decoder checks.
 func malformedPlanes(t testing.TB) map[string][]byte {
-	in := floatish(256, 6)
+	in := floatish(1024, 6)
 	var e PlaneEncoder
-	valid, err := e.Append(nil, in)
-	if err != nil || valid[0] != planeCoded3 || valid[1] != 0x80 || valid[2] != 2 {
-		t.Fatalf("premise: 256 bytes should encode with plane 3 coded (err %v, header % x)", err, valid[:3])
+	valid := e.Append(nil, in)
+	if valid[0] != planeCoded3 || valid[1] != 0x80 || valid[2] != 8 {
+		t.Fatalf("premise: 1024 bytes should encode with plane 3 coded (header % x)", valid[:3])
 	}
-	const words = 64
+	const words = 256
 	stored := 3 + 3*words // header, planes 0 and 1, stored plane 2
-	recode := func(plane []byte) []byte {
-		out := append([]byte(nil), valid[:stored]...)
-		stream, _ := Deflate(plane, flate.HuffmanOnly)
-		out = binary.LittleEndian.AppendUint32(out, uint32(len(stream)))
-		return append(out, stream...)
-	}
 	withFlags := func(f byte) []byte { return append([]byte{f}, valid[1:]...) }
-	exp := highPlanes(in)[1]
+	// withPlane3 is valid with plane 3's coded bytes edited by f.
+	withPlane3 := func(c []byte, edit func(c []byte) []byte) []byte {
+		c = edit(append([]byte(nil), c...))
+		out := binary.LittleEndian.AppendUint32(append([]byte(nil), valid[:stored]...), uint32(len(c)))
+		return append(out, c...)
+	}
+	coded := valid[stored+4:]
+	nibs := 0
+	for _, b := range coded[:huffBitmapLen] {
+		nibs += bits.OnesCount8(b)
+	}
+	nibs = (nibs + 1) / 2
+	streams := huffBitmapLen + nibs + 3*4
+	setNibbles := func(v byte) func(c []byte) []byte {
+		return func(c []byte) []byte {
+			for i := huffBitmapLen; i < huffBitmapLen+nibs; i++ {
+				c[i] = v
+			}
+			return c
+		}
+	}
+	// Symbols 1, 2 and 3 at lengths 1, 2 and 2: three nibbles, so the last
+	// header byte has a padding nibble, and stream 3 codes 47 ones and 17
+	// others, 81 bits, so its last byte has seven padding bits.
+	three := make([]byte, words)
+	for i := range three {
+		three[i] = 1
+		if i%4 == 3 {
+			three[i] = 2 + byte(i/4%2)
+		}
+	}
+	three[254] = 2
+	odd := codedPlane(three)
+	lone := codedPlane(bytes.Repeat([]byte{0x7C}, words))
 	return map[string][]byte{
 		"no header":                {},
 		"flags only":               {planeCoded3},
@@ -141,11 +136,27 @@ func malformedPlanes(t testing.TB) map[string][]byte {
 		"coded length cut short":   valid[:stored+3],
 		"coded length past frame":  append(append([]byte(nil), valid[:stored]...), 0xFF, 0xFF, 0xFF, 0x7F),
 		"coded stream truncated":   valid[:len(valid)-3],
-		"plane inflates short":     recode(exp[:words-1]),
-		"plane inflates long":      recode(append(exp[:words:words], 0x7C)),
 		"trailing byte":            append(append([]byte(nil), valid...), 0),
 		"coded flag, stored plane": withFlags(planeCoded3 | planeCoded2),
 		"stored flag, coded plane": withFlags(0),
+		"header cut short":         withPlane3(coded, func(c []byte) []byte { return c[:huffBitmapLen+nibs+3*4-1] }),
+		"no symbols":               withPlane3(coded, func(c []byte) []byte { clear(c[:huffBitmapLen]); return c }),
+		"over-subscribed code":     withPlane3(coded, setNibbles(0x11)),
+		"incomplete code":          withPlane3(coded, setNibbles(0xBB)),
+		"code length 0":            withPlane3(coded, setNibbles(0x00)),
+		"code length 12":           withPlane3(coded, setNibbles(0xCC)),
+		"code length 15":           withPlane3(coded, setNibbles(0xFF)),
+		"header padding set":       withPlane3(odd, func(c []byte) []byte { c[huffBitmapLen+1] |= 0x10; return c }),
+		"stream padding set":       withPlane3(odd, func(c []byte) []byte { c[len(c)-1] |= 0x80; return c }),
+		"stream length past section": withPlane3(coded, func(c []byte) []byte {
+			binary.LittleEndian.PutUint32(c[streams-4:], uint32(len(c)-streams+1))
+			return c
+		}),
+		"stream decodes short":            withPlane3(coded, func(c []byte) []byte { return c[:len(c)-1] }),
+		"stream decodes long":             withPlane3(coded, func(c []byte) []byte { return append(c, 0) }),
+		"streams shifted":                 withPlane3(coded, func(c []byte) []byte { c[streams-12]--; c[streams-8]++; return c }),
+		"one-symbol plane, trailing byte": withPlane3(lone, func(c []byte) []byte { return append(c, 0) }),
+		"one-symbol plane, length 2":      withPlane3(lone, func(c []byte) []byte { c[huffBitmapLen] = 2; return c }),
 	}
 }
 
@@ -157,9 +168,9 @@ func TestWordPlanesRejectMalformed(t *testing.T) {
 		}
 	}
 	// The decoder that refused all of that still decodes.
-	in := floatish(256, 6)
+	in := floatish(1024, 6)
 	var e PlaneEncoder
-	valid, _ := e.Append(nil, in)
+	valid := e.Append(nil, in)
 	if out, err := d.Append(nil, valid, len(in)); err != nil || !bytes.Equal(out, in) {
 		t.Fatalf("valid section after rejects: err %v", err)
 	}
@@ -169,10 +180,7 @@ func TestWordPlanesRejectMalformed(t *testing.T) {
 // is bounded by the bytes themselves and by max, not by what they claim.
 func TestWordPlanesDecoderBounds(t *testing.T) {
 	var e PlaneEncoder
-	big, err := e.Append(nil, make([]byte, 2<<20))
-	if err != nil {
-		t.Fatal(err)
-	}
+	big := e.Append(nil, make([]byte, 2<<20))
 	var d PlaneDecoder
 	if _, err := d.Append(nil, big, 1<<20); err == nil {
 		t.Fatal("2 MB section accepted under a 1 MB limit")
@@ -205,7 +213,7 @@ func TestWordPlanesDecoderBounds(t *testing.T) {
 func FuzzWordPlanes(f *testing.F) {
 	want := floatish(3000, 3)
 	var enc PlaneEncoder
-	valid, _ := enc.Append(nil, want)
+	valid := enc.Append(nil, want)
 	f.Add(valid, 4096)
 	f.Add(valid, 100) // over the limit
 	for _, b := range malformedPlanes(f) {
@@ -237,11 +245,9 @@ func FuzzWordPlanes(f *testing.F) {
 			t.Fatalf("after %d fuzzed bytes the decoder fails a valid section: %v", len(b), err)
 		}
 
-		coded, err := enc.Append(nil, b)
-		if err != nil || len(coded) > len(b)+planeHeaderMax {
-			t.Fatalf("%d bytes encode to %d (err %v)", len(b), len(coded), err)
-		}
-		if got, err := d.Append(nil, coded, len(b)); err != nil || !bytes.Equal(got, b) {
+		if coded := enc.Append(nil, b); len(coded) > len(b)+planeHeaderMax {
+			t.Fatalf("%d bytes encode to %d", len(b), len(coded))
+		} else if got, err := d.Append(nil, coded, len(b)); err != nil || !bytes.Equal(got, b) {
 			t.Fatalf("%d bytes do not survive a round trip: %v", len(b), err)
 		}
 	})

@@ -244,10 +244,7 @@ func init() {
 			// What a model frame carries: exponent bytes Huffman-coded,
 			// mantissa bytes stored.
 			var planes compress.PlaneEncoder
-			mplanes, err := planes.Append(nil, mbytes)
-			if err != nil {
-				return err
-			}
+			mplanes := planes.Append(nil, mbytes)
 
 			t := metrics.NewTable("Payload", "Raw", "Compressed", "Ratio")
 			t.AddRow("REX epoch sample (triplets)",

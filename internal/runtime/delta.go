@@ -63,12 +63,14 @@ const deltaDictCap = 4096
 const _ = uint16(deltaDictCap)
 
 // Model section forms: the marshaled parameters as they are, or coded as
-// word planes (compress.PlaneEncoder). 1, once a DEFLATE stream, stays
-// unassigned. Raw-data payloads never take a section form: their columnar
-// packing is tighter and deterministic in cost.
+// word planes (compress.PlaneEncoder). Forms 1 (a DEFLATE stream) and 2
+// (word planes over DEFLATE's Huffman coder) are retired and stay
+// unassigned: a receiver rejects them. Raw-data payloads never take a
+// section form: their columnar packing is tighter and deterministic in
+// cost.
 const (
 	sectionRaw    byte = 0
-	sectionPlanes byte = 2
+	sectionPlanes byte = 3
 )
 
 // maxModelSection bounds the marshaled size a word-plane model section may
@@ -625,10 +627,7 @@ func (r *runner) buildModelSection(p core.Payload) error {
 	}
 	r.marshalBuf = raw
 	var hdr [sectionHeaderMax]byte
-	buf, err := r.planes.Append(append(r.sectionBuf[:0], hdr[:]...), raw)
-	if err != nil {
-		return err
-	}
+	buf := r.planes.Append(append(r.sectionBuf[:0], hdr[:]...), raw)
 	hdr[0] = sectionPlanes
 	if len(buf)-sectionHeaderMax >= len(raw) {
 		buf, hdr[0] = append(buf[:sectionHeaderMax], raw...), sectionRaw

@@ -2,12 +2,10 @@ package runtime
 
 import (
 	"bytes"
-	"compress/flate"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
 	"errors"
-	"io"
 	"math"
 	"math/bits"
 	"math/rand"
@@ -423,17 +421,19 @@ func TestDeltaRejectWithoutMutation(t *testing.T) {
 		t.Fatal("unknown flag mutated stream state")
 	}
 
-	// A word-plane model section that does not decode — a bit of its last
-	// Huffman stream's trailer flipped, or that plane cut short under a
-	// section length that still matches — is discarded whole: a resync is
-	// requested and the watermark does not move, though the frame's sequence
-	// number was the next one due.
+	// A word-plane model section that does not decode — a code length of its
+	// exponent plane one bit longer, so the code is incomplete, a padding bit
+	// of that plane's last stream set, or that plane cut short under a
+	// section length that still matches — or that carries a retired form is
+	// discarded whole: a resync is requested and the watermark does not
+	// move, though the frame's sequence number was the next one due.
 	if _, err := b.decodeDeltaFrame(0, 0, body); err != nil {
 		t.Fatal(err)
 	}
 	b0, w0, h0, d0, g0 = snap()
 	m := trainedMF(64, 50)
-	if section, _ := planeSection(t, a, m); section[0] != sectionPlanes {
+	section, raw := planeSection(t, a, m)
+	if section[0] != sectionPlanes {
 		t.Fatal("test premise broken: the model section is not word planes")
 	}
 	body, _ = a.encodeDeltaBody(nil, 1, core.Payload{From: 0, Degree: 1, Model: m})
@@ -447,17 +447,25 @@ func TestDeltaRejectWithoutMutation(t *testing.T) {
 			t.Fatalf("%s: stream state mutated or no resync requested (wantResync=%v)", name, rx.wantResync)
 		}
 	}
-	for back := 1; back <= 4; back++ { // the stream's closing empty stored block: LEN and ^LEN
-		flipped = append(flipped[:0], body...)
-		flipped[len(flipped)-back] ^= 0x10
-		corrupt("flipped Huffman stream", flipped)
+	at := len(body) - len(section) // the section's form byte
+	nibbles, padding := exponentPlaneCode(t, section, raw)
+	if body[at+nibbles]&15 >= 11 || padding == 0 {
+		t.Fatalf("test premise broken: first code length %d, %d padding bits", body[at+nibbles]&15, padding)
 	}
+	flipped = append(flipped[:0], body...)
+	flipped[at+nibbles]++
+	corrupt("incomplete Huffman code", flipped)
+	flipped = append(flipped[:0], body...)
+	flipped[len(flipped)-1] |= 0x80
+	corrupt("Huffman stream padding set", flipped)
+	flipped = append(flipped[:0], body...)
+	flipped[at] = 2
+	corrupt("retired section form 2", flipped)
 	// Dropping one byte and patching the (one- or two-byte) section length
 	// keeps the frame well-formed down to the planes.
 	short := append([]byte(nil), body[:len(body)-1]...)
-	at := len(short) - len(a.modelSection) + 2 // past the form byte
-	ln, n := binary.Uvarint(short[at:])
-	binary.PutUvarint(short[at:at+n], ln-1)
+	ln, n := binary.Uvarint(short[at+1:])
+	binary.PutUvarint(short[at+1:at+1+n], ln-1)
 	corrupt("truncated plane", short)
 	if got, err := b.decodeDeltaFrame(0, 0, body); err != nil || got.Model == nil || rx.watermark != w0+1 {
 		t.Fatalf("the intact frame after the corrupt ones: err=%v watermark=%d", err, rx.watermark)
@@ -548,6 +556,44 @@ func planeSection(t *testing.T, a *runner, m model.Model) (section, raw []byte) 
 		t.Fatal(err)
 	}
 	return a.modelSection, raw
+}
+
+// exponentPlaneCode reads a word-plane model section built from the
+// marshaled bytes raw whose exponent plane (plane 3) is Huffman-coded: it
+// returns the offset in the section of the plane's first code-length byte
+// and the padding bits of its last stream, which ends the section. The
+// stream's bits are counted from the plane itself: the top byte of each
+// word of the plane's last quarter rotated left by one.
+func exponentPlaneCode(t *testing.T, section, raw []byte) (nibbles, padding int) {
+	t.Helper()
+	_, n := binary.Uvarint(section[1:])
+	at := 1 + n
+	flags := section[at]
+	_, n = binary.Uvarint(section[at+1:])
+	words := len(raw) / 4
+	at += 1 + n + 2*words + len(raw)%4
+	if flags&1 != 0 {
+		at += 4 + int(binary.LittleEndian.Uint32(section[at:]))
+	} else {
+		at += words
+	}
+	if flags&2 == 0 {
+		t.Fatal("test premise broken: the exponent plane is not coded")
+	}
+	bitmap := section[at+4 : at+4+32]
+	nibbles = at + 4 + 32
+	var lens [256]int
+	for s, i := 0, 0; s < 256; s++ {
+		if bitmap[s/8]>>(s%8)&1 != 0 {
+			lens[s] = int(section[nibbles+i/2]>>(4*(i%2))) & 15
+			i++
+		}
+	}
+	streamBits := 0
+	for w := 3 * ((words + 3) / 4); w < words; w++ {
+		streamBits += lens[bits.RotateLeft32(binary.LittleEndian.Uint32(raw[4*w:]), 1)>>24]
+	}
+	return nibbles, (8 - streamBits%8) % 8
 }
 
 // TestDeltaModelSection round-trips model payloads from a single row pair
@@ -835,11 +881,8 @@ func (c *captureEndpoint) Send(_ int, data []byte) error {
 // the way has held a frame of this size — marshal, plane and section
 // buffers, the send worker's body and sealed frame, the gather worker's
 // opened plaintext, plane scratch and marshaled bytes, the peer's receive
-// model — building and sealing a model frame allocates nothing, and opening
-// and decoding one allocates nothing of the runtime's. What remains is the
-// standard library's: its inflater builds second-level Huffman tables per
-// block (see compress.TestCodecWarmRoundTripDoesNotAllocate), measured here
-// on a bare flate reader over the coded planes alone.
+// model — building and sealing a model frame allocates nothing, and
+// neither does opening and decoding one, coded planes included.
 func TestModelFrameSteadyStateAllocs(t *testing.T) {
 	a, b := newDeltaPair()
 	key := bytes.Repeat([]byte{7}, 32)
@@ -881,45 +924,11 @@ func TestModelFrameSteadyStateAllocs(t *testing.T) {
 	if a.modelSection[0] != sectionPlanes {
 		t.Fatal("test premise broken: the model section is not word planes")
 	}
-	// The coded planes, re-made here: bytes 2 and 3 of each word rotated
-	// left by one, through a Huffman-only flate writer, for each plane the
-	// section's flags (its first byte, after the form and length) say is
-	// coded.
-	_, n := binary.Uvarint(a.modelSection[1:])
-	flags := a.modelSection[1+n]
-	if flags&2 == 0 {
-		t.Fatal("test premise broken: the exponent plane is not coded")
-	}
-	var streams [][]byte
-	for i, shift := range []uint{16, 24} {
-		if flags&(1<<i) == 0 {
-			continue
-		}
-		plane := make([]byte, 0, len(want)/4)
-		for o := 0; o+4 <= len(want); o += 4 {
-			plane = append(plane, byte(bits.RotateLeft32(binary.LittleEndian.Uint32(want[o:]), 1)>>shift))
-		}
-		stream, err := compress.Deflate(plane, flate.HuffmanOnly)
-		if err != nil {
-			t.Fatal(err)
-		}
-		streams = append(streams, stream)
-	}
-	var src bytes.Reader
-	fr := flate.NewReader(&src)
-	fixed := make([]byte, len(want)/4)
-	stdlib := testing.AllocsPerRun(20, func() {
-		for _, stream := range streams {
-			src.Reset(stream)
-			fr.(flate.Resetter).Reset(&src, nil)
-			io.ReadFull(fr, fixed)
-		}
-	})
 	if n := testing.AllocsPerRun(20, send); n != 0 {
 		t.Fatalf("building and sealing a warm model frame allocates %.0f objects", n)
 	}
-	if n := testing.AllocsPerRun(20, func() { send(); open() }); n != stdlib {
-		t.Fatalf("warm model frame round trip allocates %.0f objects, inflating its coded planes alone %.0f", n, stdlib)
+	if n := testing.AllocsPerRun(20, func() { send(); open() }); n != 0 {
+		t.Fatalf("warm model frame round trip allocates %.0f objects", n)
 	}
 	if out, _ := got.Model.Marshal(); !bytes.Equal(out, want) || got.Model != b.recvModel[0] {
 		t.Fatal("the decoded model is not the sent one, in the peer's receive model")

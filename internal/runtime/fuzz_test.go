@@ -90,7 +90,8 @@ func FuzzDecodeDeltaPayload(f *testing.F) {
 	}
 
 	// Seed corpus: a reference-carrying data frame, an empty frame, a
-	// model frame of each section form and a reset, plus parser traps.
+	// model frame of each section form and one of a retired form, a reset,
+	// plus parser traps.
 	a, _ := seedPair()
 	refFrame, _ := a.encodeDeltaBody(nil, 1, core.Payload{From: 0, Degree: 2,
 		Data: []dataset.Rating{{User: 5, Item: 6, Value: 2.5}, {User: 1, Item: 2, Value: 3}}})
@@ -108,6 +109,11 @@ func FuzzDecodeDeltaPayload(f *testing.F) {
 	if a.modelSection[0] != sectionPlanes {
 		f.Fatal("seed corpus lacks a word-plane model frame")
 	}
+	// The same frame under section form 2, retired with the planes over
+	// DEFLATE's Huffman coder.
+	retired, _ := a.encodeDeltaBody(nil, 1, core.Payload{From: 0, Degree: 2, Model: trainedMF(64, 50)})
+	retired[len(retired)-len(a.modelSection)] = 2
+	f.Add(retired)
 	a.tx[1].pendingReset = true
 	reset, _ := a.encodeDeltaBody(nil, 1, core.Payload{From: 0, Degree: 2,
 		Data: []dataset.Rating{{User: 3, Item: 4, Value: 5}}})
