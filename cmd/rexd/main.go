@@ -1,12 +1,18 @@
-// Command rexd runs one REX node as a long-running daemon: the training
-// loop of rexnode restructured around runtime.Engine, with snapshot
-// persistence (internal/store) and an HTTP serving path (internal/serve)
-// attached. Where rexnode trains for -epochs and exits, rexd trains in
-// generations, persists a snapshot after each one, serves /recommend from
-// the latest published snapshot the whole time, and keeps going until a
-// drain (SIGTERM, SIGINT or POST /drain) or -generations runs out.
+// Command rexd runs REX nodes over TCP — the deployment shape of the
+// paper's SGX cluster (§IV-C). Every process of a cluster is started with
+// the same workload flags (-seed, -scale, -mode, -algo, -share, -steps,
+// -scenario) and derives the same synthetic dataset and partitioning from
+// them: node i trains on the i-th partition, attests its neighbors when
+// -secure, and gossips raw ratings (or model parameters with -mode ms).
+// One binary runs every shape a node takes.
 //
-// Example 2-node daemon cluster (two shells):
+// Daemon: one node as a long-running service around runtime.Engine, with
+// snapshot persistence (internal/store) and an HTTP serving path
+// (internal/serve) attached. It trains in generations of -gen-epochs
+// epochs, persists a snapshot after each one, serves /recommend from the
+// latest published snapshot the whole time, and keeps going until a drain
+// (SIGTERM, SIGINT or POST /drain) or -generations runs out. A 2-node
+// cluster (two shells):
 //
 //	rexd -id 0 -nodes 127.0.0.1:7800,127.0.0.1:7801 -http 127.0.0.1:8800 -data /tmp/rexd0
 //	rexd -id 1 -nodes 127.0.0.1:7800,127.0.0.1:7801 -http 127.0.0.1:8801 -data /tmp/rexd1
@@ -22,10 +28,33 @@
 // through the failure detector's rejoin path (gossip is rate-synchronized,
 // not epoch-stamped, so the resumed node's older epoch counter is fine).
 //
-// Resume is a plaintext-mode feature: secure mode has no re-attestation
-// path (a fresh enclave cannot rejoin sessions attested before the crash),
-// so -secure is rejected together with -resume, and rexd defaults to the
-// native build. Secure daemons work when the whole cluster starts fresh.
+// Batch: the same node without -http and -data is a batch job. It trains
+// -generations × -gen-epochs epochs and exits:
+//
+//	rexd -id 0 -nodes 127.0.0.1:7800,127.0.0.1:7801 -generations 10 -gen-epochs 5
+//	rexd -id 1 -nodes 127.0.0.1:7800,127.0.0.1:7801 -generations 10 -gen-epochs 5
+//
+// Shard: -shard i/k runs a contiguous block of the -n nodes in this
+// process (in-process transport between them) and bridges cross-shard
+// edges over one TCP link per shard pair, at the bridge addresses -peers
+// lists in shard order — the paper's two enclaves per platform, and the
+// way larger meshes run as real multi-process clusters. Sharding is batch
+// only: it needs -generations, and it rejects -http, -data, -resume,
+// -nodes, -id and the admission flags. An 8-node cluster as two processes
+// (two shells):
+//
+//	rexd -shard 0/2 -peers 127.0.0.1:7800,127.0.0.1:7801 -n 8 -generations 10 -gen-epochs 5 -secure
+//	rexd -shard 1/2 -peers 127.0.0.1:7800,127.0.0.1:7801 -n 8 -generations 10 -gen-epochs 5 -secure
+//
+// Every shape ends by printing one line per node it ran to stdout,
+// "node N done: final RMSE R | …", with R in round-trip-exact form.
+//
+// -secure defaults to false, the paper's native build. Resume is a
+// plaintext-mode feature: secure mode has no re-attestation path (a fresh
+// enclave cannot rejoin sessions attested before the crash), so -secure is
+// rejected together with -resume. Secure clusters work when they start
+// fresh: every process derives the same attestation collateral from -seed,
+// standing in for the keys SGX hardware fuses at manufacture.
 package main
 
 import (
@@ -39,6 +68,8 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"slices"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -57,27 +88,31 @@ import (
 	"rex/internal/runtime"
 	"rex/internal/serve"
 	"rex/internal/store"
+	"rex/internal/topology"
 )
 
 func main() {
 	var (
 		id         = flag.Int("id", 0, "this node's index into -nodes")
 		nodes      = flag.String("nodes", "", "comma-separated host:port of every node's gossip address, in id order")
+		shard      = flag.String("shard", "", "i/k: run shard i of a k-process cluster, a contiguous block of the -n nodes bridged to the other shards at -peers; batch only (needs -generations, rejects -http, -data, -resume, -nodes, -id and the admission flags)")
+		peers      = flag.String("peers", "", "comma-separated host:port of every shard's bridge, in shard order (with -shard)")
+		nTotal     = flag.Int("n", 0, "total node count across all shards (with -shard)")
 		httpAddr   = flag.String("http", "", "HTTP serving address (e.g. 127.0.0.1:8800)")
 		dataDir    = flag.String("data", "", "persistence directory (snapshots + rating WAL); empty = no persistence")
 		resume     = flag.Bool("resume", false, "restore model/store/epoch from the last snapshot in -data and rejoin the cluster")
-		gens       = flag.Int("generations", 0, "stop after this many generations; 0 = run until drained")
+		gens       = flag.Int("generations", 0, "stop after this many generations; 0 = run until drained (daemon only)")
 		genEpochs  = flag.Int("gen-epochs", 5, "training epochs per generation (one snapshot per generation)")
 		modeStr    = flag.String("mode", "rex", "sharing mode: rex (raw data) or ms (model parameters)")
 		algoStr    = flag.String("algo", "dpsgd", "dissemination: dpsgd or rmw")
-		secure     = flag.Bool("secure", false, "attest peers and encrypt gossip; incompatible with -resume")
+		secure     = flag.Bool("secure", false, "attest peers and encrypt gossip (default: the native build); incompatible with -resume")
 		seed       = flag.Int64("seed", 1, "shared dataset/partition seed (must match across the cluster)")
 		scale      = flag.Float64("scale", 0.1, "MovieLens-Latest scale factor for the synthetic dataset")
 		points     = flag.Int("share", 100, "raw data points shared per epoch")
 		steps      = flag.Int("steps", 300, "SGD steps per epoch")
-		roundTO    = flag.Duration("round-timeout", 5*time.Second, "max wait per neighbor per gossip round before counting a miss")
+		roundTO    = flag.Duration("round-timeout", 5*time.Second, "max wait per neighbor per gossip round before counting a miss (0 = wait forever)")
 		grace      = flag.Int("peer-grace", 3, "consecutive missed rounds before a peer is dropped (rejoin stays possible)")
-		scenario   = flag.String("scenario", "", "chaos scenario (canned name or JSON file): wrap this node's gossip endpoint with the seeded fault schedule; every node of the cluster must be given the same scenario")
+		scenario   = flag.String("scenario", "", "chaos scenario (canned name or JSON file): wrap this process's gossip endpoints with the seeded fault schedule; every process of the cluster must be given the same scenario")
 		rateLimit  = flag.Float64("rate-limit", 0, "admission: token-bucket rate for POST /rate in requests/sec; over-limit requests are shed 429 before any WAL write (0 = unlimited)")
 		rateBurst  = flag.Int("rate-burst", 0, "admission: token-bucket capacity (0 = ceil(rate-limit))")
 		ingQueue   = flag.Int("ingest-queue", 0, "admission: max concurrent /rate requests inside the WAL+ingest section; excess is shed 429 (0 = unbounded)")
@@ -85,7 +120,8 @@ func main() {
 	)
 	flag.Parse()
 	if err := run(daemonOpts{
-		id: *id, nodes: *nodes, httpAddr: *httpAddr, dataDir: *dataDir,
+		id: *id, nodes: *nodes, shard: *shard, peers: *peers, n: *nTotal,
+		httpAddr: *httpAddr, dataDir: *dataDir,
 		resume: *resume, generations: *gens, genEpochs: *genEpochs,
 		modeStr: *modeStr, algoStr: *algoStr, secure: *secure,
 		seed: *seed, scale: *scale, points: *points, steps: *steps,
@@ -100,6 +136,9 @@ func main() {
 type daemonOpts struct {
 	id           int
 	nodes        string
+	shard        string
+	peers        string
+	n            int
 	httpAddr     string
 	dataDir      string
 	resume       bool
@@ -137,6 +176,183 @@ func run(o daemonOpts) error {
 	if o.genEpochs <= 0 {
 		return fmt.Errorf("-gen-epochs must be positive")
 	}
+	var shard int
+	var shardAddrs []string
+	if o.shard != "" {
+		if shard, shardAddrs, err = shardPlan(o); err != nil {
+			return err
+		}
+	} else if o.peers != "" || o.n != 0 {
+		return fmt.Errorf("-peers and -n need -shard")
+	}
+	var sc *faultnet.Scenario
+	if o.scenario != "" {
+		if sc, err = faultnet.Resolve(o.scenario); err != nil {
+			return err
+		}
+		log.Printf("chaos scenario %q (seed %d): drop=%.2f delay=%.2f dup=%.2f reorder=%.2f partitions=%d churn=%d",
+			sc.Name, sc.Seed, sc.Drop, sc.Delay, sc.Duplicate, sc.Reorder, len(sc.Partitions), len(sc.Churn))
+	}
+	ncfg := core.Config{Mode: mode, Algo: algo, StepsPerEpoch: o.steps, SharePoints: o.points, Seed: o.seed}
+	if o.shard != "" {
+		return runShard(o, ncfg, sc, shard, shardAddrs)
+	}
+	return runNode(o, ncfg, sc)
+}
+
+// workload is what every process of a cluster derives alike from the
+// shared flags: the synthetic dataset's n-way user partition (Algorithm 1:
+// read_dataset) and the node and model configurations.
+type workload struct {
+	numItems    int
+	train, test [][]dataset.Rating
+	ncfg        core.Config
+	mcfg        mf.Config
+}
+
+func newWorkload(o daemonOpts, ncfg core.Config, n int) (*workload, error) {
+	spec := movielens.Latest().Scaled(o.scale)
+	spec.Seed = o.seed
+	ds := movielens.Generate(spec)
+	tr, te := ds.SplitPerUser(0.7, rand.New(rand.NewSource(o.seed)))
+	train, err := tr.PartitionUsersAcross(n, rand.New(rand.NewSource(o.seed)))
+	if err != nil {
+		return nil, fmt.Errorf("partitioning: %w", err)
+	}
+	test, err := te.PartitionUsersAcross(n, rand.New(rand.NewSource(o.seed)))
+	if err != nil {
+		return nil, fmt.Errorf("partitioning: %w", err)
+	}
+	return &workload{numItems: ds.NumItems, train: train, test: test, ncfg: ncfg, mcfg: mf.DefaultConfig()}, nil
+}
+
+func (w *workload) nodeConfig(id int) core.Config {
+	c := w.ncfg
+	c.ID = id
+	return c
+}
+
+func (w *workload) newNode(id int) *core.Node {
+	return core.NewNode(w.nodeConfig(id), w.newModel(), w.train[id], w.test[id])
+}
+
+func (w *workload) newModel() model.Model { return mf.New(w.mcfg) }
+
+// collateral derives the cluster's attestation infrastructure and
+// platforms from -seed, so every process of the cluster verifies against
+// the same collateral.
+func collateral(n int, seed int64) (*attest.Infrastructure, []*attest.Platform, error) {
+	return runtime.Collateral(n, rand.New(rand.NewSource(seed)))
+}
+
+// printDone prints a node's one summary line. The RMSE is printed in its
+// shortest round-trip-exact form, so runs compare bit for bit.
+func printDone(id int, s *runtime.Stats) {
+	fmt.Printf("node %d done: final RMSE %v | merge %v train %v share %v test %v | seal %v open %v wire %v | in %d B out %d B on-wire %d B | delta saved %d B refs %d explicit %d resyncs %d | attested %d | lost %d rejoined %d | faults dropped %d delayed %d | queue hwm %d\n",
+		id, s.FinalRMSE, s.Merge, s.Train, s.Share, s.Test,
+		s.Seal, s.Open, s.Wire, s.BytesIn, s.BytesOut, s.BytesOnWire,
+		max(s.WireRawBytes-s.BytesOnWire, 0), s.DeltaRefs, s.DeltaExplicit, s.Resyncs, s.Attested,
+		s.PeersLost, s.Rejoins, s.DroppedFrames, s.DelayedFrames, s.SendQueueHWM)
+}
+
+// shardPlan checks the shard-mode flags and returns this process's shard
+// index and every shard's bridge address. -shard must be exactly i/k with
+// 0 <= i < k and k >= 2; the daemon-only flags are refused.
+func shardPlan(o daemonOpts) (int, []string, error) {
+	for _, f := range []struct {
+		set  bool
+		name string
+	}{
+		{o.httpAddr != "", "-http"},
+		{o.dataDir != "", "-data"},
+		{o.resume, "-resume"},
+		{o.nodes != "", "-nodes"},
+		{o.id != 0, "-id"},
+		{o.rateLimit != 0, "-rate-limit"},
+		{o.rateBurst != 0, "-rate-burst"},
+		{o.ingestQueue != 0, "-ingest-queue"},
+		{o.maxSnapshotAge != 0, "-max-snapshot-age"},
+	} {
+		if f.set {
+			return 0, nil, fmt.Errorf("%s cannot be used with -shard: a shard runs as a batch job", f.name)
+		}
+	}
+	if o.generations <= 0 {
+		return 0, nil, fmt.Errorf("-generations %d: a shard runs as a batch job and needs a positive generation count", o.generations)
+	}
+	is, ks, _ := strings.Cut(o.shard, "/")
+	shard, okI := decimal(is)
+	k, okK := decimal(ks)
+	if !okI || !okK || k < 2 || shard >= k {
+		return 0, nil, fmt.Errorf("-shard wants i/k with 0 <= i < k and k >= 2, got %q", o.shard)
+	}
+	addrs := strings.Split(o.peers, ",")
+	if len(addrs) != k || slices.Contains(addrs, "") {
+		return 0, nil, fmt.Errorf("-peers must list %d bridge addresses, one per shard, got %q", k, o.peers)
+	}
+	if o.n < k {
+		return 0, nil, fmt.Errorf("-n %d cannot be split across %d shards", o.n, k)
+	}
+	return shard, addrs, nil
+}
+
+// decimal parses s if it is a non-empty run of ASCII digits, nothing else.
+func decimal(s string) (int, bool) {
+	if s == "" || strings.Trim(s, "0123456789") != "" {
+		return 0, false
+	}
+	v, err := strconv.Atoi(s)
+	return v, err == nil
+}
+
+// runShard runs this process's node block of a sharded batch cluster
+// through the cluster driver.
+func runShard(o daemonOpts, ncfg core.Config, sc *faultnet.Scenario, shard int, addrs []string) error {
+	w, err := newWorkload(o, ncfg, o.n)
+	if err != nil {
+		return err
+	}
+	nodes := make([]*core.Node, o.n)
+	lo, hi := runtime.ShardRange(o.n, len(addrs), shard)
+	for i := lo; i < hi; i++ {
+		nodes[i] = w.newNode(i)
+	}
+	cfg := runtime.ClusterConfig{
+		Graph: topology.FullyConnected(o.n), Nodes: nodes,
+		Epochs:       o.generations * o.genEpochs,
+		Secure:       o.secure,
+		NewModel:     w.newModel,
+		RoundTimeout: o.roundTimeout,
+		PeerGrace:    o.peerGrace,
+		Rejoin:       true,
+		OnEpoch: func(node, e int, rmse float64) {
+			log.Printf("node %d epoch %3d: local test RMSE %.4f", node, e, rmse)
+		},
+		Shard: shard, ShardAddrs: addrs,
+	}
+	if o.secure {
+		if cfg.Infra, cfg.Platforms, err = collateral(o.n, o.seed); err != nil {
+			return err
+		}
+	}
+	if sc != nil {
+		sc.ApplyCluster(&cfg, &faultnet.Log{})
+	}
+	stats, err := runtime.RunCluster(cfg)
+	if err != nil {
+		return err
+	}
+	for i, st := range stats {
+		if st != nil {
+			printDone(i, st)
+		}
+	}
+	return nil
+}
+
+// runNode runs one node on runtime.Engine: a daemon with -http or -data,
+// a batch job without them.
+func runNode(o daemonOpts, ncfg core.Config, sc *faultnet.Scenario) error {
 	addrs := strings.Split(o.nodes, ",")
 	if len(addrs) < 2 {
 		return fmt.Errorf("-nodes needs at least two addresses")
@@ -145,26 +361,9 @@ func run(o daemonOpts) error {
 		return fmt.Errorf("-id %d out of range for %d nodes", o.id, len(addrs))
 	}
 	n := len(addrs)
-
-	// Deterministic shared workload: every daemon derives the full dataset
-	// and takes its own partition, exactly like rexnode.
-	spec := movielens.Latest().Scaled(o.scale)
-	spec.Seed = o.seed
-	ds := movielens.Generate(spec)
-	rng := rand.New(rand.NewSource(o.seed))
-	tr, te := ds.SplitPerUser(0.7, rng)
-	trainParts, err := tr.PartitionUsersAcross(n, rand.New(rand.NewSource(o.seed)))
+	w, err := newWorkload(o, ncfg, n)
 	if err != nil {
-		return fmt.Errorf("partitioning: %w", err)
-	}
-	testParts, err := te.PartitionUsersAcross(n, rand.New(rand.NewSource(o.seed)))
-	if err != nil {
-		return fmt.Errorf("partitioning: %w", err)
-	}
-	mcfg := mf.DefaultConfig()
-	ncfg := core.Config{
-		ID: o.id, Mode: mode, Algo: algo,
-		StepsPerEpoch: o.steps, SharePoints: o.points, Seed: o.seed,
+		return err
 	}
 
 	// Persistence: open the data dir first so a -resume failure is caught
@@ -179,7 +378,7 @@ func run(o daemonOpts) error {
 		defer dir.Close()
 	}
 
-	node := core.NewNode(ncfg, mf.New(mcfg), trainParts[o.id], testParts[o.id])
+	node := w.newNode(o.id)
 	startEpoch := 0
 	resumed := false
 	if o.resume {
@@ -200,11 +399,11 @@ func run(o daemonOpts) error {
 			resumed = true
 			log.Printf("node %d: resumed at epoch 0 (no snapshot, %d WAL ratings replayed)", o.id, len(replayed))
 		default:
-			m := mf.New(mcfg)
+			m := mf.New(w.mcfg)
 			if err := m.Unmarshal(snap.Model); err != nil {
 				return fmt.Errorf("restoring model: %w", err)
 			}
-			node = core.RestoreNode(ncfg, m, snap.Ratings, testParts[o.id], snap.Epoch)
+			node = core.RestoreNode(w.nodeConfig(o.id), m, snap.Ratings, w.test[o.id], snap.Epoch)
 			if len(replayed) > 0 {
 				node.Store.Append(replayed)
 			}
@@ -235,16 +434,9 @@ func run(o daemonOpts) error {
 	gossipEP := runtime.Endpoint(ep)
 	defer func() { gossipEP.Close() }()
 
-	var sc *faultnet.Scenario
 	var faultLog *faultnet.Log
-	if o.scenario != "" {
-		sc, err = faultnet.Resolve(o.scenario)
-		if err != nil {
-			return err
-		}
+	if sc != nil {
 		faultLog = &faultnet.Log{}
-		log.Printf("node %d: chaos scenario %q (seed %d): drop=%.2f delay=%.2f dup=%.2f reorder=%.2f partitions=%d churn=%d",
-			o.id, sc.Name, sc.Seed, sc.Drop, sc.Delay, sc.Duplicate, sc.Reorder, len(sc.Partitions), len(sc.Churn))
 	}
 
 	// Stage histograms for /metrics: OnEpoch runs on the protocol thread
@@ -257,7 +449,7 @@ func run(o daemonOpts) error {
 	cfg := runtime.Config{
 		Node: node, Endpoint: ep, Neighbors: neighbors,
 		Secure:     o.secure,
-		NewModel:   func() model.Model { return mf.New(mcfg) },
+		NewModel:   w.newModel,
 		StartEpoch: startEpoch,
 		Publish:    true,
 		// A daemon must survive peer restarts: time out slow rounds, drop
@@ -287,20 +479,13 @@ func run(o daemonOpts) error {
 		gossipEP = cfg.Endpoint
 	}
 	if o.secure {
-		inf := attest.NewInfrastructure()
-		entropy := rand.New(rand.NewSource(o.seed))
-		platforms := make([]*attest.Platform, n)
-		for i := 0; i < n; i++ {
-			p, err := inf.NewPlatform(entropy)
-			if err != nil {
-				return fmt.Errorf("platform: %w", err)
-			}
-			platforms[i] = p
+		inf, platforms, err := collateral(n, o.seed)
+		if err != nil {
+			return err
 		}
 		cfg.Platform = platforms[o.id]
 		cfg.Infra = inf
 		cfg.Measurement = attest.MeasureCode([]byte("rex-enclave-v1"))
-		cfg.Entropy = rand.New(rand.NewSource(o.seed + int64(o.id) + 1000))
 	}
 
 	engine, err = runtime.NewEngine(cfg)
@@ -332,7 +517,7 @@ func run(o daemonOpts) error {
 	var httpSrv *http.Server
 	if o.httpAddr != "" {
 		srv, err := serve.New(serve.Config{
-			Node: engine, ID: o.id, NumItems: ds.NumItems,
+			Node: engine, ID: o.id, NumItems: w.numItems,
 			Stages: stages,
 			Admission: serve.AdmissionConfig{
 				RatePerSec:     o.rateLimit,
@@ -440,13 +625,6 @@ func run(o daemonOpts) error {
 	if loopErr != nil {
 		return loopErr
 	}
-	st := engine.Stats()
-	saved := st.WireRawBytes - st.BytesOnWire
-	if saved < 0 {
-		saved = 0
-	}
-	log.Printf("node %d drained at epoch %d: final RMSE %.6f | in %d B out %d B wire %d B | delta saved %d B refs %d explicit %d resyncs %d | lost %d rejoined %d",
-		o.id, engine.Epoch(), st.FinalRMSE, st.BytesIn, st.BytesOut, st.BytesOnWire,
-		saved, st.DeltaRefs, st.DeltaExplicit, st.Resyncs, st.PeersLost, st.Rejoins)
+	printDone(o.id, engine.Stats())
 	return nil
 }

@@ -54,9 +54,8 @@ func main() {
 		start := time.Now()
 		stats, err := rex.RunCluster(rex.ClusterConfig{
 			Graph: graph, Nodes: build(mode), Epochs: *epochs,
-			Secure:           secure,
-			NodesPerPlatform: 2, // paper: 2 processes per SGX machine
-			NewModel:         func() rex.Model { return rex.NewMF(mfCfg) },
+			Secure:   secure, // two enclaves per SGX platform, as in the paper
+			NewModel: func() rex.Model { return rex.NewMF(mfCfg) },
 		})
 		if err != nil {
 			log.Fatal(err)

@@ -155,7 +155,7 @@ func NewInfrastructure() *Infrastructure {
 // key pair (entropy from rand) and registers the PCK certificate.
 //
 // The keys are a pure function of the bytes read from rand. That matters
-// for multi-process clusters: every rexnode process re-derives the whole
+// for multi-process clusters: every rexd process re-derives the whole
 // cluster's collateral from the shared seed, which only verifies if equal
 // entropy yields equal keys. ecdsa.GenerateKey cannot provide this — Go
 // deliberately randomizes its reads (randutil.MaybeReadByte) so callers

@@ -19,6 +19,7 @@ package faultnet
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"os"
 	"sort"
 	"sync"
@@ -54,7 +55,8 @@ type Scenario struct {
 	Seed int64  `json:"seed"`
 	// Epochs is the schedule horizon (the run length the scenario was
 	// written for); the reorder fault uses it to avoid stashing a sender's
-	// final frame, and validation checks partitions/churn fall inside it.
+	// final frame. Validate rejects a negative horizon and nothing more:
+	// partitions and churn may reach past it, and 0 means no horizon.
 	Epochs int `json:"epochs"`
 
 	// Drop is the probability a gossip frame is silently discarded.
@@ -121,6 +123,9 @@ func Parse(b []byte) (*Scenario, error) {
 	return &s, nil
 }
 
+// maxMs is the longest millisecond count a time.Duration holds.
+const maxMs = int64(math.MaxInt64 / time.Millisecond)
+
 // Validate checks the spec for internally inconsistent values.
 func (s *Scenario) Validate() error {
 	for _, p := range []struct {
@@ -131,8 +136,13 @@ func (s *Scenario) Validate() error {
 			return fmt.Errorf("faultnet: %s probability %v outside [0,1]", p.name, p.v)
 		}
 	}
-	if s.DelayMs < 0 || s.DelayJitterMs < 0 || s.TimeoutMs < 0 || s.GraceRounds < 0 {
-		return fmt.Errorf("faultnet: negative duration or grace")
+	if s.DelayMs < 0 || s.DelayJitterMs < 0 || s.TimeoutMs < 0 || s.GraceRounds < 0 || s.Epochs < 0 {
+		return fmt.Errorf("faultnet: negative duration, grace or epochs")
+	}
+	// DelayAt adds up to the whole jitter to the base delay. (Subtracting
+	// keeps the check itself from overflowing: both values are >= 0.)
+	if int64(s.DelayMs) > maxMs-int64(s.DelayJitterMs) || int64(s.TimeoutMs) > maxMs {
+		return fmt.Errorf("faultnet: delay_ms + delay_jitter_ms or timeout_ms past %d ms overflows a duration", maxMs)
 	}
 	for i, p := range s.Partitions {
 		if p.Until <= p.From || p.From < 0 {

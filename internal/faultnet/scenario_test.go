@@ -47,6 +47,11 @@ func TestParseRejectsBadSpecs(t *testing.T) {
 		`{"partitions": [{"from": 0, "until": 2, "groups": [[0,1]]}]}`,
 		`{"partitions": [{"from": 0, "until": 2, "groups": [[0,1],[1,2]]}]}`,
 		`{"churn": [{"node": -1, "leave": 0}]}`,
+		`{"epochs": -1}`,
+		`{"delay_ms": 10000000000000}`,
+		`{"timeout_ms": 10000000000000}`,
+		`{"delay_ms": 9223372036854, "delay_jitter_ms": 1}`,
+		`{"delay_ms": 1, "delay_jitter_ms": 9223372036854}`,
 		`not json`,
 	}
 	for _, src := range bad {
@@ -54,6 +59,40 @@ func TestParseRejectsBadSpecs(t *testing.T) {
 			t.Errorf("spec accepted: %s", src)
 		}
 	}
+}
+
+// FuzzScenarioParse holds the parser of rexd's -scenario file to two
+// properties: Parse never panics, and a scenario it accepts never yields a
+// negative delay or round timeout. (A wrapped duration makes the live
+// runner ignore its timeout and wait forever, and the simulator charge
+// negative time.) The checked-in corpus adds the overflow cases.
+func FuzzScenarioParse(f *testing.F) {
+	for _, sc := range Canned() {
+		b, err := json.Marshal(sc)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(b)
+	}
+	f.Fuzz(func(t *testing.T, b []byte) {
+		sc, err := Parse(b)
+		if err != nil {
+			return
+		}
+		if d := sc.Timeout(); d < 0 {
+			t.Fatalf("accepted timeout_ms %d gives timeout %v", sc.TimeoutMs, d)
+		}
+		for from := 0; from < 4; from++ {
+			for to := 0; to < 4; to++ {
+				for e := 0; e < 8; e++ {
+					if d, _ := sc.DelayAt(from, to, e); d < 0 {
+						t.Fatalf("accepted delay_ms %d + jitter %d gives delay %v on %d->%d at epoch %d",
+							sc.DelayMs, sc.DelayJitterMs, d, from, to, e)
+					}
+				}
+			}
+		}
+	})
 }
 
 // TestScheduleDeterministic pins the core contract: every decision is a

@@ -1,7 +1,7 @@
 // Package scenariotest is the chaos-scenario conformance harness: it runs
 // a faultnet.Scenario against every execution backend REX has — the
 // deterministic simulator (internal/sim), an in-process ChanNet cluster,
-// and a real sharded TCP cluster (two ShardNets bridged over loopback) —
+// and a real sharded TCP cluster (two shards bridged over loopback) —
 // and gives the conformance suite one shape to assert over:
 //
 //   - replay determinism: the same (seed, spec) must reproduce bit-identical
@@ -134,7 +134,7 @@ func RunChanNet(t testing.TB, w *Workload, sc *faultnet.Scenario, secure bool) *
 	cfg := runtime.ClusterConfig{
 		Graph: w.Graph, Nodes: w.nodes(), Epochs: sc.Epochs,
 		Secure: secure,
-		// Entropy stays nil (crypto/rand): it feeds only key material,
+		// Collateral comes from crypto/rand: it feeds only key material,
 		// never the learning, so replay determinism is unaffected.
 		NewModel: func() model.Model { return mf.New(w.MCfg) },
 	}
@@ -152,34 +152,31 @@ func RunChanNet(t testing.TB, w *Workload, sc *faultnet.Scenario, secure bool) *
 }
 
 // RunShardTCP executes the scenario as two real TCP-bridged shard
-// processes' worth of ShardNets inside this test binary — the same
-// transport path two `rexnode -shard` processes take, with one shared
-// fault log for assertions.
+// processes' worth of RunCluster shards inside this test binary — the same
+// transport path two `rexd -shard` processes take, with one shared fault
+// log for assertions.
 func RunShardTCP(t testing.TB, w *Workload, sc *faultnet.Scenario) *Run {
 	t.Helper()
 	const shards = 2
 	addrs := freePorts(t, shards)
-	shardAddrs := map[int]string{0: addrs[0], 1: addrs[1]}
 	nodes := w.nodes()
 	var log faultnet.Log
 	merged := make([]*runtime.Stats, Nodes)
 	deadline(t, "sharded TCP cluster", func() {
 		type result struct {
-			stats map[int]*runtime.Stats
+			stats []*runtime.Stats
 			err   error
 		}
 		results := make(chan result, shards)
 		for s := 0; s < shards; s++ {
 			go func(s int) {
-				cfg := runtime.ShardConfig{
-					Graph: w.Graph, Nodes: nodes,
-					Shard: s, NumShards: shards,
-					ListenAddr: addrs[s], ShardAddrs: shardAddrs,
-					Epochs:   sc.Epochs,
+				cfg := runtime.ClusterConfig{
+					Graph: w.Graph, Nodes: nodes, Epochs: sc.Epochs,
 					NewModel: func() model.Model { return mf.New(w.MCfg) },
+					Shard:    s, ShardAddrs: addrs,
 				}
-				sc.ApplyShard(&cfg, &log)
-				stats, err := runtime.RunShard(cfg)
+				sc.ApplyCluster(&cfg, &log)
+				stats, err := runtime.RunCluster(cfg)
 				results <- result{stats, err}
 			}(s)
 		}
@@ -190,7 +187,9 @@ func RunShardTCP(t testing.TB, w *Workload, sc *faultnet.Scenario) *Run {
 				continue
 			}
 			for id, st := range res.stats {
-				merged[id] = st
+				if st != nil {
+					merged[id] = st
+				}
 			}
 		}
 	})

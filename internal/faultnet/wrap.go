@@ -186,8 +186,8 @@ func (f *faultEndpoint) FaultCounts() (dropped, delayed int64) {
 	return f.dropped.Load(), f.delayed.Load()
 }
 
-// Wrapper returns the runtime.ClusterConfig/ShardConfig WrapEndpoint hook
-// for this scenario, with all endpoints sharing one fault log.
+// Wrapper returns the runtime.ClusterConfig WrapEndpoint hook for this
+// scenario, with all endpoints sharing one fault log.
 func (s *Scenario) Wrapper(log *Log) func(node int, ep runtime.Endpoint) runtime.Endpoint {
 	return func(node int, ep runtime.Endpoint) runtime.Endpoint {
 		return Wrap(ep, node, s, log)
@@ -223,19 +223,10 @@ func (s *Scenario) ApplyRun(cfg *runtime.Config, log *Log) {
 	}
 }
 
-// ApplyCluster configures an in-process cluster for this scenario.
+// ApplyCluster configures a cluster for this scenario: the whole of it in
+// process, or one shard of a multi-process cluster, in which case every
+// shard must be given the same spec.
 func (s *Scenario) ApplyCluster(cfg *runtime.ClusterConfig, log *Log) {
-	cfg.WrapEndpoint = s.Wrapper(log)
-	s.applyKnobs(&cfg.RoundTimeout, &cfg.PeerGrace, &cfg.Rejoin)
-	cfg.Absent = s.absentFunc()
-	if s.Oracle {
-		cfg.SkipExpect = s.skipExpect
-	}
-}
-
-// ApplyShard configures one shard of a multi-process cluster for this
-// scenario; every shard must be given the same spec.
-func (s *Scenario) ApplyShard(cfg *runtime.ShardConfig, log *Log) {
 	cfg.WrapEndpoint = s.Wrapper(log)
 	s.applyKnobs(&cfg.RoundTimeout, &cfg.PeerGrace, &cfg.Rejoin)
 	cfg.Absent = s.absentFunc()

@@ -168,8 +168,8 @@ type Stats struct {
 // Run executes one node as a batch job: epochs [StartEpoch,
 // StartEpoch+Epochs) on a fresh Engine, then Stop. It returns after the
 // node's own last epoch; peers may still be finishing theirs. Run is the
-// thin wrapper rexnode and the cluster drivers use; long-running daemons
-// drive the Engine directly.
+// thin wrapper the cluster driver uses; long-running daemons drive the
+// Engine directly.
 func Run(cfg Config) (*Stats, error) {
 	e, err := NewEngine(cfg)
 	if err != nil {

@@ -5,20 +5,14 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
-
-	"rex/internal/attest"
-	"rex/internal/core"
-	"rex/internal/model"
-	"rex/internal/topology"
 )
 
-// This file is the multi-process cluster layer: a topology is partitioned
-// into contiguous shards, each shard runs its nodes inside one OS process
-// over in-process channels, and cross-shard edges are bridged over a
-// single TCP link per shard pair. This is how the paper's 8-node
+// This file is the multi-process cluster transport: a topology is
+// partitioned into contiguous shards, each shard runs its nodes inside one
+// OS process over in-process channels, and cross-shard edges are bridged
+// over a single TCP link per shard pair. This is how the paper's 8-node
 // two-enclaves-per-platform deployment — and larger meshes — run as real
-// multi-process clusters (cmd/rexnode -shard i/of).
+// multi-process clusters (RunCluster with ShardAddrs; cmd/rexd -shard i/k).
 
 // ShardRange returns the contiguous node-id block [lo, hi) owned by shard
 // s when n nodes are split across k shards.
@@ -43,22 +37,22 @@ func shardOwners(n, k int) []int {
 // shard index, not the node id, so the bridge re-addresses frames here.)
 const shardFrameHeader = 8
 
-// ShardNet is one shard's transport: an Endpoint per local node, local
+// shardNet is one shard's transport: an Endpoint per local node, local
 // edges delivered in-process, cross-shard edges multiplexed over one
 // TCPNet whose id space is shard indices. All of TCPNet's per-peer lane
 // properties carry over — each remote shard gets its own outbound lane.
-type ShardNet struct {
-	shard, numShards int
-	owners           []int
-	tcp              *TCPNet
-	locals           map[int]*shardEndpoint
-	wg               sync.WaitGroup
-	once             sync.Once
+type shardNet struct {
+	shard  int
+	owners []int
+	tcp    *TCPNet
+	locals map[int]*shardEndpoint
+	wg     sync.WaitGroup
+	once   sync.Once
 }
 
-// shardEndpoint is one local node's port on a ShardNet.
+// shardEndpoint is one local node's port on a shardNet.
 type shardEndpoint struct {
-	net   *ShardNet
+	net   *shardNet
 	id    int
 	inbox chan Envelope
 	done  chan struct{}
@@ -66,31 +60,28 @@ type shardEndpoint struct {
 	qhwm  atomic.Int64
 }
 
-// NewShardNet starts the transport for shard `shard` of `numShards` over
-// an n-node topology: it listens on listenAddr for other shards and dials
-// them at shardAddrs (shard index -> host:port). Endpoints for the local
-// node block are available via Endpoint.
-func NewShardNet(n, numShards, shard int, listenAddr string, shardAddrs map[int]string) (*ShardNet, error) {
-	if numShards < 1 || shard < 0 || shard >= numShards {
-		return nil, fmt.Errorf("runtime: shard %d of %d out of range", shard, numShards)
-	}
-	peers := make(map[int]string, len(shardAddrs))
-	for s, addr := range shardAddrs {
+// newShardNet starts the transport for shard `shard` of an n-node
+// topology split across len(addrs) shards: it listens on addrs[shard] for
+// the other shards and dials them at theirs. The local node block's
+// endpoints are in locals.
+func newShardNet(n, shard int, addrs []string) (*shardNet, error) {
+	peers := make(map[int]string, len(addrs)-1)
+	for s, addr := range addrs {
 		if s != shard {
 			peers[s] = addr
 		}
 	}
-	tcp, err := NewTCPNet(shard, listenAddr, peers)
+	tcp, err := NewTCPNet(shard, addrs[shard], peers)
 	if err != nil {
 		return nil, err
 	}
-	s := &ShardNet{
-		shard: shard, numShards: numShards,
-		owners: shardOwners(n, numShards),
+	s := &shardNet{
+		shard:  shard,
+		owners: shardOwners(n, len(addrs)),
 		tcp:    tcp,
 		locals: make(map[int]*shardEndpoint),
 	}
-	lo, hi := ShardRange(n, numShards, shard)
+	lo, hi := ShardRange(n, len(addrs), shard)
 	for i := lo; i < hi; i++ {
 		s.locals[i] = &shardEndpoint{
 			net: s, id: i,
@@ -103,21 +94,8 @@ func NewShardNet(n, numShards, shard int, listenAddr string, shardAddrs map[int]
 	return s, nil
 }
 
-// Addr returns the bridge's bound listen address.
-func (s *ShardNet) Addr() string { return s.tcp.Addr().String() }
-
-// Endpoint returns the transport port of a local node.
-func (s *ShardNet) Endpoint(node int) (Endpoint, error) {
-	ep, ok := s.locals[node]
-	if !ok {
-		lo, hi := ShardRange(len(s.owners), s.numShards, s.shard)
-		return nil, fmt.Errorf("runtime: node %d is not in shard %d (owns [%d,%d))", node, s.shard, lo, hi)
-	}
-	return ep, nil
-}
-
 // demux routes inbound cross-shard frames to the destination node's inbox.
-func (s *ShardNet) demux() {
+func (s *shardNet) demux() {
 	defer s.wg.Done()
 	for env := range s.tcp.Inbox() {
 		if len(env.Data) < shardFrameHeader {
@@ -141,7 +119,7 @@ func (s *ShardNet) demux() {
 }
 
 // Close shuts down the bridge and every local endpoint.
-func (s *ShardNet) Close() error {
+func (s *shardNet) Close() error {
 	s.once.Do(func() {
 		for _, ep := range s.locals {
 			ep.Close()
@@ -194,128 +172,4 @@ func (e *shardEndpoint) SendQueueHWM() int {
 		hwm = v
 	}
 	return hwm
-}
-
-// ShardConfig drives one shard of a multi-process REX deployment. Every
-// process is started with the same Graph (and, when Secure, the same
-// seed-derived attestation collateral); shard s runs the node block
-// ShardRange(Graph.N(), NumShards, s).
-type ShardConfig struct {
-	Graph *topology.Graph
-	// Nodes is the full n-length slice; only this shard's block must be
-	// populated (other entries may be nil).
-	Nodes []*core.Node
-	// Shard / NumShards locate this process in the deployment.
-	Shard, NumShards int
-	// ListenAddr is this shard's bridge address; ShardAddrs maps every
-	// shard index (including this one) to its bridge host:port.
-	ListenAddr string
-	ShardAddrs map[int]string
-
-	Epochs int
-	Secure bool
-	// Platforms holds attestation platforms for all n nodes and Infra the
-	// shared infrastructure root. Every process must derive identical
-	// collateral (e.g. from a shared seed, as cmd/rexnode does); only the
-	// local block's platforms are used. Required when Secure.
-	Platforms []*attest.Platform
-	Infra     *attest.Infrastructure
-	// NewModel supplies the models model-sharing payloads are decoded into
-	// (safe for concurrent calls: the shard's nodes start in parallel).
-	NewModel func() model.Model
-	// RoundTimeout enables per-round failure detection.
-	RoundTimeout time.Duration
-	// PeerGrace, Rejoin and Absent configure failure-detector grace,
-	// dropped-peer readmission and oracle churn (see Config); WrapEndpoint
-	// wraps each local node's transport (internal/faultnet's injection
-	// hook). Every shard process must be given the same scenario for the
-	// schedule to stay globally consistent.
-	PeerGrace    int
-	Rejoin       bool
-	Absent       func(node, epoch int) bool
-	SkipExpect   func(self, from, epoch int) bool
-	WrapEndpoint func(node int, ep Endpoint) Endpoint
-	// OnEpoch, when set, observes every local node's epochs.
-	OnEpoch func(node, epoch int, rmse float64)
-}
-
-// RunShard executes this shard's nodes concurrently, bridged to the other
-// shards over TCP, and returns their stats keyed by node id.
-func RunShard(cfg ShardConfig) (map[int]*Stats, error) {
-	n := cfg.Graph.N()
-	if len(cfg.Nodes) != n {
-		return nil, fmt.Errorf("runtime: %d nodes for %d-vertex graph", len(cfg.Nodes), n)
-	}
-	if cfg.Secure && (len(cfg.Platforms) != n || cfg.Infra == nil) {
-		return nil, fmt.Errorf("runtime: secure shard requires shared infra and %d platforms", n)
-	}
-	lo, hi := ShardRange(n, cfg.NumShards, cfg.Shard)
-	for i := lo; i < hi; i++ {
-		if cfg.Nodes[i] == nil {
-			return nil, fmt.Errorf("runtime: shard %d owns node %d but it is nil", cfg.Shard, i)
-		}
-	}
-	net, err := NewShardNet(n, cfg.NumShards, cfg.Shard, cfg.ListenAddr, cfg.ShardAddrs)
-	if err != nil {
-		return nil, err
-	}
-	defer net.Close()
-
-	type result struct {
-		node int
-		st   *Stats
-		err  error
-	}
-	results := make(chan result, hi-lo)
-	for i := lo; i < hi; i++ {
-		ep, err := net.Endpoint(i)
-		if err != nil {
-			return nil, err
-		}
-		if cfg.WrapEndpoint != nil {
-			ep = cfg.WrapEndpoint(i, ep)
-		}
-		go func(i int, ep Endpoint) {
-			var platform *attest.Platform
-			if cfg.Secure {
-				platform = cfg.Platforms[i]
-			}
-			var onEpoch func(int, float64)
-			if cfg.OnEpoch != nil {
-				onEpoch = func(e int, rmse float64) { cfg.OnEpoch(i, e, rmse) }
-			}
-			var skip func(from, epoch int) bool
-			if cfg.SkipExpect != nil {
-				skip = func(from, epoch int) bool { return cfg.SkipExpect(i, from, epoch) }
-			}
-			st, err := Run(Config{
-				Node:         cfg.Nodes[i],
-				Endpoint:     ep,
-				Neighbors:    cfg.Graph.Neighbors(i),
-				Epochs:       cfg.Epochs,
-				Secure:       cfg.Secure,
-				Platform:     platform,
-				Infra:        cfg.Infra,
-				Measurement:  enclaveMeasurement,
-				NewModel:     cfg.NewModel,
-				OnEpoch:      onEpoch,
-				RoundTimeout: cfg.RoundTimeout,
-				PeerGrace:    cfg.PeerGrace,
-				Rejoin:       cfg.Rejoin,
-				Absent:       cfg.Absent,
-				SkipExpect:   skip,
-			})
-			results <- result{i, st, err}
-		}(i, ep)
-	}
-	stats := make(map[int]*Stats, hi-lo)
-	var firstErr error
-	for i := lo; i < hi; i++ {
-		res := <-results
-		if res.err != nil && firstErr == nil {
-			firstErr = fmt.Errorf("runtime: node %d: %w", res.node, res.err)
-		}
-		stats[res.node] = res.st
-	}
-	return stats, firstErr
 }

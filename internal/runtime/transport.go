@@ -3,21 +3,20 @@
 // (internal/attest) and AES-GCM encrypted gossip (internal/seccha). It is
 // the Algorithm 1 + Algorithm 2 pairing of the paper — the untrusted
 // bootstrap/network shell around the enclaved protocol logic in
-// internal/core — and backs the rexnode command and the examples.
+// internal/core — and backs the rexd command and the examples.
 //
 // The runtime is layered:
 //
 //   - transport (this file, channet.go, tcp.go, shard.go): Endpoint
 //     implementations. TCPNet gives every peer a dedicated outbound lane
 //     (writer goroutine + bounded queue) so a slow peer never stalls sends
-//     to healthy ones; ShardNet bridges several in-process nodes across
-//     OS processes over one TCP link per shard pair.
+//     to healthy ones; the shard transport bridges several in-process
+//     nodes across OS processes over one TCP link per shard pair.
 //   - runner (runner.go, attest.go): the per-node epoch pipeline — frames
 //     are decrypted and decoded as they arrive, per-neighbor sealing runs
 //     concurrently, and share-sends overlap the test stage.
-//   - cluster drivers (cluster.go, shard.go): RunCluster executes a whole
-//     deployment in one process; RunShard runs one shard of a
-//     multi-process deployment.
+//   - cluster driver (cluster.go): RunCluster executes a whole deployment
+//     in one process, or one shard of a multi-process deployment.
 package runtime
 
 import (

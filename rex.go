@@ -17,7 +17,7 @@
 //     reproduces the paper's experiments — node steps within an epoch fan
 //     out across a worker pool (SimConfig.Workers, default GOMAXPROCS)
 //     with results bit-identical to a sequential run for any fixed seed —
-//     and a live concurrent runtime (see internal/runtime via the rexnode
+//     and a live concurrent runtime (see internal/runtime via the rexd
 //     command) with real attestation and AES-GCM channels.
 //
 // A minimal comparison of REX against classical model sharing:
@@ -216,25 +216,19 @@ func NewNode(cfg NodeConfig, m Model, train, test []Rating) *Node {
 	return core.NewNode(cfg, m, train, test)
 }
 
-// ClusterConfig configures a live in-process REX deployment with real
-// attestation and encrypted gossip.
+// ClusterConfig configures a live REX deployment with real attestation and
+// encrypted gossip: all of it in process, or, with ShardAddrs, one shard
+// of a multi-process deployment whose cross-shard edges run over TCP (see
+// cmd/rexd -shard).
 type ClusterConfig = runtime.ClusterConfig
 
 // NodeStats reports one live node's stage timings, traffic and errors.
 type NodeStats = runtime.Stats
 
 // RunCluster executes a live REX cluster: concurrent nodes, mutual
-// attestation (when Secure), AES-GCM sealed gossip.
+// attestation (when Secure), AES-GCM sealed gossip. A shard's result has
+// nil entries for the nodes other shards run.
 func RunCluster(cfg ClusterConfig) ([]*NodeStats, error) { return runtime.RunCluster(cfg) }
-
-// ShardConfig configures one shard of a multi-process live deployment:
-// this process runs a contiguous block of the topology's nodes in-proc
-// and bridges cross-shard edges over TCP (see cmd/rexnode -shard).
-type ShardConfig = runtime.ShardConfig
-
-// RunShard executes one shard of a sharded live cluster and returns the
-// local nodes' stats keyed by node id.
-func RunShard(cfg ShardConfig) (map[int]*NodeStats, error) { return runtime.RunShard(cfg) }
 
 // ShardRange returns the node block [lo, hi) that shard s of k owns in an
 // n-node sharded deployment.
