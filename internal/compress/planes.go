@@ -7,8 +7,10 @@ import (
 )
 
 // Word planes: the lossless coding of a model payload. The payload is read
-// as little-endian 32-bit words, which is what a marshaled model is whatever
-// its kind: float32 parameters beside a few small integers. Each word is
+// as little-endian 32-bit words, which is what a marshaled model almost
+// entirely is whatever its kind: a few small integers, then float32
+// parameters — and for an MF model a short tail of gap-coded ids, about a
+// byte per row, which the planes carry like any other bytes. Each word is
 // rotated left by one bit, so an IEEE-754 float's eight exponent bits fill
 // the top byte and its sign drops to the lowest bit, and the words are split
 // into four byte planes. The two low planes are mantissa bits, which nothing

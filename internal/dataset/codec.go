@@ -36,11 +36,13 @@ func DecodeRatings(buf []byte) ([]Rating, int, error) {
 	if len(buf) < 4 {
 		return nil, 0, fmt.Errorf("dataset: short buffer %d", len(buf))
 	}
-	n := int(binary.LittleEndian.Uint32(buf))
-	need := 4 + n*EncodedSize
-	if len(buf) < need {
-		return nil, 0, fmt.Errorf("dataset: buffer %d too short for %d ratings", len(buf), n)
+	// Compared unconverted: on a 32-bit platform int(count) can be negative.
+	count := binary.LittleEndian.Uint32(buf)
+	if uint64(count) > uint64(len(buf)-4)/EncodedSize {
+		return nil, 0, fmt.Errorf("dataset: buffer %d too short for %d ratings", len(buf), count)
 	}
+	n := int(count)
+	need := 4 + n*EncodedSize
 	rs := make([]Rating, n)
 	off := 4
 	for i := 0; i < n; i++ {

@@ -29,5 +29,7 @@ func TestConformance(t *testing.T) {
 		OOVUser:    90_000,
 		OOVItem:    90_001,
 		TrainSteps: 2000,
+		// TestMarshalV2Layout pins the exact length.
+		WireSizeBound: true,
 	})
 }

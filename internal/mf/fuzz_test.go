@@ -10,10 +10,11 @@ import (
 
 // FuzzUnmarshal throws arbitrary bytes at the model deserializer — the
 // bytes every model-sharing node accepts from its peers — decoding, as a
-// node does, into a receiver that already holds a model. Malformed,
-// truncated, duplicated or reordered records must produce an error and
-// leave that model untouched, never panic; a successful decode must
-// re-marshal to the same canonical bytes.
+// node does, into a receiver that already holds a model. Malformed or
+// truncated buffers, record blocks that overrun them, broken id columns
+// and the retired v1 encoding (the corpus keeps v1 buffers as rejection
+// cases) must produce an error and leave that model untouched, never
+// panic; a successful decode must re-marshal to the same canonical bytes.
 func FuzzUnmarshal(f *testing.F) {
 	cfg := DefaultConfig()
 	// Seed corpus: an empty model, a trained model, and a trained model
@@ -29,7 +30,7 @@ func FuzzUnmarshal(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(good)
-	for _, off := range []int{0, 4, 8, 12, 16, 20, len(good) - 1} {
+	for _, off := range []int{0, 4, 8, 12, 16, 20, len(good) - 6, len(good) - 1} {
 		bad := append([]byte(nil), good...)
 		bad[off] ^= 0xff
 		f.Add(bad)
@@ -57,7 +58,7 @@ func FuzzUnmarshal(f *testing.F) {
 			return
 		}
 		// Canonical roundtrip: a decoded model re-marshals to the exact
-		// accepted bytes (Marshal's strict id order makes this total).
+		// accepted bytes (minimal gap coding makes this total).
 		out, err := dst.Marshal()
 		if err != nil {
 			t.Fatalf("re-marshal failed: %v", err)

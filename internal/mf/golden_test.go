@@ -2,6 +2,7 @@ package mf
 
 import (
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"math/rand"
 	"testing"
@@ -26,20 +27,55 @@ func goldenRatings(seed int64, n int) []dataset.Rating {
 	return out
 }
 
+// modelDigest hashes m's v1 rendering, the bytes the golden digests were
+// recorded over.
 func modelDigest(t *testing.T, m *Model) string {
+	t.Helper()
+	sum := sha256.Sum256(v1Rendering(t, m))
+	return hex.EncodeToString(sum[:])
+}
+
+// v1Rendering lays m's (id, record) pairs out as the retired v1 encoding
+// did: the header under the v1 magic, then users and items in ascending id
+// order, each a u32 id followed by its record. It rebuilds them from m's
+// Marshal output with a walk of its own, so a digest over it pins the wire
+// as well as the trajectory.
+func v1Rendering(t testing.TB, m *Model) []byte {
 	t.Helper()
 	buf, err := m.Marshal()
 	if err != nil {
 		t.Fatal(err)
 	}
-	sum := sha256.Sum256(buf)
-	return hex.EncodeToString(sum[:])
+	rec := 4 * (m.cfg.K + 1)
+	counts := [2]int{int(binary.LittleEndian.Uint32(buf[8:])), int(binary.LittleEndian.Uint32(buf[12:]))}
+	out := binary.LittleEndian.AppendUint32(nil, magicV1)
+	out = append(out, buf[4:16]...)
+	recs, cols := buf[16:], buf[16+rec*(counts[0]+counts[1]):]
+	for _, n := range counts {
+		id := -1
+		for i := 0; i < n; i++ {
+			gap, w := binary.Uvarint(cols)
+			if w <= 0 {
+				t.Fatalf("id column cut short at row %d", i)
+			}
+			id += 1 + int(gap)
+			cols = cols[w:]
+			out = binary.LittleEndian.AppendUint32(out, uint32(id))
+			out = append(out, recs[:rec]...)
+			recs = recs[rec:]
+		}
+	}
+	if len(cols) != 0 {
+		t.Fatalf("%d bytes after the id columns", len(cols))
+	}
+	return out
 }
 
 // TestGoldenTrajectory pins the exact float32 training/merge trajectory of
 // the scalar pre-refactor implementation: Train must consume the rng in the
 // same draw order and produce bit-identical parameters, MergeWeighted must
-// reproduce the same weighted union, and Marshal the same canonical bytes.
+// reproduce the same weighted union, and Marshal the same (id, record)
+// pairs.
 // Any change to these hashes is a results change and must be owned loudly.
 func TestGoldenTrajectory(t *testing.T) {
 	runGoldenTrajectory(t)
@@ -93,8 +129,8 @@ func runGoldenTrajectory(t *testing.T) {
 	}
 }
 
-// Golden SHA-256 digests of Marshal output, recorded from the scalar
-// implementation at the commit introducing internal/vec.
+// Golden SHA-256 digests of the v1 encoding (v1Rendering), recorded from
+// the scalar implementation at the commit introducing internal/vec.
 const (
 	goldenAfterTrain   = "e4f7c341d58361600ac897e9c2c18452041850bc8d24b8040bc502d11b1acb12"
 	goldenAfterMerge   = "29fc8945cc4b41c7c27ad711793a7e5971e7bcb29d30115ffd8ac24507419228"

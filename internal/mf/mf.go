@@ -8,13 +8,14 @@
 // §IV-A3a: η = 0.005, λ = 0.1, k = 10.
 //
 // Storage is sparse: each user or item the model holds is one record of
-// k+1 words, its bias then its k factors (the wire record without its id).
-// Records lie densely packed in slot order with a compact id→slot hash
-// index on top, so a node's memory is proportional to the users/items it
-// has actually trained on or merged in — never to the highest id it has
-// ever seen. Marshaling walks ids in ascending order, so the wire format is
-// byte-identical to the earlier dense-table layout, and initial embeddings
-// stay a pure function of (seed, id), so trajectories are bit-identical
+// k+1 words, its bias then its k factors (the paper's record without its
+// id). Records lie densely packed in slot order with a compact id→slot
+// hash index on top, so a node's memory is proportional to the users/items
+// it has actually trained on or merged in — never to the highest id it has
+// ever seen. The wire carries the same records verbatim, in ascending id
+// order, with the ids apart in gap-coded columns (see Marshal), so the
+// encoding does not depend on storage layout either; initial embeddings
+// are a pure function of (seed, id), so trajectories are bit-identical
 // regardless of storage layout or touch order.
 package mf
 
@@ -456,7 +457,9 @@ func (m *Model) ParamCount() int {
 	return (m.cfg.K + 1) * (m.users.count() + m.items.count())
 }
 
-// WireSize implements model.Model: the exact Marshal output length.
+// WireSize implements model.Model: the paper's per-message charge, a
+// 16-byte header and per row its record with a four-byte id (§II-A-b). It
+// is an upper bound on Marshal's length, which gap-codes the ids.
 func (m *Model) WireSize() int {
 	rec := 4 + 4 + 4*m.cfg.K
 	return 16 + rec*(m.users.count()+m.items.count())
@@ -489,7 +492,7 @@ func (m *Model) CopyFrom(src model.Model) bool {
 // Canonicalize implements model.Canonicalizer: it rebuilds the lazy
 // ascending-id slot permutations now, on the caller's goroutine. A shared
 // payload model must be canonicalized before publication — mergeTables
-// and emitTable call ordered() on source tables, and that rebuild is a
+// and Marshal call ordered() on source tables, and that rebuild is a
 // mutation that several receivers merging the same payload concurrently
 // must never perform themselves.
 func (m *Model) Canonicalize() {
@@ -605,133 +608,191 @@ func mergeTables(dst *table, selfW float32, srcs []*table, ws []float32) {
 	}
 }
 
-const magic = uint32(0x5245584d) // "REXM"
+// magic opens the current encoding ("REM2" in its four bytes). magicV1
+// opened the retired one, whose records each carried their id in front;
+// Unmarshal names it in its refusal rather than calling it garbage.
+const (
+	magic   = uint32(0x324d4552)
+	magicV1 = uint32(0x5245584d)
+)
 
-// maxEntityID bounds user/item ids accepted off the wire (see Unmarshal).
+// maxEntityID bounds the user/item ids a model encodes (see Marshal and
+// Unmarshal).
 const maxEntityID = 1 << 24
 
-// Marshal serializes the model: magic, K, user count, item count, then
-// (id, bias, k floats) records for present users then items, in id order —
-// deterministic, so identical models serialize identically.
+// Marshal serializes the model as a record block followed by id columns:
+//
+//	[magic][K][user count nu][item count ni]
+//	[nu·(k+1) f32: user records, ascending id, each bias then factors]
+//	[ni·(k+1) f32: item records, ascending id]
+//	[nu uvarints: user ids][ni uvarints: item ids]
+//
+// A column's first uvarint is its first id, each later one the gap
+// id − previous − 1, so ids are strictly increasing by construction. The
+// output is deterministic — identical models serialize identically — and
+// no longer than WireSize: an id is at most maxEntityID, so every gap fits
+// four bytes. A model holding an id outside [0, maxEntityID] has no
+// encoding; Marshal refuses it.
 func (m *Model) Marshal() ([]byte, error) { return m.MarshalAppend(nil) }
 
 // MarshalAppend implements model.AppendMarshaler: it appends the canonical
 // serialization to dst and returns the extended slice, growing dst at most
-// once. With a reused (or correctly pre-sized) buffer the model's bytes
-// are written in place — no append staging, no scratch copies, no per-call
-// allocation — which is what a model-sharing node pays per neighbor per
-// epoch.
+// once. Room for WireSize bytes is reserved and the slice trimmed to the
+// bytes written, so with a reused (or pre-sized) buffer the model's bytes
+// are written in place — no staging, no scratch, no per-call allocation —
+// which is what a model-sharing node pays per neighbor per epoch.
 func (m *Model) MarshalAppend(dst []byte) ([]byte, error) {
+	for _, t := range [2]*table{m.users, m.items} {
+		if ord := t.ordered(); len(ord) > 0 {
+			if lo, hi := t.ids[ord[0]], t.ids[ord[len(ord)-1]]; lo < 0 || hi > maxEntityID {
+				return dst, fmt.Errorf("mf: entity ids %d..%d outside the encodable 0..%d", lo, hi, maxEntityID)
+			}
+		}
+	}
 	need := m.WireSize()
 	start := len(dst)
 	if cap(dst)-start < need {
-		grown := make([]byte, start+need)
+		grown := make([]byte, start, start+need)
 		copy(grown, dst)
 		dst = grown
-	} else {
-		dst = dst[:start+need]
 	}
-	buf := dst[start:]
+	buf := dst[start : start+need]
 	binary.LittleEndian.PutUint32(buf, magic)
 	binary.LittleEndian.PutUint32(buf[4:], uint32(m.cfg.K))
 	binary.LittleEndian.PutUint32(buf[8:], uint32(m.users.count()))
 	binary.LittleEndian.PutUint32(buf[12:], uint32(m.items.count()))
-	off := emitTable(buf, 16, m.users)
-	emitTable(buf, off, m.items)
-	return dst, nil
+	off := emitRecords(buf, 16, m.users)
+	off = emitRecords(buf, off, m.items)
+	off = emitIDs(buf, off, m.users)
+	off = emitIDs(buf, off, m.items)
+	return dst[:start+off], nil
 }
 
-// emitTable writes a table's present records at buf[off:] in ascending id
-// order and returns the offset past the last one. A top-level function
-// (not a closure) so the write cursor stays in a register on the
+// emitRecords writes a table's records at buf[off:] in ascending id order,
+// each verbatim, and returns the offset past the last one. Top-level
+// functions (not closures) keep the write cursor in a register on the
 // serialization hot path.
-func emitTable(buf []byte, off int, t *table) int {
+func emitRecords(buf []byte, off int, t *table) int {
 	w := t.k + 1
 	for _, slot := range t.ordered() {
-		binary.LittleEndian.PutUint32(buf[off:], uint32(t.ids[slot]))
-		o := off + 4
 		for _, x := range t.rec[int(slot)*w : (int(slot)+1)*w] {
-			binary.LittleEndian.PutUint32(buf[o:], math.Float32bits(x))
-			o += 4
+			binary.LittleEndian.PutUint32(buf[off:], math.Float32bits(x))
+			off += 4
 		}
-		off = o
+	}
+	return off
+}
+
+// emitIDs writes a table's id column at buf[off:] and returns the offset
+// past it.
+func emitIDs(buf []byte, off int, t *table) int {
+	prev := int32(-1)
+	for _, slot := range t.ordered() {
+		id := t.ids[slot]
+		off += binary.PutUvarint(buf[off:], uint64(id-prev-1))
+		prev = id
 	}
 	return off
 }
 
 // Unmarshal replaces the model's parameters with the serialized ones. The
-// serialized K must match the receiver's configuration, and each section's
-// record ids must be strictly increasing — Marshal's canonical order — so
-// duplicated or reordered records are rejected as corruption. The whole
-// buffer is validated before the receiver is touched: on error it is left
-// unchanged. On success it is overwritten in place, reusing its arrays when
-// they are large enough, and is indistinguishable from a fresh decode — a
-// receiver that decodes a peer's model every epoch stops allocating once
-// its capacity covers that model.
+// serialized K must match the receiver's configuration; the record block
+// must fit the buffer before anything is sized to it; and the id columns
+// must be exactly nu+ni minimal uvarints naming ids no larger than
+// maxEntityID, with no byte after them — so every accepted buffer is the
+// one Marshal makes of the decoded model. A buffer of the retired v1
+// encoding is refused by name. The whole buffer is validated before the
+// receiver is touched: on error it is left unchanged. On success it is
+// overwritten in place, reusing its arrays when they are large enough, and
+// is indistinguishable from a fresh decode — a receiver that decodes a
+// peer's model every epoch stops allocating once its capacity covers that
+// model.
 func (m *Model) Unmarshal(b []byte) error {
 	if len(b) < 16 {
 		return fmt.Errorf("mf: buffer too short (%d bytes)", len(b))
 	}
-	if binary.LittleEndian.Uint32(b) != magic {
-		return fmt.Errorf("mf: bad magic %#x", binary.LittleEndian.Uint32(b))
+	switch v := binary.LittleEndian.Uint32(b); v {
+	case magic:
+	case magicV1:
+		return fmt.Errorf("mf: retired v1 model encoding (ids inside the records); this build reads only v2")
+	default:
+		return fmt.Errorf("mf: bad magic %#x", v)
 	}
 	k := int(binary.LittleEndian.Uint32(b[4:]))
 	if k != m.cfg.K {
 		return fmt.Errorf("mf: serialized K=%d, model K=%d", k, m.cfg.K)
 	}
-	nu := int(binary.LittleEndian.Uint32(b[8:]))
-	ni := int(binary.LittleEndian.Uint32(b[12:]))
-	rec := 4 + 4 + 4*k
-	need := 16 + rec*(nu+ni)
-	if len(b) != need {
-		return fmt.Errorf("mf: buffer %d bytes, want %d", len(b), need)
+	nu := uint64(binary.LittleEndian.Uint32(b[8:]))
+	ni := uint64(binary.LittleEndian.Uint32(b[12:]))
+	rec := 4 * (k + 1)
+	// Every row takes its record and at least one id byte.
+	if nu+ni > uint64(len(b)-16)/uint64(rec+1) {
+		return fmt.Errorf("mf: %d+%d rows of %d-byte records overrun the %d-byte buffer", nu, ni, rec, len(b))
 	}
-	users, items := b[16:16+rec*nu], b[16+rec*nu:]
-	if err := checkSection(users, nu, rec); err != nil {
-		return err
+	userEnd := 16 + rec*int(nu)
+	block := userEnd + rec*int(ni)
+	cols := b[block:]
+	un, err := checkSection(cols, int(nu))
+	if err != nil {
+		return fmt.Errorf("mf: user ids: %w", err)
 	}
-	if err := checkSection(items, ni, rec); err != nil {
-		return err
+	in, err := checkSection(cols[un:], int(ni))
+	if err != nil {
+		return fmt.Errorf("mf: item ids: %w", err)
 	}
-	m.users.load(users, rec)
-	m.items.load(items, rec)
+	if un+in != len(cols) {
+		return fmt.Errorf("mf: %d bytes after the id columns", len(cols)-un-in)
+	}
+	m.users.load(b[16:userEnd], cols[:un])
+	m.items.load(b[userEnd:block], cols[un:un+in])
 	return nil
 }
 
-// checkSection validates the ids of one section's n records.
-func checkSection(b []byte, n, rec int) error {
-	if n == 0 {
-		return nil
-	}
-	// Marshal emits records in strictly increasing id order, so the
-	// section's last record carries its highest id. (The sparse layout
-	// allocates by record count, not by id, so a huge id is no
-	// decompression bomb — the bound is kept as a wire-compatibility sanity
-	// check: real id spaces here are ~10^4-10^5, anything wildly beyond is
-	// corruption.)
-	last := int(binary.LittleEndian.Uint32(b[(n-1)*rec:]))
-	if last > maxEntityID {
-		return fmt.Errorf("mf: implausible entity id %d", last)
-	}
-	prev := -1
+// checkSection validates one id column of n uvarints at the front of b and
+// returns its length in bytes. Gaps cannot make a duplicate or a descent,
+// so what is left to check is the encoding itself: each uvarint complete
+// and minimal (no padding byte such as 0x80 0x00, which would give one
+// model two encodings), and each id at most maxEntityID. (The sparse
+// layout allocates by row count, not by id, so a huge id is no
+// decompression bomb; real id spaces here are ~10^4–10^5, and the bound
+// keeps every gap within the four bytes WireSize charges for an id.)
+func checkSection(b []byte, n int) (int, error) {
+	off, id := 0, -1
 	for i := 0; i < n; i++ {
-		id := int(binary.LittleEndian.Uint32(b[i*rec:]))
-		if id <= prev || id > last {
-			return fmt.Errorf("mf: record %d id %d violates strict id order (previous %d, section max %d)", i, id, prev, last)
+		gap, w := binary.Uvarint(b[off:])
+		if w <= 0 {
+			return 0, fmt.Errorf("row %d: uvarint cut short or overflowing", i)
 		}
-		prev = id
+		if w > 1 && b[off+w-1] == 0 {
+			return 0, fmt.Errorf("row %d: overlong uvarint", i)
+		}
+		if gap > maxEntityID || id+1+int(gap) > maxEntityID {
+			return 0, fmt.Errorf("row %d: implausible entity id %d", i, uint64(id+1)+gap)
+		}
+		id += 1 + int(gap)
+		off += w
 	}
-	return nil
+	return off, nil
 }
 
-// load overwrites t with one validated section of rec-byte records.
-func (t *table) load(b []byte, rec int) {
-	t.reserve(len(b) / rec)
-	for ; len(b) > 0; b = b[rec:] {
-		r := t.record(t.appendRow(int(binary.LittleEndian.Uint32(b))))
-		src := b[4:rec]
-		for d := range r {
-			r[d] = math.Float32frombits(binary.LittleEndian.Uint32(src[4*d:]))
-		}
+// load overwrites t with one validated section: its record block and id
+// column.
+func (t *table) load(recs, ids []byte) {
+	n := len(recs) / (4 * (t.k + 1))
+	t.reserve(n)
+	rec := t.rec[:len(recs)/4]
+	for i := range rec {
+		rec[i] = math.Float32frombits(binary.LittleEndian.Uint32(recs[4*i:]))
 	}
+	t.rec = rec
+	id := int32(-1)
+	for slot := int32(0); slot < int32(n); slot++ {
+		gap, w := binary.Uvarint(ids)
+		ids = ids[w:]
+		id += 1 + int32(gap)
+		t.ids = append(t.ids, id)
+		t.idx.add(t.ids)
+		t.order = append(t.order, slot)
+	}
+	t.maxID = int(id) + 1
 }

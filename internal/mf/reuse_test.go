@@ -101,37 +101,55 @@ func TestUnmarshalIntoWarmReceiver(t *testing.T) {
 }
 
 // corruptions returns one buffer per class of input Unmarshal rejects,
-// derived from the canonical bytes of a model with at least three users and
-// three items.
+// derived from the canonical bytes of a model with at least two users and
+// two items whose first user gap, first item gap and last item gap are one
+// byte each.
 func corruptions(good []byte, k int) map[string][]byte {
-	rec := 4 + 4 + 4*k
 	nu := int(binary.LittleEndian.Uint32(good[8:]))
+	ni := int(binary.LittleEndian.Uint32(good[12:]))
+	block := 16 + 4*(k+1)*(nu+ni)
+	// Walk the id columns: where the item column and its last uvarint
+	// start, and the item id before the last.
+	var firstItem, lastItem, prevItem int
+	off, id := block, -1
+	for i := 0; i < nu+ni; i++ {
+		if i == nu {
+			firstItem, id = off, -1
+		}
+		if i == nu+ni-1 {
+			lastItem, prevItem = off, id
+		}
+		gap, w := binary.Uvarint(good[off:])
+		off, id = off+w, id+1+int(gap)
+	}
 	edit := func(f func(b []byte)) []byte {
 		b := append([]byte(nil), good...)
 		f(b)
 		return b
 	}
-	swap := func(b []byte, off int) {
-		tmp := append([]byte(nil), b[off:off+rec]...)
-		copy(b[off:], b[off+rec:off+2*rec])
-		copy(b[off+rec:], tmp)
+	// splice replaces n bytes at off.
+	splice := func(off, n int, with ...byte) []byte {
+		return append(append(append([]byte(nil), good[:off]...), with...), good[off+n:]...)
 	}
-	items := 16 + nu*rec
 	return map[string][]byte{
-		"short":            good[:12],
-		"bad magic":        edit(func(b []byte) { b[0] ^= 0xff }),
-		"K mismatch":       edit(func(b []byte) { binary.LittleEndian.PutUint32(b[4:], uint32(k+1)) }),
-		"truncated":        good[:len(good)-3],
-		"count mismatch":   edit(func(b []byte) { binary.LittleEndian.PutUint32(b[12:], 1<<30) }),
-		"implausible user": edit(func(b []byte) { binary.LittleEndian.PutUint32(b[16+(nu-1)*rec:], maxEntityID+1) }),
-		"implausible item": edit(func(b []byte) { binary.LittleEndian.PutUint32(b[len(b)-rec:], maxEntityID+1) }),
-		"duplicate user":   edit(func(b []byte) { copy(b[16+rec:16+2*rec], b[16:16+rec]) }),
-		"duplicate item":   edit(func(b []byte) { copy(b[items+rec:items+2*rec], b[items:items+rec]) }),
-		"reordered users":  edit(func(b []byte) { swap(b, 16) }),
-		"reordered items":  edit(func(b []byte) { swap(b, items) }),
-		"user past the section's last": edit(func(b []byte) {
-			binary.LittleEndian.PutUint32(b[16+rec:], binary.LittleEndian.Uint32(b[16+(nu-1)*rec:])+1)
-		}),
+		"short":                         good[:12],
+		"bad magic":                     edit(func(b []byte) { b[0] ^= 0xff }),
+		"retired v1 magic":              edit(func(b []byte) { binary.LittleEndian.PutUint32(b, magicV1) }),
+		"K mismatch":                    edit(func(b []byte) { binary.LittleEndian.PutUint32(b[4:], uint32(k+1)) }),
+		"truncated":                     good[:len(good)-3],
+		"record block past the buffer":  edit(func(b []byte) { binary.LittleEndian.PutUint32(b[12:], 1<<30) }),
+		"one row too many":              edit(func(b []byte) { binary.LittleEndian.PutUint32(b[8:], uint32(nu+1)) }),
+		"overlong user id":              splice(block, 1, good[block]|0x80, 0x00),
+		"overlong item id":              splice(firstItem, 1, good[firstItem]|0x80, 0x00),
+		"uvarint past 64 bits":          splice(block, 1, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01),
+		"user id past maxEntityID":      splice(block, 1, binary.AppendUvarint(nil, maxEntityID+1)...),
+		"item id just past maxEntityID": splice(lastItem, len(good)-lastItem, binary.AppendUvarint(nil, uint64(maxEntityID-prevItem))...),
+		// A two-byte first id keeps one byte per row in the buffer, so the
+		// column, not the size check, runs short.
+		"id column one byte short": splice(block, 1, 0xc8, 0x01)[:len(good)],
+		"id column unterminated":   edit(func(b []byte) { b[len(b)-1] |= 0x80 }),
+		"an extra id":              append(append([]byte(nil), good...), 0x85, 0x01),
+		"trailing byte":            append(append([]byte(nil), good...), 0x00),
 	}
 }
 

@@ -41,9 +41,9 @@ type Model interface {
 	MergeWeighted(selfW float64, others []Weighted)
 	// ParamCount returns the number of scalar parameters currently held.
 	ParamCount() int
-	// WireSize returns the exact byte length Marshal would produce, without
-	// serializing — the quantity model-sharing pays per message, which the
-	// simulator charges to the virtual network.
+	// WireSize returns the paper's per-message charge for sharing this
+	// model, without serializing — what the simulator charges to the
+	// virtual network — and an upper bound on Marshal's length.
 	WireSize() int
 	// Clone returns an independent deep copy.
 	Clone() Model

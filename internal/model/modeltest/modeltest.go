@@ -32,6 +32,11 @@ type Config struct {
 	// TrainSteps is how many SGD steps the suite trains where it needs a
 	// non-trivial model.
 	TrainSteps int
+	// WireSizeBound says Marshal may come out shorter than WireSize, which
+	// is then only an upper bound (a family whose encoding compresses, such
+	// as mf's gap-coded ids, pins its exact length in its own tests).
+	// Otherwise the suite requires the two to be equal.
+	WireSizeBound bool
 }
 
 // Run executes the conformance suite.
@@ -165,17 +170,17 @@ func scoreItemsMatchesPredict(t *testing.T, cfg Config) {
 	check("merged", merged)
 }
 
-// marshalRoundtrip: WireSize must equal the marshaled length, a fresh
-// model must adopt the bytes exactly (bitwise-equal predictions), and
-// re-marshaling must be canonical.
+// marshalRoundtrip: WireSize must equal the marshaled length (bound it,
+// for a WireSizeBound family), a fresh model must adopt the bytes exactly
+// (bitwise-equal predictions), and re-marshaling must be canonical.
 func marshalRoundtrip(t *testing.T, cfg Config) {
 	m := trained(t, cfg)
 	buf, err := m.Marshal()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(buf) != m.WireSize() {
-		t.Fatalf("WireSize %d != marshaled %d", m.WireSize(), len(buf))
+	if len(buf) > m.WireSize() || !cfg.WireSizeBound && len(buf) != m.WireSize() {
+		t.Fatalf("WireSize %d, marshaled %d", m.WireSize(), len(buf))
 	}
 	if m.ParamCount() <= 0 {
 		t.Fatal("trained model reports no parameters")
@@ -202,7 +207,7 @@ func marshalRoundtrip(t *testing.T, cfg Config) {
 
 // marshalAppendCanonical: the zero-copy path must produce exactly the
 // Marshal bytes, both onto a nil buffer and appended after a prefix into
-// reused capacity.
+// reused capacity of exactly WireSize past the prefix.
 func marshalAppendCanonical(t *testing.T, cfg Config) {
 	m := trained(t, cfg)
 	am, ok := m.(model.AppendMarshaler)
@@ -221,7 +226,7 @@ func marshalAppendCanonical(t *testing.T, cfg Config) {
 		t.Fatal("MarshalAppend(nil) differs from Marshal")
 	}
 	prefix := []byte{0xAA, 0xBB, 0xCC}
-	reused := make([]byte, len(prefix), len(prefix)+len(want)+64)
+	reused := make([]byte, len(prefix), len(prefix)+m.WireSize())
 	copy(reused, prefix)
 	got2, err := am.MarshalAppend(reused)
 	if err != nil {

@@ -58,6 +58,9 @@ func EncodePayload(p core.Payload) ([]byte, error) {
 	return EncodePayloadAppend(make([]byte, 0, 9+payloadBodySize(p)), p)
 }
 
+// payloadBodySize is the flat body's charge: a model's WireSize (the
+// paper's size, an upper bound on its marshaled length, so a capacity hint
+// for the encode buffer) or the rating block's exact length.
 func payloadBodySize(p core.Payload) int {
 	switch {
 	case p.Model != nil:

@@ -144,7 +144,8 @@ type Stats struct {
 	Resyncs int64
 	// WireRawBytes accumulates, for every gossip frame actually handed to
 	// the transport, the plaintext bytes its payload would have cost in the
-	// flat reference encoding (EncodePayload behind a kind byte).
+	// flat reference encoding (EncodePayload behind a kind byte, a model
+	// charged at its WireSize).
 	// WireRawBytes-BytesOnWire is the volume the delta wire saved; in
 	// secure mode it understates the saving, because BytesOnWire also
 	// counts the per-frame AEAD overhead and the attestation handshakes.

@@ -338,59 +338,80 @@ func (d *Dir) reopenWAL(epoch int) error {
 	return nil
 }
 
-// readSnapshot parses and CRC-verifies one snapshot file.
+// readSnapshot reads and parses one snapshot file.
 func readSnapshot(name string) (*Snapshot, error) {
 	b, err := os.ReadFile(name)
 	if err != nil {
 		return nil, fmt.Errorf("store: %w", err)
 	}
+	s, err := parseSnapshot(b)
+	if err != nil {
+		return nil, fmt.Errorf("store: snapshot %s: %w", name, err)
+	}
+	return s, nil
+}
+
+// parseSnapshot CRC-verifies and parses a snapshot's bytes. It accepts
+// nothing whose CRC fails and sizes nothing by a count the bytes do not
+// back: the model and ratings it returns are copies of disjoint parts of b.
+func parseSnapshot(b []byte) (*Snapshot, error) {
 	const fixed = len(snapMagic) + 4 + 8 + 8 + 4
 	if len(b) < fixed+4 {
-		return nil, fmt.Errorf("store: snapshot %s truncated (%d bytes)", name, len(b))
+		return nil, fmt.Errorf("truncated (%d bytes)", len(b))
 	}
 	crcOff := len(b) - 4
 	if got, want := crc32.ChecksumIEEE(b[:crcOff]), binary.LittleEndian.Uint32(b[crcOff:]); got != want {
-		return nil, fmt.Errorf("store: snapshot %s CRC mismatch", name)
+		return nil, fmt.Errorf("CRC mismatch")
 	}
 	if string(b[:len(snapMagic)]) != snapMagic {
-		return nil, fmt.Errorf("store: snapshot %s bad magic", name)
+		return nil, fmt.Errorf("bad magic")
 	}
 	off := len(snapMagic)
 	if v := binary.LittleEndian.Uint32(b[off:]); v != 1 {
-		return nil, fmt.Errorf("store: snapshot %s unknown version %d", name, v)
+		return nil, fmt.Errorf("unknown version %d", v)
 	}
 	off += 4
 	s := &Snapshot{}
-	s.Epoch = int(binary.LittleEndian.Uint64(b[off:]))
+	epoch := binary.LittleEndian.Uint64(b[off:])
+	if epoch > math.MaxInt {
+		return nil, fmt.Errorf("epoch %d out of range", epoch)
+	}
+	s.Epoch = int(epoch)
 	off += 8
 	s.RMSE = math.Float64frombits(binary.LittleEndian.Uint64(b[off:]))
 	off += 8
 	mlen := int(binary.LittleEndian.Uint32(b[off:]))
 	off += 4
 	if mlen < 0 || off+mlen > crcOff {
-		return nil, fmt.Errorf("store: snapshot %s model length %d out of range", name, mlen)
+		return nil, fmt.Errorf("model length %d out of range", mlen)
 	}
 	s.Model = append([]byte(nil), b[off:off+mlen]...)
 	off += mlen
 	rs, n, err := dataset.DecodeRatings(b[off:crcOff])
 	if err != nil {
-		return nil, fmt.Errorf("store: snapshot %s ratings: %w", name, err)
+		return nil, fmt.Errorf("ratings: %w", err)
 	}
 	if off+n != crcOff {
-		return nil, fmt.Errorf("store: snapshot %s has %d trailing bytes", name, crcOff-off-n)
+		return nil, fmt.Errorf("%d trailing bytes", crcOff-off-n)
 	}
 	s.Ratings = rs
 	return s, nil
 }
 
-// readWAL replays one log file. A torn or corrupt tail record ends the
-// replay silently — that is the expected shape of a crash mid-append — but
-// the records before it are kept.
+// readWAL reads and replays one log file.
 func readWAL(name string) ([]dataset.Rating, error) {
 	b, err := os.ReadFile(name)
 	if err != nil {
 		return nil, fmt.Errorf("store: %w", err)
 	}
+	return parseWAL(b), nil
+}
+
+// parseWAL returns the ratings of the longest prefix of b made of whole,
+// CRC-valid records, each payload exactly one rating block. A torn or
+// corrupt record ends the replay silently — that is the expected shape of
+// a crash mid-append — but the records before it are kept.
+func parseWAL(b []byte) []dataset.Rating {
 	var out []dataset.Rating
 	for off := 0; off < len(b); {
 		if off+walRecordHd > len(b) {
@@ -406,14 +427,14 @@ func readWAL(name string) ([]dataset.Rating, error) {
 		if crc32.ChecksumIEEE(payload) != crc {
 			break // corrupt record; stop trusting the rest
 		}
-		rs, _, err := dataset.DecodeRatings(payload)
-		if err != nil {
+		rs, n, err := dataset.DecodeRatings(payload)
+		if err != nil || n != plen {
 			break
 		}
 		out = append(out, rs...)
 		off += plen
 	}
-	return out, nil
+	return out
 }
 
 // syncDir fsyncs the directory so a rename is durable; best-effort (some
