@@ -397,13 +397,15 @@ func (m *Model) PredictBatch(users, items []uint32, out []float32) {
 	}
 }
 
-// ScoreItems implements model.ItemScorer: out[i] receives exactly what
-// Predict(user, i) would return. The user is resolved once; every item
-// starts at the cold score mean (+ b_u), and one walk over the packed item
-// records in slot order overwrites the items the model holds. The sums keep
-// predictOne's association, ((mean + b_u) + b_i) + x_u·y_i, so the bits
-// match.
-func (m *Model) ScoreItems(user uint32, out []float32) {
+// ScoreHeld implements model.ItemScorer over the item table: scores[s]
+// is what Predict(user, uint32(ids[s])) returns for the item in slot s,
+// and cold, mean (+ b_u), what it returns for every item the model lacks.
+// The user is resolved once, and one walk over the packed item records in
+// slot order writes each score by slot. The sums keep predictOne's
+// association, ((mean + b_u) + b_i) + x_u·y_i, so the bits match. Only rec
+// and ids are read, never the lazy ordered() permutation, so concurrent
+// queries on a published model write nothing shared.
+func (m *Model) ScoreHeld(user uint32, buf []float32) ([]int32, []float32, float32) {
 	cold := float32(m.cfg.GlobalMean)
 	var x []float32 // the user's factors; nil for a user the model lacks
 	if us, ok := m.users.slot(int32(user)); ok {
@@ -411,25 +413,23 @@ func (m *Model) ScoreItems(user uint32, out []float32) {
 		cold += ur[0]
 		x = ur[1:]
 	}
-	// Doubling copies fill out with cold through memmove's vector loop
-	// rather than one store per catalog item.
-	if len(out) > 0 {
-		out[0] = cold
-		for n := 1; n < len(out); n *= 2 {
-			copy(out[n:], out[:n])
-		}
-	}
 	items, w := m.items, m.cfg.K+1
-	for s, id := range items.ids {
-		if int(uint32(id)) >= len(out) { // as Predict's uint32 sees the id
-			continue
-		}
-		p := cold + items.rec[s*w]
-		if x != nil {
-			p += vec.Dot(x, items.rec[s*w+1:(s+1)*w])
-		}
-		out[id] = p
+	n := items.count()
+	if cap(buf) < n {
+		// Headroom: the caller keeps buf for the next query, and a served
+		// model grows a little every epoch.
+		buf = make([]float32, n, 2*n)
 	}
+	scores := buf[:n]
+	for s := range scores {
+		r := items.rec[s*w : (s+1)*w]
+		p := cold + r[0]
+		if x != nil {
+			p += vec.Dot(x, r[1:])
+		}
+		scores[s] = p
+	}
+	return items.ids, scores, cold
 }
 
 func (m *Model) predictOne(u, it int) float32 {

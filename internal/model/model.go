@@ -65,14 +65,21 @@ type BatchPredictor interface {
 	PredictBatch(users, items []uint32, out []float32)
 }
 
-// ItemScorer is an optional Model extension for the ranking path, which
-// scores one user against the whole catalog: ScoreItems fills out[i] with
-// exactly what Predict(user, uint32(i)) would return, bit for bit, for
-// every i < len(out) — whether or not the model knows the user or item i.
-// An implementation resolves the user once and walks its item parameters
-// in storage order instead of hashing every item id.
+// ItemScorer is an optional Model extension for the ranking path, for a
+// model that holds rows for some items and scores every other item alike.
+// ScoreHeld resolves the user once and returns:
+//   - held, the ids of the items the model holds rows for, in storage
+//     order: a read-only view of the model's own storage, valid until the
+//     model next changes. Item uint32(held[j]) is the j-th held item.
+//   - scores, where scores[j] is exactly what Predict(user,
+//     uint32(held[j])) returns, bit for bit. They are written into buf
+//     when its capacity suffices, into a new array otherwise.
+//   - cold, what Predict(user, item) returns for every item not in held.
+//
+// This holds whether or not the model knows the user. A ranking over a
+// catalog then costs the model's rows, not the catalog's items.
 type ItemScorer interface {
-	ScoreItems(user uint32, out []float32)
+	ScoreHeld(user uint32, buf []float32) (held []int32, scores []float32, cold float32)
 }
 
 // AppendMarshaler is an optional Model extension: MarshalAppend appends

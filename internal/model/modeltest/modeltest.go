@@ -1,6 +1,6 @@
 // Package modeltest is the conformance suite every model.Model
 // implementation runs: one shared set of invariants over Predict /
-// PredictBatch / ScoreItems / Marshal / Unmarshal / MergeWeighted / Clone /
+// PredictBatch / ScoreHeld / Marshal / Unmarshal / MergeWeighted / Clone /
 // WireSize,
 // so the REX protocol can swap model families (§II-A) without re-deriving
 // per-family tests. mf and nn both invoke Run from their own test
@@ -118,33 +118,75 @@ func batchMatchesScalar(t *testing.T, cfg Config) {
 	}
 }
 
-// scoreItemsMatchesPredict: ScoreItems must reproduce Predict bit for bit
-// for known and out-of-vocabulary users, over catalogs cut below and
-// stretched past the model's highest item id — on a fresh model, a trained
-// one, and models whose internal layout Unmarshal and MergeWeighted rebuilt.
+// scoreItemsMatchesPredict: the item scores ranking reads must reproduce
+// Predict bit for bit, for known and out-of-vocabulary users, over
+// catalogs cut below and stretched past the model's highest item id — on a
+// fresh model, a trained one, and models whose internal layout Unmarshal
+// and MergeWeighted rebuilt. For a model.ItemScorer those are its held
+// rows, each scoring as Predict, and the cold score, which Predict must
+// give every other catalog id; ScoreHeld allocates nothing on a warm
+// buffer. Any other model is ranked through PredictBatch over the whole
+// catalog for one user, which must match Predict item by item.
 func scoreItemsMatchesPredict(t *testing.T, cfg Config) {
 	m := trained(t, cfg)
-	if _, ok := m.(model.ItemScorer); !ok {
-		t.Skip("model does not implement ItemScorer")
+	_, scorer := m.(model.ItemScorer)
+	if _, batch := m.(model.BatchPredictor); !scorer && !batch {
+		t.Skip("model implements neither ItemScorer nor BatchPredictor")
 	}
 	maxItem := 0
 	for _, r := range cfg.Data {
 		maxItem = max(maxItem, int(r.Item))
 	}
+	same := func(a, b float32) bool { return math.Float32bits(a) == math.Float32bits(b) }
 	check := func(name string, m model.Model) {
 		t.Helper()
 		for _, user := range []uint32{cfg.Data[0].User, cfg.Data[len(cfg.Data)-1].User, cfg.OOVUser} {
 			for _, n := range []int{0, maxItem/2 + 1, maxItem + 1, maxItem + 300} {
-				out := make([]float32, n)
-				for i := range out {
-					out[i] = -77 // a reused buffer's stale contents must not survive
-				}
-				m.(model.ItemScorer).ScoreItems(user, out)
-				for i, got := range out {
-					if want := m.Predict(user, uint32(i)); math.Float32bits(got) != math.Float32bits(want) {
-						t.Fatalf("%s model, user %d, %d-item catalog: ScoreItems[%d] = %v, Predict = %v",
-							name, user, n, i, got, want)
+				if !scorer {
+					users, items, out := make([]uint32, n), make([]uint32, n), make([]float32, n)
+					for i := range items {
+						users[i], items[i] = user, uint32(i)
 					}
+					m.(model.BatchPredictor).PredictBatch(users, items, out)
+					for i, got := range out {
+						if want := m.Predict(user, uint32(i)); !same(got, want) {
+							t.Fatalf("%s model, user %d, %d-item catalog: PredictBatch[%d] = %v, Predict = %v",
+								name, user, n, i, got, want)
+						}
+					}
+					continue
+				}
+				s := m.(model.ItemScorer)
+				// A reused buffer's contents must not survive; the short ones
+				// are outgrown.
+				stale := make([]float32, n)
+				for i := range stale {
+					stale[i] = -77
+				}
+				held, scores, cold := s.ScoreHeld(user, stale)
+				if len(scores) != len(held) {
+					t.Fatalf("%s model: %d held ids, %d scores", name, len(held), len(scores))
+				}
+				isHeld := make(map[uint32]bool, len(held))
+				for j, id := range held {
+					item := uint32(id)
+					if isHeld[item] {
+						t.Fatalf("%s model: item %d held twice", name, item)
+					}
+					isHeld[item] = true
+					if want := m.Predict(user, item); !same(scores[j], want) {
+						t.Fatalf("%s model, user %d: held item %d scores %v, Predict = %v",
+							name, user, item, scores[j], want)
+					}
+				}
+				for i := 0; i < n; i++ {
+					if want := m.Predict(user, uint32(i)); !isHeld[uint32(i)] && !same(cold, want) {
+						t.Fatalf("%s model, user %d, %d-item catalog: unheld item %d Predict = %v, cold score %v",
+							name, user, n, i, want, cold)
+					}
+				}
+				if allocs := testing.AllocsPerRun(5, func() { s.ScoreHeld(user, scores) }); allocs != 0 {
+					t.Fatalf("%s model: ScoreHeld on a warm buffer allocates %.1f times", name, allocs)
 				}
 			}
 		}

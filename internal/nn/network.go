@@ -193,28 +193,6 @@ func (n *Net) PredictBatch(users, items []uint32, out []float32) {
 	}
 }
 
-// scoreChunk is how many catalog items ScoreItems pushes through one
-// forward pass: enough rows to amortize the layer dispatch, few enough that
-// the id scratch stays on the stack.
-const scoreChunk = 256
-
-// ScoreItems implements model.ItemScorer over PredictBatch in chunks of
-// consecutive item ids, so out[i] inherits PredictBatch's bit-equality
-// with Predict(user, i).
-func (n *Net) ScoreItems(user uint32, out []float32) {
-	var users, items [scoreChunk]uint32
-	for j := range users {
-		users[j] = user
-	}
-	for start := 0; start < len(out); start += scoreChunk {
-		chunk := out[start:min(start+scoreChunk, len(out))]
-		for j := range chunk {
-			items[j] = uint32(start + j)
-		}
-		n.PredictBatch(users[:len(chunk)], items[:len(chunk)], chunk)
-	}
-}
-
 // MergeWeighted implements model.Model: a dense weighted average of every
 // parameter tensor. All REX DNN nodes share the architecture (enforced by
 // attestation), so tensors align one-to-one. Optimizer moments are reset

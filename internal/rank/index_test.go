@@ -169,29 +169,37 @@ func TestIndexTopNSteadyStateAllocs(t *testing.T) {
 
 // TestIndexTopNConcurrent queries one immutable index and one model from
 // eight goroutines; every answer must equal the serial one, which it would
-// not if two queries ever shared a pooled score buffer.
+// not if two queries ever shared pooled scratch. The model is a published
+// snapshot (cloned and canonicalized, as the engine publishes), and then
+// the trained model itself, whose lazy ascending-id order is stale: the
+// serial answers come from a clone, so under -race a scorer that rebuilt
+// that order would be caught writing shared state.
 func TestIndexTopNConcurrent(t *testing.T) {
 	m, ix, users := indexWorkload(t)
 	users = append(users, 1<<30)
-	want := make([][]Item, len(users))
-	for i, u := range users {
-		want[i] = ix.TopN(m, u, 10)
-	}
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for round := 0; round < 3; round++ {
-				for j := range users {
-					i := (j + g*7) % len(users)
-					if got := ix.TopN(m, users[i], 10); !slices.Equal(got, want[i]) {
-						t.Errorf("goroutine %d user %d: %v, serial %v", g, users[i], got, want[i])
-						return
+	published := m.Clone()
+	published.(model.Canonicalizer).Canonicalize()
+	for name, m := range map[string]model.Model{"published": published, "trained": m} {
+		want := make([][]Item, len(users))
+		for i, u := range users {
+			want[i] = ix.TopN(m.Clone(), u, 10)
+		}
+		var wg sync.WaitGroup
+		for g := 0; g < 8; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				for round := 0; round < 3; round++ {
+					for j := range users {
+						i := (j + g*7) % len(users)
+						if got := ix.TopN(m, users[i], 10); !slices.Equal(got, want[i]) {
+							t.Errorf("%s model, goroutine %d user %d: %v, serial %v", name, g, users[i], got, want[i])
+							return
+						}
 					}
 				}
-			}
-		}(g)
+			}(g)
+		}
+		wg.Wait()
 	}
-	wg.Wait()
 }

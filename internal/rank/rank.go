@@ -3,6 +3,14 @@
 // (precision@k, recall@k, NDCG@k). The paper evaluates RMSE (§IV-A4); a
 // deployed recommender additionally serves ranked lists, which is what
 // this layer provides on top of any model.Model.
+//
+// A list is exact: the n best unseen items under one total order (score
+// descending, NaN last, ties by ascending id). Its cost follows the model,
+// not the catalog, when the model is a model.ItemScorer: a node's MF model
+// holds rows only for the items raw-data sharing brought it (§II-B), and
+// every other item shares one cold score, so a query scores the held rows
+// and then takes cold items by ascending id for as long as they still
+// rank. Other predictors score the whole catalog.
 package rank
 
 import (
@@ -23,8 +31,9 @@ type Item struct {
 // Predictor is the minimal surface ranking needs: a rating prediction per
 // (user, item) pair. model.Model satisfies it; so do adapters over
 // recommenders outside the model contract (e.g. internal/knn served from
-// a node's raw-data store). A predictor that is also a model.ItemScorer
-// scores the catalog in one call instead of one Predict per item.
+// a node's raw-data store). A predictor that is also a model.ItemScorer is
+// ranked from its held rows and cold score, a model.BatchPredictor through
+// PredictBatch over the catalog, any other by one Predict per catalog item.
 type Predictor interface {
 	Predict(user, item uint32) float32
 }
@@ -53,57 +62,165 @@ func outranks(a, b Item) bool {
 	return a.ID < b.ID
 }
 
-// scorePool recycles the catalog-sized score buffers across queries.
-var scorePool = sync.Pool{New: func() any { return new([]float32) }}
+// scratch is one query's reusable buffers.
+type scratch struct {
+	scores []float32 // held rows' scores, or the catalog's on the dense path
+	held   []uint64  // bit id set when the model holds item id; all clear between queries
+}
 
-// topN is the one ranking kernel. It scores the whole catalog into a pooled
-// buffer — through model.ItemScorer when the predictor has it, per-item
-// Predict otherwise — and scans the scores in ascending id order through an
-// n-entry heap whose root is the worst survivor. seen is asked only about an
-// item that would otherwise enter the heap, and only the survivors are
-// sorted, so a query allocates its result and nothing catalog-sized.
+// scratchPool recycles query scratch, so a warm query allocates only its
+// result.
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
+
+// batchChunk is how many catalog items the dense path pushes through one
+// PredictBatch call: enough to amortize a DNN's layer dispatch, few enough
+// that the id arrays stay small.
+const batchChunk = 256
+
+// topN is the one ranking kernel: an n-entry heap, its root the worst
+// survivor, fed candidates in any order and heapsorted at the end. seen is
+// asked only about a candidate that would otherwise enter the heap.
+//
+// A model.ItemScorer hands over its held rows and the cold score every
+// other item gets. The held (id, score) pairs go through the heap first.
+// The cold items all tie, so ascending id is their rank order: they fill
+// from the lowest unheld, unseen id and stop at the first that cannot
+// outrank the root, which no later one can. A query then costs the held
+// rows, n and the seen probes, not the catalog. Any other predictor scores
+// the whole catalog, through PredictBatch when it has it.
 func topN(m Predictor, user uint32, numItems, n int, seen func(uint32) bool) []Item {
 	if n <= 0 || numItems <= 0 {
 		return nil
 	}
 	n = min(n, numItems)
-	buf := scorePool.Get().(*[]float32)
-	defer scorePool.Put(buf)
-	if cap(*buf) < numItems {
-		*buf = make([]float32, numItems)
+	sc := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(sc)
+	h := make([]Item, 0, n)
+
+	s, ok := m.(model.ItemScorer)
+	if !ok {
+		scores := scoreCatalog(m, user, sc, numItems)
+		for i, score := range scores {
+			if c := (Item{ID: uint32(i), Score: score}); len(h) < n || outranks(c, h[0]) {
+				h = offer(h, n, c, seen)
+			}
+		}
+		return finish(h, n)
 	}
-	scores := (*buf)[:numItems]
-	if s, ok := m.(model.ItemScorer); ok {
-		s.ScoreItems(user, scores)
-	} else {
+
+	held, scores, cold := s.ScoreHeld(user, sc.scores)
+	sc.scores = scores
+	scores = scores[:len(held)] // one length for both: no bounds check below
+	for j, id := range held {
+		c := Item{ID: uint32(id), Score: scores[j]}
+		if uint(c.ID) < uint(numItems) && (len(h) < n || outranks(c, h[0])) {
+			h = offer(h, n, c, seen)
+		}
+	}
+	// No cold item ranks above item 0 at the cold score.
+	if len(h) < n || outranks(Item{ID: 0, Score: cold}, h[0]) {
+		h = fillCold(h, n, numItems, held, cold, sc, seen)
+	}
+	return finish(h, n)
+}
+
+// fillCold offers the cold items, every catalog id the model does not
+// hold, in ascending id: their rank order, as they tie. It stops at the
+// first one that cannot outrank the root of the full heap, as no later
+// one can. The held ids are marked in the scratch bitmap for the walk and
+// cleared after it.
+func fillCold(h []Item, n, numItems int, held []int32, cold float32, sc *scratch, seen func(uint32) bool) []Item {
+	if words := (numItems + 63) / 64; len(sc.held) < words {
+		sc.held = make([]uint64, words)
+	}
+	for _, id := range held {
+		if uint(uint32(id)) < uint(numItems) {
+			sc.held[uint32(id)/64] |= 1 << (uint32(id) % 64)
+		}
+	}
+	for i := 0; i < numItems; i++ {
+		if sc.held[i/64]&(1<<(i%64)) != 0 {
+			continue
+		}
+		c := Item{ID: uint32(i), Score: cold}
+		if len(h) == n && !outranks(c, h[0]) {
+			break
+		}
+		h = offer(h, n, c, seen)
+	}
+	for _, id := range held {
+		if uint(uint32(id)) < uint(numItems) {
+			sc.held[uint32(id)/64] = 0
+		}
+	}
+	return h
+}
+
+// scoreCatalog fills the scratch with Predict(user, i) for every catalog
+// item i.
+func scoreCatalog(m Predictor, user uint32, sc *scratch, numItems int) []float32 {
+	if cap(sc.scores) < numItems {
+		sc.scores = make([]float32, numItems)
+	}
+	scores := sc.scores[:numItems]
+	bp, ok := m.(model.BatchPredictor)
+	if !ok {
 		for i := range scores {
 			scores[i] = m.Predict(user, uint32(i))
 		}
+		return scores
 	}
+	var users, items [batchChunk]uint32
+	for j := range users {
+		users[j] = user
+	}
+	for start := 0; start < numItems; start += batchChunk {
+		chunk := scores[start:min(start+batchChunk, numItems)]
+		for j := range chunk {
+			items[j] = uint32(start + j)
+		}
+		bp.PredictBatch(users[:len(chunk)], items[:len(chunk)], chunk)
+	}
+	return scores
+}
 
-	h := make([]Item, 0, n)
-	i := 0
-	for ; i < numItems && len(h) < n; i++ {
-		if !seen(uint32(i)) {
-			h = append(h, Item{ID: uint32(i), Score: scores[i]})
+// offer enters candidate c, which outranks the root of the full heap h,
+// unless it is seen. Until h holds n items it is a list; the item that
+// fills it turns it into a heap.
+func offer(h []Item, n int, c Item, seen func(uint32) bool) []Item {
+	if seen(c.ID) {
+		return h
+	}
+	if len(h) < n {
+		h = append(h, c)
+		if len(h) == n {
+			heapify(h)
 		}
+		return h
 	}
-	for r := len(h)/2 - 1; r >= 0; r-- {
-		siftDown(h, r)
+	h[0] = c
+	siftDown(h, 0)
+	return h
+}
+
+// finish sorts the survivors best first: each heapsort pop moves the worst
+// one behind the rest.
+func finish(h []Item, n int) []Item {
+	if len(h) < n {
+		heapify(h)
 	}
-	for ; i < numItems; i++ {
-		if c := (Item{ID: uint32(i), Score: scores[i]}); outranks(c, h[0]) && !seen(c.ID) {
-			h[0] = c
-			siftDown(h, 0)
-		}
-	}
-	// Heapsort in place: each pop moves the worst survivor behind the rest,
-	// leaving the list best first.
 	for end := len(h) - 1; end > 0; end-- {
 		h[0], h[end] = h[end], h[0]
 		siftDown(h[:end], 0)
 	}
 	return h
+}
+
+// heapify puts h in heap order.
+func heapify(h []Item) {
+	for r := len(h)/2 - 1; r >= 0; r-- {
+		siftDown(h, r)
+	}
 }
 
 // siftDown restores the heap order (every parent is outranked by its

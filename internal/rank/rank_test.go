@@ -1,8 +1,10 @@
 package rank
 
 import (
+	"encoding/binary"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -57,10 +59,31 @@ type scoreTable []float32
 
 func (s scoreTable) Predict(_, i uint32) float32 { return s[i] }
 
-// scoringTable is scoreTable behind the model.ItemScorer fast path.
-type scoringTable struct{ scoreTable }
+// batchTable is scoreTable behind model.BatchPredictor, the dense path's
+// batched scoring.
+type batchTable struct{ scoreTable }
 
-func (s scoringTable) ScoreItems(_ uint32, out []float32) { copy(out, s.scoreTable) }
+func (s batchTable) PredictBatch(_, items []uint32, out []float32) {
+	for j, i := range items {
+		out[j] = s.scoreTable[i]
+	}
+}
+
+// heldTable is scoreTable behind model.ItemScorer: it holds the listed ids,
+// in that order, and the table gives every other id the cold score.
+type heldTable struct {
+	scoreTable
+	held []int32
+	cold float32
+}
+
+func (s heldTable) ScoreHeld(_ uint32, buf []float32) ([]int32, []float32, float32) {
+	buf = buf[:0]
+	for _, id := range s.held {
+		buf = append(buf, s.scoreTable[id])
+	}
+	return s.held, buf, s.cold
+}
 
 // fullSortTopN is the reference ranking: score every unseen item, stable
 // sort the whole list by score alone (NaN last) so ties keep ascending id,
@@ -99,22 +122,35 @@ func sameItems(a, b []Item) bool {
 }
 
 // TestTopNMatchesFullSort holds the selection kernel — through TopN and
-// through Index.TopN, with and without an ItemScorer — to the full-sort
-// reference over random catalogs with heavy ties, NaN and infinite scores,
-// random seen sets, unknown users and every interesting n.
+// through Index.TopN, over per-item Predict, PredictBatch and held rows — to
+// the full-sort reference over random catalogs with heavy ties, NaN and
+// infinite scores, random seen sets, unknown users and every interesting n.
+// The held rows are a random subset in random order, some past the
+// catalog; every other item gets a cold score from the same palette.
 func TestTopNMatchesFullSort(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	palette := []float32{0, 1, 1, 2, 2, 2, 3.5, -1, float32(math.Inf(1)), float32(math.Inf(-1)), float32(math.NaN())}
+	draw := func(fewTies bool) float32 {
+		s := palette[rng.Intn(len(palette))]
+		if fewTies {
+			s += rng.Float32()
+		}
+		return s
+	}
 	for trial := 0; trial < 300; trial++ {
 		numItems := rng.Intn(60)
 		if trial%10 == 0 {
 			numItems = 0 // an empty catalog
 		}
-		scores := make(scoreTable, numItems)
-		for i := range scores {
-			scores[i] = palette[rng.Intn(len(palette))]
-			if trial%3 == 0 { // a catalog with few ties
-				scores[i] += rng.Float32()
+		cold := draw(false)
+		scores := make(scoreTable, numItems+5)
+		var held []int32
+		share := rng.Float64()
+		for _, i := range rng.Perm(len(scores)) {
+			scores[i] = cold
+			if rng.Float64() < share {
+				held = append(held, int32(i))
+				scores[i] = draw(trial%3 == 0) // trial%3 == 0: a catalog with few ties
 			}
 		}
 		// Users 0..3 have random seen sets; user 9 is unknown to the index.
@@ -123,25 +159,138 @@ func TestTopNMatchesFullSort(t *testing.T) {
 			ratings = append(ratings, dataset.Rating{User: uint32(rng.Intn(4)), Item: uint32(rng.Intn(numItems))})
 		}
 		ix := NewIndex(ratings, numItems)
+		scorer := heldTable{scores, held, cold}
 		for _, user := range []uint32{0, 1, 2, 3, 9} {
 			seen := SeenSet(ratings, user)
 			candidates := numItems - len(seen)
 			for _, n := range []int{-1, 0, 1, 10, candidates, numItems + 5} {
-				want := fullSortTopN(scores, n, seen)
+				want := fullSortTopN(scores[:numItems], n, seen)
 				for name, got := range map[string][]Item{
-					"TopN":              TopN(scores, user, numItems, n, seen),
-					"TopN/scorer":       TopN(scoringTable{scores}, user, numItems, n, seen),
-					"Index.TopN":        ix.TopN(scores, user, n),
-					"Index.TopN/scorer": ix.TopN(scoringTable{scores}, user, n),
+					"TopN":             TopN(scores, user, numItems, n, seen),
+					"TopN/batch":       TopN(batchTable{scores}, user, numItems, n, seen),
+					"TopN/held":        TopN(scorer, user, numItems, n, seen),
+					"Index.TopN":       ix.TopN(scores, user, n),
+					"Index.TopN/batch": ix.TopN(batchTable{scores}, user, n),
+					"Index.TopN/held":  ix.TopN(scorer, user, n),
 				} {
 					if !sameItems(got, want) {
-						t.Fatalf("trial %d %s user %d n %d over %d items (seen %v):\n got %v\nwant %v",
-							trial, name, user, n, numItems, seen, got, want)
+						t.Fatalf("trial %d %s user %d n %d over %d items (seen %v, held %v, cold %v):\n got %v\nwant %v",
+							trial, name, user, n, numItems, seen, held, cold, got, want)
 					}
 				}
 			}
 		}
 	}
+}
+
+// TestTopNMatchesFullSortMF is the oracle for the held-rows path on real
+// MF models: every list equals the full sort of per-item Predict. The
+// served list and the benchmark's offline check both run the kernel under
+// test, so only a reference like this one can catch a wrong list. The
+// cases are the ones the cold tail makes delicate.
+func TestTopNMatchesFullSortMF(t *testing.T) {
+	const catalog = 4000
+	rng := rand.New(rand.NewSource(41))
+	var data []dataset.Rating
+	for i := 0; i < 300; i++ { // 60 held items out of 4000: 1.5 % coverage
+		data = append(data, dataset.Rating{
+			User:  uint32(rng.Intn(12)),
+			Item:  uint32(3*rng.Intn(60) + 7),
+			Value: float32(rng.Intn(9)+1) / 2,
+		})
+	}
+	trained := mf.New(mf.DefaultConfig())
+	trained.Train(data, 3000, rand.New(rand.NewSource(42)))
+	b, err := trained.Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const user = 3 // trained; 1<<20 is a user no model here holds
+	// A held item with an all-zero record scores exactly the cold score.
+	zeroItem := mustUnmarshal(t, patchRecord(t, b, false, data[0].Item, func(rec []byte) { clear(rec) }))
+	// A NaN user bias makes the cold score, and with it every score, NaN.
+	nanUser := mustUnmarshal(t, patchRecord(t, b, true, user, func(rec []byte) {
+		binary.LittleEndian.PutUint32(rec, math.Float32bits(float32(math.NaN())))
+	}))
+	if p, cold := zeroItem.Predict(user, data[0].Item), zeroItem.Predict(user, 0); p != cold {
+		t.Fatalf("zero record scores %v, cold score %v: not a tie", p, cold)
+	}
+	if p := nanUser.Predict(user, 0); p == p {
+		t.Fatalf("NaN user bias gives a cold score of %v", p)
+	}
+
+	// Seen sets: the user's ratings; the lowest cold ids; both.
+	var rated, lowCold []dataset.Rating
+	for _, r := range data {
+		if r.User == user {
+			rated = append(rated, r)
+		}
+	}
+	for i := uint32(0); i < 7; i++ {
+		lowCold = append(lowCold, dataset.Rating{User: user, Item: i})
+	}
+	seenSets := map[string][]dataset.Rating{"none": nil, "rated": rated, "low-cold": lowCold, "both": slices.Concat(lowCold, rated)}
+
+	models := map[string]*mf.Model{"trained": trained, "zero-item": zeroItem, "nan-user": nanUser}
+	for name, m := range models {
+		for _, numItems := range []int{catalog, 100, 11, 1} { // 100 and below stop under the highest held id
+			for _, u := range []uint32{user, 1 << 20} {
+				scores := make([]float32, numItems)
+				for i := range scores {
+					scores[i] = m.Predict(u, uint32(i))
+				}
+				for seenName, ratings := range seenSets {
+					ix := NewIndex(ratings, numItems)
+					seen := SeenSet(ratings, u)
+					for _, n := range []int{1, 5, 10, 40, 200, numItems + 5} {
+						want := fullSortTopN(scores, n, seen)
+						if got := TopN(m, u, numItems, n, seen); !sameItems(got, want) {
+							t.Fatalf("%s model, user %d, %d items, seen %s, n %d:\n got %v\nwant %v", name, u, numItems, seenName, n, got, want)
+						}
+						if got := ix.TopN(m, u, n); !sameItems(got, want) {
+							t.Fatalf("%s model, user %d, %d items, seen %s, n %d, Index.TopN:\n got %v\nwant %v", name, u, numItems, seenName, n, got, want)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+func mustUnmarshal(t *testing.T, b []byte) *mf.Model {
+	t.Helper()
+	m := mf.New(mf.DefaultConfig())
+	if err := m.Unmarshal(b); err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
+// patchRecord returns a copy of an mf encoding with the record of one
+// user (or item) passed through edit. It finds the record by reading the
+// gap-coded id columns behind the record block (mf's Marshal documents the
+// layout).
+func patchRecord(t *testing.T, enc []byte, user bool, id uint32, edit func(rec []byte)) []byte {
+	t.Helper()
+	b := slices.Clone(enc)
+	w := 4 * (int(binary.LittleEndian.Uint32(b[4:])) + 1)
+	nu := int(binary.LittleEndian.Uint32(b[8:]))
+	rows := nu + int(binary.LittleEndian.Uint32(b[12:]))
+	off, prev := 16+rows*w, uint64(0)
+	for r := 0; r < rows; r++ {
+		v, n := binary.Uvarint(b[off:])
+		off += n
+		if r != 0 && r != nu { // each column's first id is written as is
+			v += prev + 1
+		}
+		prev = v
+		if (r < nu) == user && v == uint64(id) {
+			edit(b[16+r*w : 16+(r+1)*w])
+			return b
+		}
+	}
+	t.Fatalf("id %d not in the encoding", id)
+	return nil
 }
 
 // TestTopNRanksNaNLast pins the order a poisoned model gets: every number,

@@ -13,8 +13,8 @@
 //	GET  /snapshot                          serialized serving state
 //
 // Ranking goes through a cached candidate index (rank.Index) rebuilt once
-// per snapshot epoch, not per query; a query is then one pass over the
-// catalog (rank.TopN's kernel). Results are bit-identical to running the
+// per snapshot epoch, not per query; a query then scores the rows the
+// snapshot's model holds (rank.TopN's kernel). Results are bit-identical to running the
 // uncached rank.TopN offline against the same snapshot — the contract the
 // daemon's acceptance test pins. model=knn serves user-based KNN from
 // the node's raw-data store through the same handler, the profile database
