@@ -124,6 +124,15 @@ func startDaemon(t *testing.T, bin string, args ...string) *daemon {
 	return d
 }
 
+// output kills the daemon if it still runs, reaps it and returns all it
+// wrote. exec's copier goroutine writes out until Wait returns, so the
+// buffer is read only after Kill + Wait; a second Wait returns at once.
+func (d *daemon) output() string {
+	d.cmd.Process.Kill()
+	d.cmd.Wait()
+	return d.out.String()
+}
+
 // TestDaemonClusterServeResumeRejoin is the rexd acceptance path from the
 // issue: a 2-node daemon cluster trains across generations while serving,
 // /recommend is bit-identical to offline rank.TopN over the same snapshot,
@@ -153,15 +162,11 @@ func TestDaemonClusterServeResumeRejoin(t *testing.T) {
 	}
 	d0 := startDaemon(t, bin, args(0)...)
 	d1 := startDaemon(t, bin, args(1)...)
-	dump := func() {
-		t.Logf("node 0 output:\n%s", d0.out.String())
-		t.Logf("node 1 output:\n%s", d1.out.String())
-	}
 	defer func() {
-		d0.cmd.Process.Kill()
-		d1.cmd.Process.Kill()
+		out0, out1 := d0.output(), d1.output()
 		if t.Failed() {
-			dump()
+			t.Logf("node 0 output:\n%s", out0)
+			t.Logf("node 1 output:\n%s", out1)
 		}
 	}()
 
@@ -246,9 +251,8 @@ func TestDaemonClusterServeResumeRejoin(t *testing.T) {
 	// Restart from persisted state.
 	d1b := startDaemon(t, bin, append(args(1), "-resume")...)
 	defer func() {
-		d1b.cmd.Process.Kill()
-		if t.Failed() {
-			t.Logf("node 1 (resumed) output:\n%s", d1b.out.String())
+		if out := d1b.output(); t.Failed() {
+			t.Logf("node 1 (resumed) output:\n%s", out)
 		}
 	}()
 	st1 := waitStatus(t, web[1], "resumed node up", func(st map[string]any) bool {
@@ -349,11 +353,10 @@ func TestShedLeavesNoWALTrace(t *testing.T) {
 	d0 := startDaemon(t, bin, args(0)...)
 	d1 := startDaemon(t, bin, args(1)...)
 	defer func() {
-		d0.cmd.Process.Kill()
-		d1.cmd.Process.Kill()
+		out0, out1 := d0.output(), d1.output()
 		if t.Failed() {
-			t.Logf("node 0 output:\n%s", d0.out.String())
-			t.Logf("node 1 output:\n%s", d1.out.String())
+			t.Logf("node 0 output:\n%s", out0)
+			t.Logf("node 1 output:\n%s", out1)
 		}
 	}()
 	waitStatus(t, web[0], "first snapshot", func(st map[string]any) bool {
@@ -438,9 +441,8 @@ func TestShedLeavesNoWALTrace(t *testing.T) {
 	// Resume and verify the acked ratings reach the served snapshot.
 	d0b := startDaemon(t, bin, append(args(0), "-resume")...)
 	defer func() {
-		d0b.cmd.Process.Kill()
-		if t.Failed() {
-			t.Logf("node 0 (resumed) output:\n%s", d0b.out.String())
+		if out := d0b.output(); t.Failed() {
+			t.Logf("node 0 (resumed) output:\n%s", out)
 		}
 	}()
 	waitStatus(t, web[0], "resumed node up", func(st map[string]any) bool {
@@ -548,11 +550,10 @@ func TestResumeFromWALOnly(t *testing.T) {
 	d0 := startDaemon(t, bin, append(args(0), "-resume")...)
 	d1 := startDaemon(t, bin, args(1)...)
 	defer func() {
-		d0.cmd.Process.Kill()
-		d1.cmd.Process.Kill()
+		out0, out1 := d0.output(), d1.output()
 		if t.Failed() {
-			t.Logf("node 0 output:\n%s", d0.out.String())
-			t.Logf("node 1 output:\n%s", d1.out.String())
+			t.Logf("node 0 output:\n%s", out0)
+			t.Logf("node 1 output:\n%s", out1)
 		}
 	}()
 

@@ -241,14 +241,9 @@ func AppendIndexDeltas(dst []byte, idx []uint32) []byte {
 	return dst
 }
 
-// DecodeIndexDeltas inverts AppendIndexDeltas, validating monotonicity and
-// range, and returns the unconsumed tail.
-func DecodeIndexDeltas(b []byte) ([]uint32, []byte, error) {
-	return DecodeIndexDeltasAppend(nil, b)
-}
-
-// DecodeIndexDeltasAppend is DecodeIndexDeltas appending the indices to
-// dst (which may be nil or a reused scratch).
+// DecodeIndexDeltasAppend inverts AppendIndexDeltas, validating
+// monotonicity and range: it appends the indices to dst (which may be nil
+// or a reused scratch) and returns the unconsumed tail.
 func DecodeIndexDeltasAppend(dst []uint32, b []byte) ([]uint32, []byte, error) {
 	count, n := binary.Uvarint(b)
 	if n <= 0 {

@@ -126,8 +126,8 @@ func TestColumnarGarbage(t *testing.T) {
 	for i := 0; i < 2000; i++ {
 		b := make([]byte, rng.Intn(64))
 		rng.Read(b)
-		DecodeRatingsColumnar(b) // must not panic
-		DecodeIndexDeltas(b)     // must not panic
+		DecodeRatingsColumnar(b)        // must not panic
+		DecodeIndexDeltasAppend(nil, b) // must not panic
 	}
 	// Truncations of a valid encoding must error, never panic or hang.
 	enc := AppendRatingsColumnar(nil, randomBlock(rng, 50))
@@ -153,7 +153,7 @@ func TestIndexDeltasRoundtrip(t *testing.T) {
 	}
 	for _, idx := range cases {
 		enc := AppendIndexDeltas(nil, idx)
-		got, rest, err := DecodeIndexDeltas(enc)
+		got, rest, err := DecodeIndexDeltasAppend(nil, enc)
 		if err != nil {
 			t.Fatalf("%v: %v", idx, err)
 		}

@@ -142,6 +142,3 @@ func memoized[T any](key string, f func() (T, error)) (T, error) {
 	memo.Store(key, v)
 	return v, nil
 }
-
-// ResetCache drops memoized scenario results (used by tests).
-func ResetCache() { memo = sync.Map{} }

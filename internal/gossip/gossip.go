@@ -46,29 +46,10 @@ func ParseAlgo(s string) (Algo, error) {
 	return 0, fmt.Errorf("gossip: unknown algorithm %q (want rmw or dpsgd)", s)
 }
 
-// Targets returns the neighbors node i shares with in the current epoch:
-// one random neighbor under RMW, all neighbors under D-PSGD. The result
-// aliases graph storage for DPSGD and must not be modified.
-func Targets(a Algo, g topology.Source, i int, rng *rand.Rand) []int {
-	switch a {
-	case RMW:
-		j := topology.RandomNeighborOf(g, i, rng)
-		if j < 0 {
-			return nil
-		}
-		return []int{j}
-	case DPSGD:
-		return g.Neighbors(i)
-	default:
-		panic("gossip: unknown algorithm")
-	}
-}
-
-// TargetsAppend is Targets with a caller-owned buffer: the epoch's targets
-// are appended to dst (usually a recycled scratch slice) and the extended
-// slice is returned. The rng draw sequence is identical to Targets', so
-// pooled and unpooled dissemination pick the same peers; unlike Targets,
-// the result never aliases graph storage and is safe to retain until the
+// TargetsAppend appends the neighbors node i shares with in the current
+// epoch to dst (usually a recycled scratch slice) and returns the extended
+// slice: one random neighbor under RMW, all neighbors under D-PSGD. The
+// result never aliases graph storage and is safe to retain until the
 // caller reuses the buffer.
 func TargetsAppend(dst []int, a Algo, g topology.Source, i int, rng *rand.Rand) []int {
 	switch a {
@@ -83,15 +64,4 @@ func TargetsAppend(dst []int, a Algo, g topology.Source, i int, rng *rand.Rand) 
 	default:
 		panic("gossip: unknown algorithm")
 	}
-}
-
-// Fanout returns the expected number of messages node i sends per epoch.
-func Fanout(a Algo, g topology.Source, i int) int {
-	if a == RMW {
-		if g.Degree(i) == 0 {
-			return 0
-		}
-		return 1
-	}
-	return g.Degree(i)
 }

@@ -30,7 +30,7 @@ func TestTargetsRMWSingleRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	seen := map[int]bool{}
 	for i := 0; i < 200; i++ {
-		ts := Targets(RMW, g, 0, rng)
+		ts := TargetsAppend(nil, RMW, g, 0, rng)
 		if len(ts) != 1 {
 			t.Fatalf("RMW targets %v", ts)
 		}
@@ -48,7 +48,7 @@ func TestTargetsDPSGDAllNeighbors(t *testing.T) {
 	g := topology.NewGraph(5)
 	g.AddEdge(0, 2)
 	g.AddEdge(0, 4)
-	ts := Targets(DPSGD, g, 0, rand.New(rand.NewSource(2)))
+	ts := TargetsAppend(nil, DPSGD, g, 0, rand.New(rand.NewSource(2)))
 	if len(ts) != 2 || ts[0] != 2 || ts[1] != 4 {
 		t.Fatalf("DPSGD targets %v", ts)
 	}
@@ -56,24 +56,10 @@ func TestTargetsDPSGDAllNeighbors(t *testing.T) {
 
 func TestTargetsIsolatedNode(t *testing.T) {
 	g := topology.NewGraph(3)
-	if ts := Targets(RMW, g, 0, rand.New(rand.NewSource(3))); ts != nil {
+	if ts := TargetsAppend(nil, RMW, g, 0, rand.New(rand.NewSource(3))); ts != nil {
 		t.Fatalf("isolated RMW targets %v", ts)
 	}
-	if ts := Targets(DPSGD, g, 0, rand.New(rand.NewSource(3))); len(ts) != 0 {
+	if ts := TargetsAppend(nil, DPSGD, g, 0, rand.New(rand.NewSource(3))); len(ts) != 0 {
 		t.Fatalf("isolated DPSGD targets %v", ts)
-	}
-}
-
-func TestFanout(t *testing.T) {
-	g := topology.FullyConnected(6)
-	if Fanout(RMW, g, 0) != 1 {
-		t.Fatal("RMW fanout != 1")
-	}
-	if Fanout(DPSGD, g, 0) != 5 {
-		t.Fatal("DPSGD fanout != degree")
-	}
-	iso := topology.NewGraph(2)
-	if Fanout(RMW, iso, 0) != 0 {
-		t.Fatal("isolated RMW fanout != 0")
 	}
 }

@@ -203,7 +203,7 @@ func TestDigestIndependentOfWorkers(t *testing.T) {
 func TestSimVsLiveReplay(t *testing.T) {
 	spec := tinySpec()
 
-	sim, err := NewEngineCluster(spec, 2)
+	sim, err := NewEngineClusterOpts(spec, 2, ClusterOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +214,7 @@ func TestSimVsLiveReplay(t *testing.T) {
 
 	// "Live" side: a second cluster's serve handlers behind real HTTP
 	// listeners, replayed over sockets.
-	live, err := NewEngineCluster(spec, 2)
+	live, err := NewEngineClusterOpts(spec, 2, ClusterOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

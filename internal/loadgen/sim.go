@@ -76,15 +76,11 @@ type simCmd struct {
 // serving path under training interference, not convergence.
 const simEpochSteps = 40
 
-// NewEngineCluster builds and starts an n-node cluster seeded with a
+// NewEngineClusterOpts builds and starts an n-node cluster seeded with a
 // deterministic synthetic shard per node (users striped across nodes,
 // items within the spec's catalog), then runs one warm-up epoch so every
-// node has a published snapshot before the first query arrives.
-func NewEngineCluster(spec *Spec, n int) (*EngineCluster, error) {
-	return NewEngineClusterOpts(spec, n, ClusterOptions{})
-}
-
-// NewEngineClusterOpts is NewEngineCluster with chaos-load options.
+// node has a published snapshot before the first query arrives. opts
+// carries the chaos-load settings; the zero value runs fault-free.
 func NewEngineClusterOpts(spec *Spec, n int, opts ClusterOptions) (*EngineCluster, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err

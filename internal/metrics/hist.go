@@ -1,7 +1,6 @@
 package metrics
 
 import (
-	"fmt"
 	"math/bits"
 	"sort"
 	"sync"
@@ -230,16 +229,4 @@ func (s *StageSet) Names() []string {
 	}
 	sort.Strings(names)
 	return names
-}
-
-// FormatQuantiles renders "p50 / p95 / p99" of a snapshot in one cell for
-// table output.
-func FormatQuantiles(s *HistSnapshot) string {
-	if s == nil || s.Count == 0 {
-		return "-"
-	}
-	return fmt.Sprintf("%s / %s / %s",
-		FormatSeconds(s.Quantile(0.50).Seconds()),
-		FormatSeconds(s.Quantile(0.95).Seconds()),
-		FormatSeconds(s.Quantile(0.99).Seconds()))
 }

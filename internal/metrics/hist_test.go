@@ -191,7 +191,4 @@ func TestStageSet(t *testing.T) {
 	if snap["train"].Count != 2 {
 		t.Fatal("snapshot mutated by later observation")
 	}
-	if FormatQuantiles(snap["train"]) == "-" || FormatQuantiles(nil) != "-" {
-		t.Fatal("FormatQuantiles empty/nil handling")
-	}
 }

@@ -173,13 +173,3 @@ func clampedSqErr(pred, want float32) float64 {
 	// architectures (see internal/vec's package doc).
 	return float64(d * d)
 }
-
-// MarshaledSize returns the wire size of the model's serialization,
-// tolerating errors by returning 0 (used only for metrics).
-func MarshaledSize(m Model) int {
-	b, err := m.Marshal()
-	if err != nil {
-		return 0
-	}
-	return len(b)
-}

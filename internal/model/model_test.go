@@ -45,9 +45,3 @@ func TestRMSEEmpty(t *testing.T) {
 		t.Fatalf("empty rmse %v", got)
 	}
 }
-
-func TestMarshaledSize(t *testing.T) {
-	if got := MarshaledSize(constModel(1)); got != 1 {
-		t.Fatalf("size %d", got)
-	}
-}

@@ -385,6 +385,10 @@ func TestNetPredictOutOfVocab(t *testing.T) {
 	if p := n.Predict(9999, 0); p != 3.5 {
 		t.Fatalf("OOV fallback %v", p)
 	}
+	// An untrained in-vocabulary prediction stays a plausible rating.
+	if p := n.Predict(0, 0); p < -10 || p > 10 {
+		t.Fatalf("implausible prediction %v", p)
+	}
 }
 
 func TestNetWireSizeProperty(t *testing.T) {

@@ -19,8 +19,9 @@ type chanEndpoint struct {
 }
 
 // NewChanNet builds a fully meshed in-process transport for n nodes, one
-// endpoint per node. It backs the examples and tests; semantics match the
-// TCP transport (reliable, per-peer FIFO).
+// endpoint per node. It backs in-process clusters (RunCluster, the load
+// simulator, the benchmark) and tests; semantics match the TCP transport
+// (reliable, per-peer FIFO).
 func NewChanNet(n int) []Endpoint {
 	eps := make([]*chanEndpoint, n)
 	for i := range eps {

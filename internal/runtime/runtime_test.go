@@ -132,6 +132,46 @@ func TestTCPNetUnknownPeer(t *testing.T) {
 	}
 }
 
+// BenchmarkWireBatch measures the TCP lane's frame coalescing: one op
+// bursts a 16-frame wave (the lane batch cap) at a single peer and waits
+// for all deliveries. Because the sends enqueue far faster than the lane
+// drains, the writer coalesces the queue into vectored writes — compare
+// MB/s here against the one-frame-per-write round trip the ledger reports
+// as runtime.tcp_roundtrip_us_16k.
+func BenchmarkWireBatch(b *testing.B) {
+	const burst = 16
+	recv, err := NewTCPNet(1, "127.0.0.1:0", nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer recv.Close()
+	acks := make(chan struct{}, 2*burst)
+	go func() {
+		for range recv.Inbox() {
+			acks <- struct{}{}
+		}
+	}()
+	hub, err := NewTCPNet(0, "127.0.0.1:0", map[int]string{1: recv.Addr().String()})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer hub.Close()
+
+	frame := make([]byte, 4<<10) // ~ a delta share frame after packing
+	b.SetBytes(int64(burst * len(frame)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for f := 0; f < burst; f++ {
+			if err := hub.Send(1, frame); err != nil {
+				b.Fatal(err)
+			}
+		}
+		for f := 0; f < burst; f++ {
+			<-acks
+		}
+	}
+}
+
 func TestPayloadCodecRoundtrip(t *testing.T) {
 	mcfg := mf.DefaultConfig()
 	m := mf.New(mcfg)

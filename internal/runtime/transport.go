@@ -3,7 +3,7 @@
 // (internal/attest) and AES-GCM encrypted gossip (internal/seccha). It is
 // the Algorithm 1 + Algorithm 2 pairing of the paper — the untrusted
 // bootstrap/network shell around the enclaved protocol logic in
-// internal/core — and backs the rexd command and the examples.
+// internal/core — and backs the rexd command.
 //
 // The runtime is layered:
 //

@@ -15,9 +15,8 @@ import (
 // Config describes one simulated run.
 type Config struct {
 	// Graph is the communication topology — a materialized *topology.Graph
-	// or a streamed form (topology.SmallWorldStream, topology.ERStream)
-	// that derives neighbor lists on demand, which is what makes 100k+
-	// node runs affordable.
+	// or a streamed form (topology.SmallWorldStream) that derives neighbor
+	// lists on demand, which is what makes 100k+ node runs affordable.
 	Graph topology.Source
 	// Topology, when set, supplies the communication graph for each epoch
 	// (same node count as Graph), enabling dynamic overlays such as a

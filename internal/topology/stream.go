@@ -5,14 +5,14 @@ import (
 	"sync/atomic"
 )
 
-// This file holds the streaming topology generators for the million-user
+// This file holds the streaming topology generator for the million-user
 // scale path: instead of materializing an n-node adjacency structure up
-// front (SmallWorld walks every node, ErdosRenyi is O(n²) in time), these
-// derive a node's neighbor list on demand as a pure function of
-// (seed, node id). Memory is O(degree) per node actually touched — a
-// simulation over 100k users with only a subset alive never pays for the
-// rest — and generation parallelizes for free because every per-node list
-// is computed independently and cached behind an atomic pointer.
+// front (SmallWorld walks every node), it derives a node's neighbor list
+// on demand as a pure function of (seed, node id). Memory is O(degree) per
+// node actually touched — a simulation over 100k users with only a subset
+// alive never pays for the rest — and generation parallelizes for free
+// because every per-node list is computed independently and cached behind
+// an atomic pointer.
 
 // mixTopo is the splitmix64 finalizer, used to turn (seed, structured id)
 // tuples into uniform 64-bit values for edge decisions.
@@ -136,184 +136,6 @@ func (s *SmallWorldStream) compute(i int) []int {
 		}
 	}
 	return sortDedup(nb)
-}
-
-// ERStream is the streamed counterpart of ErdosRenyi (§IV-A2b): random
-// edges with mean degree p·(n−1) per node, plus a deterministic Hamiltonian
-// ring i—(i+1 mod n) standing in for the materialized generator's
-// connectivity repair.
-//
-// Sparse graphs derive a node's candidates from per-node hashed buckets
-// instead of scanning all n partners: each of erRounds rounds permutes the
-// node ids with a seed-derived affine bijection π_r(x) = (a_r·x+b_r) mod n
-// and partitions the permuted positions into buckets of erBucket
-// consecutive slots. Both endpoints of a pair compute the same bucket
-// membership (π_r is shared), so candidate edges are exactly the
-// within-bucket pairs, kept with a per-(round, pair) hash probability
-// calibrated so the expected non-ring degree stays p·(n−1). Deriving one
-// node's list enumerates erRounds buckets — O(degree) work, since the
-// bucket size tracks the expected degree — and stays a pure function of
-// (seed, id). Dense graphs (bucket work ≥ n) keep the full pair scan,
-// which is already O(degree) there.
-//
-// The trade against true G(n, p): only pairs sharing a bucket in some
-// round can ever be edges, so the per-pair edge probability is lumpy even
-// though per-node degree is Binomial with the right mean — the same class
-// of stand-in as the forced ring.
-type ERStream struct {
-	n      int
-	p      float64
-	seed   uint64
-	cache  neighborCache
-	bucket int       // bucket size; 0 = dense full-scan path
-	keep   float64   // per-(round, pair) keep probability on the bucket path
-	rounds []erRound // affine permutations, one per round
-}
-
-// erRound is one seed-derived affine permutation of [0, n):
-// π(x) = (a·x + b) mod n with gcd(a, n) = 1; aInv inverts it.
-type erRound struct {
-	a, aInv, b uint64
-}
-
-// erRounds is the number of independent bucketings candidate edges are
-// drawn from. More rounds spread the same expected degree over more
-// independent partner sets (and cut the keep probability per pair).
-const erRounds = 3
-
-var _ Source = (*ERStream)(nil)
-
-// NewERStream builds the streamed G(n, p) topology derived from seed.
-func NewERStream(n int, p float64, seed uint64) *ERStream {
-	if n < 0 {
-		panic("topology: negative node count")
-	}
-	s := &ERStream{n: n, p: p, seed: seed, cache: newNeighborCache(n)}
-	if n > 1 {
-		// Bucket size: ~4x the per-round expected degree keeps the
-		// per-pair probability ≤ ~1/4 (Binomial ≈ the ER Poisson), with a
-		// floor so tiny rates still see candidates.
-		expect := p * float64(n-1)
-		bucket := int(4*expect/erRounds) + 8
-		if erRounds*bucket < n {
-			s.bucket = bucket
-			s.keep = expect / (erRounds * float64(bucket-1))
-			if s.keep > 1 {
-				s.keep = 1
-			}
-			for r := 0; r < erRounds; r++ {
-				s.rounds = append(s.rounds, deriveERRound(seed, uint64(r), uint64(n)))
-			}
-		}
-	}
-	return s
-}
-
-// deriveERRound derives round r's affine permutation from the seed: a is
-// the first hash draw coprime to n (so x -> a·x+b is a bijection), b a
-// free offset.
-func deriveERRound(seed, r, n uint64) erRound {
-	a := mixTopo(seed^0x8CB9_2BA7_2F3D_8DD7^r*0xD6E8_FEB8_6659_FD93)%(n-1) + 1
-	for gcd64(a, n) != 1 {
-		a = a%(n-1) + 1
-	}
-	b := mixTopo(seed^0x4CF5_AD43_2745_937F^r*0x9E3779B97F4A7C15) % n
-	return erRound{a: a, aInv: modInverse(a, n), b: b}
-}
-
-func gcd64(a, b uint64) uint64 {
-	for b != 0 {
-		a, b = b, a%b
-	}
-	return a
-}
-
-// modInverse returns a^-1 mod n for gcd(a, n) == 1, via the extended
-// Euclidean algorithm.
-func modInverse(a, n uint64) uint64 {
-	t, newT := int64(0), int64(1)
-	r, newR := int64(n), int64(a)
-	for newR != 0 {
-		q := r / newR
-		t, newT = newT, t-q*newT
-		r, newR = newR, r-q*newR
-	}
-	if t < 0 {
-		t += int64(n)
-	}
-	return uint64(t)
-}
-
-// N implements Source.
-func (s *ERStream) N() int { return s.n }
-
-// Degree implements Source.
-func (s *ERStream) Degree(i int) int { return len(s.Neighbors(i)) }
-
-// Neighbors implements Source: the sorted neighbor list of node i,
-// computed on first request and cached. Callers must not modify it.
-func (s *ERStream) Neighbors(i int) []int {
-	return s.cache.get(i, s.compute)
-}
-
-func (s *ERStream) compute(i int) []int {
-	if s.n <= 1 {
-		return nil
-	}
-	if s.bucket == 0 {
-		return s.computeDense(i)
-	}
-	n := uint64(s.n)
-	nb := make([]int, 0, 2+2*erRounds)
-	nb = append(nb, (i+1)%s.n, (i-1+s.n)%s.n)
-	for r, rd := range s.rounds {
-		pos := (rd.a*uint64(i) + rd.b) % n
-		lo := pos / uint64(s.bucket) * uint64(s.bucket)
-		hi := lo + uint64(s.bucket)
-		if hi > n {
-			hi = n
-		}
-		for q := lo; q < hi; q++ {
-			if q == pos {
-				continue
-			}
-			j := int(rd.aInv * ((q + n - rd.b%n) % n) % n)
-			a, b := i, j
-			if a > b {
-				a, b = b, a
-			}
-			h := mixTopo(s.seed ^ uint64(r+1)*0xFF51_AFD7_ED55_8CCD ^ uint64(a)<<32 ^ uint64(b))
-			if hashFloat(h) < s.keep {
-				nb = append(nb, j)
-			}
-		}
-	}
-	return sortDedup(nb)
-}
-
-// computeDense is the original all-pairs scan, kept for graphs whose
-// expected degree is a sizable fraction of n (there it IS O(degree)).
-func (s *ERStream) computeDense(i int) []int {
-	var nb []int
-	for j := 0; j < s.n; j++ {
-		if j == i {
-			continue
-		}
-		a, b := i, j
-		if a > b {
-			a, b = b, a
-		}
-		ring := b-a == 1 || (a == 0 && b == s.n-1)
-		if ring {
-			nb = append(nb, j)
-			continue
-		}
-		h := mixTopo(s.seed ^ 0xD6E8_FEB8_6659_FD93 ^ uint64(a)<<32 ^ uint64(b))
-		if hashFloat(h) < s.p {
-			nb = append(nb, j)
-		}
-	}
-	return nb // ascending scan order; already sorted and duplicate-free
 }
 
 // sortDedup sorts nb ascending and removes duplicates in place.

@@ -14,10 +14,9 @@ import (
 
 // Source is the minimal read-only neighbor view the gossip and simulation
 // layers need. *Graph implements it with materialized adjacency; the
-// streamed generators (SmallWorldStream, ERStream) implement it by
-// deriving neighbor lists on demand from (seed, node id), so topology
-// memory is O(degree) per node actually touched instead of O(n·degree) up
-// front. Neighbors results must be sorted ascending, stable for the
+// streamed SmallWorldStream implements it by deriving neighbor lists on
+// demand from (seed, node id), so topology memory is O(degree) per node
+// actually touched instead of O(n·degree) up front. Neighbors results must be sorted ascending, stable for the
 // lifetime of the value, and treated as read-only by callers.
 type Source interface {
 	N() int

@@ -68,6 +68,9 @@ func TestEdgesAndDegree(t *testing.T) {
 func TestSmallWorldShape(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	g := SmallWorld(100, 6, 0.03, rng)
+	if g.N() != 100 {
+		t.Fatalf("small world has %d nodes, want 100", g.N())
+	}
 	if !IsConnected(g) {
 		t.Fatal("small world disconnected")
 	}
@@ -85,6 +88,9 @@ func TestErdosRenyiConnectedByConstruction(t *testing.T) {
 	for seed := int64(0); seed < 10; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		g := ErdosRenyi(60, 0.02, rng) // sparse enough to fragment without repair
+		if g.N() != 60 {
+			t.Fatalf("seed %d: ER graph has %d nodes, want 60", seed, g.N())
+		}
 		if !IsConnected(g) {
 			t.Fatalf("seed %d: ER graph disconnected after repair", seed)
 		}
@@ -120,6 +126,16 @@ func TestFullyConnected(t *testing.T) {
 	}
 	if cc := ClusteringCoefficient(g); cc != 1 {
 		t.Fatalf("clustering %v", cc)
+	}
+}
+
+func BenchmarkGraphSmallWorld(b *testing.B) {
+	for i := 0; i < b.N; i++ {
+		rng := rand.New(rand.NewSource(int64(i)))
+		g := SmallWorld(610, 6, 0.03, rng)
+		if !IsConnected(g) {
+			b.Fatal("disconnected small world")
+		}
 	}
 }
 

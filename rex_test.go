@@ -1,20 +1,33 @@
+// Package rex_test holds the module's cross-package end-to-end checks: each
+// test wires datasets, models, topologies and an execution layer together
+// the way a library user would. The module root has no library package; the
+// test names keep their TestFacade prefix from the public facade these
+// checks used to go through.
 package rex_test
 
 import (
-	"fmt"
 	"math/rand"
 	"testing"
 
-	"rex"
+	"rex/internal/baseline"
+	"rex/internal/core"
+	"rex/internal/dataset"
+	"rex/internal/gossip"
+	"rex/internal/mf"
+	"rex/internal/model"
+	"rex/internal/movielens"
+	"rex/internal/nn"
+	"rex/internal/runtime"
+	"rex/internal/sim"
+	"rex/internal/topology"
 )
 
-// buildWorkload prepares a small partitioned dataset through the public
-// API only.
-func buildWorkload(t testing.TB, nodes int, seed int64) (train, test [][]rex.Rating) {
+// buildWorkload prepares a small partitioned dataset.
+func buildWorkload(t testing.TB, nodes int, seed int64) (train, test [][]dataset.Rating) {
 	t.Helper()
-	spec := rex.MovieLensLatest().Scaled(0.06)
+	spec := movielens.Latest().Scaled(0.06)
 	spec.Seed = seed
-	ds := rex.GenerateMovieLens(spec)
+	ds := movielens.Generate(spec)
 	tr, te := ds.SplitPerUser(0.7, rand.New(rand.NewSource(seed)))
 	trainParts, err := tr.PartitionUsersAcross(nodes, rand.New(rand.NewSource(seed)))
 	if err != nil {
@@ -30,23 +43,23 @@ func buildWorkload(t testing.TB, nodes int, seed int64) (train, test [][]rex.Rat
 func TestFacadeSimulateREXvsMS(t *testing.T) {
 	const n = 12
 	train, test := buildWorkload(t, n, 31)
-	g := rex.SmallWorld(n, 4, 0.05, rand.New(rand.NewSource(31)))
-	mcfg := rex.DefaultMFConfig()
-	run := func(mode rex.Mode) *rex.SimResult {
-		res, err := rex.Simulate(rex.SimConfig{
-			Graph: g, Algo: rex.DPSGD, Mode: mode,
+	g := topology.SmallWorld(n, 4, 0.05, rand.New(rand.NewSource(31)))
+	mcfg := mf.DefaultConfig()
+	run := func(mode core.Mode) *sim.Result {
+		res, err := sim.Run(sim.Config{
+			Graph: g, Algo: gossip.DPSGD, Mode: mode,
 			Epochs: 40, StepsPerEpoch: 150, SharePoints: 60,
-			NewModel: func(int) rex.Model { return rex.NewMF(mcfg) },
+			NewModel: func(int) model.Model { return mf.New(mcfg) },
 			Train:    train, Test: test,
-			Compute: rex.MFCompute(mcfg.K), Seed: 31,
+			Compute: sim.MFCompute(mcfg.K), Seed: 31,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
 		return res
 	}
-	ms := run(rex.ModelSharing)
-	ds := run(rex.DataSharing)
+	ms := run(core.ModelSharing)
+	ds := run(core.DataSharing)
 	if ds.BytesPerNode >= ms.BytesPerNode {
 		t.Fatalf("REX moved more bytes than MS: %.0f vs %.0f", ds.BytesPerNode, ms.BytesPerNode)
 	}
@@ -58,18 +71,18 @@ func TestFacadeSimulateREXvsMS(t *testing.T) {
 func TestFacadeLiveCluster(t *testing.T) {
 	const n = 4
 	train, test := buildWorkload(t, n, 33)
-	mcfg := rex.DefaultMFConfig()
-	nodes := make([]*rex.Node, n)
+	mcfg := mf.DefaultConfig()
+	nodes := make([]*core.Node, n)
 	for i := range nodes {
-		nodes[i] = rex.NewNode(rex.NodeConfig{
-			ID: i, Mode: rex.DataSharing, Algo: rex.DPSGD,
+		nodes[i] = core.NewNode(core.Config{
+			ID: i, Mode: core.DataSharing, Algo: gossip.DPSGD,
 			StepsPerEpoch: 80, SharePoints: 20, Seed: 33,
-		}, rex.NewMF(mcfg), train[i], test[i])
+		}, mf.New(mcfg), train[i], test[i])
 	}
-	stats, err := rex.RunCluster(rex.ClusterConfig{
-		Graph: rex.FullyConnected(n), Nodes: nodes, Epochs: 5,
+	stats, err := runtime.RunCluster(runtime.ClusterConfig{
+		Graph: topology.FullyConnected(n), Nodes: nodes, Epochs: 5,
 		Secure:   true,
-		NewModel: func() rex.Model { return rex.NewMF(mcfg) },
+		NewModel: func() model.Model { return mf.New(mcfg) },
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -82,21 +95,21 @@ func TestFacadeLiveCluster(t *testing.T) {
 }
 
 func TestFacadeCentralizedBaseline(t *testing.T) {
-	spec := rex.MovieLensLatest().Scaled(0.05)
+	spec := movielens.Latest().Scaled(0.05)
 	spec.Seed = 35
-	ds := rex.GenerateMovieLens(spec)
+	ds := movielens.Generate(spec)
 	tr, te := ds.SplitPerUser(0.7, rand.New(rand.NewSource(35)))
-	res := rex.Centralized(rex.NewMF(rex.DefaultMFConfig()), tr.Ratings, te.Ratings, 8, len(tr.Ratings), 35)
+	res := baseline.Run(mf.New(mf.DefaultConfig()), tr.Ratings, te.Ratings, 8, len(tr.Ratings), 35)
 	if res.FinalRMSE >= res.RMSE[0] {
 		t.Fatal("baseline did not improve")
 	}
 }
 
 func TestFacadeDNN(t *testing.T) {
-	cfg := rex.DefaultDNNConfig(20, 50)
+	cfg := nn.DefaultConfig(20, 50)
 	cfg.EmbDim = 4
 	cfg.Hidden = []int{8, 6}
-	m := rex.NewDNN(cfg)
+	m := nn.NewNet(cfg)
 	if m.ParamCount() <= 0 {
 		t.Fatal("empty DNN")
 	}
@@ -107,53 +120,23 @@ func TestFacadeDNN(t *testing.T) {
 
 func TestFacadeTopologies(t *testing.T) {
 	rng := rand.New(rand.NewSource(37))
-	if g := rex.SmallWorld(40, 6, 0.03, rng); g.N() != 40 {
+	if g := topology.SmallWorld(40, 6, 0.03, rng); g.N() != 40 {
 		t.Fatal("small world size")
 	}
-	if g := rex.ErdosRenyi(40, 0.1, rng); g.N() != 40 {
+	if g := topology.ErdosRenyi(40, 0.1, rng); g.N() != 40 {
 		t.Fatal("ER size")
 	}
-	if g := rex.FullyConnected(8); g.NumEdges() != 28 {
+	if g := topology.FullyConnected(8); g.NumEdges() != 28 {
 		t.Fatal("complete graph")
 	}
 }
 
 func TestFacadeStore(t *testing.T) {
-	s := rex.NewStore([]rex.Rating{{User: 1, Item: 2, Value: 3}})
+	s := dataset.NewStore([]dataset.Rating{{User: 1, Item: 2, Value: 3}})
 	if s.Len() != 1 {
 		t.Fatal("store len")
 	}
-	if added := s.Append([]rex.Rating{{User: 1, Item: 2, Value: 3}}); added != 0 {
+	if added := s.Append([]dataset.Rating{{User: 1, Item: 2, Value: 3}}); added != 0 {
 		t.Fatal("duplicate added")
 	}
-}
-
-// ExampleSimulate demonstrates the smallest REX-vs-model-sharing
-// comparison via the public API.
-func ExampleSimulate() {
-	spec := rex.MovieLensLatest().Scaled(0.05)
-	spec.Seed = 1
-	ds := rex.GenerateMovieLens(spec)
-	train, test := ds.SplitPerUser(0.7, rand.New(rand.NewSource(1)))
-	const n = 8
-	trainParts, _ := train.PartitionUsersAcross(n, rand.New(rand.NewSource(1)))
-	testParts, _ := test.PartitionUsersAcross(n, rand.New(rand.NewSource(1)))
-	mcfg := rex.DefaultMFConfig()
-
-	res, err := rex.Simulate(rex.SimConfig{
-		Graph: rex.FullyConnected(n), Algo: rex.DPSGD, Mode: rex.DataSharing,
-		Epochs: 10, StepsPerEpoch: 100, SharePoints: 50,
-		NewModel: func(int) rex.Model { return rex.NewMF(mcfg) },
-		Train:    trainParts, Test: testParts,
-		Compute: rex.MFCompute(mcfg.K), Seed: 1,
-	})
-	if err != nil {
-		fmt.Println("error:", err)
-		return
-	}
-	fmt.Printf("epochs simulated: %d\n", len(res.Series))
-	fmt.Printf("improved: %v\n", res.FinalRMSE < res.Series[0].MeanRMSE)
-	// Output:
-	// epochs simulated: 10
-	// improved: true
 }
