@@ -13,6 +13,7 @@ import (
 	"rex/internal/dataset"
 	"rex/internal/gossip"
 	"rex/internal/model"
+	"rex/internal/topology"
 )
 
 // Mode selects what nodes put on the wire.
@@ -137,21 +138,25 @@ type shareScratch struct {
 }
 
 // NewNode creates a node from its initial local partition (the data its
-// user(s) produced) and its local test set.
+// user(s) produced) and its local test set. The node's RNG is the stream
+// rand.NewSource would give for the seed mixed from cfg.Seed and cfg.ID,
+// drawn from nodeSource, which seeds that stream several times faster and
+// in a smaller object (see source.go).
 func NewNode(cfg Config, m model.Model, train, test []dataset.Rating) *Node {
 	return &Node{
 		Cfg:   cfg,
 		Model: m,
 		Store: dataset.NewStore(train),
 		Test:  test,
-		rng:   rand.New(rand.NewSource(int64(uint64(cfg.Seed) ^ uint64(cfg.ID)*0x9E3779B97F4A7C15))),
+		rng:   rand.New(newSource(int64(uint64(cfg.Seed) ^ uint64(cfg.ID)*0x9E3779B97F4A7C15))),
 	}
 }
 
 // RestoreNode rebuilds a node from persisted state (internal/store): a
 // deserialized model, the raw-data store contents at snapshot time (plus
 // any replayed ingestion log), and the epoch count already completed. The
-// RNG restarts from the seed stream — a resumed node's future trajectory
+// RNG restarts at the first draw of NewNode's seed stream, because the
+// source's state is not persisted — a resumed node's future trajectory
 // is deterministic but not the one an uninterrupted run would have taken,
 // which is fine: gossip is rate-synchronized, and peers have diverged by
 // whatever it merged while this node was down anyway.
@@ -165,7 +170,8 @@ func RestoreNode(cfg Config, m model.Model, store, test []dataset.Rating, epoch 
 func (n *Node) Epoch() int { return n.epoch }
 
 // RNG exposes the node's deterministic random source (the simulator uses
-// it for peer selection so a whole run is reproducible from one seed).
+// it for peer selection so a whole run is reproducible from one seed). Its
+// draws are math/rand's for the seed NewNode derives, bit for bit.
 func (n *Node) RNG() *rand.Rand { return n.rng }
 
 // Merge implements the merge step (Algorithm 2 lines 15-16): fold alien
@@ -224,11 +230,7 @@ func (n *Node) mergeModels(payloads []Payload, selfDegree int) {
 			if n.Cfg.UniformMerge {
 				w = 1.0 / float64(len(payloads)+1)
 			} else {
-				m := selfDegree
-				if p.Degree > m {
-					m = p.Degree
-				}
-				w = 1.0 / float64(1+m)
+				w = topology.MHWeight(selfDegree, p.Degree)
 			}
 			others = append(others, model.Weighted{M: p.Model, W: w})
 			wsum += w

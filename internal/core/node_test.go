@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"math/rand"
 	"sync"
 	"testing"
@@ -8,6 +9,8 @@ import (
 	"rex/internal/dataset"
 	"rex/internal/gossip"
 	"rex/internal/mf"
+	"rex/internal/model"
+	"rex/internal/topology"
 )
 
 func mkNode(t *testing.T, mode Mode, algo gossip.Algo, train []dataset.Rating) *Node {
@@ -278,6 +281,82 @@ func TestConcurrentMergeOfSharedPayload(t *testing.T) {
 	for r := 1; r < receivers; r++ {
 		if string(outs[r]) != string(outs[0]) {
 			t.Fatalf("receiver %d diverged from receiver 0", r)
+		}
+	}
+}
+
+// recModel is a model.Model that records the weights MergeWeighted is
+// called with; no other method may be reached.
+type recModel struct {
+	model.Model
+	id     int
+	selfW  float64
+	others []model.Weighted
+}
+
+func (m *recModel) MergeWeighted(selfW float64, others []model.Weighted) {
+	m.selfW, m.others = selfW, append([]model.Weighted(nil), others...)
+}
+
+// TestMergeMHWeightsDoublyStochastic checks the Metropolis–Hastings weights
+// where D-PSGD uses them: on random graphs, with payloads arriving in any
+// order and some lost, the weights Node.Merge passes to MergeWeighted are
+// non-negative, sum to 1 with the self weight, and agree across each edge
+// both ends received (w_ij == w_ji).
+func TestMergeMHWeightsDoublyStochastic(t *testing.T) {
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		var g *topology.Graph
+		if seed%2 == 0 {
+			g = topology.ErdosRenyi(25+rng.Intn(20), 0.05+0.2*rng.Float64(), rng)
+		} else {
+			g = topology.SmallWorld(25+rng.Intn(20), 2+2*rng.Intn(3), 0.1, rng)
+		}
+		models := make([]*recModel, g.N())
+		for i := range models {
+			models[i] = &recModel{id: i}
+		}
+		// w[i][j] is the weight node i gave node j's model.
+		w := make([]map[int]float64, g.N())
+		for i := range models {
+			var payloads []Payload
+			for _, j := range g.Neighbors(i) {
+				if rng.Float64() < 0.1 {
+					continue // lost in transit
+				}
+				payloads = append(payloads, Payload{From: j, Degree: g.Degree(j), Model: models[j]})
+			}
+			rng.Shuffle(len(payloads), func(a, b int) { payloads[a], payloads[b] = payloads[b], payloads[a] })
+			n := NewNode(Config{ID: i, Mode: ModelSharing, Algo: gossip.DPSGD, Seed: seed}, models[i], nil, nil)
+			if st := n.Merge(payloads, g.Degree(i)); st.ModelsMerged != len(payloads) {
+				t.Fatalf("seed %d node %d: merged %d of %d models", seed, i, st.ModelsMerged, len(payloads))
+			}
+			if len(payloads) == 0 {
+				continue
+			}
+			m := models[i]
+			if m.selfW < 0 {
+				t.Fatalf("seed %d node %d: negative self weight %v", seed, i, m.selfW)
+			}
+			sum := m.selfW
+			w[i] = map[int]float64{}
+			for _, o := range m.others {
+				if o.W < 0 {
+					t.Fatalf("seed %d node %d: negative weight %v", seed, i, o.W)
+				}
+				sum += o.W
+				w[i][o.M.(*recModel).id] = o.W
+			}
+			if math.Abs(sum-1) > 1e-12 {
+				t.Fatalf("seed %d node %d: weights sum to %v", seed, i, sum)
+			}
+		}
+		for i := range w {
+			for j, wij := range w[i] {
+				if wji, ok := w[j][i]; ok && wji != wij {
+					t.Fatalf("seed %d edge %d-%d: w_ij %v != w_ji %v", seed, i, j, wij, wji)
+				}
+			}
 		}
 	}
 }

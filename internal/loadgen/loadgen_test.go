@@ -22,6 +22,8 @@ func tinySpec() *Spec {
 func TestSpecValidation(t *testing.T) {
 	for name, mut := range map[string]func(*Spec){
 		"zero-users":       func(s *Spec) { s.Users = 0 },
+		"too-many-users":   func(s *Spec) { s.Users = maxUsers + 1 },
+		"peak-rate":        func(s *Spec) { s.RatePerUserTick = 1e6 },
 		"zero-items":       func(s *Spec) { s.Items = 0 },
 		"zero-ticks":       func(s *Spec) { s.Ticks = 0 },
 		"negative-rate":    func(s *Spec) { s.RatePerUserTick = -1 },

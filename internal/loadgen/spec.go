@@ -82,13 +82,28 @@ type Spec struct {
 	FlashCrowds []FlashCrowd `json:"flash_crowds,omitempty"`
 }
 
+// maxUsers caps Spec.Users. User ids are uint32 on the wire, so 2^32 is
+// the hard limit, but NewGen holds 16 B per user up front and every tick
+// walks the whole population: 2^24 users (256 MB, a hundred times
+// MovieLens-25M's population) is the most one load generator builds.
+const maxUsers = 1 << 24
+
+// maxItems caps Spec.Items: item ids are uint32 on the wire.
+const maxItems = 1 << 32
+
+// maxTickRate caps a spec's peak mean arrival rate, events per tick over
+// the whole population: EventsAt materializes a tick's events at once, and
+// a rate whose per-user count overflows int would wrap negative and
+// silently emit nothing.
+const maxTickRate = 1 << 24
+
 // Validate checks the spec for structural soundness.
 func (s *Spec) Validate() error {
-	if s.Users <= 0 {
-		return fmt.Errorf("loadgen: users must be positive (got %d)", s.Users)
+	if s.Users <= 0 || s.Users > maxUsers {
+		return fmt.Errorf("loadgen: users must be in [1, %d] (got %d)", maxUsers, s.Users)
 	}
-	if s.Items <= 0 {
-		return fmt.Errorf("loadgen: items must be positive (got %d)", s.Items)
+	if s.Items <= 0 || uint64(s.Items) > maxItems {
+		return fmt.Errorf("loadgen: items must be in [1, %d] (got %d)", uint64(maxItems), s.Items)
 	}
 	if s.Ticks <= 0 {
 		return fmt.Errorf("loadgen: ticks must be positive (got %d)", s.Ticks)
@@ -115,6 +130,16 @@ func (s *Spec) Validate() error {
 		if d.PeriodTicks <= 0 {
 			return fmt.Errorf("loadgen: diurnal period_ticks must be positive (got %d)", d.PeriodTicks)
 		}
+	}
+	peak := s.RatePerUserTick * float64(s.Users)
+	if s.Diurnal != nil {
+		peak *= 1 + s.Diurnal.Amplitude
+	}
+	for _, f := range s.FlashCrowds {
+		peak *= max(1, f.Boost)
+	}
+	if peak > maxTickRate {
+		return fmt.Errorf("loadgen: peak rate of %g events per tick exceeds %d", peak, maxTickRate)
 	}
 	for i, f := range s.FlashCrowds {
 		if int(f.Item) >= s.Items {

@@ -374,14 +374,17 @@ func MetropolisHastings(g *Graph, i int) (neighborW []float64, selfW float64) {
 	di := len(nb)
 	sum := 0.0
 	for k, j := range nb {
-		dj := len(g.adj[j])
-		m := di
-		if dj > m {
-			m = dj
-		}
-		w := 1.0 / float64(1+m)
+		w := MHWeight(di, len(g.adj[j]))
 		neighborW[k] = w
 		sum += w
 	}
 	return neighborW, 1 - sum
+}
+
+// MHWeight is the Metropolis–Hastings weight 1/(1+max(di, dj)) of the edge
+// between nodes of degrees di and dj: symmetric in its arguments, and at
+// most 1/(1+di) per edge, so a node's self weight 1 − Σ stays non-negative.
+// D-PSGD merging (internal/core) and MetropolisHastings both use it.
+func MHWeight(di, dj int) float64 {
+	return 1.0 / float64(1+max(di, dj))
 }
