@@ -185,6 +185,9 @@ func run(o daemonOpts) error {
 	} else if o.peers != "" || o.n != 0 {
 		return fmt.Errorf("-peers and -n need -shard")
 	}
+	if err := movielens.Latest().Scaled(o.scale).Validate(); err != nil {
+		return fmt.Errorf("-scale %g: %w", o.scale, err)
+	}
 	var sc *faultnet.Scenario
 	if o.scenario != "" {
 		if sc, err = faultnet.Resolve(o.scenario); err != nil {

@@ -73,6 +73,22 @@ func TestShardFlags(t *testing.T) {
 	}
 }
 
+// TestScaleFlag: a -scale whose dataset Generate cannot build is refused
+// by name before any dataset or socket exists, in both process shapes.
+func TestScaleFlag(t *testing.T) {
+	for _, scale := range []float64{0.01, 0.001, 0} {
+		for _, o := range []daemonOpts{
+			{shard: "0/2", peers: "127.0.0.1:1,127.0.0.1:2", n: 4, generations: 1},
+			{id: 0, nodes: "127.0.0.1:1,127.0.0.1:2"},
+		} {
+			o.scale, o.genEpochs, o.modeStr, o.algoStr = scale, 5, "rex", "dpsgd"
+			if err := run(o); err == nil || !strings.Contains(err.Error(), "-scale") {
+				t.Fatalf("scale %v, shard %q: run: %v, want an error naming -scale", scale, o.shard, err)
+			}
+		}
+	}
+}
+
 // TestRexdProcesses drives the real binary's two batch shapes on one 4-node
 // workload: two -shard processes with -secure, then four single-node
 // batch processes. Every node's printed final RMSE must be bit-equal to

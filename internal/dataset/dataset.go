@@ -5,9 +5,11 @@
 package dataset
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 )
 
@@ -119,34 +121,62 @@ func (d *Dataset) Split(trainFrac float64, rng *rand.Rand) (train, test *Dataset
 // SplitPerUser splits each user's ratings individually with the given train
 // fraction, guaranteeing every user with >=2 ratings appears in both halves.
 // This matches the decentralized setting where each node must hold local
-// test data (Algorithm 2 line 21).
+// test data (Algorithm 2 line 21). Users are taken in ascending id order,
+// each user's ratings shuffled from their input order.
 func (d *Dataset) SplitPerUser(trainFrac float64, rng *rand.Rand) (train, test *Dataset) {
-	byUser := make(map[uint32][]Rating)
-	for _, r := range d.Ratings {
-		byUser[r.User] = append(byUser[r.User], r)
+	grouped, offs := groupByUser(d.Ratings)
+	cut := func(n int) int {
+		c := int(float64(n) * trainFrac)
+		if c == n && n > 1 {
+			c = n - 1 // keep at least one test rating
+		}
+		if c == 0 && n > 1 {
+			c = 1 // keep at least one train rating
+		}
+		return c
 	}
-	users := make([]uint32, 0, len(byUser))
-	for u := range byUser {
-		users = append(users, u)
+	ntr := 0
+	for g := range len(offs) - 1 {
+		ntr += cut(offs[g+1] - offs[g])
 	}
-	sort.Slice(users, func(i, j int) bool { return users[i] < users[j] })
 	var tr, te []Rating
-	for _, u := range users {
-		rs := byUser[u]
+	if ntr > 0 {
+		tr = make([]Rating, 0, ntr)
+	}
+	if len(grouped) > ntr {
+		te = make([]Rating, 0, len(grouped)-ntr)
+	}
+	var rs []Rating // one user's ratings, shuffled in place
+	for g := range len(offs) - 1 {
+		rs = append(rs[:0], grouped[offs[g]:offs[g+1]]...)
 		rng.Shuffle(len(rs), func(i, j int) { rs[i], rs[j] = rs[j], rs[i] })
-		cut := int(float64(len(rs)) * trainFrac)
-		if cut == len(rs) && len(rs) > 1 {
-			cut = len(rs) - 1 // keep at least one test rating
-		}
-		if cut == 0 && len(rs) > 1 {
-			cut = 1 // keep at least one train rating
-		}
-		tr = append(tr, rs[:cut]...)
-		te = append(te, rs[cut:]...)
+		c := cut(len(rs))
+		tr = append(tr, rs[:c]...)
+		te = append(te, rs[c:]...)
 	}
 	train = &Dataset{Ratings: tr, NumUsers: d.NumUsers, NumItems: d.NumItems}
 	test = &Dataset{Ratings: te, NumUsers: d.NumUsers, NumItems: d.NumItems}
 	return train, test
+}
+
+// groupByUser returns rs stably sorted by User — each user's ratings in
+// their input order, users ascending — and the user runs' bounds: user g
+// of the result is grouped[offs[g]:offs[g+1]]. It sorts a copy only when
+// rs is not already grouped (Generate's output and SplitPerUser's halves
+// are), so grouped may alias rs and callers must not write to it.
+func groupByUser(rs []Rating) (grouped []Rating, offs []int) {
+	byUser := func(a, b Rating) int { return cmp.Compare(a.User, b.User) }
+	grouped = rs
+	if !slices.IsSortedFunc(rs, byUser) {
+		grouped = slices.Clone(rs)
+		slices.SortStableFunc(grouped, byUser)
+	}
+	for i := range grouped {
+		if i == 0 || grouped[i].User != grouped[i-1].User {
+			offs = append(offs, i)
+		}
+	}
+	return grouped, append(offs, len(grouped))
 }
 
 // ErrNoRatings is returned by partitioners handed an empty dataset.
@@ -178,20 +208,25 @@ func (d *Dataset) PartitionUsersAcross(n int, rng *rand.Rand) ([][]Rating, error
 	if n <= 0 {
 		return nil, fmt.Errorf("dataset: invalid node count %d", n)
 	}
-	byUser := make(map[uint32][]Rating)
-	for _, r := range d.Ratings {
-		byUser[r.User] = append(byUser[r.User], r)
+	grouped, offs := groupByUser(d.Ratings)
+	users := make([]int, len(offs)-1) // run indices, ascending user id
+	for g := range users {
+		users[g] = g
 	}
-	users := make([]uint32, 0, len(byUser))
-	for u := range byUser {
-		users = append(users, u)
-	}
-	sort.Slice(users, func(i, j int) bool { return users[i] < users[j] })
 	rng.Shuffle(len(users), func(i, j int) { users[i], users[j] = users[j], users[i] })
+	sizes := make([]int, n)
+	for i, g := range users {
+		sizes[i%n] += offs[g+1] - offs[g]
+	}
 	parts := make([][]Rating, n)
-	for i, u := range users {
+	for node, size := range sizes {
+		if size > 0 {
+			parts[node] = make([]Rating, 0, size)
+		}
+	}
+	for i, g := range users {
 		node := i % n
-		parts[node] = append(parts[node], byUser[u]...)
+		parts[node] = append(parts[node], grouped[offs[g]:offs[g+1]]...)
 	}
 	return parts, nil
 }

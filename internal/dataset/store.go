@@ -63,6 +63,16 @@ func (x *keyIndex) get(ratings []Rating, key uint64) (int, bool) {
 	}
 }
 
+// indexCells is the cell count incremental adds reach after n distinct
+// keys: the least power of two ≥ 16 that keeps the index ≤ 3/4 full.
+func indexCells(n int) int {
+	c := 16
+	for 4*n > 3*c {
+		c *= 2
+	}
+	return c
+}
+
 // add indexes the last element of ratings, whose key must be absent.
 func (x *keyIndex) add(ratings []Rating) {
 	if 4*len(ratings) > 3*len(x.cells) {
@@ -100,9 +110,14 @@ type Store struct {
 }
 
 // NewStore creates a store seeded with the node's initial local ratings.
-// Duplicate (user,item) pairs in the seed keep the last value.
+// Duplicate (user,item) pairs in the seed keep the last value. The index
+// is allocated once, at the size appending initial one rating at a time
+// reaches when it holds no duplicates, so later growth is unchanged.
 func NewStore(initial []Rating) *Store {
 	s := &Store{}
+	if len(initial) > 0 {
+		s.index.cells = make([]uint32, indexCells(len(initial)))
+	}
 	s.Append(initial)
 	return s
 }

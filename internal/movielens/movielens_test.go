@@ -227,3 +227,52 @@ func TestLoadCSVPartitionedConformance(t *testing.T) {
 		}
 	}
 }
+
+// TestSpecValidate checks that Validate rejects the specs Generate could
+// never finish — and that Generate panics on them instead of spinning —
+// and accepts every spec the repository generates.
+func TestSpecValidate(t *testing.T) {
+	zipfOne, zipfNaN := Latest(), Latest()
+	zipfOne.ZipfS, zipfNaN.ZipfS = 1, math.NaN()
+	noDim, negNoise, infShape := Latest(), Latest(), Latest()
+	noDim.LatentDim, negNoise.NoiseStd, infShape.UserActivityShape = 0, -1, math.Inf(1)
+	for _, c := range []struct {
+		name string
+		spec Spec
+	}{
+		{"Latest×0.01 (pad loop)", Latest().Scaled(0.01)},
+		{"Latest×0.001 (pad loop)", Latest().Scaled(0.001)},
+		{"Latest×0 (trim loop)", Latest().Scaled(0)},
+		{"ZipfS 1", zipfOne},
+		{"ZipfS NaN", zipfNaN},
+		{"LatentDim 0", noDim},
+		{"NoiseStd -1", negNoise},
+		{"UserActivityShape +Inf", infShape},
+	} {
+		err := c.spec.Validate()
+		if err == nil {
+			t.Errorf("%s: %+v validated", c.name, c.spec)
+			continue
+		}
+		func() {
+			defer func() {
+				if r := recover(); fmt.Sprint(r) != err.Error() {
+					t.Errorf("%s: Generate panicked with %v, want %v", c.name, r, err)
+				}
+			}()
+			Generate(c.spec)
+		}()
+	}
+
+	big := TwentyFiveMCapped()
+	big.Users, big.Items, big.Ratings = 300, 2400, 60_000 // experiments' scaled bigSpec
+	valid := []Spec{Latest(), TwentyFiveMCapped(), big}
+	for pct := 3; pct <= 100; pct++ {
+		valid = append(valid, Latest().Scaled(float64(pct)/100), TwentyFiveMCapped().Scaled(float64(pct)/100))
+	}
+	for _, s := range valid {
+		if err := s.Validate(); err != nil {
+			t.Errorf("%+v: %v", s, err)
+		}
+	}
+}
