@@ -25,7 +25,6 @@ func main() {
 		full       = flag.Bool("full", false, "run paper-scale workloads (610/15000 users, 400 epochs)")
 		seed       = flag.Int64("seed", 1, "deterministic seed")
 		points     = flag.Int("points", 12, "series rows printed per curve")
-		workers    = flag.Int("workers", 0, "simulator goroutines per epoch (0 = GOMAXPROCS, 1 = sequential; results are identical)")
 		scenario   = flag.String("scenario", "", "chaos scenario: a canned name (see internal/faultnet.Canned) or a JSON spec file; injects seeded message loss/delay/duplication/reordering, partitions and churn into every simulated run — combined with -load it runs the workload under the fault schedule")
 		list       = flag.Bool("list", false, "list available experiments")
 		load       = flag.String("load", "", "run a declarative load workload instead of a paper artifact: a canned spec name (steady, zipf-burst, flashcrowd) or a JSON spec file")
@@ -75,7 +74,7 @@ func main() {
 		return
 	}
 
-	params := experiments.Params{Full: *full, Seed: *seed, Out: os.Stdout, Points: *points, Workers: *workers}
+	params := experiments.Params{Full: *full, Seed: *seed, Out: os.Stdout, Points: *points}
 	if *scenario != "" {
 		sc, err := faultnet.Resolve(*scenario)
 		if err != nil {

@@ -92,43 +92,33 @@ import (
 )
 
 func main() {
-	var (
-		id         = flag.Int("id", 0, "this node's index into -nodes")
-		nodes      = flag.String("nodes", "", "comma-separated host:port of every node's gossip address, in id order")
-		shard      = flag.String("shard", "", "i/k: run shard i of a k-process cluster, a contiguous block of the -n nodes bridged to the other shards at -peers; batch only (needs -generations, rejects -http, -data, -resume, -nodes, -id and the admission flags)")
-		peers      = flag.String("peers", "", "comma-separated host:port of every shard's bridge, in shard order (with -shard)")
-		nTotal     = flag.Int("n", 0, "total node count across all shards (with -shard)")
-		httpAddr   = flag.String("http", "", "HTTP serving address (e.g. 127.0.0.1:8800)")
-		dataDir    = flag.String("data", "", "persistence directory (snapshots + rating WAL); empty = no persistence")
-		resume     = flag.Bool("resume", false, "restore model/store/epoch from the last snapshot in -data and rejoin the cluster")
-		gens       = flag.Int("generations", 0, "stop after this many generations; 0 = run until drained (daemon only)")
-		genEpochs  = flag.Int("gen-epochs", 5, "training epochs per generation (one snapshot per generation)")
-		modeStr    = flag.String("mode", "rex", "sharing mode: rex (raw data) or ms (model parameters)")
-		algoStr    = flag.String("algo", "dpsgd", "dissemination: dpsgd or rmw")
-		secure     = flag.Bool("secure", false, "attest peers and encrypt gossip (default: the native build); incompatible with -resume")
-		seed       = flag.Int64("seed", 1, "shared dataset/partition seed (must match across the cluster)")
-		scale      = flag.Float64("scale", 0.1, "MovieLens-Latest scale factor for the synthetic dataset")
-		points     = flag.Int("share", 100, "raw data points shared per epoch")
-		steps      = flag.Int("steps", 300, "SGD steps per epoch")
-		roundTO    = flag.Duration("round-timeout", 5*time.Second, "max wait per neighbor per gossip round before counting a miss (0 = wait forever)")
-		grace      = flag.Int("peer-grace", 3, "consecutive missed rounds before a peer is dropped (rejoin stays possible)")
-		scenario   = flag.String("scenario", "", "chaos scenario (canned name or JSON file): wrap this process's gossip endpoints with the seeded fault schedule; every process of the cluster must be given the same scenario")
-		rateLimit  = flag.Float64("rate-limit", 0, "admission: token-bucket rate for POST /rate in requests/sec; over-limit requests are shed 429 before any WAL write (0 = unlimited)")
-		rateBurst  = flag.Int("rate-burst", 0, "admission: token-bucket capacity (0 = ceil(rate-limit))")
-		ingQueue   = flag.Int("ingest-queue", 0, "admission: max concurrent /rate requests inside the WAL+ingest section; excess is shed 429 (0 = unbounded)")
-		maxSnapAge = flag.Duration("max-snapshot-age", 0, "admission: shed GET /recommend 503 when the served snapshot hasn't advanced for this long (0 = never)")
-	)
+	var o daemonOpts
+	flag.IntVar(&o.id, "id", 0, "this node's index into -nodes")
+	flag.StringVar(&o.nodes, "nodes", "", "comma-separated host:port of every node's gossip address, in id order")
+	flag.StringVar(&o.shard, "shard", "", "i/k: run shard i of a k-process cluster, a contiguous block of the -n nodes bridged to the other shards at -peers; batch only (needs -generations, rejects -http, -data, -resume, -nodes, -id and the admission flags)")
+	flag.StringVar(&o.peers, "peers", "", "comma-separated host:port of every shard's bridge, in shard order (with -shard)")
+	flag.IntVar(&o.n, "n", 0, "total node count across all shards (with -shard)")
+	flag.StringVar(&o.httpAddr, "http", "", "HTTP serving address (e.g. 127.0.0.1:8800)")
+	flag.StringVar(&o.dataDir, "data", "", "persistence directory (snapshots + rating WAL); empty = no persistence")
+	flag.BoolVar(&o.resume, "resume", false, "restore model/store/epoch from the last snapshot in -data and rejoin the cluster")
+	flag.IntVar(&o.generations, "generations", 0, "stop after this many generations; 0 = run until drained (daemon only)")
+	flag.IntVar(&o.genEpochs, "gen-epochs", 5, "training epochs per generation (one snapshot per generation)")
+	flag.StringVar(&o.modeStr, "mode", "rex", "sharing mode: rex (raw data) or ms (model parameters)")
+	flag.StringVar(&o.algoStr, "algo", "dpsgd", "dissemination: dpsgd or rmw")
+	flag.BoolVar(&o.secure, "secure", false, "attest peers and encrypt gossip (default: the native build); incompatible with -resume")
+	flag.Int64Var(&o.seed, "seed", 1, "shared dataset/partition seed (must match across the cluster)")
+	flag.Float64Var(&o.scale, "scale", 0.1, "MovieLens-Latest scale factor for the synthetic dataset")
+	flag.IntVar(&o.points, "share", 100, "raw data points shared per epoch")
+	flag.IntVar(&o.steps, "steps", 300, "SGD steps per epoch")
+	flag.DurationVar(&o.roundTimeout, "round-timeout", 5*time.Second, "max wait per neighbor per gossip round before counting a miss (0 = wait forever)")
+	flag.IntVar(&o.peerGrace, "peer-grace", 3, "consecutive missed rounds before a peer is dropped (rejoin stays possible)")
+	flag.StringVar(&o.scenario, "scenario", "", "chaos scenario (canned name or JSON file): wrap this process's gossip endpoints with the seeded fault schedule; every process of the cluster must be given the same scenario")
+	flag.Float64Var(&o.rateLimit, "rate-limit", 0, "admission: token-bucket rate for POST /rate in requests/sec; over-limit requests are shed 429 before any WAL write (0 = unlimited)")
+	flag.IntVar(&o.rateBurst, "rate-burst", 0, "admission: token-bucket capacity (0 = ceil(rate-limit))")
+	flag.IntVar(&o.ingestQueue, "ingest-queue", 0, "admission: max concurrent /rate requests inside the WAL+ingest section; excess is shed 429 (0 = unbounded)")
+	flag.DurationVar(&o.maxSnapshotAge, "max-snapshot-age", 0, "admission: shed GET /recommend 503 when the served snapshot hasn't advanced for this long (0 = never)")
 	flag.Parse()
-	if err := run(daemonOpts{
-		id: *id, nodes: *nodes, shard: *shard, peers: *peers, n: *nTotal,
-		httpAddr: *httpAddr, dataDir: *dataDir,
-		resume: *resume, generations: *gens, genEpochs: *genEpochs,
-		modeStr: *modeStr, algoStr: *algoStr, secure: *secure,
-		seed: *seed, scale: *scale, points: *points, steps: *steps,
-		roundTimeout: *roundTO, peerGrace: *grace,
-		scenario: *scenario, rateLimit: *rateLimit, rateBurst: *rateBurst,
-		ingestQueue: *ingQueue, maxSnapshotAge: *maxSnapAge,
-	}); err != nil {
+	if err := run(o); err != nil {
 		log.Fatalf("rexd: %v", err)
 	}
 }
@@ -442,10 +432,8 @@ func runNode(o daemonOpts, ncfg core.Config, sc *faultnet.Scenario) error {
 		faultLog = &faultnet.Log{}
 	}
 
-	// Stage histograms for /metrics: OnEpoch runs on the protocol thread
-	// right after each Step — the one place Stats may be read — so the
-	// per-epoch stage durations are the deltas of the cumulative counters
-	// between consecutive epochs.
+	// Stage histograms for /metrics, fed by OnEpoch on the protocol thread,
+	// the one place Stats may be read.
 	stages := metrics.NewStageSet()
 	var engine *runtime.Engine
 	var prevStats runtime.Stats
@@ -463,16 +451,9 @@ func runNode(o daemonOpts, ncfg core.Config, sc *faultnet.Scenario) error {
 		Rejoin:       true,
 		OnEpoch: func(e int, rmse float64) {
 			log.Printf("node %d epoch %3d: local test RMSE %.4f", o.id, e, rmse)
-			if engine == nil {
-				return
+			if engine != nil {
+				serve.ObserveStages(stages, &prevStats, engine.Stats())
 			}
-			st := *engine.Stats()
-			stages.Observe("train", st.Train-prevStats.Train)
-			stages.Observe("merge", st.Merge-prevStats.Merge)
-			stages.Observe("share", st.Share-prevStats.Share)
-			stages.Observe("seal", st.Seal-prevStats.Seal)
-			stages.Observe("wire", st.Wire-prevStats.Wire)
-			prevStats = st
 		},
 	}
 	if sc != nil {

@@ -133,12 +133,12 @@ func (d *daemon) output() string {
 	return d.out.String()
 }
 
-// TestDaemonClusterServeResumeRejoin is the rexd acceptance path from the
-// issue: a 2-node daemon cluster trains across generations while serving,
-// /recommend is bit-identical to offline rank.TopN over the same snapshot,
-// a rating POSTed before kill -9 survives the crash, and the restarted
-// node (-resume) picks up from persisted state and is readmitted by its
-// peer's failure detector. Both nodes then drain gracefully and exit 0.
+// TestDaemonClusterServeResumeRejoin is the rexd acceptance path: a
+// 2-node daemon cluster trains across generations while serving, a rating
+// POSTed before kill -9 survives the crash, and the restarted node
+// (-resume) picks up from persisted state and is readmitted by its peer's
+// failure detector. Both nodes then drain gracefully and exit 0. The
+// serving contract on a live daemon is TestServingContractOnHeldSnapshot.
 func TestDaemonClusterServeResumeRejoin(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and execs rexd")
@@ -177,48 +177,6 @@ func TestDaemonClusterServeResumeRejoin(t *testing.T) {
 			return num(st, "epoch") >= 5
 		})
 		t.Logf("node %d reached epoch 5", i)
-	}
-
-	// Serving contract, live: /recommend must be bit-identical to offline
-	// rank.TopN over the state /snapshot returns. Training keeps advancing
-	// underneath, so retry until both endpoints answer from one epoch.
-	verified := false
-	for attempt := 0; attempt < 30 && !verified; attempt++ {
-		var snap SnapshotHTTP
-		if code, err := getJSON(web[0], "/snapshot", &snap); err != nil || code != http.StatusOK {
-			t.Fatalf("/snapshot: %d %v", code, err)
-		}
-		ratings, _, err := dataset.DecodeRatings(snap.Ratings)
-		if err != nil {
-			t.Fatal(err)
-		}
-		user := ratings[len(ratings)/2].User
-		var rec RecommendHTTP
-		if code, err := getJSON(web[0], fmt.Sprintf("/recommend?user=%d&n=10", user), &rec); err != nil || code != http.StatusOK {
-			t.Fatalf("/recommend: %d %v", code, err)
-		}
-		if rec.Epoch != snap.Epoch {
-			continue // an epoch boundary slipped between the two reads
-		}
-		m := mf.New(mf.DefaultConfig())
-		if err := m.Unmarshal(snap.Model); err != nil {
-			t.Fatal(err)
-		}
-		want := rank.TopN(m, user, snap.NumItems, 10, rank.SeenSet(ratings, user))
-		if len(want) != len(rec.Items) {
-			t.Fatalf("user %d: served %d items, offline %d", user, len(rec.Items), len(want))
-		}
-		for i, it := range want {
-			if rec.Items[i].Item != it.ID || rec.Items[i].Score != it.Score {
-				t.Fatalf("user %d rank %d: served %+v != offline %+v (epoch %d)",
-					user, i, rec.Items[i], it, snap.Epoch)
-			}
-		}
-		verified = true
-		t.Logf("/recommend bit-identical to offline TopN at epoch %d (user %d)", snap.Epoch, user)
-	}
-	if !verified {
-		t.Fatal("never caught /snapshot and /recommend on the same epoch")
 	}
 
 	// A rating accepted before the crash must survive it: POST to node 1,
@@ -315,6 +273,74 @@ func TestDaemonClusterServeResumeRejoin(t *testing.T) {
 		t.Fatalf("node 1 exit: %v", err)
 	}
 	t.Log("both daemons drained and exited 0")
+}
+
+// TestServingContractOnHeldSnapshot is the serving contract on a live
+// daemon: /recommend must be bit-identical to offline rank.TopN over the
+// state /snapshot returns. That needs both endpoints to answer from one
+// published snapshot, so the test holds it still: the daemon's only peer
+// never starts and -round-timeout 0 waits for its frame forever, so after
+// its first epoch the daemon serves a snapshot that no epoch replaces.
+func TestServingContractOnHeldSnapshot(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and execs rexd")
+	}
+	bin := buildRexd(t)
+	gossip := freePorts(t, 2)
+	web := freePorts(t, 1)[0]
+	d := startDaemon(t, bin,
+		"-id", "0", "-nodes", strings.Join(gossip, ","), "-http", web,
+		"-seed", "5", "-scale", "0.03", "-steps", "400", "-share", "40",
+		"-round-timeout", "0")
+	defer func() {
+		if out := d.output(); t.Failed() {
+			t.Logf("daemon output:\n%s", out)
+		}
+	}()
+	waitStatus(t, web, "the first epoch", func(st map[string]any) bool {
+		return num(st, "epoch") >= 1
+	})
+
+	getSnapshot := func() SnapshotHTTP {
+		var snap SnapshotHTTP
+		if code, err := getJSON(web, "/snapshot", &snap); err != nil || code != http.StatusOK {
+			t.Fatalf("/snapshot: %d %v", code, err)
+		}
+		return snap
+	}
+	snap := getSnapshot()
+	ratings, _, err := dataset.DecodeRatings(snap.Ratings)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := mf.New(mf.DefaultConfig())
+	if err := m.Unmarshal(snap.Model); err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range []dataset.Rating{ratings[0], ratings[len(ratings)/2], ratings[len(ratings)-1]} {
+		user := r.User
+		var rec RecommendHTTP
+		if code, err := getJSON(web, fmt.Sprintf("/recommend?user=%d&n=10", user), &rec); err != nil || code != http.StatusOK {
+			t.Fatalf("/recommend: %d %v", code, err)
+		}
+		if rec.Epoch != snap.Epoch {
+			t.Fatalf("/recommend answered from epoch %d, /snapshot from %d: the snapshot was not held", rec.Epoch, snap.Epoch)
+		}
+		want := rank.TopN(m, user, snap.NumItems, 10, rank.SeenSet(ratings, user))
+		if len(want) != len(rec.Items) {
+			t.Fatalf("user %d: served %d items, offline %d", user, len(rec.Items), len(want))
+		}
+		for i, it := range want {
+			if rec.Items[i].Item != it.ID || rec.Items[i].Score != it.Score {
+				t.Fatalf("user %d rank %d: served %+v != offline %+v (epoch %d)",
+					user, i, rec.Items[i], it, snap.Epoch)
+			}
+		}
+	}
+	if again := getSnapshot(); again.Epoch != snap.Epoch {
+		t.Fatalf("the snapshot moved from epoch %d to %d while it was read", snap.Epoch, again.Epoch)
+	}
+	t.Logf("/recommend bit-identical to offline TopN at epoch %d", snap.Epoch)
 }
 
 // TestShedLeavesNoWALTrace is the admission-control durability contract

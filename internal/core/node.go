@@ -59,11 +59,6 @@ type Config struct {
 	StepsPerEpoch int // fixed SGD steps per epoch (§III-E); <=0 = one full pass
 	SharePoints   int // raw data points sampled per epoch (REX; §IV-A3)
 	Seed          int64
-	// UniformMerge replaces D-PSGD's Metropolis-Hastings weights with a
-	// naive uniform 1/(n+1) average — an ablation of the §III-C2 design
-	// choice (MH keeps the gossip matrix doubly stochastic on irregular
-	// graphs; uniform averaging biases toward high-degree nodes).
-	UniformMerge bool
 	// Byzantine makes the node poison what it shares: attestation
 	// guarantees honest *code*, but the paper is explicit that SGX does
 	// not prevent subversion "through poisoned input data" (§IV-E-c).
@@ -121,7 +116,7 @@ type Node struct {
 }
 
 // shareScratch pools the buffers Share hands out as payload snapshots, so
-// a long simulation stops allocating per epoch once capacities plateau.
+// a long run stops allocating per epoch once capacities plateau.
 //
 // The rotation depth is 3 and cannot be lower: a snapshot built at epoch e
 // is read by receivers merging at e+1, and — when a reorder fault defers
@@ -218,20 +213,14 @@ func (n *Node) mergeModels(payloads []Payload, selfDegree int) {
 			n.Model.MergeWeighted(0.5, []model.Weighted{{M: p.Model, W: 0.5}})
 		}
 	case gossip.DPSGD:
-		// Metropolis–Hastings weights from the degree pairs (§III-C2), or
-		// naive uniform weights when the ablation flag is set.
+		// Metropolis–Hastings weights from the degree pairs (§III-C2).
 		others := make([]model.Weighted, 0, len(payloads))
 		wsum := 0.0
 		for _, p := range payloads {
 			if p.Model == nil {
 				continue
 			}
-			var w float64
-			if n.Cfg.UniformMerge {
-				w = 1.0 / float64(len(payloads)+1)
-			} else {
-				w = topology.MHWeight(selfDegree, p.Degree)
-			}
+			w := topology.MHWeight(selfDegree, p.Degree)
 			others = append(others, model.Weighted{M: p.Model, W: w})
 			wsum += w
 		}
@@ -267,15 +256,13 @@ func (n *Node) Train() int {
 // payload is reused across all targets of the epoch (D-PSGD broadcasts the
 // same content to every neighbor).
 //
-// retained signals that the caller keeps the payload past this call: the
-// simulator delivers it to receivers one or two epoch barriers later, so
-// MS payloads must be model snapshots (not the live model) and both modes
-// draw their buffers from a depth-3 rotation (see shareScratch) — callers
-// holding a retained payload may read it for at most two epochs, which is
-// the simulator's delivery horizon including reorder deferral. The live
-// runtime serializes the payload before returning to the protocol loop
-// and passes retained=false, getting the live model (zero-copy) and a
-// freshly allocated data sample.
+// A REX sample is drawn into a depth-3 rotation of pooled buffers (see
+// shareScratch), so a caller may read it for at most two epochs after this
+// call: the simulator's delivery horizon, reorder deferral included.
+// retained signals that the caller keeps an MS payload past this call, as
+// the simulator does: it then gets a model snapshot from the same
+// rotation. The live runtime serializes the payload before its next Share
+// and passes retained=false, getting the live model (zero-copy).
 func (n *Node) Share(selfDegree int, retained bool) Payload {
 	p := Payload{From: n.Cfg.ID, Degree: selfDegree}
 	switch n.Cfg.Mode {
@@ -307,22 +294,15 @@ func (n *Node) Share(selfDegree int, retained bool) Payload {
 			c.Canonicalize()
 		}
 	case DataSharing:
-		if retained {
-			buf := n.Store.SampleAppend(n.scr.data[n.scr.idx][:0], n.Cfg.SharePoints, n.rng, &n.scr.perm)
-			n.scr.data[n.scr.idx] = buf
-			p.Data = buf
-		} else {
-			p.Data = n.Store.SampleAppend(nil, n.Cfg.SharePoints, n.rng, &n.scr.perm)
-		}
+		p.Data = n.Store.SampleAppend(n.scr.data[n.scr.idx][:0], n.Cfg.SharePoints, n.rng, &n.scr.perm)
+		n.scr.data[n.scr.idx] = p.Data
 		if n.Cfg.Byzantine {
 			for i := range p.Data {
 				p.Data[i].Value = 5.5 - p.Data[i].Value // invert the star scale
 			}
 		}
 	}
-	if retained {
-		n.scr.idx = (n.scr.idx + 1) % len(n.scr.data)
-	}
+	n.scr.idx = (n.scr.idx + 1) % len(n.scr.data)
 	return p
 }
 

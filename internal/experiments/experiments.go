@@ -28,10 +28,6 @@ type Params struct {
 	Out io.Writer
 	// Points bounds series rows printed per curve.
 	Points int
-	// Workers bounds the simulator's per-epoch concurrency (sim.Config
-	// Workers): 0 uses GOMAXPROCS, 1 forces sequential runs. Results are
-	// bit-identical for every value, so it is excluded from memo keys.
-	Workers int
 	// Scenario, when set, injects the chaos schedule (rexbench -scenario)
 	// into every simulated run: the paper artifacts re-run under message
 	// loss, partitions and churn. Scenarios change results, so they are

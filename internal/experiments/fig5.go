@@ -71,7 +71,6 @@ func dnnRun(p Params, topo string, mode core.Mode) (*sim.Result, error) {
 		return sim.Run(sim.Config{
 			Graph: g, Algo: gossip.DPSGD, Mode: mode,
 			Epochs: ep, StepsPerEpoch: steps, SharePoints: points,
-			Workers:  p.Workers,
 			NewModel: func(int) model.Model { return nn.NewNet(ncfg) },
 			Train:    w.train, Test: w.test,
 			Net:       sim.DefaultNet(),

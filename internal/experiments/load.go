@@ -45,11 +45,6 @@ type LoadConfig struct {
 	Out io.Writer
 }
 
-// settleEpochs is how many epochs past the load's end the cluster gets to
-// flush ingestion mailboxes into published snapshots before the
-// accept-then-lose check reads them.
-const settleEpochs = 2
-
 // Verdict bounds. Transport failures should be rare on a local cluster
 // even under chaos (faults hit gossip links, not the serving sockets), and
 // an admission gate that turns away more than three quarters of a workload
@@ -180,7 +175,7 @@ func RunLoad(cfg LoadConfig) (*LoadResult, error) {
 	} else {
 		var err error
 		cluster, err = loadgen.NewEngineClusterOpts(cfg.Spec, nodes, loadgen.ClusterOptions{
-			Scenario: cfg.Scenario, FaultLog: faultLog, SettleEpochs: settleEpochs,
+			Scenario: cfg.Scenario, FaultLog: faultLog,
 		})
 		if err != nil {
 			return nil, err
@@ -273,9 +268,9 @@ func printLoadTables(out io.Writer, rep *loadgen.Report) {
 }
 
 // scrapeLiveFinal waits for every live node's published snapshot to
-// advance settleEpochs past where the load left it (so mailbox-buffered
-// ratings are snapshot-visible), then unions the cluster's /snapshot
-// ratings and sums the /status fault counters.
+// advance loadgen.SettleEpochs past where the load left it (so
+// mailbox-buffered ratings are snapshot-visible), then unions the
+// cluster's /snapshot ratings and sums the /status fault counters.
 func scrapeLiveFinal(urls []string, timeout time.Duration) (map[uint64]bool, faultnet.Counts, error) {
 	if timeout <= 0 {
 		timeout = 30 * time.Second
@@ -308,7 +303,7 @@ func scrapeLiveFinal(urls []string, timeout time.Duration) (map[uint64]bool, fau
 		return st, json.NewDecoder(resp.Body).Decode(&st)
 	}
 
-	// Baseline epochs, then poll until each node advances by settleEpochs.
+	// Baseline epochs, then poll until each node advances by SettleEpochs.
 	// The deadline is generous: lossy scenarios stretch rounds via timeouts.
 	base := make([]int, len(urls))
 	for i, u := range urls {
@@ -325,12 +320,12 @@ func scrapeLiveFinal(urls []string, timeout time.Duration) (map[uint64]bool, fau
 			if err != nil {
 				return nil, faults, fmt.Errorf("settling: %w", err)
 			}
-			if st.SnapshotEpoch >= base[i]+settleEpochs {
+			if st.SnapshotEpoch >= base[i]+loadgen.SettleEpochs {
 				break
 			}
 			if time.Now().After(deadline) {
 				return nil, faults, fmt.Errorf("settling: %s stuck at snapshot epoch %d (started %d, want +%d)",
-					u, st.SnapshotEpoch, base[i], settleEpochs)
+					u, st.SnapshotEpoch, base[i], loadgen.SettleEpochs)
 			}
 			time.Sleep(100 * time.Millisecond)
 		}

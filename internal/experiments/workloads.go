@@ -171,7 +171,6 @@ func simConfig(w *workload, g *topology.Graph, algo gossip.Algo, mode core.Mode,
 		Epochs:        epochs(p.Full),
 		StepsPerEpoch: 300,
 		SharePoints:   sharePoints(p.Full),
-		Workers:       p.Workers,
 		NewModel:      mfModelFactory(mcfg),
 		Train:         w.train,
 		Test:          w.test,

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"time"
 
 	"rex/internal/core"
 	"rex/internal/dataset"
@@ -27,7 +26,6 @@ import (
 // engine one training epoch in lockstep, making one tick = one epoch.
 type EngineCluster struct {
 	spec    *Spec
-	opts    ClusterOptions
 	nodes   []*simNode
 	stopped bool
 }
@@ -47,12 +45,13 @@ type ClusterOptions struct {
 	// zero value for throughput runs and set it only in tests that
 	// exercise the gates.
 	Admission serve.AdmissionConfig
-	// SettleEpochs is how many extra lockstep epochs Finish runs after
-	// the last tick before scraping, so mailbox-buffered ratings reach
-	// the published snapshots the accept-then-lose check reads.
-	// Default 2.
-	SettleEpochs int
 }
+
+// SettleEpochs is how many epochs past the load's end a cluster gets
+// before its published snapshots are scraped, so mailbox-buffered ratings
+// reach the snapshots the accept-then-lose check reads: the lockstep
+// epochs Finish runs here, and the epochs a live run waits for.
+const SettleEpochs = 2
 
 // simNode is one engine plus its serving layer and protocol goroutine.
 // Engine Step/Stop must run on one goroutine (the protocol thread); cmd
@@ -88,12 +87,9 @@ func NewEngineClusterOpts(spec *Spec, n int, opts ClusterOptions) (*EngineCluste
 	if n < 2 {
 		return nil, fmt.Errorf("loadgen: sim cluster needs at least 2 nodes (got %d)", n)
 	}
-	if opts.SettleEpochs <= 0 {
-		opts.SettleEpochs = 2
-	}
 	eps := runtime.NewChanNet(n)
 	mcfg := mf.DefaultConfig()
-	c := &EngineCluster{spec: spec, opts: opts}
+	c := &EngineCluster{spec: spec}
 	for i := 0; i < n; i++ {
 		// Ring neighbors keep gossip volume O(1) per node regardless of
 		// cluster size; the ChanNet mesh carries any pair anyway.
@@ -148,7 +144,7 @@ func NewEngineClusterOpts(spec *Spec, n int, opts ClusterOptions) (*EngineCluste
 				}
 				_, err := sn.eng.Step()
 				if err == nil {
-					sn.recordStages()
+					serve.ObserveStages(sn.stages, &sn.prev, sn.eng.Stats())
 				}
 				cmd.err <- err
 			}
@@ -189,27 +185,6 @@ func simRatings(spec *Spec, n, i int) []dataset.Rating {
 		}
 	}
 	return rs
-}
-
-// recordStages diffs the engine's cumulative stage counters against the
-// previous epoch and records the deltas — called on the protocol thread
-// right after Step, the only place Stats may be read.
-func (sn *simNode) recordStages() {
-	st := *sn.eng.Stats()
-	prev := sn.prev
-	for _, s := range []struct {
-		name string
-		d    time.Duration
-	}{
-		{"train", st.Train - prev.Train},
-		{"merge", st.Merge - prev.Merge},
-		{"share", st.Share - prev.Share},
-		{"seal", st.Seal - prev.Seal},
-		{"wire", st.Wire - prev.Wire},
-	} {
-		sn.stages.Observe(s.name, s.d)
-	}
-	sn.prev = st
 }
 
 // stepAll runs one epoch on every engine in lockstep.
@@ -310,7 +285,7 @@ func (c *EngineCluster) FinalRatings() map[uint64]bool {
 // published snapshots), scrape every node's /metrics through the same
 // handler a live deployment serves, merge, and stop the engines.
 func (c *EngineCluster) Finish() (*ServerMetrics, error) {
-	for i := 0; i < c.opts.SettleEpochs && !c.stopped; i++ {
+	for i := 0; i < SettleEpochs && !c.stopped; i++ {
 		if err := c.stepAll(); err != nil {
 			return nil, err
 		}

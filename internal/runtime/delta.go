@@ -88,8 +88,8 @@ var errDeltaDiscard = errors.New("runtime: delta frame discarded")
 // (user, item) triplets the peer has acknowledged, under which dictionary
 // index, at which value. One exists per neighbor (kept across failure-
 // detector drops so a rejoined peer resumes the stream); it is touched
-// only by that peer's share worker (send phase) and gather worker (ack
-// processing), phases the epoch loop never overlaps.
+// only by the share goroutine (send phase) and that peer's gather worker
+// (ack processing), phases the epoch loop never overlaps.
 type deltaTx struct {
 	// seqOut is the sequence number of the last frame built for the peer
 	// (the first frame is 1). Every frame handed to the transport
@@ -214,8 +214,8 @@ func (tx *deltaTx) split(data []dataset.Rating) (explicit []dataset.Rating, refs
 
 // deltaRx is the receiver half: the reconstruction of one peer's
 // dictionary and the contiguity bookkeeping that drives acks and resync
-// requests. Touched only by that peer's gather worker (decode) and share
-// worker (reading the ack watermark), never concurrently.
+// requests. Touched only by that peer's gather worker (decode) and the
+// share goroutine (reading the ack watermark), never concurrently.
 type deltaRx struct {
 	// base is the sequence number of the stream-start frame: 0 for a
 	// fresh stream, else the seq of the last reset. Frames below it
@@ -522,7 +522,7 @@ func (r *runner) initDelta(resume bool) {
 	}
 }
 
-// deltaSendStats is the per-frame accounting a share worker returns.
+// deltaSendStats is the per-frame accounting encodeDeltaBody returns.
 type deltaSendStats struct {
 	refs, explicit int64
 	raw            int64 // bytes EncodePayload's flat frame, behind a kind byte, would have cost
@@ -534,7 +534,7 @@ type deltaSendStats struct {
 // then the payload section. Model sections come pre-encoded (they are
 // peer-independent and built once per epoch on the protocol thread);
 // data sections are split per peer against the stream state. Runs on the
-// peer's share worker.
+// share goroutine.
 func (r *runner) encodeDeltaBody(dst []byte, nb int, p core.Payload) ([]byte, deltaSendStats) {
 	tx, rx := r.tx[nb], r.rx[nb]
 	tx.seqOut++

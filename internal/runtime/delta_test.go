@@ -879,7 +879,7 @@ func (c *captureEndpoint) Send(_ int, data []byte) error {
 // TestModelFrameSteadyStateAllocs guards the model-sharing epoch's frame
 // path as its neighbor above guards the raw-data one: once every buffer on
 // the way has held a frame of this size — marshal, plane and section
-// buffers, the send worker's body and sealed frame, the gather worker's
+// buffers, the share path's body and sealed frame, the gather worker's
 // opened plaintext, plane scratch and marshaled bytes, the peer's receive
 // model — building and sealing a model frame allocates nothing, and
 // neither does opening and decoding one, coded planes included.
@@ -905,10 +905,9 @@ func TestModelFrameSteadyStateAllocs(t *testing.T) {
 		if err := a.buildModelSection(p); err != nil {
 			t.Fatal(err)
 		}
-		var out sendOut
-		a.sendOne(&a.send[0], 1, true, &out)
-		if out.err != nil {
-			t.Fatalf("send: %v", out.err)
+		var res shareResult
+		if err := a.sendOne(1, true, &res); err != nil {
+			t.Fatalf("send: %v", err)
 		}
 	}
 	var got core.Payload
@@ -932,6 +931,35 @@ func TestModelFrameSteadyStateAllocs(t *testing.T) {
 	}
 	if out, _ := got.Model.Marshal(); !bytes.Equal(out, want) || got.Model != b.recvModel[0] {
 		t.Fatal("the decoded model is not the sent one, in the peer's receive model")
+	}
+}
+
+// TestSendShareSteadyStateAllocs guards the share goroutine of a secure
+// REX node with seven peers: once the send scratch and each peer's stream
+// have held a frame, encoding, sealing and sending the epoch's sample to
+// every peer in turn allocates nothing.
+func TestSendShareSteadyStateAllocs(t *testing.T) {
+	peers := []int{1, 2, 3, 4, 5, 6, 7}
+	targets := make(map[int]bool, len(peers))
+	r := newRunner(Config{Neighbors: peers, Secure: true, Endpoint: &captureEndpoint{}}, false)
+	r.channels = make(map[int]*seccha.Channel, len(peers))
+	for _, nb := range peers {
+		ch, err := seccha.NewChannel(bytes.Repeat([]byte{byte(nb)}, 32), true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r.channels[nb] = ch
+		targets[nb] = true
+	}
+	r.shareP = core.Payload{From: 0, Degree: len(peers), Data: sampleRatings(40, 11)}
+	send := func() {
+		if res := r.sendShare(peers, nil, targets); res.err != nil || len(res.lost) != 0 {
+			t.Fatalf("send: err %v, lost %v", res.err, res.lost)
+		}
+	}
+	send()
+	if n := testing.AllocsPerRun(20, send); n != 0 {
+		t.Fatalf("a warm sendShare to %d peers allocates %.0f objects", len(peers), n)
 	}
 }
 

@@ -231,8 +231,7 @@ func (e *Engine) Step() (float64, error) {
 
 	// --- share: payload building (RNG draws, serialization) stays on the
 	// protocol thread for determinism; sealing and sending move to a
-	// background goroutine so they overlap the test stage — the live
-	// analogue of the simulator's ShareParallel cost model.
+	// background goroutine so they overlap the test stage.
 	t0 = time.Now()
 	sent, err := r.startShare(ep)
 	if err != nil {

@@ -8,7 +8,6 @@ import (
 	goruntime "runtime"
 	"slices"
 	"sort"
-	"sync"
 	"time"
 
 	"rex/internal/attest"
@@ -108,9 +107,10 @@ type Stats struct {
 	// exceed an epoch's wall time.
 	Merge, Train, Share, Test time.Duration
 	// Seal and Open accumulate the AES-GCM crypto sub-stages (sealing
-	// inside Share, opening inside the gather that feeds Merge). Both are
-	// summed across concurrent workers: they measure crypto work done,
-	// not wall time.
+	// inside Share, opening inside the gather that feeds Merge). Seal is
+	// wall time on the one share goroutine; Open is summed across the
+	// concurrent gather workers, so it measures crypto work done, not wall
+	// time.
 	Seal, Open time.Duration
 	// Wire accumulates time spent handing frames to the transport; a
 	// large value means sends blocked on a congested outbound lane.
@@ -206,10 +206,10 @@ type runner struct {
 	pendingN int
 
 	// Share-path scratch, reused across epochs so steady-state epochs
-	// allocate no per-frame encode buffers: one frame body and sealed frame
-	// per send worker — Endpoint.Send copies, so a worker reuses its pair
-	// for every peer it serves.
-	send []sendSlot
+	// allocate no per-frame encode buffers: the delta frame body and the
+	// frame it is sealed into — Endpoint.Send copies, so the pair serves
+	// every peer in turn.
+	sendBody, sendSealed []byte
 	// gather holds the scratch of each gather worker.
 	gather []gatherSlot
 	// Gather-path scratch, reused across rounds: the still-expected peer
@@ -231,7 +231,8 @@ type runner struct {
 	// payload held for per-peer encoding, and the pre-built model section
 	// with the buffers and encoder that build it. The maps are fully
 	// populated on the protocol thread before any worker runs (initDelta);
-	// workers only ever touch their own peer's entries.
+	// a gather worker touches only its own peer's entries, and the share
+	// goroutine runs between gathers.
 	tx           map[int]*deltaTx
 	rx           map[int]*deltaRx
 	shareP       core.Payload
@@ -240,10 +241,6 @@ type runner struct {
 	sectionBuf   []byte
 	planes       compress.PlaneEncoder
 }
-
-// sendSlot is one send worker's scratch: the delta frame body it encodes
-// and the frame it seals that body into.
-type sendSlot struct{ body, sealed []byte }
 
 // gatherSlot is one gather worker's scratch: the plaintext it opens a
 // frame into, and the decoder and buffer for a word-plane model section.
@@ -262,7 +259,6 @@ func newRunner(cfg Config, resume bool) *runner {
 		stats:     &Stats{},
 		neighbors: append([]int(nil), cfg.Neighbors...),
 		pending:   make(map[int][][]byte),
-		send:      make([]sendSlot, 1),
 		gather:    make([]gatherSlot, 1),
 	}
 	if cfg.NewModel != nil {
@@ -288,8 +284,8 @@ func grow(buf []byte, need int) []byte {
 	return make([]byte, 0, need+need/8)
 }
 
-// workersFor is how many workers open or seal the frames of n peers: one
-// per P, never more than there are peers.
+// workersFor is how many workers open the frames of n peers: one per P,
+// never more than there are peers.
 func workersFor(n int) int { return max(1, min(goruntime.GOMAXPROCS(0), n)) }
 
 // recvStatus reports how a receive attempt ended.
@@ -640,7 +636,7 @@ func (r *runner) dropPeer(id int) {
 // shareResult is the outcome of one epoch's seal+send phase.
 type shareResult struct {
 	dur       time.Duration // wall time of the background phase
-	seal      time.Duration // summed across seal workers (may exceed dur)
+	seal      time.Duration // sealing, part of dur
 	wire      time.Duration // summed time handing frames to the transport
 	bytes     int64         // payload bytes of accepted sends (Stats.BytesOut)
 	wireBytes int64         // full frame bytes incl. framing (Stats.BytesOnWire)
@@ -672,7 +668,7 @@ func (r *runner) startShare(e int) (<-chan shareResult, error) {
 		}
 	}
 	// Delta frames are per-peer (each peer's stream state decides what goes
-	// explicit), so encoding happens on the send workers; only the
+	// explicit), so encoding happens in sendShare; only the
 	// peer-independent pieces are built here on the protocol thread: the
 	// payload itself (its RNG draws must stay in protocol order) and the
 	// model section.
@@ -711,96 +707,37 @@ func (r *runner) startShare(e int) (<-chan shareResult, error) {
 	return done, nil
 }
 
-// sendOut is what sending one peer its frame produced.
-type sendOut struct {
-	n    int64 // payload bytes of the frame, without the kind byte
-	st   deltaSendStats
-	seal time.Duration
-	wire time.Duration
-	err  error
-}
-
-// sendShare seals this epoch's frame for each neighbor and enqueues it on
-// the transport, on min(GOMAXPROCS, peers) workers as gatherRound opens
-// them: worker w serves peers w, w+workers, ... from its own scratch slot,
-// so each per-pair channel and delta stream is touched by exactly one
-// goroutine. Probes (empty frames to dropped-but-rejoinable peers) ride
-// along with errors ignored. Per-peer transport failures are reported as
-// lost peers; only the closure of the node's own endpoint is fatal.
+// sendShare seals this epoch's frame for each neighbor, then sends each
+// probe an empty one, and enqueues them on the transport in that order, on
+// this one goroutine. Probes go to dropped-but-rejoinable peers, with
+// errors ignored. Per-peer transport failures are reported as lost peers;
+// only the closure of the node's own endpoint is fatal.
 func (r *runner) sendShare(neighbors, probes []int, targets map[int]bool) shareResult {
 	start := time.Now()
-	all := neighbors
-	if len(probes) > 0 {
-		all = append(append(make([]int, 0, len(neighbors)+len(probes)), neighbors...), probes...)
-	}
-	outs := make([]sendOut, len(all))
-	workers := workersFor(len(all))
-	for len(r.send) < workers {
-		r.send = append(r.send, sendSlot{})
-	}
-	r.sendAll(workers, all, targets, outs)
 	var res shareResult
-	for i, nb := range all {
-		o := outs[i]
-		probe := i >= len(neighbors)
-		res.seal += o.seal
-		res.wire += o.wire
-		switch {
-		case o.err == nil:
-			res.bytes += o.n
-			res.wireBytes += o.n + 1 // +1: the kind framing byte
-			res.rawBytes += o.st.raw
-			res.refs += o.st.refs
-			res.explicit += o.st.explicit
-			if o.st.resync {
-				res.resyncs++
-			}
-		case errors.Is(o.err, errEndpointClosed):
-			res.err = o.err
-		case probe:
-			// A failed probe is expected while the peer is gone; the next
-			// epoch probes again.
-		default:
+	for _, nb := range neighbors {
+		switch err := r.sendOne(nb, targets[nb], &res); {
+		case errors.Is(err, errEndpointClosed):
+			res.err = err
+		case err != nil:
 			res.lost = append(res.lost, nb)
+		}
+	}
+	for _, nb := range probes {
+		// A failed probe is expected while the peer is gone; the next
+		// epoch probes again.
+		if err := r.sendOne(nb, false, &res); errors.Is(err, errEndpointClosed) {
+			res.err = err
 		}
 	}
 	res.dur = time.Since(start)
 	return res
 }
 
-// sendAll runs the send workers and waits for them. The caller is worker
-// 0, and the only one when there is one: no goroutine, and nothing
-// allocated.
-func (r *runner) sendAll(workers int, all []int, targets map[int]bool, outs []sendOut) {
-	if workers == 1 {
-		r.sendStride(0, 1, all, targets, outs)
-		return
-	}
-	var wg sync.WaitGroup
-	for w := 1; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			r.sendStride(w, workers, all, targets, outs)
-		}(w)
-	}
-	r.sendStride(0, workers, all, targets, outs)
-	wg.Wait()
-}
-
-// sendStride is send worker w of workers: it sends every workers-th peer
-// of all its frame, starting at the w-th.
-func (r *runner) sendStride(w, workers int, all []int, targets map[int]bool, outs []sendOut) {
-	for i := w; i < len(all); i += workers {
-		r.sendOne(&r.send[w], all[i], targets[all[i]], &outs[i])
-	}
-}
-
 // sendOne builds peer nb's frame — this epoch's payload when full, else an
-// empty notification — in the worker's scratch s, delta-encoded against
-// the peer's stream state (the worker owns the peer's tx/rx halves for the
-// whole phase), and hands it to the transport.
-func (r *runner) sendOne(s *sendSlot, nb int, full bool, o *sendOut) {
+// empty notification — in the send scratch, delta-encoded against the
+// peer's stream state, hands it to the transport and adds the send to res.
+func (r *runner) sendOne(nb int, full bool, res *shareResult) error {
 	p := core.Payload{From: r.shareP.From, Degree: r.shareP.Degree}
 	need := 0 // data and empty bodies are small and settle: append sizes them
 	if full {
@@ -809,25 +746,37 @@ func (r *runner) sendOne(s *sendSlot, nb int, full bool, o *sendOut) {
 			need = 1 + deltaHeaderMax + len(r.modelSection)
 		}
 	}
-	s.body = append(grow(s.body, need), kindGossipDelta)
-	s.body, o.st = r.encodeDeltaBody(s.body, nb, p)
-	frame := s.body
+	var st deltaSendStats
+	r.sendBody, st = r.encodeDeltaBody(append(grow(r.sendBody, need), kindGossipDelta), nb, p)
+	frame := r.sendBody
 	if r.cfg.Secure {
 		t0 := time.Now()
-		frame = r.seal(s, nb, s.body[1:])
-		o.seal = time.Since(t0)
+		frame = r.seal(nb, r.sendBody[1:])
+		res.seal += time.Since(t0)
 	}
-	o.n = int64(len(frame) - 1) // the kind byte is framing, not payload
 	t0 := time.Now()
-	o.err = r.cfg.Endpoint.Send(nb, frame)
-	o.wire = time.Since(t0)
+	err := r.cfg.Endpoint.Send(nb, frame)
+	res.wire += time.Since(t0)
+	if err != nil {
+		return err
+	}
+	n := int64(len(frame) - 1) // the kind byte is framing, not payload
+	res.bytes += n
+	res.wireBytes += n + 1 // with the kind byte
+	res.rawBytes += st.raw
+	res.refs += st.refs
+	res.explicit += st.explicit
+	if st.resync {
+		res.resyncs++
+	}
+	return nil
 }
 
-// seal encrypts body for peer nb into the worker's frame buffer, behind
-// the kind byte (which rides outside the seal).
-func (r *runner) seal(s *sendSlot, nb int, body []byte) []byte {
+// seal encrypts body for peer nb into sendSealed, behind the kind byte
+// (which rides outside the seal).
+func (r *runner) seal(nb int, body []byte) []byte {
 	ch := r.channels[nb]
-	s.sealed = append(grow(s.sealed, 1+seccha.SeqOverhead+len(body)+ch.Overhead()), kindGossipDelta)
-	s.sealed = ch.SealSeqAppend(s.sealed, body)
-	return s.sealed
+	r.sendSealed = append(grow(r.sendSealed, 1+seccha.SeqOverhead+len(body)+ch.Overhead()), kindGossipDelta)
+	r.sendSealed = ch.SealSeqAppend(r.sendSealed, body)
+	return r.sendSealed
 }

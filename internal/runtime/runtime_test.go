@@ -464,12 +464,12 @@ func TestClusterGoldenDeterminism(t *testing.T) {
 }
 
 // TestModelSharingAcrossWorkerCounts runs secure model sharing on a 4-node
-// full mesh with one P and with four. With four, three send workers and
-// three gather workers per node share out the peers, each with its own
-// seal, open and word-plane scratch, decoding into per-peer receive models;
-// with one, a single slot serves every peer in turn. The learning and the
-// gossip bytes must not know the difference (and -race must see no worker
-// touch another's slot or peer).
+// full mesh with one P and with four. With four, three gather workers per
+// node share out the peers, each with its own open and word-plane
+// scratch, decoding into per-peer receive models; with one, a single slot
+// serves every peer in turn. The learning and the gossip bytes must not
+// know the difference (and -race must see no worker touch another's slot
+// or peer).
 func TestModelSharingAcrossWorkerCounts(t *testing.T) {
 	run := func(procs int) []*Stats {
 		defer goruntime.GOMAXPROCS(goruntime.GOMAXPROCS(procs))

@@ -13,8 +13,8 @@
 //     to healthy ones; the shard transport bridges several in-process
 //     nodes across OS processes over one TCP link per shard pair.
 //   - runner (runner.go, attest.go): the per-node epoch pipeline — frames
-//     are decrypted and decoded as they arrive, per-neighbor sealing runs
-//     concurrently, and share-sends overlap the test stage.
+//     are decrypted and decoded as they arrive, on one worker per P, and
+//     one goroutine seals and sends the share, overlapping the test stage.
 //   - cluster driver (cluster.go): RunCluster executes a whole deployment
 //     in one process, or one shard of a multi-process deployment.
 package runtime

@@ -60,8 +60,6 @@ type Config struct {
 	ID int
 	// NumItems bounds ranking candidates: items 0..NumItems-1.
 	NumItems int
-	// KNN configures the model=knn serving path; zero value = defaults.
-	KNN knn.Config
 	// OnRate, when set, is called with accepted ratings BEFORE they are
 	// acknowledged or ingested — the daemon's durability hook (WAL
 	// append). An error rejects the request.
@@ -78,8 +76,8 @@ type Config struct {
 	// daemon's generation counter and data directory).
 	Extra func() map[string]any
 	// Stages, when set, is surfaced under "stages" in /metrics — the
-	// daemon records per-epoch pipeline stage durations (train, merge,
-	// seal, wire, ...) into it.
+	// daemon records per-epoch pipeline stage durations into it (see
+	// ObserveStages).
 	Stages *metrics.StageSet
 	// Admission configures overload protection on the serving edge
 	// (token-bucket + bounded queue on /rate, staleness shed on
@@ -128,6 +126,20 @@ func (w *statusWriter) WriteHeader(code int) {
 	w.ResponseWriter.WriteHeader(code)
 }
 
+// ObserveStages records one epoch's pipeline stage durations into set:
+// the train, merge, share, seal and wire deltas of st's cumulative
+// counters over prev, which it then advances to st. Call it on the
+// protocol thread right after an epoch, the one place an engine's Stats
+// may be read.
+func ObserveStages(set *metrics.StageSet, prev, st *runtime.Stats) {
+	set.Observe("train", st.Train-prev.Train)
+	set.Observe("merge", st.Merge-prev.Merge)
+	set.Observe("share", st.Share-prev.Share)
+	set.Observe("seal", st.Seal-prev.Seal)
+	set.Observe("wire", st.Wire-prev.Wire)
+	*prev = *st
+}
+
 // New builds a Server.
 func New(cfg Config) (*Server, error) {
 	if cfg.Node == nil {
@@ -135,9 +147,6 @@ func New(cfg Config) (*Server, error) {
 	}
 	if cfg.NumItems <= 0 {
 		return nil, fmt.Errorf("serve: NumItems must be positive")
-	}
-	if cfg.KNN.K <= 0 {
-		cfg.KNN = knn.DefaultConfig()
 	}
 	s := &Server{cfg: cfg, cacheEp: -1, mux: http.NewServeMux(), stats: make(map[string]*endpointStats)}
 	if cfg.Admission.Enabled() {
@@ -211,7 +220,7 @@ func (s *Server) knnFor(snap *runtime.Snapshot) *knn.Recommender {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if !s.knnBuilt || s.knnSnap != snap {
-		s.knnRec = knn.New(s.cfg.KNN, snap.Ratings)
+		s.knnRec = knn.New(knn.DefaultConfig(), snap.Ratings)
 		s.knnSnap = snap
 		s.knnBuilt = true
 	}

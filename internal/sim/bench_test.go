@@ -43,29 +43,6 @@ func ablationWorkload(b *testing.B, seed int64) Config {
 	}
 }
 
-// BenchmarkAblationMergeWeights compares D-PSGD model merging with
-// Metropolis–Hastings weights (the paper's §III-C2 choice) against naive
-// uniform averaging on an irregular graph.
-func BenchmarkAblationMergeWeights(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		cfg := ablationWorkload(b, 7)
-		cfg.Mode = core.ModelSharing
-		mh, err := Run(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		cfg2 := ablationWorkload(b, 7)
-		cfg2.Mode = core.ModelSharing
-		cfg2.UniformMerge = true
-		uni, err := Run(cfg2)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(mh.FinalRMSE, "rmse-MH")
-		b.ReportMetric(uni.FinalRMSE, "rmse-uniform")
-	}
-}
-
 // BenchmarkAblationFixedSteps contrasts the paper's fixed SGD budget per
 // epoch (§III-E) with naive full-pass epochs whose duration grows with the
 // raw-data store.
@@ -89,27 +66,6 @@ func BenchmarkAblationFixedSteps(b *testing.B) {
 		gLast := full.Series[len(full.Series)-1].Stage.Train
 		b.ReportMetric(fLast/fFirst, "fixed-growth")
 		b.ReportMetric(gLast/gFirst, "fullpass-growth")
-	}
-}
-
-// BenchmarkAblationShareParallel measures the §III-D "future work"
-// optimization: overlapping raw-data sharing with training.
-func BenchmarkAblationShareParallel(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		seq, err := Run(ablationWorkload(b, 13))
-		if err != nil {
-			b.Fatal(err)
-		}
-		parCfg := ablationWorkload(b, 13)
-		parCfg.ShareParallel = true
-		par, err := Run(parCfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if par.TotalTimeMean > seq.TotalTimeMean {
-			b.Fatalf("parallel share slower: %v > %v", par.TotalTimeMean, seq.TotalTimeMean)
-		}
-		b.ReportMetric(seq.TotalTimeMean/par.TotalTimeMean, "speedup")
 	}
 }
 

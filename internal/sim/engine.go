@@ -144,7 +144,6 @@ func newEngine(cfg Config, n int) *engine {
 			StepsPerEpoch: cfg.StepsPerEpoch,
 			SharePoints:   cfg.SharePoints,
 			Seed:          cfg.Seed,
-			UniformMerge:  cfg.UniformMerge,
 			Byzantine:     cfg.Byzantine[i],
 		}, cfg.NewModel(i), cfg.Train[i], cfg.Test[i])
 		eng.encl[i] = enclave.New(meas, cfg.Enclave, cfg.SGX)

@@ -267,12 +267,6 @@ func (eng *engine) stepNode(e int, graph topology.Source, i int, r *nodeResult) 
 			outBytes += w
 		}
 		sendDone := start + mergeT + trainT + shareT
-		if cfg.ShareParallel && cfg.Mode == core.DataSharing {
-			// Sampling the pre-train store and shipping it can overlap
-			// training (§III-D): dispatch right after the merge; the
-			// share cost itself rides the wire path.
-			sendDone = start + mergeT + shareT
-		}
 		sc := cfg.Scenario
 		for _, t := range neighbors {
 			if !eng.alive[t] {
@@ -327,19 +321,6 @@ func (eng *engine) stepNode(e int, graph topology.Source, i int, r *nodeResult) 
 	}
 
 	elapsed := mergeT + trainT + shareT + testT
-	if cfg.ShareParallel && cfg.Mode == core.DataSharing {
-		// §III-D overlap: the sample is drawn from the pre-train store, so
-		// serialization and dispatch ride alongside training and the epoch
-		// pays whichever is longer — merge + max(train, share) + test.
-		// (Pre-fix this only hid the share when shareT < trainT; with
-		// shareT >= trainT the sender serialized all four stages even
-		// though sendDone above already modeled the overlap.)
-		overlapped := trainT
-		if shareT > overlapped {
-			overlapped = shareT
-		}
-		elapsed = mergeT + overlapped + testT
-	}
 	eng.clocks[i] = start + elapsed
 	eng.cumBytes[i] += float64(inBytes + outBytes)
 

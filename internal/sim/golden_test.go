@@ -126,10 +126,9 @@ func TestGoldenSimTrajectories(t *testing.T) {
 			c.FailAt = map[int]int{3: 5}
 			c.Byzantine = map[int]bool{2: true}
 		}, goldenMSFaults},
-		{"ds-dpsgd-shareparallel-sgx", func(c *Config) {
+		{"ds-dpsgd-sgx", func(c *Config) {
 			c.Mode = core.DataSharing
 			c.Algo = gossip.DPSGD
-			c.ShareParallel = true
 			c.SGX = true
 			c.AttestSetupSec = 0.25
 			c.Heap = PaperHeapFactors()
@@ -143,11 +142,6 @@ func TestGoldenSimTrajectories(t *testing.T) {
 				Duplicate: 0.05, Reorder: 0.05, TimeoutMs: 50,
 			}
 		}, goldenDSScenario},
-		{"ms-dpsgd-uniform", func(c *Config) {
-			c.Mode = core.ModelSharing
-			c.Algo = gossip.DPSGD
-			c.UniformMerge = true
-		}, goldenMSUniform},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -202,6 +196,5 @@ const (
 	goldenMSFaults   = "157494160852d0e424e4031e4f2c30da85b82290a52dac80b755a553fe927dcb"
 	goldenDSSGX      = "c587f6e28b971f8acb1fa54d07249f1829c253394d0bb32b028a614f7a87d145"
 	goldenDSScenario = "fe88f624784706dd319ba11b8ad55db4f2d7da77d37a650fdba0156550ea51bf"
-	goldenMSUniform  = "5adb36a8aef6431dd0ee3ed0009a85f29cfc6b244daf62206de2647143b8e40b"
 	goldenNNMS       = "9d88cfbec69cece258e5168f86b4ef93c583d0541a2ab18334da683da70eef29"
 )

@@ -40,14 +40,6 @@ type Config struct {
 	// ascending node-index order after the parallel section.
 	Workers int
 
-	// UniformMerge is the §III-C2 ablation: naive uniform averaging in
-	// place of Metropolis-Hastings weights for D-PSGD.
-	UniformMerge bool
-	// ShareParallel overlaps the share step with training, the §III-D
-	// "future work" optimization: legal only for raw data sharing (the
-	// sample does not depend on this epoch's training result), so it is
-	// ignored in model-sharing mode.
-	ShareParallel bool
 	// FailAt injects permanent crash failures: node id -> epoch at which
 	// it stops participating. The paper leaves failure handling to future
 	// work (§III-D); the simulator models the oracle-detected case where

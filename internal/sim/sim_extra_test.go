@@ -77,38 +77,6 @@ func TestByzantineModelSharingDegrades(t *testing.T) {
 	}
 }
 
-func TestShareParallelNotSlower(t *testing.T) {
-	seq, err := Run(smallConfig(t, core.DataSharing, gossip.DPSGD))
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := smallConfig(t, core.DataSharing, gossip.DPSGD)
-	cfg.ShareParallel = true
-	par, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if par.TotalTimeMean > seq.TotalTimeMean {
-		t.Fatalf("parallel share slower: %.4f > %.4f", par.TotalTimeMean, seq.TotalTimeMean)
-	}
-}
-
-func TestShareParallelIgnoredForMS(t *testing.T) {
-	seq, err := Run(smallConfig(t, core.ModelSharing, gossip.DPSGD))
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := smallConfig(t, core.ModelSharing, gossip.DPSGD)
-	cfg.ShareParallel = true
-	par, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if par.TotalTimeMean != seq.TotalTimeMean {
-		t.Fatal("ShareParallel must be a no-op for model sharing (the share depends on the train result)")
-	}
-}
-
 func TestHeapFactorsScaleMemory(t *testing.T) {
 	base, err := Run(smallConfig(t, core.ModelSharing, gossip.DPSGD))
 	if err != nil {
@@ -123,18 +91,6 @@ func TestHeapFactorsScaleMemory(t *testing.T) {
 	if scaled.PeakHeapBytes <= base.PeakHeapBytes {
 		t.Fatalf("paper heap factors did not grow memory: %d vs %d",
 			scaled.PeakHeapBytes, base.PeakHeapBytes)
-	}
-}
-
-func TestUniformMergeStillConverges(t *testing.T) {
-	cfg := smallConfig(t, core.ModelSharing, gossip.DPSGD)
-	cfg.UniformMerge = true
-	res, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.FinalRMSE >= res.Series[0].MeanRMSE {
-		t.Fatal("uniform-merge ablation diverged")
 	}
 }
 
