@@ -11,8 +11,11 @@ type chanEndpoint struct {
 	id    int
 	mesh  []*chanEndpoint
 	inbox chan Envelope
-	done  chan struct{}
-	once  sync.Once
+	// free holds frames this endpoint's runner has released, at most one
+	// per peer (a round's worth); sends to this endpoint copy into them.
+	free chan []byte
+	done chan struct{}
+	once sync.Once
 	// qhwm tracks the deepest this endpoint's inbox has been (updated by
 	// senders, which observe the depth right after a successful send).
 	qhwm atomic.Int64
@@ -21,13 +24,16 @@ type chanEndpoint struct {
 // NewChanNet builds a fully meshed in-process transport for n nodes, one
 // endpoint per node. It backs in-process clusters (RunCluster, the load
 // simulator, the benchmark) and tests; semantics match the TCP transport
-// (reliable, per-peer FIFO).
+// (reliable, per-peer FIFO). Frames the receiver releases (Releaser) are
+// reused for later deliveries to it, so a warm cluster copies frames
+// without allocating.
 func NewChanNet(n int) []Endpoint {
 	eps := make([]*chanEndpoint, n)
 	for i := range eps {
 		eps[i] = &chanEndpoint{
 			id:    i,
 			inbox: make(chan Envelope, 16*n+64),
+			free:  make(chan []byte, n-1),
 			done:  make(chan struct{}),
 		}
 	}
@@ -54,7 +60,7 @@ func (e *chanEndpoint) Send(to int, data []byte) error {
 	default:
 	}
 	dst := e.mesh[to]
-	return deliverLocal(e.id, data, to, dst.inbox, dst.done, e.done, &dst.qhwm)
+	return deliverLocal(e.id, data, to, dst.inbox, dst.free, dst.done, e.done, &dst.qhwm)
 }
 
 func (e *chanEndpoint) Inbox() <-chan Envelope { return e.inbox }
@@ -72,3 +78,12 @@ func (e *chanEndpoint) Close() error {
 
 // SendQueueHWM implements QueueReporter (inbox depth high-water mark).
 func (e *chanEndpoint) SendQueueHWM() int { return int(e.qhwm.Load()) }
+
+// Release implements Releaser: the frame joins the free list, or is left
+// to the collector when the list is full.
+func (e *chanEndpoint) Release(frame []byte) {
+	select {
+	case e.free <- frame:
+	default:
+	}
+}

@@ -195,6 +195,12 @@ func (tx *deltaTx) requestReset() {
 // Explicit entries keep sample order; references are sorted for delta
 // coding (their order is merge-irrelevant — see core.DataDelta).
 func (tx *deltaTx) split(data []dataset.Rating) (explicit []dataset.Rating, refs []uint32) {
+	if cap(tx.expBuf) < len(data) {
+		// Sized to the sample outright: appending would regrow the pair
+		// over the first epochs, as each holds a few more entries.
+		tx.expBuf = make([]dataset.Rating, 0, len(data))
+		tx.refBuf = make([]uint32, 0, len(data))
+	}
 	explicit, refs = tx.expBuf[:0], tx.refBuf[:0]
 	d := &tx.dict
 	rel := uint32(tx.seqOut - tx.lastResetSeq)

@@ -940,7 +940,6 @@ func TestModelFrameSteadyStateAllocs(t *testing.T) {
 // every peer in turn allocates nothing.
 func TestSendShareSteadyStateAllocs(t *testing.T) {
 	peers := []int{1, 2, 3, 4, 5, 6, 7}
-	targets := make(map[int]bool, len(peers))
 	r := newRunner(Config{Neighbors: peers, Secure: true, Endpoint: &captureEndpoint{}}, false)
 	r.channels = make(map[int]*seccha.Channel, len(peers))
 	for _, nb := range peers {
@@ -949,11 +948,12 @@ func TestSendShareSteadyStateAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 		r.channels[nb] = ch
-		targets[nb] = true
+		r.targets[nb] = true
 	}
+	r.shareTo = peers
 	r.shareP = core.Payload{From: 0, Degree: len(peers), Data: sampleRatings(40, 11)}
 	send := func() {
-		if res := r.sendShare(peers, nil, targets); res.err != nil || len(res.lost) != 0 {
+		if res := r.sendShare(); res.err != nil || len(res.lost) != 0 {
 			t.Fatalf("send: err %v, lost %v", res.err, res.lost)
 		}
 	}

@@ -22,7 +22,7 @@ import (
 //	err = e.Start()            // attest neighbors (secure mode)
 //	for ... { e.Step() }       // one merge-train-share-test epoch each
 //	e.Drain()                  // (any goroutine) ask the loop to stop
-//	e.Stop()                   // fold transport counters into Stats
+//	e.Stop()                   // end the runner goroutines, fold transport counters
 //
 // Step, Start and Stop must be called from one goroutine (the protocol
 // thread). Ingest, Drain, Snapshot and Status are safe from any goroutine:
@@ -47,6 +47,9 @@ type Engine struct {
 
 	snap   atomic.Pointer[Snapshot]
 	status atomic.Pointer[Status]
+	// nbView and lostView are the immutable neighbor lists every
+	// published Status shares until the sets change.
+	nbView, lostView []int
 }
 
 // Snapshot is a read-consistent view of a node's state at the end of one
@@ -66,8 +69,9 @@ type Snapshot struct {
 	Ratings []dataset.Rating
 }
 
-// Status is the cheap control-plane view published after every epoch
-// (regardless of Config.Publish): counters only, no model copy.
+// Status is the cheap control-plane view published, like Snapshot, when
+// Config.Publish is set: at Start and after every epoch, counters only, no
+// model copy.
 type Status struct {
 	// Epoch is the number of completed epochs.
 	Epoch int
@@ -75,7 +79,8 @@ type Status struct {
 	// epochs the node sat out under oracle churn).
 	RMSE float64
 	// Neighbors is the live neighbor set; Lost lists peers the failure
-	// detector dropped that remain eligible to rejoin.
+	// detector dropped that remain eligible to rejoin. Successive Statuses
+	// share one copy of each until the set changes: read-only.
 	Neighbors []int
 	Lost      []int
 	// Draining reports whether Drain has been requested.
@@ -115,7 +120,8 @@ func NewEngine(cfg Config) (*Engine, error) {
 }
 
 // Start performs the one-time bootstrap: mutual attestation with every
-// neighbor in secure mode, and the first Status publication.
+// neighbor in secure mode, and the first Status publication (Publish
+// mode).
 func (e *Engine) Start() error {
 	if e.started {
 		return fmt.Errorf("runtime: engine already started")
@@ -167,7 +173,8 @@ func (e *Engine) Ingest(rs []dataset.Rating) int {
 func (e *Engine) Snapshot() *Snapshot { return e.snap.Load() }
 
 // Status returns the latest published control-plane view, or nil before
-// Start. The returned value is immutable.
+// Start and whenever Config.Publish is off. The returned value is
+// immutable.
 func (e *Engine) Status() *Status { return e.status.Load() }
 
 // Step runs one merge-train-share-test epoch (Algorithm 2 body) and
@@ -286,15 +293,27 @@ func (e *Engine) Step() (float64, error) {
 	return rmse, nil
 }
 
-// Stop folds the transport's queue and fault counters into Stats — even
-// after a failed epoch, so failure-path Stats still show whether lanes
-// were congested. Idempotent; it does not close the endpoint (the caller
-// owns it).
+// Stop ends the runner's goroutines, returning once they are done, and
+// folds the transport's queue and fault counters into Stats — even after
+// a failed epoch, so failure-path Stats still show whether lanes were
+// congested. Idempotent; it does not close the endpoint (the caller owns
+// it).
 func (e *Engine) Stop() {
 	if e.stopped {
 		return
 	}
 	e.stopped = true
+	r := e.r
+	close(r.quit)
+	if r.shareGone != nil {
+		<-r.shareGone
+	}
+	if r.poolGone != nil {
+		<-r.poolGone
+	}
+	if r.roundTimer != nil {
+		r.roundTimer.Stop()
+	}
 	if q, ok := e.r.cfg.Endpoint.(QueueReporter); ok {
 		e.r.stats.SendQueueHWM = q.SendQueueHWM()
 	}
@@ -303,17 +322,25 @@ func (e *Engine) Stop() {
 	}
 }
 
-// publishStatus snapshots the control-plane counters. Runs on the protocol
-// thread, where every source field is stable.
+// publishStatus snapshots the control-plane counters in Publish mode.
+// Runs on the protocol thread, where every source field is stable.
 func (e *Engine) publishStatus(rmse float64) {
+	if !e.r.cfg.Publish {
+		return
+	}
+	if e.r.peersChanged {
+		e.nbView = append([]int(nil), e.r.neighbors...)
+		e.lostView = append([]int(nil), e.r.lost...)
+		e.r.peersChanged = false
+	}
 	e.mu.Lock()
 	ingested := e.ingested
 	e.mu.Unlock()
 	st := &Status{
 		Epoch:       e.epoch,
 		RMSE:        rmse,
-		Neighbors:   append([]int(nil), e.r.neighbors...),
-		Lost:        append([]int(nil), e.r.lost...),
+		Neighbors:   e.nbView,
+		Lost:        e.lostView,
 		Draining:    e.draining.Load(),
 		Ingested:    ingested,
 		BytesIn:     e.r.stats.BytesIn,

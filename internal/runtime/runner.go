@@ -8,6 +8,7 @@ import (
 	goruntime "runtime"
 	"slices"
 	"sort"
+	"sync/atomic"
 	"time"
 
 	"rex/internal/attest"
@@ -95,8 +96,8 @@ type Config struct {
 	// Publish makes the engine publish a read-consistent Snapshot (deep
 	// model clone + store copy) and Status after every epoch, for a
 	// serving layer to read without blocking training. Batch runs leave
-	// it off: cloning the model every epoch is pure overhead when nobody
-	// serves.
+	// it off: cloning the model and building a Status every epoch is pure
+	// overhead when nobody serves.
 	Publish bool
 }
 
@@ -213,13 +214,43 @@ type runner struct {
 	// gather holds the scratch of each gather worker.
 	gather []gatherSlot
 	// Gather-path scratch, reused across rounds: the still-expected peer
-	// set, the opened-frame and payload collection buffers, and a copy of
-	// the neighbor list for the timeout sweep (notePeerMiss mutates
-	// r.neighbors mid-iteration).
+	// set, the opened-frame and payload collection buffers, a copy of the
+	// neighbor list for the timeout sweep (notePeerMiss mutates
+	// r.neighbors mid-iteration) and the round deadline's timer.
 	gatherNeed  map[int]bool
 	openedBuf   []openResult
 	gatherPl    []core.Payload
 	timeoutScan []int
+	roundTimer  *time.Timer
+
+	// The goroutines the runner owns — the share goroutine and, above one
+	// P, the gather pool — are started once, on first use, and exit when
+	// quit closes (Engine.Stop) or the endpoint is done, whichever comes
+	// first. The channels to them are made with them and reused.
+	quit chan struct{}
+	// The share goroutine takes an epoch's send from shareReq — to
+	// shareTo, with full frames for targets, then empty ones to probes,
+	// all filled in place on the protocol thread before the hand-off — and
+	// returns its result on shareOut. shareGone closes when it exits.
+	shareReq  chan struct{}
+	shareOut  chan shareResult
+	shareGone chan struct{}
+	shareTo   []int
+	probes    []int
+	targets   map[int]bool
+	// The gather pool takes frames from jobs and returns them opened on
+	// outs, both sized to the configured neighbors so dispatch never
+	// blocks; worker w owns gather[w]. poolGone closes when the last of
+	// poolLeft workers exits.
+	jobs     chan openJob
+	outs     chan openResult
+	poolGone chan struct{}
+	poolLeft atomic.Int32
+	// releaser takes opened frames back, when the transport recycles them.
+	releaser Releaser
+	// peersChanged reports that the live or lost set changed since the
+	// last published Status.
+	peersChanged bool
 	// recvModel is the model each neighbor's model payloads are decoded
 	// into (Config.NewModel), so a round's decode reuses last round's
 	// tables. Like tx and rx it is fully populated before any worker runs
@@ -255,12 +286,17 @@ type gatherSlot struct {
 // (resume) starts every delta stream with a reset frame.
 func newRunner(cfg Config, resume bool) *runner {
 	r := &runner{
-		cfg:       cfg,
-		stats:     &Stats{},
-		neighbors: append([]int(nil), cfg.Neighbors...),
-		pending:   make(map[int][][]byte),
-		gather:    make([]gatherSlot, 1),
+		cfg:          cfg,
+		stats:        &Stats{},
+		neighbors:    append([]int(nil), cfg.Neighbors...),
+		pending:      make(map[int][][]byte),
+		gather:       make([]gatherSlot, 1),
+		gatherNeed:   make(map[int]bool, len(cfg.Neighbors)),
+		targets:      make(map[int]bool, len(cfg.Neighbors)),
+		quit:         make(chan struct{}),
+		peersChanged: true,
 	}
+	r.releaser, _ = cfg.Endpoint.(Releaser)
 	if cfg.NewModel != nil {
 		r.recvModel = make(map[int]model.Model, len(cfg.Neighbors))
 		for _, nb := range cfg.Neighbors {
@@ -362,10 +398,6 @@ type openResult struct {
 // one: a published Snapshot clones the node's own model only.
 func (r *runner) gatherRound(e int) ([]core.Payload, error) {
 	need := r.gatherNeed
-	if need == nil {
-		need = make(map[int]bool, len(r.neighbors))
-		r.gatherNeed = need
-	}
 	clear(need)
 	for _, nb := range r.neighbors {
 		if r.absentAt(nb, e-1) {
@@ -376,37 +408,23 @@ func (r *runner) gatherRound(e int) ([]core.Payload, error) {
 		}
 		need[nb] = true
 	}
-	workers := workersFor(len(r.neighbors))
-	for len(r.gather) < workers {
-		r.gather = append(r.gather, gatherSlot{})
+	// Above one P frames go to the gather pool. A neighbor contributes one
+	// frame per round and every round collects all its frames before it
+	// returns, so no two workers ever touch the same peer's channel
+	// concurrently and nonce order per channel is preserved.
+	pooled := workersFor(len(r.neighbors)) > 1
+	if pooled && r.jobs == nil {
+		r.startPool()
 	}
 
 	opened := r.openedBuf[:0]
 	inflight := 0
-	var jobs chan openJob
-	var outs chan openResult
-	if workers > 1 {
-		// Worker w owns scratch slot w. A neighbor contributes one frame
-		// per round and rounds join before the next begins, so no two
-		// workers ever touch the same peer's channel concurrently and
-		// nonce order per channel is preserved.
-		jobs = make(chan openJob, len(need))
-		outs = make(chan openResult, len(need))
-		for w := 0; w < workers; w++ {
-			go func(w int) {
-				for j := range jobs {
-					outs <- r.open(w, j.from, j.frame)
-				}
-			}(w)
-		}
-		defer close(jobs)
-	}
 	dispatch := func(from int, frame []byte) {
-		if workers > 1 {
-			jobs <- openJob{from: from, frame: frame}
+		if pooled {
+			r.jobs <- openJob{from: from, frame: frame}
 			inflight++
 		} else {
-			opened = append(opened, r.open(0, from, frame))
+			opened = append(opened, r.consume(0, from, frame))
 		}
 	}
 
@@ -451,15 +469,16 @@ func (r *runner) gatherRound(e int) ([]core.Payload, error) {
 		}
 	}
 	var deadline <-chan time.Time
-	if r.cfg.RoundTimeout > 0 {
-		timer := time.NewTimer(r.cfg.RoundTimeout)
-		defer timer.Stop()
-		deadline = timer.C
+	if r.cfg.RoundTimeout > 0 && len(need) > 0 {
+		deadline = r.armRoundTimer()
 	}
 	for len(need) > 0 {
 		env, st := r.recv(deadline)
 		switch st {
 		case recvClosed:
+			// Collect what is in flight even so: a result left in outs
+			// would be taken for one of the next round's.
+			r.openedBuf = r.collect(opened, inflight)
 			return nil, fmt.Errorf("endpoint closed waiting for %d peers", len(need))
 		case recvTimeout:
 			// Failure detection: everyone still missing misses the round;
@@ -497,9 +516,7 @@ func (r *runner) gatherRound(e int) ([]core.Payload, error) {
 			// buffer without bound.
 		}
 	}
-	for ; inflight > 0; inflight-- {
-		opened = append(opened, <-outs)
-	}
+	opened = r.collect(opened, inflight)
 
 	r.openedBuf = opened
 	slices.SortFunc(opened, func(a, b openResult) int { return cmp.Compare(a.from, b.from) })
@@ -524,6 +541,95 @@ func (r *runner) gatherRound(e int) ([]core.Payload, error) {
 	}
 	r.gatherPl = payloads
 	return payloads, nil
+}
+
+// armRoundTimer starts the round deadline on the runner's one timer. The
+// module declares go 1.22, whose timers keep a fired tick buffered until
+// it is received: a round that finished before its deadline leaves one
+// behind, which Stop cannot withdraw, so it is drained before Reset or
+// the next round would time out at once.
+func (r *runner) armRoundTimer() <-chan time.Time {
+	if r.roundTimer == nil {
+		r.roundTimer = time.NewTimer(r.cfg.RoundTimeout)
+		return r.roundTimer.C
+	}
+	if !r.roundTimer.Stop() {
+		select {
+		case <-r.roundTimer.C:
+		default:
+		}
+	}
+	r.roundTimer.Reset(r.cfg.RoundTimeout)
+	return r.roundTimer.C
+}
+
+// startPool starts the gather pool: one worker per P, never more than the
+// configured neighbors.
+func (r *runner) startPool() {
+	workers := workersFor(len(r.cfg.Neighbors))
+	for len(r.gather) < workers {
+		r.gather = append(r.gather, gatherSlot{})
+	}
+	r.jobs = make(chan openJob, len(r.cfg.Neighbors))
+	r.outs = make(chan openResult, len(r.cfg.Neighbors))
+	r.poolGone = make(chan struct{})
+	r.poolLeft.Store(int32(workers))
+	for w := 0; w < workers; w++ {
+		go r.gatherWorker(w)
+	}
+}
+
+// gatherWorker opens frames into scratch slot w until the runner stops or
+// the endpoint is done.
+func (r *runner) gatherWorker(w int) {
+	defer func() {
+		if r.poolLeft.Add(-1) == 0 {
+			close(r.poolGone)
+		}
+	}()
+	done := r.cfg.Endpoint.Done()
+	for {
+		select {
+		case j := <-r.jobs:
+			r.outs <- r.consume(w, j.from, j.frame)
+		case <-r.quit:
+			return
+		case <-done:
+			return
+		}
+	}
+}
+
+// collect appends the results of the round's inflight pool jobs to
+// opened. Workers exit on the endpoint's Done without waiting for the
+// round: once the whole pool is gone, every job left is either opened in
+// outs or unstarted in jobs, and the protocol thread opens the unstarted
+// ones itself, on slot 0, which no worker can touch any more.
+func (r *runner) collect(opened []openResult, inflight int) []openResult {
+	for ; inflight > 0; inflight-- {
+		select {
+		case o := <-r.outs:
+			opened = append(opened, o)
+		case <-r.poolGone:
+			select {
+			case o := <-r.outs:
+				opened = append(opened, o)
+			case j := <-r.jobs:
+				opened = append(opened, r.consume(0, j.from, j.frame))
+			}
+		}
+	}
+	return opened
+}
+
+// consume opens one frame and releases it to the transport: nothing reads
+// a frame once open returns, whether it was merged, replayed or discarded.
+func (r *runner) consume(slot, from int, frame []byte) openResult {
+	res := r.open(slot, from, frame)
+	if r.releaser != nil {
+		r.releaser.Release(frame)
+	}
+	return res
 }
 
 // open decrypts (when secure) and decodes one gossip frame. The frame
@@ -610,6 +716,7 @@ func (r *runner) rejoinPeer(id int, frame []byte) {
 	r.neighbors = append(r.neighbors, 0)
 	copy(r.neighbors[k+1:], r.neighbors[k:])
 	r.neighbors[k] = id
+	r.peersChanged = true
 	r.stats.Rejoins++
 	r.bufferPending(id, frame)
 }
@@ -621,6 +728,7 @@ func (r *runner) dropPeer(id int) {
 	for i, nb := range r.neighbors {
 		if nb == id {
 			r.neighbors = append(r.neighbors[:i], r.neighbors[i+1:]...)
+			r.peersChanged = true
 			r.stats.PeersLost++
 			r.pendingN -= len(r.pending[id])
 			delete(r.pending, id)
@@ -650,21 +758,20 @@ type shareResult struct {
 
 // startShare builds this epoch's payloads synchronously — the node's RNG
 // draws (RMW target pick, REX sampling) and the model serialization stay
-// on the protocol thread — then seals and sends in the background. The
-// returned channel yields exactly one result.
+// on the protocol thread — then seals and sends on the share goroutine.
+// The returned channel yields exactly one result.
 func (r *runner) startShare(e int) (<-chan shareResult, error) {
 	node := r.cfg.Node
 	deg := len(r.neighbors)
-	var targets map[int]bool
+	clear(r.targets)
 	switch node.Cfg.Algo {
 	case gossip.RMW:
 		if deg > 0 {
-			targets = map[int]bool{r.neighbors[node.RNG().Intn(deg)]: true}
+			r.targets[r.neighbors[node.RNG().Intn(deg)]] = true
 		}
 	case gossip.DPSGD:
-		targets = make(map[int]bool, deg)
 		for _, nb := range r.neighbors {
-			targets[nb] = true
+			r.targets[nb] = true
 		}
 	}
 	// Delta frames are per-peer (each peer's stream state decides what goes
@@ -682,48 +789,77 @@ func (r *runner) startShare(e int) (<-chan shareResult, error) {
 	// consumed at the receiver's round e+1, so skip neighbors scheduled
 	// absent at either epoch — a frame to an away node would sit stale in
 	// its inbox and desynchronize its gather when it rejoins.
-	neighbors := r.neighbors
-	if r.cfg.Absent != nil {
-		neighbors = make([]int, 0, len(r.neighbors))
-		for _, nb := range r.neighbors {
-			if r.absentAt(nb, e) || r.absentAt(nb, e+1) {
-				continue
-			}
-			neighbors = append(neighbors, nb)
+	r.shareTo = r.shareTo[:0]
+	for _, nb := range r.neighbors {
+		if !r.absentAt(nb, e) && !r.absentAt(nb, e+1) {
+			r.shareTo = append(r.shareTo, nb)
 		}
 	}
 	// Probes: with Rejoin, dropped peers keep receiving empty frames so a
 	// healed partition has traffic to rejoin on from both sides.
-	var probes []int
-	if r.cfg.Rejoin && len(r.lost) > 0 {
+	r.probes = r.probes[:0]
+	if r.cfg.Rejoin {
 		for _, nb := range r.lost {
 			if !r.absentAt(nb, e) && !r.absentAt(nb, e+1) {
-				probes = append(probes, nb)
+				r.probes = append(r.probes, nb)
 			}
 		}
 	}
-	done := make(chan shareResult, 1)
-	go func() { done <- r.sendShare(neighbors, probes, targets) }()
-	return done, nil
+	if r.shareReq == nil {
+		r.shareReq = make(chan struct{})
+		r.shareOut = make(chan shareResult, 1)
+		r.shareGone = make(chan struct{})
+		go r.shareLoop() // with this epoch's send
+		return r.shareOut, nil
+	}
+	select {
+	case r.shareReq <- struct{}{}:
+	case <-r.shareGone:
+		// Stopped, or the endpoint is done: send here instead, which
+		// fails the way it would have on the share goroutine.
+		r.shareOut <- r.sendShare()
+	}
+	return r.shareOut, nil
 }
 
-// sendShare seals this epoch's frame for each neighbor, then sends each
-// probe an empty one, and enqueues them on the transport in that order, on
-// this one goroutine. Probes go to dropped-but-rejoinable peers, with
-// errors ignored. Per-peer transport failures are reported as lost peers;
-// only the closure of the node's own endpoint is fatal.
-func (r *runner) sendShare(neighbors, probes []int, targets map[int]bool) shareResult {
+// shareLoop is the share goroutine: the send of the epoch that started
+// it, then one per request. Starting on a send, not on a request, keeps
+// the first epoch scheduled as every later one: the protocol thread hands
+// over and runs the test stage, where a request to a goroutine not yet
+// waiting would block it and run the sends first.
+func (r *runner) shareLoop() {
+	defer close(r.shareGone)
+	done := r.cfg.Endpoint.Done()
+	for {
+		r.shareOut <- r.sendShare()
+		select {
+		case <-r.shareReq:
+		case <-r.quit:
+			return
+		case <-done:
+			return
+		}
+	}
+}
+
+// sendShare seals this epoch's frame for each peer in shareTo — the
+// payload for targets, an empty notification for the rest — then sends
+// each probe an empty one, and enqueues them on the transport in that
+// order. Probes go to dropped-but-rejoinable peers, with errors ignored.
+// Per-peer transport failures are reported as lost peers; only the
+// closure of the node's own endpoint is fatal.
+func (r *runner) sendShare() shareResult {
 	start := time.Now()
 	var res shareResult
-	for _, nb := range neighbors {
-		switch err := r.sendOne(nb, targets[nb], &res); {
+	for _, nb := range r.shareTo {
+		switch err := r.sendOne(nb, r.targets[nb], &res); {
 		case errors.Is(err, errEndpointClosed):
 			res.err = err
 		case err != nil:
 			res.lost = append(res.lost, nb)
 		}
 	}
-	for _, nb := range probes {
+	for _, nb := range r.probes {
 		// A failed probe is expected while the peer is gone; the next
 		// epoch probes again.
 		if err := r.sendOne(nb, false, &res); errors.Is(err, errEndpointClosed) {

@@ -147,7 +147,7 @@ func (e *shardEndpoint) Send(to int, data []byte) error {
 		if !ok {
 			return fmt.Errorf("runtime: no peer %d", to)
 		}
-		return deliverLocal(e.id, data, to, dst.inbox, dst.done, e.done, &dst.qhwm)
+		return deliverLocal(e.id, data, to, dst.inbox, nil, dst.done, e.done, &dst.qhwm)
 	}
 	var hdr [shardFrameHeader]byte
 	binary.LittleEndian.PutUint32(hdr[:], uint32(to))

@@ -15,6 +15,11 @@
 //   - runner (runner.go, attest.go): the per-node epoch pipeline — frames
 //     are decrypted and decoded as they arrive, on one worker per P, and
 //     one goroutine seals and sends the share, overlapping the test stage.
+//     The runner starts these goroutines once, on first use, and they live
+//     until Engine.Stop or the endpoint's Done; every per-epoch channel,
+//     map and timer is a runner field refilled in place, so a warm epoch
+//     allocates only what the store and the model grow by. ChanNet
+//     recycles the frames the runner has opened (Releaser).
 //   - cluster driver (cluster.go): RunCluster executes a whole deployment
 //     in one process, or one shard of a multi-process deployment.
 package runtime
@@ -66,6 +71,16 @@ type FaultReporter interface {
 	FaultCounts() (dropped, delayed int64)
 }
 
+// Releaser is an optional Endpoint extension, implemented by ChanNet: the
+// runner hands back each inbound gossip frame once it has opened it, and
+// the transport may copy a later delivery into the frame's memory. The
+// caller must not touch a frame after releasing it. A wrapper that may
+// deliver one frame twice (internal/faultnet duplicates) must not forward
+// Release: the two copies would be handed to two senders.
+type Releaser interface {
+	Release(frame []byte)
+}
+
 // ErrPeerClosed reports a send to a peer whose endpoint has shut down.
 // The runner treats it (like any per-peer transport failure) as a peer
 // loss, not a fatal error.
@@ -89,15 +104,27 @@ func maxQueueHWM(slot *atomic.Int64, depth int64) {
 
 // deliverLocal implements in-process delivery shared by the chan and
 // shard transports: copy data into the destination inbox, honoring both
-// sides' shutdown signals. The upfront peer-done check gives a
-// deterministic ErrPeerClosed even when the inbox still has room.
-func deliverLocal(from int, data []byte, to int, inbox chan Envelope, peerDone, ownDone <-chan struct{}, hwm *atomic.Int64) error {
+// sides' shutdown signals. The copy reuses a frame from free, the
+// destination's released frames, when one is large enough (a nil free
+// always allocates). The upfront peer-done check gives a deterministic
+// ErrPeerClosed even when the inbox still has room.
+func deliverLocal(from int, data []byte, to int, inbox chan Envelope, free chan []byte, peerDone, ownDone <-chan struct{}, hwm *atomic.Int64) error {
 	select {
 	case <-peerDone:
 		return fmt.Errorf("runtime: peer %d: %w", to, ErrPeerClosed)
 	default:
 	}
-	cp := make([]byte, len(data))
+	var cp []byte
+	select {
+	case buf := <-free:
+		if cap(buf) >= len(data) {
+			cp = buf[:len(data)]
+		}
+	default:
+	}
+	if cp == nil {
+		cp = make([]byte, len(data))
+	}
 	copy(cp, data)
 	select {
 	case inbox <- Envelope{From: from, Data: cp}:
