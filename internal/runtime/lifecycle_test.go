@@ -183,7 +183,11 @@ func TestReleasedFramesUnread(t *testing.T) {
 	}
 }
 
-// runnerGoroutines counts the live goroutines running a runner's loops.
+// runnerGoroutines counts the live goroutines a runner started: its share
+// goroutine and its gather workers. It counts them by the "created by" line
+// of each stack, which is printed whether or not the goroutine has run yet;
+// a created but never scheduled worker's top frame is its go wrapper
+// (startPool.gowrap1), not gatherWorker.
 func runnerGoroutines() int {
 	buf := make([]byte, 1<<20)
 	for {
@@ -194,7 +198,8 @@ func runnerGoroutines() int {
 		}
 		buf = make([]byte, 2*len(buf))
 	}
-	return strings.Count(string(buf), "(*runner).shareLoop(") + strings.Count(string(buf), "(*runner).gatherWorker(")
+	const by = "created by rex/internal/runtime.(*runner)."
+	return strings.Count(string(buf), by+"startShare in goroutine ") + strings.Count(string(buf), by+"startPool in goroutine ")
 }
 
 // TestRunnerGoroutinesEnd pins the runner's goroutine lifecycle: the share
