@@ -396,7 +396,10 @@ func runNode(o daemonOpts, ncfg core.Config, sc *faultnet.Scenario) error {
 			if err := m.Unmarshal(snap.Model); err != nil {
 				return fmt.Errorf("restoring model: %w", err)
 			}
-			node = core.RestoreNode(w.nodeConfig(o.id), m, snap.Ratings, w.test[o.id], snap.Epoch)
+			// The node's RNG restarts at the first draw of its seed stream:
+			// the source's state is not persisted, so a resumed trajectory is
+			// deterministic but not the one an uninterrupted run would take.
+			node = core.NewNode(w.nodeConfig(o.id), m, snap.Ratings, w.test[o.id])
 			if len(replayed) > 0 {
 				node.Store.Append(replayed)
 			}

@@ -135,20 +135,16 @@ func (notRandom) Read(p []byte) (int, error) {
 
 // Infrastructure is the simulated Intel provisioning + DCAP backend: it
 // certifies platform PCK keys at manufacture and verifies quote signatures
-// for remote verifiers, with revocation support.
+// for remote verifiers.
 type Infrastructure struct {
 	nextPlatform uint32
 	nextCert     uint32
 	certs        map[uint32]*ecdsa.PublicKey
-	revoked      map[uint32]bool
 }
 
 // NewInfrastructure creates an empty provisioning/DCAP backend.
 func NewInfrastructure() *Infrastructure {
-	return &Infrastructure{
-		certs:   make(map[uint32]*ecdsa.PublicKey),
-		revoked: make(map[uint32]bool),
-	}
+	return &Infrastructure{certs: make(map[uint32]*ecdsa.PublicKey)}
 }
 
 // NewPlatform manufactures a platform: generates its report key and PCK
@@ -199,27 +195,19 @@ func deriveP256Key(rand io.Reader) (*ecdsa.PrivateKey, error) {
 	return priv, nil
 }
 
-// Revoke marks a platform certificate as revoked; subsequent verifications
-// of its quotes fail.
-func (inf *Infrastructure) Revoke(certID uint32) { inf.revoked[certID] = true }
-
 // Errors returned by VerifyQuote.
 var (
 	ErrUnknownCert  = errors.New("attest: unknown PCK certificate")
-	ErrRevokedCert  = errors.New("attest: revoked PCK certificate")
 	ErrBadSignature = errors.New("attest: invalid quote signature")
 )
 
 // VerifyQuote is the DCAP check a remote verifier performs: the signing
-// certificate must be known and unrevoked, and the ECDSA signature must
+// certificate must be known, and the ECDSA signature must
 // cover the report (§II-D). Measurement policy is the caller's job.
 func (inf *Infrastructure) VerifyQuote(q *Quote) error {
 	pub, ok := inf.certs[q.PCKCertID]
 	if !ok {
 		return ErrUnknownCert
-	}
-	if inf.revoked[q.PCKCertID] {
-		return ErrRevokedCert
 	}
 	digest := sha256.Sum256(q.Report.macInput())
 	if !ecdsa.VerifyASN1(pub, digest[:], q.Signature) {

@@ -32,17 +32,3 @@ func Run(m model.Model, train, test []dataset.Rating, epochs, stepsPerEpoch int,
 	}
 	return res
 }
-
-// Best returns the minimum test error reached during the run.
-func (r *Result) Best() float64 {
-	if len(r.RMSE) == 0 {
-		return 0
-	}
-	best := r.RMSE[0]
-	for _, v := range r.RMSE[1:] {
-		if v < best {
-			best = v
-		}
-	}
-	return best
-}

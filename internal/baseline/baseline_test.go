@@ -21,13 +21,4 @@ func TestCentralizedConverges(t *testing.T) {
 	if res.FinalRMSE >= res.RMSE[0] {
 		t.Fatalf("no improvement: %.4f -> %.4f", res.RMSE[0], res.FinalRMSE)
 	}
-	if res.Best() > res.FinalRMSE {
-		t.Fatal("Best exceeds final")
-	}
-}
-
-func TestBestEmpty(t *testing.T) {
-	if (&Result{}).Best() != 0 {
-		t.Fatal("empty best")
-	}
 }

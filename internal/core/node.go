@@ -110,9 +110,8 @@ type Node struct {
 	Store *dataset.Store
 	Test  []dataset.Rating
 
-	rng   *rand.Rand
-	epoch int
-	scr   shareScratch
+	rng *rand.Rand
+	scr shareScratch
 }
 
 // shareScratch pools the buffers Share hands out as payload snapshots, so
@@ -146,23 +145,6 @@ func NewNode(cfg Config, m model.Model, train, test []dataset.Rating) *Node {
 		rng:   rand.New(newSource(int64(uint64(cfg.Seed) ^ uint64(cfg.ID)*0x9E3779B97F4A7C15))),
 	}
 }
-
-// RestoreNode rebuilds a node from persisted state (internal/store): a
-// deserialized model, the raw-data store contents at snapshot time (plus
-// any replayed ingestion log), and the epoch count already completed. The
-// RNG restarts at the first draw of NewNode's seed stream, because the
-// source's state is not persisted — a resumed node's future trajectory
-// is deterministic but not the one an uninterrupted run would have taken,
-// which is fine: gossip is rate-synchronized, and peers have diverged by
-// whatever it merged while this node was down anyway.
-func RestoreNode(cfg Config, m model.Model, store, test []dataset.Rating, epoch int) *Node {
-	n := NewNode(cfg, m, store, test)
-	n.epoch = epoch
-	return n
-}
-
-// Epoch returns how many training epochs the node has completed.
-func (n *Node) Epoch() int { return n.epoch }
 
 // RNG exposes the node's deterministic random source (the simulator uses
 // it for peer selection so a whole run is reproducible from one seed). Its
@@ -246,7 +228,6 @@ func (n *Node) Train() int {
 		steps = len(data)
 	}
 	n.Model.Train(data, steps, n.rng)
-	n.epoch++
 	return steps
 }
 
@@ -337,13 +318,6 @@ func PayloadWireSize(p Payload) int {
 // TestRMSE implements the test step (Algorithm 2 line 21): RMSE of the
 // current model over the node's private held-out ratings.
 func (n *Node) TestRMSE() float64 { return model.RMSE(n.Model, n.Test) }
-
-// MemoryBytes estimates the trusted heap this node occupies: model
-// parameters plus the raw-data store plus the test set — the quantity
-// driving EPC residency in the SGX experiments (Fig 6/7 (b), Table IV).
-func (n *Node) MemoryBytes() int64 {
-	return int64(n.Model.WireSize()) + int64(n.Store.Bytes()) + int64(len(n.Test)*dataset.EncodedSize)
-}
 
 func minInt(a, b int) int {
 	if a < b {

@@ -56,9 +56,6 @@ func TestTrainFixedSteps(t *testing.T) {
 	if steps := n.Train(); steps != 100 {
 		t.Fatalf("steps = %d want 100", steps)
 	}
-	if n.Epoch() != 1 {
-		t.Fatalf("epoch = %d", n.Epoch())
-	}
 }
 
 func TestTrainFullPass(t *testing.T) {
@@ -195,15 +192,12 @@ func TestPayloadWireSize(t *testing.T) {
 	}
 }
 
-func TestTestRMSEAndMemory(t *testing.T) {
+func TestTestRMSE(t *testing.T) {
 	n := mkNode(t, DataSharing, gossip.DPSGD, someRatings(30, 21))
 	n.Train()
 	r := n.TestRMSE()
 	if r <= 0 || r > 5 {
 		t.Fatalf("rmse %v", r)
-	}
-	if n.MemoryBytes() <= 0 {
-		t.Fatal("no memory accounted")
 	}
 }
 

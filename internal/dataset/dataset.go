@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
-	"sort"
 )
 
 // Rating is one user-item interaction: the triplet <user, item, value>
@@ -61,61 +60,6 @@ func New(ratings []Rating) *Dataset {
 		m = int(maxI) + 1
 	}
 	return &Dataset{Ratings: ratings, NumUsers: n, NumItems: m}
-}
-
-// Len returns the number of ratings.
-func (d *Dataset) Len() int { return len(d.Ratings) }
-
-// Mean returns the global mean rating, the natural zero-knowledge predictor
-// used to initialize bias terms.
-func (d *Dataset) Mean() float64 {
-	if len(d.Ratings) == 0 {
-		return 0
-	}
-	var s float64
-	for _, r := range d.Ratings {
-		s += float64(r.Value)
-	}
-	return s / float64(len(d.Ratings))
-}
-
-// Validate checks internal consistency: ids within bounds and no NaN values.
-func (d *Dataset) Validate() error {
-	for i, r := range d.Ratings {
-		if int(r.User) >= d.NumUsers {
-			return fmt.Errorf("dataset: rating %d user %d out of range %d", i, r.User, d.NumUsers)
-		}
-		if int(r.Item) >= d.NumItems {
-			return fmt.Errorf("dataset: rating %d item %d out of range %d", i, r.Item, d.NumItems)
-		}
-		if r.Value != r.Value { // NaN
-			return fmt.Errorf("dataset: rating %d has NaN value", i)
-		}
-	}
-	return nil
-}
-
-// Split partitions the ratings into train and test sets with the given
-// train fraction (the paper uses 70/30, §IV-A3a). The split is performed on
-// a shuffled copy so both halves are unbiased; the receiver is unmodified.
-func (d *Dataset) Split(trainFrac float64, rng *rand.Rand) (train, test *Dataset) {
-	if trainFrac < 0 || trainFrac > 1 {
-		panic("dataset: trainFrac must be in [0,1]")
-	}
-	idx := rng.Perm(len(d.Ratings))
-	cut := int(float64(len(d.Ratings)) * trainFrac)
-	tr := make([]Rating, 0, cut)
-	te := make([]Rating, 0, len(d.Ratings)-cut)
-	for pos, i := range idx {
-		if pos < cut {
-			tr = append(tr, d.Ratings[i])
-		} else {
-			te = append(te, d.Ratings[i])
-		}
-	}
-	train = &Dataset{Ratings: tr, NumUsers: d.NumUsers, NumItems: d.NumItems}
-	test = &Dataset{Ratings: te, NumUsers: d.NumUsers, NumItems: d.NumItems}
-	return train, test
 }
 
 // SplitPerUser splits each user's ratings individually with the given train
@@ -229,32 +173,4 @@ func (d *Dataset) PartitionUsersAcross(n int, rng *rand.Rand) ([][]Rating, error
 		parts[node] = append(parts[node], grouped[offs[g]:offs[g+1]]...)
 	}
 	return parts, nil
-}
-
-// Users returns the sorted distinct user ids present in the dataset.
-func (d *Dataset) Users() []uint32 {
-	seen := make(map[uint32]struct{})
-	for _, r := range d.Ratings {
-		seen[r.User] = struct{}{}
-	}
-	out := make([]uint32, 0, len(seen))
-	for u := range seen {
-		out = append(out, u)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-// Items returns the sorted distinct item ids present in the dataset.
-func (d *Dataset) Items() []uint32 {
-	seen := make(map[uint32]struct{})
-	for _, r := range d.Ratings {
-		seen[r.Item] = struct{}{}
-	}
-	out := make([]uint32, 0, len(seen))
-	for i := range seen {
-		out = append(out, i)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }

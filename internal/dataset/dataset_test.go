@@ -31,57 +31,19 @@ func TestNewDerivesBounds(t *testing.T) {
 	if d.NumUsers != 4 || d.NumItems != 10 {
 		t.Fatalf("bounds: got %d users %d items", d.NumUsers, d.NumItems)
 	}
-	if err := d.Validate(); err != nil {
-		t.Fatalf("validate: %v", err)
-	}
 }
 
 func TestNewEmpty(t *testing.T) {
 	d := New(nil)
-	if d.NumUsers != 0 || d.NumItems != 0 || d.Len() != 0 {
+	if d.NumUsers != 0 || d.NumItems != 0 || len(d.Ratings) != 0 {
 		t.Fatalf("empty dataset has nonzero shape: %+v", d)
-	}
-	if d.Mean() != 0 {
-		t.Fatalf("empty mean = %v", d.Mean())
-	}
-}
-
-func TestValidateCatchesOutOfRange(t *testing.T) {
-	d := &Dataset{Ratings: []Rating{{User: 5, Item: 0, Value: 3}}, NumUsers: 3, NumItems: 3}
-	if err := d.Validate(); err == nil {
-		t.Fatal("expected out-of-range user error")
-	}
-	d = &Dataset{Ratings: []Rating{{User: 0, Item: 5, Value: 3}}, NumUsers: 3, NumItems: 3}
-	if err := d.Validate(); err == nil {
-		t.Fatal("expected out-of-range item error")
-	}
-	nan := float32(0)
-	nan = nan / nan
-	d = &Dataset{Ratings: []Rating{{User: 0, Item: 0, Value: nan}}, NumUsers: 3, NumItems: 3}
-	if err := d.Validate(); err == nil {
-		t.Fatal("expected NaN error")
-	}
-}
-
-func TestSplitFractions(t *testing.T) {
-	d := New(mkRatings(1000, 40, 200, 1))
-	rng := rand.New(rand.NewSource(2))
-	tr, te := d.Split(0.7, rng)
-	if tr.Len()+te.Len() != d.Len() {
-		t.Fatalf("split loses ratings: %d + %d != %d", tr.Len(), te.Len(), d.Len())
-	}
-	if tr.Len() != 700 {
-		t.Fatalf("train fraction: got %d want 700", tr.Len())
-	}
-	if tr.NumUsers != d.NumUsers || te.NumItems != d.NumItems {
-		t.Fatal("split must preserve id-space bounds")
 	}
 }
 
 func TestSplitPreservesMultiset(t *testing.T) {
 	d := New(mkRatings(500, 20, 80, 3))
-	tr, te := d.Split(0.5, rand.New(rand.NewSource(4)))
-	seen := make(map[uint64]float32, d.Len())
+	tr, te := d.SplitPerUser(0.5, rand.New(rand.NewSource(4)))
+	seen := make(map[uint64]float32, len(d.Ratings))
 	for _, r := range d.Ratings {
 		seen[r.Key()] = r.Value
 	}
@@ -102,8 +64,12 @@ func TestSplitPreservesMultiset(t *testing.T) {
 func TestSplitPerUserBothHalves(t *testing.T) {
 	d := New(mkRatings(800, 25, 100, 5))
 	tr, te := d.SplitPerUser(0.7, rand.New(rand.NewSource(6)))
-	if tr.Len()+te.Len() != d.Len() {
+	if len(tr.Ratings)+len(te.Ratings) != len(d.Ratings) {
 		t.Fatalf("per-user split loses ratings")
+	}
+	count := make(map[uint32]int)
+	for _, r := range d.Ratings {
+		count[r.User]++
 	}
 	trainUsers := make(map[uint32]bool)
 	for _, r := range tr.Ratings {
@@ -113,16 +79,10 @@ func TestSplitPerUserBothHalves(t *testing.T) {
 	for _, r := range te.Ratings {
 		testUsers[r.User] = true
 	}
-	for _, u := range d.Users() {
+	for u, c := range count {
 		// every user with >=2 ratings must appear in both halves
-		count := 0
-		for _, r := range d.Ratings {
-			if r.User == u {
-				count++
-			}
-		}
-		if count >= 2 && (!trainUsers[u] || !testUsers[u]) {
-			t.Fatalf("user %d (%d ratings) missing from a half", u, count)
+		if c >= 2 && (!trainUsers[u] || !testUsers[u]) {
+			t.Fatalf("user %d (%d ratings) missing from a half", u, c)
 		}
 	}
 }
@@ -145,8 +105,8 @@ func TestPartitionPerUser(t *testing.T) {
 			}
 		}
 	}
-	if total != d.Len() {
-		t.Fatalf("partitions cover %d of %d ratings", total, d.Len())
+	if total != len(d.Ratings) {
+		t.Fatalf("partitions cover %d of %d ratings", total, len(d.Ratings))
 	}
 }
 
@@ -178,8 +138,8 @@ func TestPartitionUsersAcross(t *testing.T) {
 			owner[r.User] = node
 		}
 	}
-	if total != d.Len() {
-		t.Fatalf("partitions cover %d of %d", total, d.Len())
+	if total != len(d.Ratings) {
+		t.Fatalf("partitions cover %d of %d", total, len(d.Ratings))
 	}
 }
 
@@ -206,22 +166,6 @@ func TestPartitionDeterministicInSeed(t *testing.T) {
 	}
 }
 
-func TestUsersItemsSorted(t *testing.T) {
-	d := New(mkRatings(200, 12, 40, 12))
-	us := d.Users()
-	for i := 1; i < len(us); i++ {
-		if us[i-1] >= us[i] {
-			t.Fatal("Users not strictly sorted")
-		}
-	}
-	is := d.Items()
-	for i := 1; i < len(is); i++ {
-		if is[i-1] >= is[i] {
-			t.Fatal("Items not strictly sorted")
-		}
-	}
-}
-
 func TestRatingKeyUnique(t *testing.T) {
 	f := func(u1, i1, u2, i2 uint32) bool {
 		k1 := Rating{User: u1, Item: i1}.Key()
@@ -230,12 +174,5 @@ func TestRatingKeyUnique(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestMean(t *testing.T) {
-	d := New([]Rating{{0, 0, 1}, {0, 1, 2}, {1, 0, 3}})
-	if got := d.Mean(); got != 2 {
-		t.Fatalf("mean = %v want 2", got)
 	}
 }

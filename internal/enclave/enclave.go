@@ -8,11 +8,7 @@
 // slightly slower than the enclave build (§IV-D).
 package enclave
 
-import (
-	"time"
-
-	"rex/internal/attest"
-)
+import "time"
 
 // Params are the cost-model constants. Defaults are calibrated so the
 // SGX-vs-native overhead ratios land in the ranges Table IV reports
@@ -72,77 +68,33 @@ func DefaultParams() Params {
 	}
 }
 
-// Stats are the enclave's observability counters.
-type Stats struct {
-	ECalls, OCalls     int64
-	BytesIn, BytesOut  int64
-	HeapBytes          int64
-	PeakHeapBytes      int64
-	TransitionOverhead time.Duration
-	CryptoOverhead     time.Duration
-}
-
-// Enclave tracks one node's trusted environment: its measurement, trusted
-// heap accounting, and boundary-crossing counters. In native mode (SGX ==
-// false) it represents the paper's "Native" baseline build: same code, no
-// protection, no overhead except on-demand allocation.
+// Enclave tracks one node's trusted environment: its trusted heap, which
+// sets the EPC residency every overhead factor depends on. In native mode
+// (SGX == false) it represents the paper's "Native" baseline build: same
+// code, no protection, no overhead except on-demand allocation.
 type Enclave struct {
 	params Params
 	sgx    bool
-	meas   attest.Measurement
-	stats  Stats
+	heap   int64 // trusted heap bytes
 }
 
-// New creates an enclave (or native pseudo-enclave) with the given code
-// measurement.
-func New(meas attest.Measurement, params Params, sgx bool) *Enclave {
+// New creates an enclave (or native pseudo-enclave) with the given cost
+// constants.
+func New(params Params, sgx bool) *Enclave {
 	if params.EPCBytes <= 0 {
 		params.EPCBytes = DefaultParams().EPCBytes
 	}
-	return &Enclave{params: params, sgx: sgx, meas: meas}
-}
-
-// SGX reports whether hardware protection is simulated.
-func (e *Enclave) SGX() bool { return e.sgx }
-
-// Measurement returns the enclave identity hash.
-func (e *Enclave) Measurement() attest.Measurement { return e.meas }
-
-// Params returns the cost constants in effect.
-func (e *Enclave) Params() Params { return e.params }
-
-// Stats returns a snapshot of the counters.
-func (e *Enclave) Stats() Stats { return e.stats }
-
-// Alloc accounts n bytes of trusted heap growth.
-func (e *Enclave) Alloc(n int64) {
-	e.stats.HeapBytes += n
-	if e.stats.HeapBytes > e.stats.PeakHeapBytes {
-		e.stats.PeakHeapBytes = e.stats.HeapBytes
-	}
-}
-
-// Free accounts n bytes of trusted heap shrinkage.
-func (e *Enclave) Free(n int64) {
-	e.stats.HeapBytes -= n
-	if e.stats.HeapBytes < 0 {
-		e.stats.HeapBytes = 0
-	}
+	return &Enclave{params: params, sgx: sgx}
 }
 
 // SetHeap sets the trusted heap to an absolute value (the simulator
 // recomputes model+store residency each epoch).
-func (e *Enclave) SetHeap(n int64) {
-	e.stats.HeapBytes = n
-	if n > e.stats.PeakHeapBytes {
-		e.stats.PeakHeapBytes = n
-	}
-}
+func (e *Enclave) SetHeap(n int64) { e.heap = n }
 
 // Residency returns heap/EPC; values above 1 mean the EPC is
 // overcommitted and paging costs apply (Fig 7's regime).
 func (e *Enclave) Residency() float64 {
-	return float64(e.stats.HeapBytes) / float64(e.params.EPCBytes)
+	return float64(e.heap) / float64(e.params.EPCBytes)
 }
 
 // ComputeFactor returns the multiplicative slowdown for compute-bound
@@ -171,22 +123,13 @@ func (e *Enclave) MemFactor() float64 {
 	return e.ComputeFactor() + e.params.MemBoundOverhead
 }
 
-// ComputeTime scales a base duration by the current compute factor.
-func (e *Enclave) ComputeTime(base time.Duration) time.Duration {
-	return time.Duration(float64(base) * e.ComputeFactor())
-}
-
 // ECall charges one untrusted→trusted transition carrying n argument
 // bytes and returns its cost. Native builds cross no boundary.
 func (e *Enclave) ECall(n int) time.Duration {
 	if !e.sgx {
 		return 0
 	}
-	e.stats.ECalls++
-	e.stats.BytesIn += int64(n)
-	d := e.params.TransitionTime + time.Duration(n)*e.params.CopyPerByte
-	e.stats.TransitionOverhead += d
-	return d
+	return e.params.TransitionTime + time.Duration(n)*e.params.CopyPerByte
 }
 
 // OCall charges one trusted→untrusted transition carrying n bytes.
@@ -194,11 +137,7 @@ func (e *Enclave) OCall(n int) time.Duration {
 	if !e.sgx {
 		return 0
 	}
-	e.stats.OCalls++
-	e.stats.BytesOut += int64(n)
-	d := e.params.TransitionTime + time.Duration(n)*e.params.CopyPerByte
-	e.stats.TransitionOverhead += d
-	return d
+	return e.params.TransitionTime + time.Duration(n)*e.params.CopyPerByte
 }
 
 // CryptoTime charges AES-GCM protection of n network bytes (both sealing
@@ -207,9 +146,7 @@ func (e *Enclave) CryptoTime(n int) time.Duration {
 	if !e.sgx {
 		return 0
 	}
-	d := time.Duration(n) * e.params.CryptoPerByte
-	e.stats.CryptoOverhead += d
-	return d
+	return time.Duration(n) * e.params.CryptoPerByte
 }
 
 // NativeAllocTime charges the native build's on-demand page allocation for

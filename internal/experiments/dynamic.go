@@ -41,7 +41,7 @@ func init() {
 			// Dynamic overlay: the peer-sampling service steps once per
 			// epoch; the simulator consumes fresh snapshots. The view size
 			// is chosen so average degree is comparable to the small world.
-			psCfg := peersampling.Config{ViewSize: 4, SwapSize: 2, Healer: true}
+			psCfg := peersampling.Config{ViewSize: 4, SwapSize: 2}
 			ps := peersampling.New(n, psCfg, rand.New(rand.NewSource(p.Seed)))
 			for r := 0; r < 10; r++ {
 				ps.Step() // warm-up mixing before training starts

@@ -6,7 +6,6 @@ import (
 
 	"rex/internal/core"
 	"rex/internal/dataset"
-	"rex/internal/enclave"
 	"rex/internal/gossip"
 	"rex/internal/mf"
 	"rex/internal/model"
@@ -150,16 +149,6 @@ func buildGraph(topo string, n int, seed int64) (*topology.Graph, error) {
 // model (same seed — attested enclaves share initial state).
 func mfModelFactory(cfg mf.Config) func(int) model.Model {
 	return func(int) model.Model { return mf.New(cfg) }
-}
-
-// scaledEnclaveParams shrinks the EPC in scaled runs so the Fig 7
-// overcommit regime still occurs with the small dataset.
-func scaledEnclaveParams(full bool) enclave.Params {
-	p := enclave.DefaultParams()
-	if !full {
-		p.EPCBytes = 2 * 1024 * 1024
-	}
-	return p
 }
 
 // simConfig assembles the common parts of a simulated MF run.

@@ -125,18 +125,11 @@ func (r *Recommender) rated(i int, item uint32) (float64, bool) {
 	return 0, false
 }
 
-// similarity computes the adjusted-cosine similarity between two users
-// over their co-rated items; ok is false below the overlap threshold.
-// Both rows are walked in ascending item order, so the summation order —
-// and hence the float64 result — is a pure function of the profiles.
-func (r *Recommender) similarity(a, b uint32) (float64, bool) {
-	ra, rb := r.rowOf(a), r.rowOf(b)
-	if ra < 0 || rb < 0 {
-		return 0, false
-	}
-	return r.rowSimilarity(ra, rb)
-}
-
+// rowSimilarity computes the adjusted-cosine similarity between the users
+// of CSR rows ra and rb over their co-rated items; ok is false below the
+// overlap threshold. Both rows are walked in ascending item order, so the
+// summation order — and hence the float64 result — is a pure function of
+// the profiles.
 func (r *Recommender) rowSimilarity(ra, rb int) (float64, bool) {
 	ia, va := r.row(ra)
 	ib, vb := r.row(rb)

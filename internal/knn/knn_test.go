@@ -44,8 +44,8 @@ func TestSimilaritySymmetric(t *testing.T) {
 		{User: 1, Item: 0, Value: 4}, {User: 1, Item: 1, Value: 1}, {User: 1, Item: 2, Value: 5},
 	}
 	r := New(Config{K: 5, MinOverlap: 2, GlobalMean: 3}, rs)
-	ab, ok1 := r.similarity(0, 1)
-	ba, ok2 := r.similarity(1, 0)
+	ab, ok1 := r.rowSimilarity(r.rowOf(0), r.rowOf(1))
+	ba, ok2 := r.rowSimilarity(r.rowOf(1), r.rowOf(0))
 	if !ok1 || !ok2 {
 		t.Fatal("similarity unavailable")
 	}
@@ -60,7 +60,7 @@ func TestMinOverlapGuards(t *testing.T) {
 		{User: 1, Item: 0, Value: 5}, {User: 1, Item: 9, Value: 2},
 	}
 	r := New(Config{K: 5, MinOverlap: 2, GlobalMean: 3}, rs)
-	if _, ok := r.similarity(0, 1); ok {
+	if _, ok := r.rowSimilarity(r.rowOf(0), r.rowOf(1)); ok {
 		t.Fatal("single-item overlap passed MinOverlap=2")
 	}
 }

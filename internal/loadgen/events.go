@@ -199,17 +199,6 @@ func (g *Gen) EventsAt(t int, dst []Event) []Event {
 	return dst
 }
 
-// TotalEvents counts the schedule's events without materializing them.
-func (g *Gen) TotalEvents() uint64 {
-	var n uint64
-	for t := 0; t < g.spec.Ticks; t++ {
-		for u := 0; u < g.spec.Users; u++ {
-			n += uint64(g.countAt(u, t))
-		}
-	}
-	return n
-}
-
 // ScheduleDigest folds the whole schedule into one fingerprint (see
 // Event.Digest for the order-independence contract).
 func (g *Gen) ScheduleDigest() uint64 {

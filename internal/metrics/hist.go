@@ -2,7 +2,6 @@ package metrics
 
 import (
 	"math/bits"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -20,7 +19,6 @@ import (
 // The zero value is ready to use.
 type Hist struct {
 	counts [histBuckets]atomic.Uint64
-	count  atomic.Uint64
 	sum    atomic.Int64 // nanoseconds
 }
 
@@ -80,12 +78,8 @@ func (h *Hist) ObserveNanos(ns int64) {
 		ns = 0
 	}
 	h.counts[histIndex(ns)].Add(1)
-	h.count.Add(1)
 	h.sum.Add(ns)
 }
-
-// Count returns the number of observations so far.
-func (h *Hist) Count() uint64 { return h.count.Load() }
 
 // Snapshot returns a point-in-time copy suitable for quantile queries,
 // serialization and merging. Concurrent Observe calls may or may not be
@@ -217,16 +211,4 @@ func (s *StageSet) Snapshot() map[string]*HistSnapshot {
 		out[name] = h.Snapshot()
 	}
 	return out
-}
-
-// Names returns the stage names in sorted order.
-func (s *StageSet) Names() []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	names := make([]string, 0, len(s.m))
-	for name := range s.m {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names
 }

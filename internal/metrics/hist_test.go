@@ -147,8 +147,8 @@ func TestHistConcurrentObserve(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	if h.Count() != workers*per {
-		t.Fatalf("count %d, want %d", h.Count(), workers*per)
+	if got := h.Snapshot().Count; got != workers*per {
+		t.Fatalf("count %d, want %d", got, workers*per)
 	}
 }
 
@@ -173,17 +173,17 @@ func TestHistSnapshotJSONRoundTrip(t *testing.T) {
 	}
 }
 
-// TestStageSet: names are sorted, observations land in the right stage,
-// and snapshots are independent copies.
+// TestStageSet: observations land in the right stage, and snapshots are
+// independent copies.
 func TestStageSet(t *testing.T) {
 	ss := NewStageSet()
 	ss.Observe("train", 10*time.Millisecond)
 	ss.Observe("merge", time.Millisecond)
 	ss.Observe("train", 12*time.Millisecond)
-	if got := ss.Names(); len(got) != 2 || got[0] != "merge" || got[1] != "train" {
-		t.Fatalf("names %v", got)
-	}
 	snap := ss.Snapshot()
+	if len(snap) != 2 {
+		t.Fatalf("stages %v, want merge and train", snap)
+	}
 	if snap["train"].Count != 2 || snap["merge"].Count != 1 {
 		t.Fatalf("counts %d/%d", snap["train"].Count, snap["merge"].Count)
 	}

@@ -174,8 +174,8 @@ func TestTableIndexRoundTrips(t *testing.T) {
 			if got, ok := tab.idx.get(tab.ids, int32(id)); !ok || int(got) != slot {
 				t.Fatalf("%s: id %d at slot %d (%v), want %d", name, id, got, ok, slot)
 			}
-			if tab.has(id+1) != slices.Contains(ids, id+1) {
-				t.Fatalf("%s: has(%d) is wrong", name, id+1)
+			if _, ok := tab.slot(int32(id + 1)); ok != slices.Contains(ids, id+1) {
+				t.Fatalf("%s: slot(%d) found is %v", name, id+1, ok)
 			}
 		}
 	}

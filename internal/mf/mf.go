@@ -164,11 +164,6 @@ func (t *table) count() int { return len(t.ids) }
 // slot returns where id's record is stored.
 func (t *table) slot(id int32) (int32, bool) { return t.idx.get(t.ids, id) }
 
-func (t *table) has(id int) bool {
-	_, ok := t.slot(int32(id))
-	return ok
-}
-
 // reserve empties the table and makes room for n rows, so that appending
 // n ascending ids allocates nothing more. Unmarshal uses it on a receiver
 // that is decoded into again and again: arrays whose capacity suffices are
@@ -245,14 +240,6 @@ func (t *table) record(slot int32) []float32 {
 
 // row returns the factors stored at slot.
 func (t *table) row(slot int32) []float32 { return t.record(slot)[1:] }
-
-// vec materializes (if needed) and returns the factor row for id.
-func (t *table) vec(id int) []float32 {
-	if s, ok := t.slot(int32(id)); ok {
-		return t.row(s)
-	}
-	return t.materialize(id)
-}
 
 // materialize appends and seeds the row for id. The initial vector is a
 // pure function of (seed, id), so two models with equal seeds materialize
@@ -464,12 +451,6 @@ func (m *Model) WireSize() int {
 	rec := 4 + 4 + 4*m.cfg.K
 	return 16 + rec*(m.users.count()+m.items.count())
 }
-
-// NumUsers returns how many distinct users the model has embeddings for.
-func (m *Model) NumUsers() int { return m.users.count() }
-
-// NumItems returns how many distinct items the model has embeddings for.
-func (m *Model) NumItems() int { return m.items.count() }
 
 // Clone returns a deep copy sharing no state.
 func (m *Model) Clone() model.Model {

@@ -66,11 +66,10 @@ func TestDeterministicInit(t *testing.T) {
 	a, b := New(cfg), New(cfg)
 	// Touch the same entities in different orders; initial vectors must
 	// match (pure function of seed+id), the attested-equal-state property.
-	a.users.vec(3)
-	a.users.vec(7)
-	b.users.vec(7)
-	b.users.vec(3)
-	av, bv := a.users.vec(3), b.users.vec(3)
+	av := a.users.materialize(3)
+	a.users.materialize(7)
+	b.users.materialize(7)
+	bv := b.users.materialize(3)
 	for d := range av {
 		if av[d] != bv[d] {
 			t.Fatalf("dim %d: %v != %v", d, av[d], bv[d])
@@ -146,10 +145,10 @@ func TestMarshalV2Layout(t *testing.T) {
 	} {
 		m := New(cfg)
 		for _, id := range tc.users {
-			m.users.vec(id)
+			m.users.materialize(id)
 		}
 		for _, id := range tc.items {
-			m.items.vec(id)
+			m.items.materialize(id)
 		}
 		buf, err := m.Marshal()
 		if err != nil {
@@ -174,7 +173,7 @@ func TestMarshalV2Layout(t *testing.T) {
 	}
 
 	past := New(cfg)
-	past.items.vec(maxEntityID + 1)
+	past.items.materialize(maxEntityID + 1)
 	if _, err := past.Marshal(); err == nil {
 		t.Fatal("an id past maxEntityID marshaled")
 	}
@@ -329,8 +328,8 @@ func TestMergeDisjointAdoptsAlien(t *testing.T) {
 	if got := a.Predict(2, 2); got != bPred {
 		t.Fatalf("adopted prediction %v, want %v", got, bPred)
 	}
-	if a.NumItems() != 2 || a.NumUsers() != 2 {
-		t.Fatalf("union sizes wrong: %d users %d items", a.NumUsers(), a.NumItems())
+	if a.items.count() != 2 || a.users.count() != 2 {
+		t.Fatalf("union sizes wrong: %d users %d items", a.users.count(), a.items.count())
 	}
 }
 
@@ -340,9 +339,9 @@ func TestMergeWeightedAverage(t *testing.T) {
 	a := New(cfg)
 	b := New(cfg)
 	// Handcraft: set biases via direct table access.
-	a.users.vec(0)
+	a.users.materialize(0)
 	a.users.record(0)[0] = 1.0
-	b.users.vec(0)
+	b.users.materialize(0)
 	b.users.record(0)[0] = 3.0
 	a.MergeWeighted(0.25, []model.Weighted{{M: b, W: 0.75}})
 	if got := a.users.record(0)[0]; got != 0.25*1.0+0.75*3.0 {
@@ -352,7 +351,7 @@ func TestMergeWeightedAverage(t *testing.T) {
 
 func TestMergeIncompatibleIgnored(t *testing.T) {
 	a := New(DefaultConfig())
-	a.users.vec(0)
+	a.users.materialize(0)
 	a.users.record(0)[0] = 2
 	other := DefaultConfig()
 	other.K = 20
@@ -366,9 +365,9 @@ func TestMergeIncompatibleIgnored(t *testing.T) {
 func TestParamCountAndWireSize(t *testing.T) {
 	cfg := DefaultConfig()
 	m := New(cfg)
-	m.users.vec(0)
-	m.items.vec(3)
-	m.items.vec(9)
+	m.users.materialize(0)
+	m.items.materialize(3)
+	m.items.materialize(9)
 	wantParams := (cfg.K + 1) * 3
 	if m.ParamCount() != wantParams {
 		t.Fatalf("params %d want %d", m.ParamCount(), wantParams)
@@ -483,7 +482,7 @@ func TestSparseDenseMarshalParity(t *testing.T) {
 		}
 		rng.Shuffle(len(touches), func(i, j int) { touches[i], touches[j] = touches[j], touches[i] })
 		for _, tc := range touches {
-			tc.tab.vec(tc.id)
+			tc.tab.materialize(tc.id)
 		}
 		got, err := m.Marshal()
 		if err != nil {
@@ -518,10 +517,10 @@ func TestMarshalTouchOrderInvariance(t *testing.T) {
 		// samples steps, so it touches a subset of the data's ids), in a
 		// fresh random order each trial.
 		for _, s := range rng.Perm(direct.users.count()) {
-			m.users.vec(int(direct.users.ids[s]))
+			m.users.materialize(int(direct.users.ids[s]))
 		}
 		for _, s := range rng.Perm(direct.items.count()) {
-			m.items.vec(int(direct.items.ids[s]))
+			m.items.materialize(int(direct.items.ids[s]))
 		}
 		m.Train(data, 3000, rand.New(rand.NewSource(5)))
 		got, err := m.Marshal()

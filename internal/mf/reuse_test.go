@@ -21,8 +21,8 @@ func trainedOn(t testing.TB, seed int64, users, items, stride int) (*Model, []by
 	}
 	m := New(DefaultConfig())
 	m.Train(data, 20*len(data), rand.New(rand.NewSource(seed)))
-	if m.NumUsers() != users || m.NumItems() != items {
-		t.Fatalf("training touched %d users and %d items, want %d and %d", m.NumUsers(), m.NumItems(), users, items)
+	if m.users.count() != users || m.items.count() != items {
+		t.Fatalf("training touched %d users and %d items, want %d and %d", m.users.count(), m.items.count(), users, items)
 	}
 	b, err := m.Marshal()
 	if err != nil {

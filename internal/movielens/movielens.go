@@ -5,8 +5,7 @@
 // synthetic datasets with the same statistical fingerprints that matter to
 // every experiment: Zipf item popularity, heavy-tailed user activity, a
 // learnable latent-factor structure with user/item biases, and star ratings
-// quantized to 0.5..5.0 in steps of 0.5. A CSV loader is provided for real
-// MovieLens files when present.
+// quantized to 0.5..5.0 in steps of 0.5.
 //
 // Generate's output is a pure function of its Spec, and the repository's
 // golden trajectories are trained on it, so its rng call order is fixed. Item popularity comes from an unexported sampler whose contract

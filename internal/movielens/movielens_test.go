@@ -3,8 +3,6 @@ package movielens
 import (
 	"fmt"
 	"math"
-	"math/rand"
-	"strings"
 	"testing"
 
 	"rex/internal/dataset"
@@ -26,8 +24,10 @@ func TestGenerateTableIShape(t *testing.T) {
 	if st.MeanRating < 3.0 || st.MeanRating > 4.1 {
 		t.Fatalf("mean rating %.2f outside MovieLens-like range", st.MeanRating)
 	}
-	if err := ds.Validate(); err != nil {
-		t.Fatal(err)
+	for _, r := range ds.Ratings {
+		if int(r.User) >= ds.NumUsers || int(r.Item) >= ds.NumItems || r.Value != r.Value {
+			t.Fatalf("rating %+v outside %d users, %d items, or NaN", r, ds.NumUsers, ds.NumItems)
+		}
 	}
 }
 
@@ -132,99 +132,6 @@ func TestSummarizeEmpty(t *testing.T) {
 	st := Summarize(&dataset.Dataset{})
 	if st.Ratings != 0 || st.Users != 0 || st.Density != 0 {
 		t.Fatalf("empty summary: %+v", st)
-	}
-}
-
-const sampleCSV = `userId,movieId,rating,timestamp
-1,31,2.5,1260759144
-1,1029,3.0,1260759179
-2,31,4.0,835355493
-3,1061,3.5,1260759182
-`
-
-func TestLoadCSV(t *testing.T) {
-	ds, err := LoadCSV(strings.NewReader(sampleCSV), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ds.NumUsers != 3 || ds.NumItems != 3 || len(ds.Ratings) != 4 {
-		t.Fatalf("loaded %d users %d items %d ratings", ds.NumUsers, ds.NumItems, len(ds.Ratings))
-	}
-	// Dense remapping in first-appearance order: user "1" -> 0, item "31" -> 0.
-	if ds.Ratings[0].User != 0 || ds.Ratings[0].Item != 0 || ds.Ratings[0].Value != 2.5 {
-		t.Fatalf("first rating mismapped: %+v", ds.Ratings[0])
-	}
-	// Item 31 shared between users 1 and 2 must map to the same dense id.
-	if ds.Ratings[2].Item != ds.Ratings[0].Item {
-		t.Fatal("shared raw item mapped to different dense ids")
-	}
-}
-
-func TestLoadCSVUserCap(t *testing.T) {
-	ds, err := LoadCSV(strings.NewReader(sampleCSV), 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ds.NumUsers != 2 {
-		t.Fatalf("cap ignored: %d users", ds.NumUsers)
-	}
-	if len(ds.Ratings) != 3 {
-		t.Fatalf("capped dataset has %d ratings, want 3", len(ds.Ratings))
-	}
-}
-
-func TestLoadCSVErrors(t *testing.T) {
-	if _, err := LoadCSV(strings.NewReader(""), 0); err == nil {
-		t.Fatal("empty file accepted")
-	}
-	if _, err := LoadCSV(strings.NewReader("userId,movieId,rating\n1,2,notanumber\n"), 0); err == nil {
-		t.Fatal("bad rating accepted")
-	}
-}
-
-// TestLoadCSVPartitionedConformance checks the one-pass partitioned
-// loader against the two-pass reference (LoadCSV + PartitionPerUser) on
-// an interleaved multi-user file, with and without the user cap.
-func TestLoadCSVPartitionedConformance(t *testing.T) {
-	var sb strings.Builder
-	sb.WriteString("userId,movieId,rating,timestamp\n")
-	// Users appear interleaved and out of order, sharing items, so the
-	// dense remap and per-node grouping both do real work.
-	rng := rand.New(rand.NewSource(31))
-	users := []string{"42", "7", "100", "7", "42", "9", "100", "42", "9", "7", "55", "55"}
-	for i, u := range users {
-		fmt.Fprintf(&sb, "%s,%d,%.1f,0\n", u, 10+rng.Intn(6), float64(rng.Intn(9)+2)/2)
-		_ = i
-	}
-	csvText := sb.String()
-
-	for _, cap := range []int{0, 2} {
-		ds, err := LoadCSV(strings.NewReader(csvText), cap)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := ds.PartitionPerUser()
-		if err != nil {
-			t.Fatal(err)
-		}
-		parts, nu, ni, err := LoadCSVPartitioned(strings.NewReader(csvText), cap)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if nu != ds.NumUsers || ni != ds.NumItems || len(parts) != len(want) {
-			t.Fatalf("cap=%d: got %d users %d items %d parts, want %d/%d/%d",
-				cap, nu, ni, len(parts), ds.NumUsers, ds.NumItems, len(want))
-		}
-		for node := range want {
-			if len(parts[node]) != len(want[node]) {
-				t.Fatalf("cap=%d node %d: %d ratings, want %d", cap, node, len(parts[node]), len(want[node]))
-			}
-			for k := range want[node] {
-				if parts[node][k] != want[node][k] {
-					t.Fatalf("cap=%d node %d rating %d: %+v, want %+v", cap, node, k, parts[node][k], want[node][k])
-				}
-			}
-		}
 	}
 }
 

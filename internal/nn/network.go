@@ -87,9 +87,6 @@ func NewNet(cfg Config) *Net {
 	return n
 }
 
-// Config returns the network configuration.
-func (n *Net) Config() Config { return n.cfg }
-
 // ParamCount implements model.Model.
 func (n *Net) ParamCount() int {
 	total := 0

@@ -7,10 +7,8 @@ import (
 	"rex/internal/topology"
 )
 
-// The chaos harness (internal/faultnet) leans on the peer-sampling
-// overlay staying connected while nodes leave and rejoin; these tables
-// pin the ROADMAP-noted edge cases — tiny n, view sizes at or past n,
-// and heavy churn — that the main tests don't reach.
+// These tables pin the edge cases the main tests don't reach: tiny n and
+// view sizes at or past n.
 
 func TestOverlayConnectedTable(t *testing.T) {
 	cases := []struct {
@@ -23,9 +21,8 @@ func TestOverlayConnectedTable(t *testing.T) {
 		{"n3-view-exceeds-n", 3, Config{ViewSize: 8, SwapSize: 4}, 10},
 		{"n4-view-equals-n", 4, Config{ViewSize: 4, SwapSize: 2}, 10},
 		{"n5-swap-equals-view", 5, Config{ViewSize: 4, SwapSize: 4}, 10},
-		{"n8-no-healer", 8, Config{ViewSize: 4, SwapSize: 2, Healer: false}, 20},
 		{"n16-default", 16, DefaultConfig(), 20},
-		{"n64-small-view", 64, Config{ViewSize: 6, SwapSize: 3, Healer: true}, 30},
+		{"n64-small-view", 64, Config{ViewSize: 6, SwapSize: 3}, 30},
 	}
 	for _, tc := range cases {
 		tc := tc
@@ -34,15 +31,13 @@ func TestOverlayConnectedTable(t *testing.T) {
 				s := New(tc.n, tc.cfg, rand.New(rand.NewSource(seed)))
 				for r := 0; r < tc.rounds; r++ {
 					s.Step()
-					g := s.Snapshot()
-					if !topology.IsConnected(g) {
-						t.Fatalf("seed %d round %d: overlay disconnected: %v",
-							seed, r, topology.Components(g))
+					if comps := topology.Components(s.Snapshot()); len(comps) != 1 {
+						t.Fatalf("seed %d round %d: overlay disconnected: %v", seed, r, comps)
 					}
 				}
 				// Views never exceed capacity or contain self/dupes.
 				for i := 0; i < tc.n; i++ {
-					view := s.View(i)
+					view := s.views[i]
 					if len(view) > tc.cfg.ViewSize {
 						t.Fatalf("seed %d: node %d view %d > cap %d", seed, i, len(view), tc.cfg.ViewSize)
 					}
@@ -59,88 +54,5 @@ func TestOverlayConnectedTable(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// TestSurvivorsReconnectAfterMassChurn: kill nearly half the mesh at
-// once; the healer policy must age the dead out and keep the survivors'
-// induced overlay connected — the property faultnet partitions rely on
-// when a split never heals.
-func TestSurvivorsReconnectAfterMassChurn(t *testing.T) {
-	const n = 24
-	s := New(n, Config{ViewSize: 8, SwapSize: 4, Healer: true}, rand.New(rand.NewSource(7)))
-	for r := 0; r < 10; r++ {
-		s.Step()
-	}
-	for i := 0; i < n/2-2; i++ {
-		s.Kill(i)
-	}
-	for r := 0; r < 30; r++ {
-		s.Step()
-	}
-	g := s.Snapshot()
-	live := s.LiveNodes()
-	if len(live) != n/2+2 {
-		t.Fatalf("%d live nodes", len(live))
-	}
-	// All live nodes form one component (dead ones are isolated vertices).
-	comps := topology.Components(g)
-	liveComp := 0
-	for _, c := range comps {
-		if len(c) > 1 {
-			liveComp++
-			if len(c) != len(live) {
-				t.Fatalf("survivors split: component %d of %d live", len(c), len(live))
-			}
-		}
-	}
-	if liveComp != 1 {
-		t.Fatalf("%d non-trivial components", liveComp)
-	}
-	// No survivor still references a dead peer.
-	for _, i := range live {
-		for _, d := range s.View(i) {
-			if d.ID < n/2-2 {
-				t.Fatalf("node %d still references dead %d after 30 rounds", i, d.ID)
-			}
-		}
-	}
-}
-
-// TestTwoSurvivors: the extreme churn edge — exactly two nodes left keep
-// gossiping with each other rather than deadlocking on empty views.
-func TestTwoSurvivors(t *testing.T) {
-	const n = 6
-	s := New(n, Config{ViewSize: 4, SwapSize: 2, Healer: true}, rand.New(rand.NewSource(3)))
-	for r := 0; r < 5; r++ {
-		s.Step()
-	}
-	for i := 2; i < n; i++ {
-		s.Kill(i)
-	}
-	for r := 0; r < 10; r++ {
-		s.Step()
-	}
-	g := s.Snapshot()
-	if !g.HasEdge(0, 1) {
-		t.Fatal("last two survivors lost each other")
-	}
-}
-
-// TestAllDeadIsInert: killing everyone must leave Step a no-op rather
-// than a panic — the terminal state of an unhealed total churn schedule.
-func TestAllDeadIsInert(t *testing.T) {
-	s := New(4, DefaultConfig(), rand.New(rand.NewSource(2)))
-	for i := 0; i < 4; i++ {
-		s.Kill(i)
-	}
-	for r := 0; r < 3; r++ {
-		s.Step()
-	}
-	if len(s.LiveNodes()) != 0 {
-		t.Fatal("dead nodes resurrected")
-	}
-	if g := s.Snapshot(); g.NumEdges() != 0 {
-		t.Fatal("dead overlay has edges")
 	}
 }

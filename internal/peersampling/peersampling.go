@@ -3,13 +3,12 @@
 // Jelasity et al., "Gossip-based peer sampling", ACM TOCS 2007): each node
 // maintains a small partial view of the network and periodically swaps
 // halves of it with a random peer, which keeps the induced overlay
-// connected, low-diameter and self-healing without any global membership.
+// connected and low-diameter without any global membership.
 // REX deployments can bootstrap and maintain their communication graph
 // with this service instead of a static topology.
 package peersampling
 
 import (
-	"fmt"
 	"math/rand"
 	"sort"
 
@@ -28,13 +27,10 @@ type Config struct {
 	ViewSize int
 	// SwapSize is how many descriptors are exchanged per round (<= c/2).
 	SwapSize int
-	// Healer prioritizes dropping the oldest descriptors (the H
-	// parameter of the original protocol, here as a boolean policy).
-	Healer bool
 }
 
 // DefaultConfig returns a robust configuration.
-func DefaultConfig() Config { return Config{ViewSize: 12, SwapSize: 6, Healer: true} }
+func DefaultConfig() Config { return Config{ViewSize: 12, SwapSize: 6} }
 
 // Service simulates peer sampling for n nodes (round-synchronous). It is
 // the membership substrate; use Snapshot to materialize the current
@@ -42,9 +38,7 @@ func DefaultConfig() Config { return Config{ViewSize: 12, SwapSize: 6, Healer: t
 type Service struct {
 	cfg   Config
 	views [][]Descriptor
-	alive []bool
 	rng   *rand.Rand
-	round int
 }
 
 // New creates the service with ring-initialized views (each node knows
@@ -58,9 +52,7 @@ func New(n int, cfg Config, rng *rand.Rand) *Service {
 	}
 	s := &Service{cfg: cfg, rng: rng}
 	s.views = make([][]Descriptor, n)
-	s.alive = make([]bool, n)
 	for i := 0; i < n; i++ {
-		s.alive[i] = true
 		view := make([]Descriptor, 0, cfg.ViewSize)
 		for d := 1; d <= cfg.ViewSize && d < n; d++ {
 			view = append(view, Descriptor{ID: (i + d) % n})
@@ -70,35 +62,11 @@ func New(n int, cfg Config, rng *rand.Rand) *Service {
 	return s
 }
 
-// N returns the node count.
-func (s *Service) N() int { return len(s.views) }
-
-// Round returns how many gossip rounds have run.
-func (s *Service) Round() int { return s.round }
-
-// View returns a copy of node i's current partial view.
-func (s *Service) View(i int) []Descriptor {
-	return append([]Descriptor(nil), s.views[i]...)
-}
-
-// Kill removes a node: it stops gossiping and its descriptors age out of
-// other views (self-healing).
-func (s *Service) Kill(i int) {
-	if i >= 0 && i < len(s.alive) {
-		s.alive[i] = false
-		s.views[i] = nil
-	}
-}
-
-// Step runs one synchronous gossip round: every live node ages its view,
-// picks its oldest live peer, and the pair exchange SwapSize descriptors.
+// Step runs one synchronous gossip round: every node ages its view, picks
+// its oldest peer, and the pair exchange SwapSize descriptors.
 func (s *Service) Step() {
-	s.round++
 	order := s.rng.Perm(len(s.views))
 	for _, i := range order {
-		if !s.alive[i] {
-			continue
-		}
 		for k := range s.views[i] {
 			s.views[i][k].Age++
 		}
@@ -110,22 +78,14 @@ func (s *Service) Step() {
 	}
 }
 
-// selectPeer returns node i's oldest view entry that is still alive,
-// dropping dead entries encountered along the way.
+// selectPeer returns node i's oldest view entry, or -1 for an empty view.
 func (s *Service) selectPeer(i int) int {
 	view := s.views[i]
-	sort.Slice(view, func(a, b int) bool { return view[a].Age > view[b].Age })
-	for k, d := range view {
-		if s.alive[d.ID] {
-			if k > 0 {
-				// Entries older than the chosen one were dead: drop them.
-				s.views[i] = view[k:]
-			}
-			return d.ID
-		}
+	if len(view) == 0 {
+		return -1
 	}
-	s.views[i] = view[:0]
-	return -1
+	sort.Slice(view, func(a, b int) bool { return view[a].Age > view[b].Age })
+	return view[0].ID
 }
 
 // exchange swaps descriptor buffers between i and j and merges.
@@ -152,8 +112,8 @@ func (s *Service) buffer(i int) []Descriptor {
 }
 
 // merge folds received descriptors into node i's view: dedup by id keeping
-// the freshest, drop self, then trim to capacity (oldest first when the
-// healer policy is on, random otherwise).
+// the freshest, drop self, then trim to capacity, oldest first (the healer
+// policy of the original protocol).
 func (s *Service) merge(i int, received []Descriptor) {
 	byID := make(map[int]Descriptor, len(s.views[i])+len(received))
 	keep := func(d Descriptor) {
@@ -174,17 +134,12 @@ func (s *Service) merge(i int, received []Descriptor) {
 	for _, d := range byID {
 		merged = append(merged, d)
 	}
-	if s.cfg.Healer {
-		sort.Slice(merged, func(a, b int) bool {
-			if merged[a].Age != merged[b].Age {
-				return merged[a].Age < merged[b].Age
-			}
-			return merged[a].ID < merged[b].ID
-		})
-	} else {
-		sort.Slice(merged, func(a, b int) bool { return merged[a].ID < merged[b].ID })
-		s.rng.Shuffle(len(merged), func(a, b int) { merged[a], merged[b] = merged[b], merged[a] })
-	}
+	sort.Slice(merged, func(a, b int) bool {
+		if merged[a].Age != merged[b].Age {
+			return merged[a].Age < merged[b].Age
+		}
+		return merged[a].ID < merged[b].ID
+	})
 	if len(merged) > s.cfg.ViewSize {
 		merged = merged[:s.cfg.ViewSize]
 	}
@@ -192,35 +147,13 @@ func (s *Service) merge(i int, received []Descriptor) {
 }
 
 // Snapshot materializes the current overlay as an undirected graph: an
-// edge (i, j) exists when either node holds the other in its view. Dead
-// nodes are isolated vertices.
+// edge (i, j) exists when either node holds the other in its view.
 func (s *Service) Snapshot() *topology.Graph {
 	g := topology.NewGraph(len(s.views))
 	for i, view := range s.views {
-		if !s.alive[i] {
-			continue
-		}
 		for _, d := range view {
-			if s.alive[d.ID] {
-				g.AddEdge(i, d.ID)
-			}
+			g.AddEdge(i, d.ID)
 		}
 	}
 	return g
-}
-
-// LiveNodes returns the ids of nodes still alive.
-func (s *Service) LiveNodes() []int {
-	var out []int
-	for i, a := range s.alive {
-		if a {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
-// String summarizes the service state.
-func (s *Service) String() string {
-	return fmt.Sprintf("peersampling{n=%d round=%d live=%d}", len(s.views), s.round, len(s.LiveNodes()))
 }

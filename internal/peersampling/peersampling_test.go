@@ -17,8 +17,8 @@ func TestViewBounds(t *testing.T) {
 	for r := 0; r < 30; r++ {
 		s.Step()
 	}
-	for i := 0; i < s.N(); i++ {
-		v := s.View(i)
+	for i := 0; i < len(s.views); i++ {
+		v := s.views[i]
 		if len(v) == 0 || len(v) > DefaultConfig().ViewSize {
 			t.Fatalf("node %d view size %d", i, len(v))
 		}
@@ -26,7 +26,7 @@ func TestViewBounds(t *testing.T) {
 			if d.ID == i {
 				t.Fatalf("node %d holds itself in its view", i)
 			}
-			if d.ID < 0 || d.ID >= s.N() {
+			if d.ID < 0 || d.ID >= len(s.views) {
 				t.Fatalf("bad id %d", d.ID)
 			}
 		}
@@ -38,9 +38,9 @@ func TestNoDuplicateDescriptors(t *testing.T) {
 	for r := 0; r < 20; r++ {
 		s.Step()
 	}
-	for i := 0; i < s.N(); i++ {
+	for i := 0; i < len(s.views); i++ {
 		seen := map[int]bool{}
-		for _, d := range s.View(i) {
+		for _, d := range s.views[i] {
 			if seen[d.ID] {
 				t.Fatalf("node %d has duplicate descriptor %d", i, d.ID)
 			}
@@ -54,15 +54,32 @@ func TestOverlayStaysConnected(t *testing.T) {
 	for r := 0; r < 40; r++ {
 		s.Step()
 		if r%10 == 9 {
-			if !topology.IsConnected(s.Snapshot()) {
+			if len(topology.Components(s.Snapshot())) != 1 {
 				t.Fatalf("overlay disconnected at round %d", r)
 			}
 		}
 	}
-	g := s.Snapshot()
-	if d := topology.Diameter(g); d <= 0 || d > 6 {
+	if d := diameter(s.Snapshot()); d <= 0 || d > 6 {
 		t.Fatalf("overlay diameter %d, expected small", d)
 	}
+}
+
+// diameter returns the longest shortest path of a connected graph.
+func diameter(g *topology.Graph) int {
+	d := 0
+	for src := 0; src < g.N(); src++ {
+		dist := map[int]int{src: 0}
+		for q := []int{src}; len(q) > 0; q = q[1:] {
+			for _, w := range g.Neighbors(q[0]) {
+				if _, seen := dist[w]; !seen {
+					dist[w] = dist[q[0]] + 1
+					d = max(d, dist[w])
+					q = append(q, w)
+				}
+			}
+		}
+	}
+	return d
 }
 
 func TestViewsRandomizeAwayFromRing(t *testing.T) {
@@ -72,7 +89,7 @@ func TestViewsRandomizeAwayFromRing(t *testing.T) {
 	}
 	// After mixing, node 0's view should not be just its ring successors.
 	ringOnly := true
-	for _, d := range s.View(0) {
+	for _, d := range s.views[0] {
 		if d.ID > DefaultConfig().ViewSize && d.ID < 100-1 {
 			ringOnly = false
 			break
@@ -81,71 +98,6 @@ func TestViewsRandomizeAwayFromRing(t *testing.T) {
 	if ringOnly {
 		t.Fatal("views never mixed beyond the bootstrap ring")
 	}
-}
-
-func TestSelfHealingAfterChurn(t *testing.T) {
-	s := service(t, 60, 5)
-	for r := 0; r < 10; r++ {
-		s.Step()
-	}
-	// Kill a third of the network.
-	for i := 0; i < 20; i++ {
-		s.Kill(i * 3)
-	}
-	for r := 0; r < 30; r++ {
-		s.Step()
-	}
-	// Dead descriptors age out: live nodes' views reference live peers
-	// predominantly, and the live overlay is connected.
-	g := s.Snapshot()
-	live := s.LiveNodes()
-	if len(live) != 40 {
-		t.Fatalf("live count %d", len(live))
-	}
-	// Check connectivity restricted to live nodes: build the live-induced
-	// subgraph via components containing live nodes.
-	comps := topology.Components(g)
-	var liveComp []int
-	for _, c := range comps {
-		hasLive := false
-		for _, v := range c {
-			if s.alive[v] {
-				hasLive = true
-				break
-			}
-		}
-		if hasLive {
-			if liveComp != nil {
-				t.Fatalf("live overlay split into multiple components")
-			}
-			liveComp = c
-		}
-	}
-	deadRefs := 0
-	total := 0
-	for _, i := range live {
-		for _, d := range s.View(i) {
-			total++
-			if !s.alive[d.ID] {
-				deadRefs++
-			}
-		}
-	}
-	if total == 0 || float64(deadRefs)/float64(total) > 0.2 {
-		t.Fatalf("views still reference the dead: %d/%d", deadRefs, total)
-	}
-}
-
-func TestKillIdempotentAndBounds(t *testing.T) {
-	s := service(t, 10, 6)
-	s.Kill(3)
-	s.Kill(3)
-	s.Kill(-1) // no-op
-	s.Kill(99) // no-op
-	if len(s.LiveNodes()) != 9 {
-		t.Fatalf("live %d", len(s.LiveNodes()))
-	}
-	s.Step() // must not panic with a dead node present
 }
 
 func TestSnapshotUsableBySimulator(t *testing.T) {
@@ -170,7 +122,7 @@ func TestDeterministicUnderSeed(t *testing.T) {
 		b.Step()
 	}
 	for i := 0; i < 25; i++ {
-		va, vb := a.View(i), b.View(i)
+		va, vb := a.views[i], b.views[i]
 		if len(va) != len(vb) {
 			t.Fatalf("node %d view sizes differ", i)
 		}

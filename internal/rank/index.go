@@ -85,9 +85,6 @@ func NewIndex(ratings []dataset.Rating, numItems int) *Index {
 	return ix
 }
 
-// NumItems returns the candidate range bound.
-func (ix *Index) NumItems() int { return ix.numItems }
-
 // TopN ranks the n best unseen items for the user under the given
 // predictor — exactly TopN(m, user, ix.NumItems(), n, SeenSet(ratings,
 // user)) over the indexed ratings, with the seen set coming from the cache

@@ -50,14 +50,6 @@ const (
 	payloadData  byte = 2
 )
 
-// EncodePayload serializes a protocol payload flat: sender id, degree,
-// kind, then the model or ratings bytes. No gossip frame carries it; it is
-// the reference encoding the delta wire is measured against
-// (Stats.WireRawBytes counts what it would have cost).
-func EncodePayload(p core.Payload) ([]byte, error) {
-	return EncodePayloadAppend(make([]byte, 0, 9+payloadBodySize(p)), p)
-}
-
 // payloadBodySize is the flat body's charge: a model's WireSize (the
 // paper's size, an upper bound on its marshaled length, so a capacity hint
 // for the encode buffer) or the rating block's exact length.
@@ -72,9 +64,12 @@ func payloadBodySize(p core.Payload) int {
 	}
 }
 
-// EncodePayloadAppend appends the EncodePayload serialization to dst and
-// returns the extended slice, so a caller reusing one buffer encodes with
-// zero allocations. Models supporting model.AppendMarshaler serialize
+// EncodePayloadAppend serializes a protocol payload flat — sender id,
+// degree, kind, then the model or ratings bytes — appending to dst and
+// returning the extended slice, so a caller reusing one buffer encodes with
+// zero allocations. No gossip frame carries it; it is the reference
+// encoding the delta wire is measured against (Stats.WireRawBytes counts
+// what it would have cost). Models supporting model.AppendMarshaler serialize
 // straight into the output buffer, with no staging copy of the (large)
 // parameter body.
 func EncodePayloadAppend(dst []byte, p core.Payload) ([]byte, error) {
@@ -113,7 +108,7 @@ func marshalAppend(dst []byte, m model.Model) ([]byte, error) {
 	return dst, nil
 }
 
-// DecodePayload parses EncodePayload output. newModel supplies an empty
+// DecodePayload parses EncodePayloadAppend output. newModel supplies an empty
 // model for unmarshaling when the payload carries parameters.
 func DecodePayload(b []byte, newModel func() model.Model) (core.Payload, error) {
 	if len(b) < 9 {

@@ -531,7 +531,7 @@ func (r *runner) initDelta(resume bool) {
 // deltaSendStats is the per-frame accounting encodeDeltaBody returns.
 type deltaSendStats struct {
 	refs, explicit int64
-	raw            int64 // bytes EncodePayload's flat frame, behind a kind byte, would have cost
+	raw            int64 // bytes EncodePayloadAppend's flat frame, behind a kind byte, would have cost
 	resync         bool  // frame carried a stream reset
 }
 

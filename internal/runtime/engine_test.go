@@ -197,7 +197,7 @@ func TestEngineResumeStartEpoch(t *testing.T) {
 	snap := e.Snapshot()
 
 	// "Restart": rebuild the node from the snapshot, as cmd/rexd does.
-	restored := core.RestoreNode(node.Cfg, snap.Model.Clone(), snap.Ratings, cfg.Nodes[0].Test, snap.Epoch)
+	restored := core.NewNode(node.Cfg, snap.Model.Clone(), snap.Ratings, cfg.Nodes[0].Test)
 	eps2 := NewChanNet(1)
 	defer eps2[0].Close()
 	e2, err := NewEngine(Config{
@@ -218,8 +218,8 @@ func TestEngineResumeStartEpoch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if e2.Epoch() != 4 || restored.Epoch() != 4 {
-		t.Fatalf("after resumed step: engine epoch %d node epoch %d, want 4/4", e2.Epoch(), restored.Epoch())
+	if e2.Epoch() != 4 {
+		t.Fatalf("after resumed step: engine epoch %d, want 4", e2.Epoch())
 	}
 	if math.IsNaN(rmse) || rmse <= 0 || rmse > 3 {
 		t.Fatalf("resumed rmse %v", rmse)

@@ -25,7 +25,7 @@ func FuzzDecodePayload(f *testing.F) {
 		{From: 3, Degree: 7},
 		{From: 1, Degree: 2, Data: []dataset.Rating{{User: 5, Item: 6, Value: 2.5}}},
 	} {
-		b, err := EncodePayload(p)
+		b, err := EncodePayloadAppend(nil, p)
 		if err != nil {
 			f.Fatal(err)
 		}
@@ -33,7 +33,7 @@ func FuzzDecodePayload(f *testing.F) {
 	}
 	m := mf.New(mcfg)
 	m.Train([]dataset.Rating{{User: 1, Item: 2, Value: 4}}, 50, rand.New(rand.NewSource(1)))
-	if b, err := EncodePayload(core.Payload{From: 9, Degree: 4, Model: m}); err == nil {
+	if b, err := EncodePayloadAppend(nil, core.Payload{From: 9, Degree: 4, Model: m}); err == nil {
 		f.Add(b)
 	}
 	f.Add([]byte{})
@@ -50,7 +50,7 @@ func FuzzDecodePayload(f *testing.F) {
 		if err != nil {
 			return
 		}
-		if _, err := EncodePayload(p); err != nil {
+		if _, err := EncodePayloadAppend(nil, p); err != nil {
 			t.Fatalf("decoded payload does not re-encode: %v", err)
 		}
 	})

@@ -145,7 +145,7 @@ type Stats struct {
 	Resyncs int64
 	// WireRawBytes accumulates, for every gossip frame actually handed to
 	// the transport, the plaintext bytes its payload would have cost in the
-	// flat reference encoding (EncodePayload behind a kind byte, a model
+	// flat reference encoding (EncodePayloadAppend behind a kind byte, a model
 	// charged at its WireSize).
 	// WireRawBytes-BytesOnWire is the volume the delta wire saved; in
 	// secure mode it understates the saving, because BytesOnWire also

@@ -74,7 +74,7 @@ func TestTCPNetRoundtrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer a.Close()
-	b, err := NewTCPNet(1, "127.0.0.1:0", map[int]string{0: a.Addr().String()})
+	b, err := NewTCPNet(1, "127.0.0.1:0", map[int]string{0: a.ln.Addr().String()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +99,7 @@ func TestTCPNetOrdering(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer a.Close()
-	b, err := NewTCPNet(1, "127.0.0.1:0", map[int]string{0: a.Addr().String()})
+	b, err := NewTCPNet(1, "127.0.0.1:0", map[int]string{0: a.ln.Addr().String()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +151,7 @@ func BenchmarkWireBatch(b *testing.B) {
 			acks <- struct{}{}
 		}
 	}()
-	hub, err := NewTCPNet(0, "127.0.0.1:0", map[int]string{1: recv.Addr().String()})
+	hub, err := NewTCPNet(0, "127.0.0.1:0", map[int]string{1: recv.ln.Addr().String()})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -183,7 +183,7 @@ func TestPayloadCodecRoundtrip(t *testing.T) {
 		{From: 9, Degree: 4, Model: m},
 	}
 	for i, p := range cases {
-		b, err := EncodePayload(p)
+		b, err := EncodePayloadAppend(nil, p)
 		if err != nil {
 			t.Fatalf("case %d: %v", i, err)
 		}
@@ -229,7 +229,7 @@ func newTCPMesh(t *testing.T, n int) []*TCPNet {
 		}
 		t.Cleanup(func() { tn.Close() })
 		nets[i] = tn
-		addrs[i] = tn.Addr().String()
+		addrs[i] = tn.ln.Addr().String()
 	}
 	for i := 0; i < n; i++ {
 		peers := map[int]string{}

@@ -119,9 +119,6 @@ func NewTCPNet(id int, listenAddr string, peers map[int]string) (*TCPNet, error)
 	return t, nil
 }
 
-// Addr returns the bound listen address.
-func (t *TCPNet) Addr() net.Addr { return t.ln.Addr() }
-
 func (t *TCPNet) acceptLoop() {
 	defer t.wg.Done()
 	for {

@@ -151,17 +151,12 @@ func (c *Channel) nonce(seq uint64, sending bool) []byte {
 	return n[:]
 }
 
-// Seal encrypts and authenticates plaintext, advancing the send sequence.
-// The output carries no nonce: both sides track sequences, so any drop or
-// reorder surfaces as an authentication failure — the strict in-order
-// delivery REX's pairwise TCP/ZeroMQ links provide.
-func (c *Channel) Seal(plaintext []byte) []byte {
-	return c.SealAppend(nil, plaintext)
-}
-
-// SealAppend is Seal appending the ciphertext to dst (which may be nil, or
-// a buffer being reused across epochs) and returning the extended slice.
-// dst must not alias plaintext.
+// SealAppend encrypts and authenticates plaintext, advancing the send
+// sequence, and appends the ciphertext to dst (which may be nil, or a
+// buffer being reused across epochs), returning the extended slice. dst
+// must not alias plaintext. The output carries no nonce: both sides track
+// sequences, so any drop or reorder surfaces as an authentication failure —
+// the strict in-order delivery REX's pairwise TCP/ZeroMQ links provide.
 func (c *Channel) SealAppend(dst, plaintext []byte) []byte {
 	ct := c.aead.Seal(dst, c.nonce(c.sendSeq, true), plaintext, nil)
 	c.sendSeq++
@@ -171,15 +166,10 @@ func (c *Channel) SealAppend(dst, plaintext []byte) []byte {
 // ErrAuth is returned when decryption fails (tampering, replay, or loss).
 var ErrAuth = errors.New("seccha: message authentication failed")
 
-// Open decrypts the next in-order ciphertext, advancing the receive
-// sequence only on success.
-func (c *Channel) Open(ciphertext []byte) ([]byte, error) {
-	return c.OpenAppend(nil, ciphertext)
-}
-
-// OpenAppend is Open appending the plaintext to dst (which may be nil, or
-// a buffer being reused across epochs) and returning the extended slice.
-// dst must not alias ciphertext.
+// OpenAppend decrypts the next in-order ciphertext, advancing the receive
+// sequence only on success, and appends the plaintext to dst (which may be
+// nil, or a buffer being reused across epochs), returning the extended
+// slice. dst must not alias ciphertext.
 func (c *Channel) OpenAppend(dst, ciphertext []byte) ([]byte, error) {
 	pt, err := c.aead.Open(dst, c.nonce(c.recvSeq, false), ciphertext, nil)
 	if err != nil {
@@ -288,30 +278,4 @@ func (c *Channel) seqMark(seq uint64) {
 		return
 	}
 	c.recvMask |= 1 << (c.recvMax - seq - 1)
-}
-
-// Rekey ratchets the channel onto a fresh key derived from the current
-// one via HKDF, resetting both sequence counters. Long-lived REX sessions
-// rekey periodically so the nonce space never nears exhaustion and old
-// keys cannot decrypt future traffic (forward ratchet). Both peers must
-// call Rekey at an agreed point (e.g. every N epochs).
-func (c *Channel) Rekey(currentKeyHint []byte) error {
-	next := HKDF(currentKeyHint, nil, []byte("rex-rekey-v1"), 32)
-	block, err := aes.NewCipher(next)
-	if err != nil {
-		return fmt.Errorf("seccha: rekey cipher: %w", err)
-	}
-	aead, err := cipher.NewGCM(block)
-	if err != nil {
-		return fmt.Errorf("seccha: rekey GCM: %w", err)
-	}
-	c.aead = aead
-	c.sendSeq = 0
-	c.recvSeq = 0
-	c.recvMax, c.recvMask, c.recvAny = 0, 0, false
-	// Zero the caller's copy of the retired key material.
-	for i := range currentKeyHint {
-		currentKeyHint[i] = 0
-	}
-	return nil
 }

@@ -49,11 +49,11 @@ func pair(t *testing.T) (*Channel, *Channel) {
 func TestChannelRoundtrip(t *testing.T) {
 	a, b := pair(t)
 	msg := []byte("raw ratings are safe in here")
-	ct := a.Seal(msg)
+	ct := a.SealAppend(nil, msg)
 	if bytes.Contains(ct, msg) {
 		t.Fatal("ciphertext leaks plaintext")
 	}
-	pt, err := b.Open(ct)
+	pt, err := b.OpenAppend(nil, ct)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,8 +64,8 @@ func TestChannelRoundtrip(t *testing.T) {
 
 // TestChannelAppendVariants pins the buffer-reuse API the live runtime's
 // share/open scratch depends on: SealAppend/OpenAppend must produce the
-// same bytes as Seal/Open, append after any prefix, and stay correct when
-// the same buffer is recycled across messages.
+// same bytes as into a nil buffer, append after any prefix, and stay
+// correct when the same buffer is recycled across messages.
 func TestChannelAppendVariants(t *testing.T) {
 	key := bytes.Repeat([]byte{0x5c}, 32)
 	mk := func(init bool) *Channel {
@@ -80,13 +80,13 @@ func TestChannelAppendVariants(t *testing.T) {
 	var sealBuf, openBuf []byte
 	for i := 0; i < 5; i++ {
 		msg := []byte(fmt.Sprintf("epoch %d payload", i))
-		ref := a2.Seal(msg)
+		ref := a2.SealAppend(nil, msg)
 		sealBuf = append(sealBuf[:0], 0xEE) // simulated frame kind prefix
 		sealBuf = a.SealAppend(sealBuf, msg)
 		if sealBuf[0] != 0xEE || !bytes.Equal(sealBuf[1:], ref) {
-			t.Fatalf("message %d: SealAppend diverged from Seal", i)
+			t.Fatalf("message %d: SealAppend diverged from a nil-buffer seal", i)
 		}
-		refPt, err := b2.Open(ref)
+		refPt, err := b2.OpenAppend(nil, ref)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -106,10 +106,10 @@ func TestChannelBidirectional(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		m1 := []byte{byte(i), 1}
 		m2 := []byte{byte(i), 2}
-		if pt, err := b.Open(a.Seal(m1)); err != nil || !bytes.Equal(pt, m1) {
+		if pt, err := b.OpenAppend(nil, a.SealAppend(nil, m1)); err != nil || !bytes.Equal(pt, m1) {
 			t.Fatalf("a->b msg %d: %v", i, err)
 		}
-		if pt, err := a.Open(b.Seal(m2)); err != nil || !bytes.Equal(pt, m2) {
+		if pt, err := a.OpenAppend(nil, b.SealAppend(nil, m2)); err != nil || !bytes.Equal(pt, m2) {
 			t.Fatalf("b->a msg %d: %v", i, err)
 		}
 	}
@@ -117,34 +117,34 @@ func TestChannelBidirectional(t *testing.T) {
 
 func TestChannelTamperDetected(t *testing.T) {
 	a, b := pair(t)
-	ct := a.Seal([]byte("payload"))
+	ct := a.SealAppend(nil, []byte("payload"))
 	ct[len(ct)/2] ^= 0x01
-	if _, err := b.Open(ct); err != ErrAuth {
+	if _, err := b.OpenAppend(nil, ct); err != ErrAuth {
 		t.Fatalf("tampering not detected: %v", err)
 	}
 }
 
 func TestChannelReplayAndReorderRejected(t *testing.T) {
 	a, b := pair(t)
-	ct1 := a.Seal([]byte("one"))
-	ct2 := a.Seal([]byte("two"))
-	if _, err := b.Open(ct2); err == nil {
+	ct1 := a.SealAppend(nil, []byte("one"))
+	ct2 := a.SealAppend(nil, []byte("two"))
+	if _, err := b.OpenAppend(nil, ct2); err == nil {
 		t.Fatal("out-of-order message accepted")
 	}
-	if _, err := b.Open(ct1); err != nil {
+	if _, err := b.OpenAppend(nil, ct1); err != nil {
 		t.Fatalf("in-order message rejected after failed open: %v", err)
 	}
-	if _, err := b.Open(ct1); err == nil {
+	if _, err := b.OpenAppend(nil, ct1); err == nil {
 		t.Fatal("replay accepted")
 	}
 }
 
 func TestChannelDirectionsSeparate(t *testing.T) {
 	a, _ := pair(t)
-	ct := a.Seal([]byte("self"))
+	ct := a.SealAppend(nil, []byte("self"))
 	// The sender cannot open its own traffic: directions have distinct
 	// nonce spaces.
-	if _, err := a.Open(ct); err == nil {
+	if _, err := a.OpenAppend(nil, ct); err == nil {
 		t.Fatal("sender decrypted its own ciphertext")
 	}
 }
@@ -152,7 +152,7 @@ func TestChannelDirectionsSeparate(t *testing.T) {
 func TestChannelRoundtripProperty(t *testing.T) {
 	a, b := pair(t)
 	f := func(msg []byte) bool {
-		pt, err := b.Open(a.Seal(msg))
+		pt, err := b.OpenAppend(nil, a.SealAppend(nil, msg))
 		return err == nil && bytes.Equal(pt, msg)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
@@ -211,57 +211,8 @@ func TestOverhead(t *testing.T) {
 	if a.Overhead() != 16 {
 		t.Fatalf("GCM overhead %d", a.Overhead())
 	}
-	ct := a.Seal([]byte("xx"))
+	ct := a.SealAppend(nil, []byte("xx"))
 	if len(ct) != 2+16 {
 		t.Fatalf("ciphertext length %d", len(ct))
-	}
-}
-
-func TestRekeyRatchet(t *testing.T) {
-	a, err := GenerateKeyPair(detRand(10))
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := GenerateKeyPair(detRand(11))
-	if err != nil {
-		t.Fatal(err)
-	}
-	sa, _ := a.SharedSecret(b.PublicKey())
-	m := sha256.Sum256([]byte("m"))
-	key := ChannelKey(sa, m[:], m[:])
-	ca, _ := NewChannel(append([]byte(nil), key...), true)
-	cb, _ := NewChannel(append([]byte(nil), key...), false)
-
-	ct := ca.Seal([]byte("before"))
-	if _, err := cb.Open(ct); err != nil {
-		t.Fatal(err)
-	}
-
-	// Both peers ratchet with their copies of the current key.
-	ka := append([]byte(nil), key...)
-	kb := append([]byte(nil), key...)
-	if err := ca.Rekey(ka); err != nil {
-		t.Fatal(err)
-	}
-	if err := cb.Rekey(kb); err != nil {
-		t.Fatal(err)
-	}
-	for i := range ka {
-		if ka[i] != 0 {
-			t.Fatal("retired key not zeroed")
-		}
-	}
-
-	ct2 := ca.Seal([]byte("after"))
-	pt, err := cb.Open(ct2)
-	if err != nil || string(pt) != "after" {
-		t.Fatalf("post-rekey roundtrip: %v", err)
-	}
-
-	// A channel still on the old key cannot read post-rekey traffic.
-	stale, _ := NewChannel(key, false)
-	ct3 := ca.Seal([]byte("secret"))
-	if _, err := stale.Open(ct3); err == nil {
-		t.Fatal("old key decrypted post-rekey traffic")
 	}
 }

@@ -3,7 +3,6 @@ package sim
 import (
 	"fmt"
 
-	"rex/internal/attest"
 	"rex/internal/core"
 	"rex/internal/dataset"
 	"rex/internal/enclave"
@@ -134,7 +133,6 @@ func newEngine(cfg Config, n int) *engine {
 		targetBuf:  make([][]int, n),
 		res:        &Result{Series: make([]EpochStats, 0, cfg.Epochs)},
 	}
-	meas := attest.MeasureCode([]byte("rex-enclave-v1"))
 	for i := 0; i < n; i++ {
 		eng.alive[i] = true
 		eng.nodes[i] = core.NewNode(core.Config{
@@ -146,7 +144,7 @@ func newEngine(cfg Config, n int) *engine {
 			Seed:          cfg.Seed,
 			Byzantine:     cfg.Byzantine[i],
 		}, cfg.NewModel(i), cfg.Train[i], cfg.Test[i])
-		eng.encl[i] = enclave.New(meas, cfg.Enclave, cfg.SGX)
+		eng.encl[i] = enclave.New(cfg.Enclave, cfg.SGX)
 		eng.encl[i].SetHeap(nodeHeap(eng.nodes[i], eng.heapF, 0))
 		d := cfg.Graph.Degree(i)
 		eng.inbox[i] = make([]message, 0, d)

@@ -19,7 +19,7 @@ import (
 func savedFiles(tb testing.TB) (snap, emptySnap, wal []byte) {
 	tb.Helper()
 	read := func(d *Dir, name string) []byte {
-		b, err := os.ReadFile(filepath.Join(d.Path(), name))
+		b, err := os.ReadFile(filepath.Join(d.path, name))
 		if err != nil {
 			tb.Fatal(err)
 		}

@@ -5,7 +5,7 @@
 //   - Versioned model snapshots (snap-<epoch>.rex): the serialized model
 //     (model.AppendMarshaler when available, so the parameter body is
 //     written with no staging copy), the full raw-data store, the epoch
-//     count and test RMSE — everything core.RestoreNode needs. Snapshots
+//     count and test RMSE — everything a resumed node needs. Snapshots
 //     are written to a temp file, fsynced, CRC-sealed and atomically
 //     renamed into place; the previous snapshot is kept as a fallback
 //     until the next one lands, so a crash mid-write can never destroy
@@ -82,9 +82,6 @@ func Open(path string) (*Dir, error) {
 	}
 	return &Dir{path: path, walEpoch: -1}, nil
 }
-
-// Path returns the managed directory.
-func (d *Dir) Path() string { return d.path }
 
 // Close closes the open WAL, if any.
 func (d *Dir) Close() error {

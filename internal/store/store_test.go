@@ -44,7 +44,7 @@ func TestSnapshotRoundtrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	d2, err := Open(d.Path())
+	d2, err := Open(d.path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +105,7 @@ func TestWALReplayAndRotation(t *testing.T) {
 	}
 
 	// "Crash" (no Close) and reload: snapshot + both batches, in order.
-	d2, err := Open(d.Path())
+	d2, err := Open(d.path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +128,7 @@ func TestWALReplayAndRotation(t *testing.T) {
 		t.Fatal(err)
 	}
 	d2.Close()
-	d3, err := Open(d.Path())
+	d3, err := Open(d.path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +148,7 @@ func TestWALReplayAndRotation(t *testing.T) {
 	if err := d3.SaveSnapshot(5, 0.9, m, testRatings(19, 0)); err != nil {
 		t.Fatal(err)
 	}
-	d4, err := Open(d.Path())
+	d4, err := Open(d.path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +190,7 @@ func TestAckedRatingSurvivesSnapshotRotation(t *testing.T) {
 	}
 
 	// "kill -9": reopen without Close and load.
-	d2, err := Open(d.Path())
+	d2, err := Open(d.path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,7 +240,7 @@ func TestFirstGenerationLogSurvivesFirstSnapshot(t *testing.T) {
 	}
 	load := func() (*Snapshot, []dataset.Rating) { // "kill -9": reopen without Close
 		t.Helper()
-		d2, err := Open(d.Path())
+		d2, err := Open(d.path)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -294,7 +294,7 @@ func TestCorruptNewestSnapshotFallsBack(t *testing.T) {
 	}
 
 	// Corrupt the newest snapshot (flip one byte mid-file).
-	name := filepath.Join(d.Path(), "snap-0000000000000006.rex")
+	name := filepath.Join(d.path, "snap-0000000000000006.rex")
 	b, err := os.ReadFile(name)
 	if err != nil {
 		t.Fatal(err)
@@ -304,7 +304,7 @@ func TestCorruptNewestSnapshotFallsBack(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	d2, err := Open(d.Path())
+	d2, err := Open(d.path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -340,7 +340,7 @@ func TestTornWALTailDropped(t *testing.T) {
 	d.Close()
 
 	// Tear the last record: chop bytes off the log tail.
-	name := filepath.Join(d.Path(), "wal-0000000000000001.rex")
+	name := filepath.Join(d.path, "wal-0000000000000001.rex")
 	b, err := os.ReadFile(name)
 	if err != nil {
 		t.Fatal(err)
@@ -349,7 +349,7 @@ func TestTornWALTailDropped(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	d2, err := Open(d.Path())
+	d2, err := Open(d.path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -375,7 +375,7 @@ func TestPruneKeepsTwoSnapshots(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	entries, err := os.ReadDir(d.Path())
+	entries, err := os.ReadDir(d.path)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -150,9 +150,9 @@ func sortDedup(nb []int) []int {
 	return out
 }
 
-// Materialize builds a *Graph holding the full adjacency of any Source,
-// so the graph analytics (Diameter, ClusteringCoefficient, Components)
-// and tests can inspect streamed topologies.
+// Materialize builds a *Graph holding the full adjacency of any Source.
+// Tests use it as the materialized reference a streamed topology must
+// match (TestStreamedTopologyMatchesMaterialized).
 func Materialize(s Source) *Graph {
 	g := NewGraph(s.N())
 	for i := 0; i < s.N(); i++ {

@@ -34,7 +34,7 @@ func TestStreamInvariants(t *testing.T) {
 			for seed := uint64(1); seed <= 10; seed++ {
 				s := tc.mk(seed)
 				g := Materialize(s)
-				if !IsConnected(g) {
+				if len(Components(g)) != 1 {
 					t.Fatalf("seed %d: disconnected: %v", seed, Components(g))
 				}
 				for i := 0; i < s.N(); i++ {
@@ -151,17 +151,19 @@ func TestSmallWorldStreamShortcutMass(t *testing.T) {
 	}
 }
 
-// TestRandomNeighborOfMatchesGraph pins that the generic helper consumes
-// the rng exactly like Graph.RandomNeighbor, so swapping a materialized
-// graph for any Source keeps RMW trajectories bit-identical.
+// TestRandomNeighborOfMatchesGraph pins the helper's rng contract: one
+// Intn over the node's sorted neighbor list, none for an isolated node, so
+// swapping a materialized graph for any Source keeps RMW trajectories
+// bit-identical.
 func TestRandomNeighborOfMatchesGraph(t *testing.T) {
 	g := SmallWorld(64, 6, 0.03, rand.New(rand.NewSource(5)))
 	r1 := rand.New(rand.NewSource(9))
 	r2 := rand.New(rand.NewSource(9))
 	for trial := 0; trial < 200; trial++ {
 		i := trial % g.N()
-		if got, want := RandomNeighborOf(g, i, r1), g.RandomNeighbor(i, r2); got != want {
-			t.Fatalf("trial %d: RandomNeighborOf %d != RandomNeighbor %d", trial, got, want)
+		nb := g.Neighbors(i)
+		if got, want := RandomNeighborOf(g, i, r1), nb[r2.Intn(len(nb))]; got != want {
+			t.Fatalf("trial %d: RandomNeighborOf %d, one Intn draw picks %d", trial, got, want)
 		}
 	}
 	empty := NewGraph(3)

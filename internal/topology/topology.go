@@ -1,9 +1,8 @@
-// Package topology builds and analyzes the communication graphs used by
-// REX: small-world graphs (paper §IV-A2a: 6 close connections, 3%
-// far-fetched probability) and connected Erdős–Rényi random graphs
-// (§IV-A2b: p = 5%), plus the graph analytics the paper cites (diameter,
-// clustering coefficient) and Metropolis–Hastings weights for D-PSGD model
-// averaging (§III-C2).
+// Package topology builds the communication graphs used by REX:
+// small-world graphs (paper §IV-A2a: 6 close connections, 3% far-fetched
+// probability) and connected Erdős–Rényi random graphs (§IV-A2b: p = 5%),
+// materialized or streamed, and the Metropolis–Hastings edge weight for
+// D-PSGD model averaging (§III-C2).
 package topology
 
 import (
@@ -26,8 +25,8 @@ type Source interface {
 
 // RandomNeighborOf picks a uniform random neighbor of node i from any
 // Source, consuming exactly one rng draw when the node has neighbors and
-// none otherwise — the same stream contract as Graph.RandomNeighbor, so
-// materialized and streamed topologies yield bit-identical RMW schedules.
+// none otherwise, so materialized and streamed topologies yield
+// bit-identical RMW schedules.
 func RandomNeighborOf(s Source, i int, rng *rand.Rand) int {
 	nb := s.Neighbors(i)
 	if len(nb) == 0 {
@@ -94,35 +93,6 @@ func (g *Graph) insert(i, j int) {
 	g.adj[i] = lst
 }
 
-// RemoveEdge deletes the undirected edge (i, j) if present.
-func (g *Graph) RemoveEdge(i, j int) bool {
-	if !g.HasEdge(i, j) {
-		return false
-	}
-	g.remove(i, j)
-	g.remove(j, i)
-	return true
-}
-
-func (g *Graph) remove(i, j int) {
-	lst := g.adj[i]
-	k := sort.SearchInts(lst, j)
-	g.adj[i] = append(lst[:k], lst[k+1:]...)
-}
-
-// Edges returns all undirected edges as (i, j) pairs with i < j, sorted.
-func (g *Graph) Edges() [][2]int {
-	var out [][2]int
-	for i := 0; i < g.n; i++ {
-		for _, j := range g.adj[i] {
-			if i < j {
-				out = append(out, [2]int{i, j})
-			}
-		}
-	}
-	return out
-}
-
 // NumEdges returns the undirected edge count.
 func (g *Graph) NumEdges() int {
 	sum := 0
@@ -138,25 +108,6 @@ func (g *Graph) AvgDegree() float64 {
 		return 0
 	}
 	return 2 * float64(g.NumEdges()) / float64(g.n)
-}
-
-// RandomNeighbor picks a uniform random neighbor of node i, used by RMW to
-// select its unicast destination each epoch (§III-C1). It returns -1 for
-// isolated nodes.
-func (g *Graph) RandomNeighbor(i int, rng *rand.Rand) int {
-	if len(g.adj[i]) == 0 {
-		return -1
-	}
-	return g.adj[i][rng.Intn(len(g.adj[i]))]
-}
-
-// Clone returns an independent deep copy.
-func (g *Graph) Clone() *Graph {
-	c := NewGraph(g.n)
-	for i := range g.adj {
-		c.adj[i] = append([]int(nil), g.adj[i]...)
-	}
-	return c
 }
 
 // String summarizes the graph.
@@ -288,103 +239,10 @@ func Components(g *Graph) [][]int {
 	return comps
 }
 
-// IsConnected reports whether the graph has exactly one component (or is
-// empty).
-func IsConnected(g *Graph) bool {
-	if g.n == 0 {
-		return true
-	}
-	return len(Components(g)) == 1
-}
-
-// Diameter returns the longest shortest-path length between any pair of
-// nodes, or -1 if the graph is disconnected. Small-world graphs have low
-// diameter; sparse ER graphs may have larger ones (§IV-A2).
-func Diameter(g *Graph) int {
-	if g.n == 0 {
-		return 0
-	}
-	max := 0
-	dist := make([]int, g.n)
-	for s := 0; s < g.n; s++ {
-		for i := range dist {
-			dist[i] = -1
-		}
-		dist[s] = 0
-		queue := []int{s}
-		reached := 1
-		for len(queue) > 0 {
-			v := queue[0]
-			queue = queue[1:]
-			for _, w := range g.adj[v] {
-				if dist[w] == -1 {
-					dist[w] = dist[v] + 1
-					if dist[w] > max {
-						max = dist[w]
-					}
-					reached++
-					queue = append(queue, w)
-				}
-			}
-		}
-		if reached < g.n {
-			return -1
-		}
-	}
-	return max
-}
-
-// ClusteringCoefficient returns the mean local clustering coefficient:
-// for each node, the fraction of neighbor pairs that are themselves
-// connected. Small-world graphs exhibit high clustering (§IV-A2a).
-func ClusteringCoefficient(g *Graph) float64 {
-	if g.n == 0 {
-		return 0
-	}
-	var sum float64
-	for i := 0; i < g.n; i++ {
-		nb := g.adj[i]
-		d := len(nb)
-		if d < 2 {
-			continue
-		}
-		links := 0
-		for a := 0; a < d; a++ {
-			for b := a + 1; b < d; b++ {
-				if g.HasEdge(nb[a], nb[b]) {
-					links++
-				}
-			}
-		}
-		sum += 2 * float64(links) / float64(d*(d-1))
-	}
-	return sum / float64(g.n)
-}
-
-// MetropolisHastings returns, for node i, the averaging weights used by
-// D-PSGD model merging (§III-C2, citing Xiao/Boyd/Kim): for each neighbor
-// j, w_ij = 1/(1+max(deg_i, deg_j)); the self weight is 1 - sum of the
-// others. Weights are returned parallel to Neighbors(i), followed by the
-// self-weight. The induced weight matrix is symmetric and doubly
-// stochastic, the property that makes D-PSGD converge to the global
-// average.
-func MetropolisHastings(g *Graph, i int) (neighborW []float64, selfW float64) {
-	nb := g.adj[i]
-	neighborW = make([]float64, len(nb))
-	di := len(nb)
-	sum := 0.0
-	for k, j := range nb {
-		w := MHWeight(di, len(g.adj[j]))
-		neighborW[k] = w
-		sum += w
-	}
-	return neighborW, 1 - sum
-}
-
 // MHWeight is the Metropolis–Hastings weight 1/(1+max(di, dj)) of the edge
 // between nodes of degrees di and dj: symmetric in its arguments, and at
 // most 1/(1+di) per edge, so a node's self weight 1 − Σ stays non-negative.
-// D-PSGD merging (internal/core) and MetropolisHastings both use it.
+// D-PSGD merging (internal/core) uses it.
 func MHWeight(di, dj int) float64 {
 	return 1.0 / float64(1+max(di, dj))
 }

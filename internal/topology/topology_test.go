@@ -3,11 +3,12 @@ package topology
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
 
-func TestAddRemoveEdge(t *testing.T) {
+func TestAddEdge(t *testing.T) {
 	g := NewGraph(5)
 	if !g.AddEdge(1, 3) {
 		t.Fatal("add failed")
@@ -23,12 +24,6 @@ func TestAddRemoveEdge(t *testing.T) {
 	}
 	if !g.HasEdge(3, 1) {
 		t.Fatal("edge not symmetric")
-	}
-	if !g.RemoveEdge(1, 3) {
-		t.Fatal("remove failed")
-	}
-	if g.HasEdge(1, 3) || g.RemoveEdge(1, 3) {
-		t.Fatal("edge survived removal")
 	}
 }
 
@@ -59,10 +54,6 @@ func TestEdgesAndDegree(t *testing.T) {
 	if got := g.AvgDegree(); got != 1.5 {
 		t.Fatalf("avg degree %v", got)
 	}
-	es := g.Edges()
-	if len(es) != 3 || es[0] != [2]int{0, 1} {
-		t.Fatalf("edges list %v", es)
-	}
 }
 
 func TestSmallWorldShape(t *testing.T) {
@@ -71,7 +62,7 @@ func TestSmallWorldShape(t *testing.T) {
 	if g.N() != 100 {
 		t.Fatalf("small world has %d nodes, want 100", g.N())
 	}
-	if !IsConnected(g) {
+	if len(Components(g)) != 1 {
 		t.Fatal("small world disconnected")
 	}
 	// Ring lattice with k=6 gives base degree 6; shortcuts add a few.
@@ -79,7 +70,7 @@ func TestSmallWorldShape(t *testing.T) {
 		t.Fatalf("avg degree %.2f outside small-world range", avg)
 	}
 	// High clustering is the defining small-world property (§IV-A2a).
-	if cc := ClusteringCoefficient(g); cc < 0.4 {
+	if cc := clustering(g); cc < 0.4 {
 		t.Fatalf("clustering %.2f too low for a small world", cc)
 	}
 }
@@ -91,7 +82,7 @@ func TestErdosRenyiConnectedByConstruction(t *testing.T) {
 		if g.N() != 60 {
 			t.Fatalf("seed %d: ER graph has %d nodes, want 60", seed, g.N())
 		}
-		if !IsConnected(g) {
+		if len(Components(g)) != 1 {
 			t.Fatalf("seed %d: ER graph disconnected after repair", seed)
 		}
 	}
@@ -110,10 +101,30 @@ func TestSmallWorldVsERClustering(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	sw := SmallWorld(150, 6, 0.03, rng)
 	er := ErdosRenyi(150, float64(6)/149, rand.New(rand.NewSource(5)))
-	if ClusteringCoefficient(sw) <= ClusteringCoefficient(er) {
-		t.Fatalf("small world should cluster more: SW %.3f ER %.3f",
-			ClusteringCoefficient(sw), ClusteringCoefficient(er))
+	if clustering(sw) <= clustering(er) {
+		t.Fatalf("small world should cluster more: SW %.3f ER %.3f", clustering(sw), clustering(er))
 	}
+}
+
+// clustering returns the mean local clustering coefficient: for each node,
+// the fraction of its neighbor pairs that are themselves connected.
+func clustering(g *Graph) float64 {
+	var sum float64
+	for i := 0; i < g.N(); i++ {
+		nb := g.Neighbors(i)
+		links := 0
+		for a := range nb {
+			for _, c := range nb[a+1:] {
+				if g.HasEdge(nb[a], c) {
+					links++
+				}
+			}
+		}
+		if d := len(nb); d >= 2 {
+			sum += 2 * float64(links) / float64(d*(d-1))
+		}
+	}
+	return sum / float64(g.N())
 }
 
 func TestFullyConnected(t *testing.T) {
@@ -121,10 +132,7 @@ func TestFullyConnected(t *testing.T) {
 	if g.NumEdges() != 28 {
 		t.Fatalf("8-node complete graph has %d edges, want 28 (paper §IV-C)", g.NumEdges())
 	}
-	if Diameter(g) != 1 {
-		t.Fatalf("diameter %d", Diameter(g))
-	}
-	if cc := ClusteringCoefficient(g); cc != 1 {
+	if cc := clustering(g); cc != 1 {
 		t.Fatalf("clustering %v", cc)
 	}
 }
@@ -133,7 +141,7 @@ func BenchmarkGraphSmallWorld(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		rng := rand.New(rand.NewSource(int64(i)))
 		g := SmallWorld(610, 6, 0.03, rng)
-		if !IsConnected(g) {
+		if len(Components(g)) != 1 {
 			b.Fatal("disconnected small world")
 		}
 	}
@@ -149,23 +157,8 @@ func TestComponentsAndRepair(t *testing.T) {
 		t.Fatalf("components = %d", len(comps))
 	}
 	EnsureConnected(g, rand.New(rand.NewSource(6)))
-	if !IsConnected(g) {
+	if len(Components(g)) != 1 {
 		t.Fatal("repair failed")
-	}
-}
-
-func TestDiameter(t *testing.T) {
-	g := NewGraph(4) // path 0-1-2-3
-	g.AddEdge(0, 1)
-	g.AddEdge(1, 2)
-	g.AddEdge(2, 3)
-	if d := Diameter(g); d != 3 {
-		t.Fatalf("path diameter %d", d)
-	}
-	g2 := NewGraph(3)
-	g2.AddEdge(0, 1)
-	if d := Diameter(g2); d != -1 {
-		t.Fatalf("disconnected diameter %d", d)
 	}
 }
 
@@ -176,7 +169,7 @@ func TestRandomNeighbor(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	seen := map[int]bool{}
 	for i := 0; i < 100; i++ {
-		j := g.RandomNeighbor(0, rng)
+		j := RandomNeighborOf(g, 0, rng)
 		if j != 1 && j != 2 {
 			t.Fatalf("bad neighbor %d", j)
 		}
@@ -185,67 +178,36 @@ func TestRandomNeighbor(t *testing.T) {
 	if !seen[1] || !seen[2] {
 		t.Fatal("random neighbor never picked one side")
 	}
-	if g.RandomNeighbor(4, rng) != -1 {
+	if RandomNeighborOf(g, 4, rng) != -1 {
 		t.Fatal("isolated node should yield -1")
 	}
 }
 
-// TestMetropolisHastingsStochastic verifies the §III-C2 weight matrix is
-// row-stochastic with nonnegative entries and symmetric (w_ij == w_ji) on
-// random graphs — the property making D-PSGD average correctly.
+// TestMetropolisHastingsStochastic verifies the §III-C2 weight matrix D-PSGD
+// merging builds from MHWeight on random graphs: entries nonnegative,
+// symmetric (w_ij == w_ji), and each row's neighbor weights summing to at
+// most 1, so the self weight 1 − Σ_j w_ij is nonnegative and the matrix is
+// doubly stochastic — the property making D-PSGD average correctly.
 func TestMetropolisHastingsStochastic(t *testing.T) {
 	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		g := ErdosRenyi(30, 0.15, rng)
+		g := ErdosRenyi(30, 0.15, rand.New(rand.NewSource(seed)))
 		for i := 0; i < g.N(); i++ {
-			ws, self := MetropolisHastings(g, i)
-			sum := self
-			if self < -1e-9 {
-				return false
-			}
-			for _, w := range ws {
-				if w < 0 {
+			sum := 0.0
+			for _, j := range g.Neighbors(i) {
+				w := MHWeight(g.Degree(i), g.Degree(j))
+				if w < 0 || w != MHWeight(g.Degree(j), g.Degree(i)) {
 					return false
 				}
 				sum += w
 			}
-			if math.Abs(sum-1) > 1e-9 {
+			if 1-sum < -1e-9 {
 				return false
-			}
-			// Symmetry: w_ij computed from j's side must match.
-			for k, j := range g.Neighbors(i) {
-				wsj, _ := MetropolisHastings(g, j)
-				found := false
-				for k2, i2 := range g.Neighbors(j) {
-					if i2 == i {
-						if math.Abs(wsj[k2]-ws[k]) > 1e-12 {
-							return false
-						}
-						found = true
-					}
-				}
-				if !found {
-					return false
-				}
 			}
 		}
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 10}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestCloneIndependence(t *testing.T) {
-	g := NewGraph(4)
-	g.AddEdge(0, 1)
-	c := g.Clone()
-	c.AddEdge(2, 3)
-	if g.HasEdge(2, 3) {
-		t.Fatal("clone shares storage")
-	}
-	if !c.HasEdge(0, 1) {
-		t.Fatal("clone lost edges")
 	}
 }
 
@@ -274,13 +236,9 @@ func TestSmallWorldShortcutAlwaysAddedWhenEligible(t *testing.T) {
 func TestSmallWorldDeterministic(t *testing.T) {
 	a := SmallWorld(64, 6, 0.5, rand.New(rand.NewSource(7)))
 	b := SmallWorld(64, 6, 0.5, rand.New(rand.NewSource(7)))
-	ae, be := a.Edges(), b.Edges()
-	if len(ae) != len(be) {
-		t.Fatalf("edge counts differ: %d vs %d", len(ae), len(be))
-	}
-	for i := range ae {
-		if ae[i] != be[i] {
-			t.Fatalf("edge %d differs: %v vs %v", i, ae[i], be[i])
+	for i := 0; i < a.N(); i++ {
+		if !slices.Equal(a.Neighbors(i), b.Neighbors(i)) {
+			t.Fatalf("node %d neighbors differ: %v vs %v", i, a.Neighbors(i), b.Neighbors(i))
 		}
 	}
 }

@@ -9,8 +9,8 @@ import (
 // points. Every slot carries full semantics — any length, including the
 // remainder elements past the last full vector block (implementations
 // handle tails in Go, so the assembly only ever sees whole blocks).
-// Reductions (Dot, SumSq) are deliberately absent: the bit-identity
-// contract keeps their serial accumulator chain scalar on every arch.
+// The reduction (Dot) is deliberately absent: the bit-identity contract
+// keeps its serial accumulator chain scalar on every arch.
 type impl struct {
 	name  string
 	add   func(dst, src []float32)

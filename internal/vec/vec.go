@@ -8,8 +8,8 @@
 // dispatch.go and the README "Kernel dispatch" section.
 //
 // Bit-identity contract: every kernel performs exactly the floating-point
-// operations of its naive reference loop. Reductions (Dot, SumSq) use a
-// single sequentially-updated accumulator and therefore stay scalar on
+// operations of its naive reference loop. The reduction (Dot) uses a
+// single sequentially-updated accumulator and therefore stays scalar on
 // every architecture — vectorizing a reduction reassociates the sum.
 // Element-wise kernels touch each index independently, so SIMD lanes
 // compute the identical IEEE-754 single operations the scalar loop would
@@ -51,22 +51,6 @@ func Dot(a, b []float32) float32 {
 	}
 	for ; i < n; i++ {
 		s += float32(a[i] * b[i])
-	}
-	return s
-}
-
-// SumSq returns Σ x[i]², accumulated left to right. Serial by contract.
-func SumSq(x []float32) float32 {
-	var s float32
-	i := 0
-	for ; i <= len(x)-4; i += 4 {
-		s += float32(x[i] * x[i])
-		s += float32(x[i+1] * x[i+1])
-		s += float32(x[i+2] * x[i+2])
-		s += float32(x[i+3] * x[i+3])
-	}
-	for ; i < len(x); i++ {
-		s += float32(x[i] * x[i])
 	}
 	return s
 }
@@ -142,6 +126,8 @@ func axpyGo(alpha float32, x, y []float32) {
 //
 // where the y update deliberately reads the pre-update x (both gradients
 // are taken at the same point), matching the paper's §II-A-b loss exactly.
+// No production path calls it: it is the unfused reference FusedSGDStep
+// is pinned against (TestFusedSGDStepMatchesComposition).
 func SGDStep(x, y []float32, e, lr, reg float32) {
 	n := len(x)
 	y = y[:n]

@@ -106,20 +106,6 @@ func TestDotMatchesReference(t *testing.T) {
 	}
 }
 
-func TestSumSqMatchesReference(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	for n := 0; n <= 70; n++ {
-		x := randSlice(rng, n)
-		var want float32
-		for i := 0; i < n; i++ {
-			want += float32(x[i] * x[i])
-		}
-		if got := SumSq(x); !bitsEq(got, want) {
-			t.Fatalf("SumSq n=%d: got %v want %v", n, got, want)
-		}
-	}
-}
-
 func TestAddMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	forEachImpl(t, func(t *testing.T) {
@@ -421,17 +407,6 @@ func TestSIMDPaysForItself(t *testing.T) {
 		if slow < 2*fast {
 			t.Errorf("%s: %s is %.2fx the portable loop, want >= 2x", k.name, auto, slow/fast)
 		}
-	}
-}
-
-func BenchmarkSGDStep(b *testing.B) {
-	for _, n := range []int{10, 64} {
-		x, y := benchSlices(n)
-		b.Run(sizeName(n), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				SGDStep(x, y, 0.1, 0.005, 0.1)
-			}
-		})
 	}
 }
 
