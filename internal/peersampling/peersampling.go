@@ -112,8 +112,8 @@ func (s *Service) buffer(i int) []Descriptor {
 }
 
 // merge folds received descriptors into node i's view: dedup by id keeping
-// the freshest, drop self, then trim to capacity, oldest first (the healer
-// policy of the original protocol).
+// the freshest, drop self, then trim to capacity by dropping the oldest
+// (the healer policy of the original protocol).
 func (s *Service) merge(i int, received []Descriptor) {
 	byID := make(map[int]Descriptor, len(s.views[i])+len(received))
 	keep := func(d Descriptor) {

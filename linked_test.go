@@ -1,7 +1,6 @@
 package rex_test
 
 import (
-	"fmt"
 	"go/ast"
 	"go/parser"
 	"go/token"
@@ -64,7 +63,6 @@ func TestProductionCodeIsLinked(t *testing.T) {
 		t.Fatal(err)
 	}
 	declared := map[string]bool{}
-	var unlinked []string
 	fset := token.NewFileSet()
 	for _, line := range strings.Split(strings.TrimSpace(string(out)), "\n") {
 		f := strings.Split(line, "\t")
@@ -87,13 +85,11 @@ func TestProductionCodeIsLinked(t *testing.T) {
 					continue
 				}
 				rel, _ := filepath.Rel(root, path)
-				unlinked = append(unlinked, fmt.Sprintf("%s:%d: %s (%d lines)", rel, fset.Position(fd.Pos()).Line,
-					strings.TrimPrefix(key, "rex/internal/"), fset.Position(fd.End()).Line-fset.Position(fd.Pos()).Line+1))
+				from, to := fset.Position(fd.Pos()).Line, fset.Position(fd.End()).Line
+				t.Errorf("%s:%d: %s (%d lines) is linked into no production binary: delete it, or give it a caller",
+					rel, from, strings.TrimPrefix(key, "rex/internal/"), to-from+1)
 			}
 		}
-	}
-	for _, u := range unlinked {
-		t.Errorf("%s is linked into no production binary: delete it, or give it a caller", u)
 	}
 	for key, why := range unlinkedAllowed {
 		switch {
