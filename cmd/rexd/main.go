@@ -4,7 +4,7 @@
 // -scenario) and derives the same synthetic dataset and partitioning from
 // them: node i trains on the i-th partition, attests its neighbors when
 // -secure, and gossips raw ratings (or model parameters with -mode ms).
-// One binary runs every shape a node takes.
+// One process runs one node, in every shape it takes.
 //
 // Daemon: one node as a long-running service around runtime.Engine, with
 // snapshot persistence (internal/store) and an HTTP serving path
@@ -34,20 +34,15 @@
 //	rexd -id 0 -nodes 127.0.0.1:7800,127.0.0.1:7801 -generations 10 -gen-epochs 5
 //	rexd -id 1 -nodes 127.0.0.1:7800,127.0.0.1:7801 -generations 10 -gen-epochs 5
 //
-// Shard: -shard i/k runs a contiguous block of the -n nodes in this
-// process (in-process transport between them) and bridges cross-shard
-// edges over one TCP link per shard pair, at the bridge addresses -peers
-// lists in shard order — the paper's two enclaves per platform, and the
-// way larger meshes run as real multi-process clusters. Sharding is batch
-// only: it needs -generations, and it rejects -http, -data, -resume,
-// -nodes, -id and the admission flags. An 8-node cluster as two processes
-// (two shells):
+// A secure cluster is the same shape with -secure on every process: the
+// paper's 8 enclaves, one process each (rexd pairs consecutive nodes onto
+// one simulated SGX platform, the paper's two per machine), from one shell:
 //
-//	rexd -shard 0/2 -peers 127.0.0.1:7800,127.0.0.1:7801 -n 8 -generations 10 -gen-epochs 5 -secure
-//	rexd -shard 1/2 -peers 127.0.0.1:7800,127.0.0.1:7801 -n 8 -generations 10 -gen-epochs 5 -secure
+//	nodes=$(seq -f 127.0.0.1:%g -s, 7800 7807)
+//	for i in $(seq 0 7); do rexd -id $i -nodes $nodes -secure -generations 2 & done; wait
 //
-// Every shape ends by printing one line per node it ran to stdout,
-// "node N done: final RMSE R | …", with R in round-trip-exact form.
+// Every node ends by printing one line to stdout, "node N done: final
+// RMSE R | …", with R in round-trip-exact form.
 //
 // -secure defaults to false, the paper's native build. Resume is a
 // plaintext-mode feature: secure mode has no re-attestation path (a fresh
@@ -69,14 +64,12 @@ import (
 	"os"
 	"os/signal"
 	"slices"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"syscall"
 	"time"
 
-	"rex/internal/attest"
 	"rex/internal/core"
 	"rex/internal/dataset"
 	"rex/internal/faultnet"
@@ -88,20 +81,16 @@ import (
 	"rex/internal/runtime"
 	"rex/internal/serve"
 	"rex/internal/store"
-	"rex/internal/topology"
 )
 
 func main() {
 	var o daemonOpts
 	flag.IntVar(&o.id, "id", 0, "this node's index into -nodes")
 	flag.StringVar(&o.nodes, "nodes", "", "comma-separated host:port of every node's gossip address, in id order")
-	flag.StringVar(&o.shard, "shard", "", "i/k: run shard i of a k-process cluster, a contiguous block of the -n nodes bridged to the other shards at -peers; batch only (needs -generations, rejects -http, -data, -resume, -nodes, -id and the admission flags)")
-	flag.StringVar(&o.peers, "peers", "", "comma-separated host:port of every shard's bridge, in shard order (with -shard)")
-	flag.IntVar(&o.n, "n", 0, "total node count across all shards (with -shard)")
 	flag.StringVar(&o.httpAddr, "http", "", "HTTP serving address (e.g. 127.0.0.1:8800)")
 	flag.StringVar(&o.dataDir, "data", "", "persistence directory (snapshots + rating WAL); empty = no persistence")
 	flag.BoolVar(&o.resume, "resume", false, "restore model/store/epoch from the last snapshot in -data and rejoin the cluster")
-	flag.IntVar(&o.generations, "generations", 0, "stop after this many generations; 0 = run until drained (daemon only)")
+	flag.IntVar(&o.generations, "generations", 0, "stop after this many generations; 0 = run until drained")
 	flag.IntVar(&o.genEpochs, "gen-epochs", 5, "training epochs per generation (one snapshot per generation)")
 	flag.StringVar(&o.modeStr, "mode", "rex", "sharing mode: rex (raw data) or ms (model parameters)")
 	flag.StringVar(&o.algoStr, "algo", "dpsgd", "dissemination: dpsgd or rmw")
@@ -126,9 +115,6 @@ func main() {
 type daemonOpts struct {
 	id           int
 	nodes        string
-	shard        string
-	peers        string
-	n            int
 	httpAddr     string
 	dataDir      string
 	resume       bool
@@ -166,14 +152,8 @@ func run(o daemonOpts) error {
 	if o.genEpochs <= 0 {
 		return fmt.Errorf("-gen-epochs must be positive")
 	}
-	var shard int
-	var shardAddrs []string
-	if o.shard != "" {
-		if shard, shardAddrs, err = shardPlan(o); err != nil {
-			return err
-		}
-	} else if o.peers != "" || o.n != 0 {
-		return fmt.Errorf("-peers and -n need -shard")
+	if o.generations < 0 {
+		return fmt.Errorf("-generations %d: want a positive count, or 0 to run until drained", o.generations)
 	}
 	if err := movielens.Latest().Scaled(o.scale).Validate(); err != nil {
 		return fmt.Errorf("-scale %g: %w", o.scale, err)
@@ -187,9 +167,6 @@ func run(o daemonOpts) error {
 			sc.Name, sc.Seed, sc.Drop, sc.Delay, sc.Duplicate, sc.Reorder, len(sc.Partitions), len(sc.Churn))
 	}
 	ncfg := core.Config{Mode: mode, Algo: algo, StepsPerEpoch: o.steps, SharePoints: o.points, Seed: o.seed}
-	if o.shard != "" {
-		return runShard(o, ncfg, sc, shard, shardAddrs)
-	}
 	return runNode(o, ncfg, sc)
 }
 
@@ -225,18 +202,7 @@ func (w *workload) nodeConfig(id int) core.Config {
 	return c
 }
 
-func (w *workload) newNode(id int) *core.Node {
-	return core.NewNode(w.nodeConfig(id), w.newModel(), w.train[id], w.test[id])
-}
-
 func (w *workload) newModel() model.Model { return mf.New(w.mcfg) }
-
-// collateral derives the cluster's attestation infrastructure and
-// platforms from -seed, so every process of the cluster verifies against
-// the same collateral.
-func collateral(n int, seed int64) (*attest.Infrastructure, []*attest.Platform, error) {
-	return runtime.Collateral(n, rand.New(rand.NewSource(seed)))
-}
 
 // printDone prints a node's one summary line. The RMSE is printed in its
 // shortest round-trip-exact form, so runs compare bit for bit.
@@ -248,107 +214,12 @@ func printDone(id int, s *runtime.Stats) {
 		s.PeersLost, s.Rejoins, s.DroppedFrames, s.DelayedFrames, s.SendQueueHWM)
 }
 
-// shardPlan checks the shard-mode flags and returns this process's shard
-// index and every shard's bridge address. -shard must be exactly i/k with
-// 0 <= i < k and k >= 2; the daemon-only flags are refused.
-func shardPlan(o daemonOpts) (int, []string, error) {
-	for _, f := range []struct {
-		set  bool
-		name string
-	}{
-		{o.httpAddr != "", "-http"},
-		{o.dataDir != "", "-data"},
-		{o.resume, "-resume"},
-		{o.nodes != "", "-nodes"},
-		{o.id != 0, "-id"},
-		{o.rateLimit != 0, "-rate-limit"},
-		{o.rateBurst != 0, "-rate-burst"},
-		{o.ingestQueue != 0, "-ingest-queue"},
-		{o.maxSnapshotAge != 0, "-max-snapshot-age"},
-	} {
-		if f.set {
-			return 0, nil, fmt.Errorf("%s cannot be used with -shard: a shard runs as a batch job", f.name)
-		}
-	}
-	if o.generations <= 0 {
-		return 0, nil, fmt.Errorf("-generations %d: a shard runs as a batch job and needs a positive generation count", o.generations)
-	}
-	is, ks, _ := strings.Cut(o.shard, "/")
-	shard, okI := decimal(is)
-	k, okK := decimal(ks)
-	if !okI || !okK || k < 2 || shard >= k {
-		return 0, nil, fmt.Errorf("-shard wants i/k with 0 <= i < k and k >= 2, got %q", o.shard)
-	}
-	addrs := strings.Split(o.peers, ",")
-	if len(addrs) != k || slices.Contains(addrs, "") {
-		return 0, nil, fmt.Errorf("-peers must list %d bridge addresses, one per shard, got %q", k, o.peers)
-	}
-	if o.n < k {
-		return 0, nil, fmt.Errorf("-n %d cannot be split across %d shards", o.n, k)
-	}
-	return shard, addrs, nil
-}
-
-// decimal parses s if it is a non-empty run of ASCII digits, nothing else.
-func decimal(s string) (int, bool) {
-	if s == "" || strings.Trim(s, "0123456789") != "" {
-		return 0, false
-	}
-	v, err := strconv.Atoi(s)
-	return v, err == nil
-}
-
-// runShard runs this process's node block of a sharded batch cluster
-// through the cluster driver.
-func runShard(o daemonOpts, ncfg core.Config, sc *faultnet.Scenario, shard int, addrs []string) error {
-	w, err := newWorkload(o, ncfg, o.n)
-	if err != nil {
-		return err
-	}
-	nodes := make([]*core.Node, o.n)
-	lo, hi := runtime.ShardRange(o.n, len(addrs), shard)
-	for i := lo; i < hi; i++ {
-		nodes[i] = w.newNode(i)
-	}
-	cfg := runtime.ClusterConfig{
-		Graph: topology.FullyConnected(o.n), Nodes: nodes,
-		Epochs:       o.generations * o.genEpochs,
-		Secure:       o.secure,
-		NewModel:     w.newModel,
-		RoundTimeout: o.roundTimeout,
-		PeerGrace:    o.peerGrace,
-		Rejoin:       true,
-		OnEpoch: func(node, e int, rmse float64) {
-			log.Printf("node %d epoch %3d: local test RMSE %.4f", node, e, rmse)
-		},
-		Shard: shard, ShardAddrs: addrs,
-	}
-	if o.secure {
-		if cfg.Infra, cfg.Platforms, err = collateral(o.n, o.seed); err != nil {
-			return err
-		}
-	}
-	if sc != nil {
-		sc.ApplyCluster(&cfg, &faultnet.Log{})
-	}
-	stats, err := runtime.RunCluster(cfg)
-	if err != nil {
-		return err
-	}
-	for i, st := range stats {
-		if st != nil {
-			printDone(i, st)
-		}
-	}
-	return nil
-}
-
 // runNode runs one node on runtime.Engine: a daemon with -http or -data,
 // a batch job without them.
 func runNode(o daemonOpts, ncfg core.Config, sc *faultnet.Scenario) error {
 	addrs := strings.Split(o.nodes, ",")
-	if len(addrs) < 2 {
-		return fmt.Errorf("-nodes needs at least two addresses")
+	if len(addrs) < 2 || slices.Contains(addrs, "") {
+		return fmt.Errorf("-nodes needs at least two addresses and no empty one, got %q", o.nodes)
 	}
 	if o.id < 0 || o.id >= len(addrs) {
 		return fmt.Errorf("-id %d out of range for %d nodes", o.id, len(addrs))
@@ -371,7 +242,7 @@ func runNode(o daemonOpts, ncfg core.Config, sc *faultnet.Scenario) error {
 		defer dir.Close()
 	}
 
-	node := w.newNode(o.id)
+	node := core.NewNode(w.nodeConfig(o.id), w.newModel(), w.train[o.id], w.test[o.id])
 	startEpoch := 0
 	resumed := false
 	if o.resume {
@@ -466,13 +337,15 @@ func runNode(o daemonOpts, ncfg core.Config, sc *faultnet.Scenario) error {
 		gossipEP = cfg.Endpoint
 	}
 	if o.secure {
-		inf, platforms, err := collateral(n, o.seed)
+		// Every process derives the cluster's collateral from -seed, so all
+		// of them verify against the same infrastructure.
+		inf, platforms, err := runtime.Collateral(n, rand.New(rand.NewSource(o.seed)))
 		if err != nil {
 			return err
 		}
 		cfg.Platform = platforms[o.id]
 		cfg.Infra = inf
-		cfg.Measurement = attest.MeasureCode([]byte("rex-enclave-v1"))
+		cfg.Measurement = runtime.EnclaveMeasurement
 	}
 
 	engine, err = runtime.NewEngine(cfg)

@@ -7,13 +7,15 @@
 // replays the identical fault schedule bit-for-bit across processes and
 // runs, which is what lets the conformance suite
 // (internal/faultnet/scenariotest) assert replay determinism on the
-// simulator, the in-process ChanNet cluster and real sharded TCP clusters
-// alike.
+// simulator, the in-process ChanNet cluster and a TCP cluster of one
+// TCPNet per node alike.
 //
 // The package has two halves: the schedule (this file), consulted by
 // internal/sim for epoch-level fault injection, and the transport wrapper
 // (wrap.go), which injects the same faults under any live
-// runtime.Endpoint.
+// runtime.Endpoint. Scenario.ApplyRun is the one way a live node takes a
+// scenario, whether its cluster runs in one process or one process per
+// node (rexd -scenario).
 package faultnet
 
 import (
@@ -49,7 +51,7 @@ type Churn struct {
 // nothing. All probabilities are per directed edge per epoch; every
 // decision is derived from Seed by hashing, never from shared mutable RNG
 // state, so decisions are independent of evaluation order and identical in
-// every process of a sharded cluster.
+// every process of a multi-process cluster.
 type Scenario struct {
 	Name string `json:"name"`
 	Seed int64  `json:"seed"`

@@ -75,31 +75,31 @@ func TestReplayDeterminismChanNetSecure(t *testing.T) {
 	SameTrajectories(t, "channet-secure-vs-native/flaky", a, native)
 }
 
-// TestReplayDeterminismShardTCP: the sharded-TCP leg of the acceptance,
-// on the scenarios that exercise cross-shard faults — the split-heal
-// partition falls exactly on the shard boundary (nodes 0,1 | 2,3), so
-// every cut frame crosses the TCP bridge.
-func TestReplayDeterminismShardTCP(t *testing.T) {
+// TestReplayDeterminismTCP: the TCP leg of the acceptance, one TCPNet per
+// node as rexd runs them, on the scenarios that cut or silence whole
+// nodes: split-heal's partition (nodes 0,1 | 2,3) and churn's leave and
+// rejoin, every frame over loopback TCP.
+func TestReplayDeterminismTCP(t *testing.T) {
 	w := NewWorkload(t)
 	for _, name := range []string{"split-heal", "churn"} {
 		sc := cannedByNameOrDie(t, name)
 		t.Run(name, func(t *testing.T) {
-			a := RunShardTCP(t, w, sc)
-			b := RunShardTCP(t, w, sc)
-			SameTrajectories(t, "shardtcp/"+name, a, b)
+			a := RunTCP(t, w, sc)
+			b := RunTCP(t, w, sc)
+			SameTrajectories(t, "tcp/"+name, a, b)
 		})
 	}
 }
 
-// TestShardMatchesChanNet: the transport must never change the learning —
-// a scenario replayed on the sharded TCP cluster lands on the same
-// trajectories as the in-process cluster (fault logs included).
-func TestShardMatchesChanNet(t *testing.T) {
+// TestTCPMatchesChanNet: the transport must never change the learning —
+// a scenario replayed on the TCP cluster lands on the same trajectories
+// as the in-process cluster (fault logs included).
+func TestTCPMatchesChanNet(t *testing.T) {
 	w := NewWorkload(t)
 	sc := cannedByNameOrDie(t, "split-heal")
 	chanRun := RunChanNet(t, w, sc, false)
-	shardRun := RunShardTCP(t, w, sc)
-	SameTrajectories(t, "shard-vs-channet/split-heal", chanRun, shardRun)
+	tcpRun := RunTCP(t, w, sc)
+	SameTrajectories(t, "tcp-vs-channet/split-heal", chanRun, tcpRun)
 }
 
 // TestConvergenceEnvelopes: on every backend, each scenario's surviving
@@ -182,7 +182,7 @@ func TestLivenessDetectorPartitionHeal(t *testing.T) {
 		}
 	}
 	t.Run("channet", func(t *testing.T) { check(t, RunChanNet(t, w, sc, false)) })
-	t.Run("shardtcp", func(t *testing.T) { check(t, RunShardTCP(t, w, sc)) })
+	t.Run("tcp", func(t *testing.T) { check(t, RunTCP(t, w, sc)) })
 }
 
 // TestFaultCountersSurfaceInStats: the runner exposes the wrapper's

@@ -1,8 +1,14 @@
-// Package scenariotest is the chaos-scenario conformance harness: it runs
-// a faultnet.Scenario against every execution backend REX has — the
-// deterministic simulator (internal/sim), an in-process ChanNet cluster,
-// and a real sharded TCP cluster (two shards bridged over loopback) —
-// and gives the conformance suite one shape to assert over:
+// Package scenariotest runs live clusters for tests, and is the
+// chaos-scenario conformance harness built on them.
+//
+// RunCluster is the one way a test runs a whole live cluster: one
+// runtime.Config per node, each node on its own runtime.Engine, and a
+// scenario applied through faultnet.Scenario.ApplyRun, the path rexd
+// takes. The harness runs a faultnet.Scenario against every execution
+// backend REX has — the deterministic simulator (internal/sim), an
+// in-process ChanNet cluster, and a TCP cluster of one runtime.TCPNet per
+// node on loopback, the shape rexd runs — and gives the conformance suite
+// one shape to assert over:
 //
 //   - replay determinism: the same (seed, spec) must reproduce bit-identical
 //     per-epoch RMSE trajectories and identical fault-event logs, run after
@@ -14,9 +20,13 @@
 package scenariotest
 
 import (
+	"crypto/rand"
+	"fmt"
 	"math"
-	"math/rand"
+	mrand "math/rand"
 	"net"
+	"slices"
+	"sync"
 	"testing"
 	"time"
 
@@ -36,47 +46,174 @@ import (
 // groups and churn entries reference ids 0..Nodes-1.
 const Nodes = 4
 
-// Workload is the shared 4-node fully-connected D-PSGD REX workload every
-// backend runs.
+// Workload is a fully-connected live workload: a synthetic MovieLens
+// corpus partitioned by user across the nodes, and the protocol
+// configuration the nodes share.
 type Workload struct {
 	Train, Test [][]dataset.Rating
 	Graph       *topology.Graph
 	MCfg        mf.Config
+	// Node is every node's protocol configuration; Nodes sets the ID.
+	Node core.Config
 }
 
-// NewWorkload builds the workload deterministically from a fixed dataset
-// seed (independent of the scenario seed, which only drives faults).
+// NewWorkload builds the conformance workload, Nodes nodes, from a fixed
+// dataset seed (independent of the scenario seed, which only drives
+// faults).
 func NewWorkload(t testing.TB) *Workload {
+	return NewWorkloadSized(t, Nodes, 0.05, 21)
+}
+
+// NewWorkloadSized builds an n-node workload on a MovieLens-Latest corpus
+// of the given scale. The corpus, the 70/30 per-user split and the user
+// partitions all draw from seed, as every rexd process of a cluster
+// derives its own from -scale and -seed. The nodes run D-PSGD raw-data
+// sharing, 100 SGD steps and 30 shared points an epoch, seeded with seed;
+// edit Node for another protocol.
+func NewWorkloadSized(t testing.TB, n int, scale float64, seed int64) *Workload {
 	t.Helper()
-	spec := movielens.Latest().Scaled(0.05)
-	spec.Seed = 21
+	spec := movielens.Latest().Scaled(scale)
+	spec.Seed = seed
 	ds := movielens.Generate(spec)
-	rng := rand.New(rand.NewSource(21))
-	tr, te := ds.SplitPerUser(0.7, rng)
-	trainParts, err := tr.PartitionUsersAcross(Nodes, rand.New(rand.NewSource(21)))
+	tr, te := ds.SplitPerUser(0.7, mrand.New(mrand.NewSource(seed)))
+	trainParts, err := tr.PartitionUsersAcross(n, mrand.New(mrand.NewSource(seed)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	testParts, err := te.PartitionUsersAcross(Nodes, rand.New(rand.NewSource(21)))
+	testParts, err := te.PartitionUsersAcross(n, mrand.New(mrand.NewSource(seed)))
 	if err != nil {
 		t.Fatal(err)
 	}
 	return &Workload{
 		Train: trainParts, Test: testParts,
-		Graph: topology.FullyConnected(Nodes),
+		Graph: topology.FullyConnected(n),
 		MCfg:  mf.DefaultConfig(),
+		Node: core.Config{
+			Mode: core.DataSharing, Algo: gossip.DPSGD,
+			StepsPerEpoch: 100, SharePoints: 30, Seed: seed,
+		},
 	}
 }
 
-func (w *Workload) nodes() []*core.Node {
-	nodes := make([]*core.Node, Nodes)
+// Nodes builds fresh nodes, node i on partition i.
+func (w *Workload) Nodes() []*core.Node {
+	nodes := make([]*core.Node, w.Graph.N())
 	for i := range nodes {
-		nodes[i] = core.NewNode(core.Config{
-			ID: i, Mode: core.DataSharing, Algo: gossip.DPSGD,
-			StepsPerEpoch: 100, SharePoints: 30, Seed: 21,
-		}, mf.New(w.MCfg), w.Train[i], w.Test[i])
+		c := w.Node
+		c.ID = i
+		nodes[i] = core.NewNode(c, w.NewModel(), w.Train[i], w.Test[i])
 	}
 	return nodes
+}
+
+// NewModel returns an empty model of the workload's configuration.
+func (w *Workload) NewModel() model.Model { return mf.New(w.MCfg) }
+
+// Configs returns one runtime.Config per node, fresh nodes each call: node
+// i on eps[i], with its graph neighbors. Secure nodes attest with
+// runtime.Collateral drawn from crypto/rand — it feeds only key material,
+// never the learning — and runtime.EnclaveMeasurement.
+func (w *Workload) Configs(t testing.TB, eps []runtime.Endpoint, secure bool) []runtime.Config {
+	t.Helper()
+	nodes := w.Nodes()
+	cfgs := make([]runtime.Config, len(nodes))
+	for i, nd := range nodes {
+		cfgs[i] = runtime.Config{
+			Node: nd, Endpoint: eps[i], Neighbors: w.Graph.Neighbors(i),
+			NewModel: w.NewModel,
+		}
+	}
+	if secure {
+		inf, platforms, err := runtime.Collateral(len(nodes), rand.Reader)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range cfgs {
+			cfgs[i].Secure = true
+			cfgs[i].Platform, cfgs[i].Infra = platforms[i], inf
+			cfgs[i].Measurement = runtime.EnclaveMeasurement
+		}
+	}
+	return cfgs
+}
+
+// RunNode runs one node as a batch job: epochs epochs on a fresh
+// runtime.Engine, then Stop. It returns after the node's own last epoch;
+// peers may still be finishing theirs, so the caller closes the endpoint
+// once they have.
+func RunNode(cfg runtime.Config, epochs int) (*runtime.Stats, error) {
+	e, err := runtime.NewEngine(cfg)
+	if err != nil {
+		return nil, err
+	}
+	if err := e.Start(); err != nil {
+		return nil, err
+	}
+	defer e.Stop()
+	for k := 0; k < epochs; k++ {
+		if _, err := e.Step(); err != nil {
+			return e.Stats(), err
+		}
+	}
+	return e.Stats(), nil
+}
+
+// RunCluster runs a live cluster of one node per config, all at once,
+// each for epochs epochs (RunNode), and closes every endpoint once all are
+// done. A non-nil sc is applied to a copy of every config first
+// (faultnet.Scenario.ApplyRun), all nodes logging to log. Stats come back
+// in config order.
+func RunCluster(cfgs []runtime.Config, epochs int, sc *faultnet.Scenario, log *faultnet.Log) ([]*runtime.Stats, error) {
+	cfgs = slices.Clone(cfgs)
+	if sc != nil {
+		for i := range cfgs {
+			sc.ApplyRun(&cfgs[i], log)
+		}
+	}
+	stats := make([]*runtime.Stats, len(cfgs))
+	errs := make([]error, len(cfgs))
+	var wg sync.WaitGroup
+	for i := range cfgs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			stats[i], errs[i] = RunNode(cfgs[i], epochs)
+		}()
+	}
+	wg.Wait()
+	for _, cfg := range cfgs {
+		cfg.Endpoint.Close()
+	}
+	for i, err := range errs {
+		if err != nil {
+			return stats, fmt.Errorf("node %d: %w", i, err)
+		}
+	}
+	return stats, nil
+}
+
+// TCPMesh starts one runtime.TCPNet per node on its own loopback port,
+// each dialing the others at theirs: n nodes in the shape rexd runs them,
+// one TCPNet per process. Cleanup closes them.
+func TCPMesh(t testing.TB, n int) []runtime.Endpoint {
+	t.Helper()
+	addrs := freePorts(t, n)
+	eps := make([]runtime.Endpoint, n)
+	for i := range eps {
+		peers := make(map[int]string, n-1)
+		for j, a := range addrs {
+			if j != i {
+				peers[j] = a
+			}
+		}
+		tn, err := runtime.NewTCPNet(i, addrs[i], peers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { tn.Close() })
+		eps[i] = tn
+	}
+	return eps
 }
 
 // Run is one backend execution: per-node per-epoch RMSE (the simulator
@@ -110,13 +247,13 @@ func (r *Run) FinalMeanRMSE() float64 {
 func RunSim(t testing.TB, w *Workload, sc *faultnet.Scenario) *Run {
 	t.Helper()
 	res, err := sim.Run(sim.Config{
-		Graph: w.Graph, Algo: gossip.DPSGD, Mode: core.DataSharing,
-		Epochs: sc.Epochs, StepsPerEpoch: 100, SharePoints: 30,
-		NewModel: func(int) model.Model { return mf.New(w.MCfg) },
+		Graph: w.Graph, Algo: w.Node.Algo, Mode: w.Node.Mode,
+		Epochs: sc.Epochs, StepsPerEpoch: w.Node.StepsPerEpoch, SharePoints: w.Node.SharePoints,
+		NewModel: func(int) model.Model { return w.NewModel() },
 		Train:    w.Train, Test: w.Test,
 		Compute:  sim.MFCompute(w.MCfg.K),
 		Scenario: sc,
-		Seed:     21,
+		Seed:     w.Node.Seed,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -131,79 +268,32 @@ func RunSim(t testing.TB, w *Workload, sc *faultnet.Scenario) *Run {
 // RunChanNet executes the scenario on an in-process ChanNet cluster.
 func RunChanNet(t testing.TB, w *Workload, sc *faultnet.Scenario, secure bool) *Run {
 	t.Helper()
-	cfg := runtime.ClusterConfig{
-		Graph: w.Graph, Nodes: w.nodes(), Epochs: sc.Epochs,
-		Secure: secure,
-		// Collateral comes from crypto/rand: it feeds only key material,
-		// never the learning, so replay determinism is unaffected.
-		NewModel: func() model.Model { return mf.New(w.MCfg) },
-	}
+	return runLive(t, "ChanNet cluster", w.Configs(t, runtime.NewChanNet(w.Graph.N()), secure), sc)
+}
+
+// RunTCP executes the scenario on a TCP cluster of one runtime.TCPNet per
+// node on loopback (TCPMesh), with one shared fault log for assertions.
+func RunTCP(t testing.TB, w *Workload, sc *faultnet.Scenario) *Run {
+	t.Helper()
+	return runLive(t, "TCP cluster", w.Configs(t, TCPMesh(t, w.Graph.N()), false), sc)
+}
+
+// runLive runs the scenario's epochs on cfgs under the liveness deadline.
+func runLive(t testing.TB, what string, cfgs []runtime.Config, sc *faultnet.Scenario) *Run {
+	t.Helper()
 	var log faultnet.Log
-	sc.ApplyCluster(&cfg, &log)
 	var stats []*runtime.Stats
-	deadline(t, "ChanNet cluster", func() {
+	deadline(t, what, func() {
 		var err error
-		stats, err = runtime.RunCluster(cfg)
-		if err != nil {
+		if stats, err = RunCluster(cfgs, sc.Epochs, sc, &log); err != nil {
 			t.Error(err)
 		}
 	})
-	return liveRun(stats, &log)
-}
-
-// RunShardTCP executes the scenario as two real TCP-bridged shard
-// processes' worth of RunCluster shards inside this test binary — the same
-// transport path two `rexd -shard` processes take, with one shared fault
-// log for assertions.
-func RunShardTCP(t testing.TB, w *Workload, sc *faultnet.Scenario) *Run {
-	t.Helper()
-	const shards = 2
-	addrs := freePorts(t, shards)
-	nodes := w.nodes()
-	var log faultnet.Log
-	merged := make([]*runtime.Stats, Nodes)
-	deadline(t, "sharded TCP cluster", func() {
-		type result struct {
-			stats []*runtime.Stats
-			err   error
+	run := &Run{Stats: stats, Events: log.Events(), RMSE: make([][]float64, len(stats))}
+	for i, st := range stats {
+		if st != nil { // nil only when the node failed to start
+			run.RMSE[i] = st.RMSE
 		}
-		results := make(chan result, shards)
-		for s := 0; s < shards; s++ {
-			go func(s int) {
-				cfg := runtime.ClusterConfig{
-					Graph: w.Graph, Nodes: nodes, Epochs: sc.Epochs,
-					NewModel: func() model.Model { return mf.New(w.MCfg) },
-					Shard:    s, ShardAddrs: addrs,
-				}
-				sc.ApplyCluster(&cfg, &log)
-				stats, err := runtime.RunCluster(cfg)
-				results <- result{stats, err}
-			}(s)
-		}
-		for s := 0; s < shards; s++ {
-			res := <-results
-			if res.err != nil {
-				t.Error(res.err)
-				continue
-			}
-			for id, st := range res.stats {
-				if st != nil {
-					merged[id] = st
-				}
-			}
-		}
-	})
-	return liveRun(merged, &log)
-}
-
-func liveRun(stats []*runtime.Stats, log *faultnet.Log) *Run {
-	run := &Run{Stats: stats, Events: log.Events()}
-	for _, st := range stats {
-		if st == nil {
-			run.RMSE = append(run.RMSE, nil)
-			continue
-		}
-		run.RMSE = append(run.RMSE, append([]float64(nil), st.RMSE...))
 	}
 	return run
 }

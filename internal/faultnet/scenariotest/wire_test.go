@@ -20,13 +20,13 @@ import (
 // encoder exists to compare against, and are never regenerated: a mismatch
 // means the learning or the fault schedule changed, not the constant.
 var flatWireDigests = map[string]string{
-	"faultfree":           "1468ce658f06d371bfc5897f174669ae480e24f278e507eb6ecbaa688694b8ac",
-	"lossy":               "15633f5b1450d54b2f702cc4da17173fac76f9af1bfb1d2c2dced577273a25d1",
-	"flaky":               "ff7757978846332d048ffa90837fb5f4d1d51cc64481ac147e6e741c4b543d5a",
-	"split-heal":          "0ad0b51f722ae67ac28659d96c5a83d814c3e669d7504139e53198316a48f480",
-	"secure-flaky":        "ff7757978846332d048ffa90837fb5f4d1d51cc64481ac147e6e741c4b543d5a",
-	"shardtcp-split-heal": "0ad0b51f722ae67ac28659d96c5a83d814c3e669d7504139e53198316a48f480",
-	"delta-stress":        "1b795d0e270eb16f57904774c0fbb93f9728bf145dad6704303b48d270f3a5a2",
+	"faultfree":      "1468ce658f06d371bfc5897f174669ae480e24f278e507eb6ecbaa688694b8ac",
+	"lossy":          "15633f5b1450d54b2f702cc4da17173fac76f9af1bfb1d2c2dced577273a25d1",
+	"flaky":          "ff7757978846332d048ffa90837fb5f4d1d51cc64481ac147e6e741c4b543d5a",
+	"split-heal":     "0ad0b51f722ae67ac28659d96c5a83d814c3e669d7504139e53198316a48f480",
+	"secure-flaky":   "ff7757978846332d048ffa90837fb5f4d1d51cc64481ac147e6e741c4b543d5a",
+	"tcp-split-heal": "0ad0b51f722ae67ac28659d96c5a83d814c3e669d7504139e53198316a48f480",
+	"delta-stress":   "1b795d0e270eb16f57904774c0fbb93f9728bf145dad6704303b48d270f3a5a2",
 }
 
 // trajectoryDigest hashes what SameTrajectories compares: the node count,
@@ -50,7 +50,7 @@ func trajectoryDigest(r *Run) string {
 
 // TestDeltaWireMatchesFlatTrajectories is the wire-equivalence acceptance:
 // under drops, duplicates, reorders, partitions and forced stream resets,
-// natively, sealed and over the sharded TCP bridge, the delta wire lands
+// natively, sealed and over TCP, the delta wire lands
 // on exactly the per-node per-epoch RMSE and fault log the flat-frame wire
 // recorded — delta encoding is pure wire compression, invisible to the
 // learning.
@@ -65,8 +65,8 @@ func TestDeltaWireMatchesFlatTrajectories(t *testing.T) {
 		{"flaky", chanNetCase(w, "flaky", false)},
 		{"split-heal", chanNetCase(w, "split-heal", false)},
 		{"secure-flaky", chanNetCase(w, "flaky", true)},
-		{"shardtcp-split-heal", func(t *testing.T) *Run {
-			return RunShardTCP(t, w, cannedByNameOrDie(t, "split-heal"))
+		{"tcp-split-heal", func(t *testing.T) *Run {
+			return RunTCP(t, w, cannedByNameOrDie(t, "split-heal"))
 		}},
 		{"delta-stress", func(t *testing.T) *Run { return RunChanNet(t, w, deltaStress(), false) }},
 	} {

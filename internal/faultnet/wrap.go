@@ -14,7 +14,7 @@ import (
 // before any adversity matters). Every decision is a pure function of
 // (scenario, edge, frame index), so wrapping both ends of every edge with
 // the same spec reproduces the identical fault pattern run after run —
-// including across the processes of a sharded cluster.
+// including across the processes of a multi-process cluster.
 //
 // Fault semantics on the live wire:
 //
@@ -186,14 +186,6 @@ func (f *faultEndpoint) FaultCounts() (dropped, delayed int64) {
 	return f.dropped.Load(), f.delayed.Load()
 }
 
-// Wrapper returns the runtime.ClusterConfig WrapEndpoint hook for this
-// scenario, with all endpoints sharing one fault log.
-func (s *Scenario) Wrapper(log *Log) func(node int, ep runtime.Endpoint) runtime.Endpoint {
-	return func(node int, ep runtime.Endpoint) runtime.Endpoint {
-		return Wrap(ep, node, s, log)
-	}
-}
-
 // absentFunc exposes the churn schedule in the shape runtime.Config.Absent
 // expects, or nil when the scenario has no churn.
 func (s *Scenario) absentFunc() func(node, epoch int) bool {
@@ -209,40 +201,25 @@ func (s *Scenario) skipExpect(self, from, epoch int) bool {
 	return s.DropAt(from, self, epoch) || s.Partitioned(from, self, epoch)
 }
 
-// ApplyRun configures a single live node for this scenario: the endpoint
-// is wrapped and the failure-detector knobs (round timeout, grace,
-// rejoin, churn oracle) are set. Every node of the cluster must apply the
-// same scenario.
+// ApplyRun configures one live node for this scenario: the endpoint is
+// wrapped and the failure-detector knobs (round timeout, grace, rejoin,
+// churn oracle) are set. Every node of the cluster, in this process or
+// another, must apply the same scenario for the schedule to stay globally
+// consistent.
 func (s *Scenario) ApplyRun(cfg *runtime.Config, log *Log) {
 	self := cfg.Node.Cfg.ID
 	cfg.Endpoint = Wrap(cfg.Endpoint, self, s, log)
-	s.applyKnobs(&cfg.RoundTimeout, &cfg.PeerGrace, &cfg.Rejoin)
+	if s.TimeoutMs > 0 {
+		cfg.RoundTimeout = s.Timeout()
+	}
+	if s.GraceRounds > 0 {
+		cfg.PeerGrace = s.GraceRounds
+	}
+	if s.Rejoin {
+		cfg.Rejoin = true
+	}
 	cfg.Absent = s.absentFunc()
 	if s.Oracle {
 		cfg.SkipExpect = func(from, epoch int) bool { return s.skipExpect(self, from, epoch) }
-	}
-}
-
-// ApplyCluster configures a cluster for this scenario: the whole of it in
-// process, or one shard of a multi-process cluster, in which case every
-// shard must be given the same spec.
-func (s *Scenario) ApplyCluster(cfg *runtime.ClusterConfig, log *Log) {
-	cfg.WrapEndpoint = s.Wrapper(log)
-	s.applyKnobs(&cfg.RoundTimeout, &cfg.PeerGrace, &cfg.Rejoin)
-	cfg.Absent = s.absentFunc()
-	if s.Oracle {
-		cfg.SkipExpect = s.skipExpect
-	}
-}
-
-func (s *Scenario) applyKnobs(timeout *time.Duration, grace *int, rejoin *bool) {
-	if s.TimeoutMs > 0 {
-		*timeout = s.Timeout()
-	}
-	if s.GraceRounds > 0 {
-		*grace = s.GraceRounds
-	}
-	if s.Rejoin {
-		*rejoin = true
 	}
 }

@@ -2,10 +2,41 @@ package runtime
 
 import (
 	"fmt"
+	"io"
 
 	"rex/internal/attest"
 	"rex/internal/seccha"
 )
+
+// EnclaveMeasurement is the simulated enclave identity every REX node
+// reports and requires of its peers (Config.Measurement).
+var EnclaveMeasurement = attest.MeasureCode([]byte("rex-enclave-v1"))
+
+// nodesPerPlatform groups enclaves onto simulated SGX machines: the paper
+// runs two processes per machine (§IV-C).
+const nodesPerPlatform = 2
+
+// Collateral manufactures the attestation infrastructure and the platforms
+// of an n-node cluster, nodesPerPlatform consecutive nodes to a platform,
+// with every key drawn from entropy. Equal entropy yields equal collateral
+// (attest.Infrastructure.NewPlatform is a pure function of its reads), so
+// the processes of one cluster agree on it by reading one seed's stream.
+func Collateral(n int, entropy io.Reader) (*attest.Infrastructure, []*attest.Platform, error) {
+	inf := attest.NewInfrastructure()
+	platforms := make([]*attest.Platform, n)
+	for i := range platforms {
+		if i%nodesPerPlatform != 0 {
+			platforms[i] = platforms[i-1]
+			continue
+		}
+		p, err := inf.NewPlatform(entropy)
+		if err != nil {
+			return nil, nil, err
+		}
+		platforms[i] = p
+	}
+	return inf, platforms, nil
+}
 
 // attestAll performs the §III-A mutual attestation with every neighbor:
 // hellos out, quotes exchanged, channels derived. Gossip from peers that

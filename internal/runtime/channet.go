@@ -22,11 +22,11 @@ type chanEndpoint struct {
 }
 
 // NewChanNet builds a fully meshed in-process transport for n nodes, one
-// endpoint per node. It backs in-process clusters (RunCluster, the load
-// simulator, the benchmark) and tests; semantics match the TCP transport
-// (reliable, per-peer FIFO). Frames the receiver releases (Releaser) are
-// reused for later deliveries to it, so a warm cluster copies frames
-// without allocating.
+// endpoint per node. It backs in-process clusters (the load simulator, the
+// benchmark, the test clusters of internal/faultnet/scenariotest); semantics
+// match the TCP transport (reliable, per-peer FIFO). Frames the receiver
+// releases (Releaser) are reused for later deliveries to it, so a warm
+// cluster copies frames without allocating.
 func NewChanNet(n int) []Endpoint {
 	eps := make([]*chanEndpoint, n)
 	for i := range eps {
@@ -47,9 +47,11 @@ func NewChanNet(n int) []Endpoint {
 	return out
 }
 
-// Send delivers a copy of data to the peer's inbox. A send to a closed
+// Send delivers a copy of data to the peer's inbox. The copy reuses a
+// frame the peer has released when one is large enough. A send to a closed
 // peer reports ErrPeerClosed rather than blocking (or, as the transport
-// once did, swallowing the failure with a recover on the closed channel).
+// once did, swallowing the failure with a recover on the closed channel);
+// the upfront check reports it even when the inbox still has room.
 func (e *chanEndpoint) Send(to int, data []byte) error {
 	if to < 0 || to >= len(e.mesh) {
 		return fmt.Errorf("runtime: no peer %d", to)
@@ -60,7 +62,32 @@ func (e *chanEndpoint) Send(to int, data []byte) error {
 	default:
 	}
 	dst := e.mesh[to]
-	return deliverLocal(e.id, data, to, dst.inbox, dst.free, dst.done, e.done, &dst.qhwm)
+	select {
+	case <-dst.done:
+		return fmt.Errorf("runtime: peer %d: %w", to, ErrPeerClosed)
+	default:
+	}
+	var cp []byte
+	select {
+	case buf := <-dst.free:
+		if cap(buf) >= len(data) {
+			cp = buf[:len(data)]
+		}
+	default:
+	}
+	if cp == nil {
+		cp = make([]byte, len(data))
+	}
+	copy(cp, data)
+	select {
+	case dst.inbox <- Envelope{From: e.id, Data: cp}:
+		maxQueueHWM(&dst.qhwm, int64(len(dst.inbox)))
+		return nil
+	case <-dst.done:
+		return fmt.Errorf("runtime: peer %d: %w", to, ErrPeerClosed)
+	case <-e.done:
+		return errEndpointClosed
+	}
 }
 
 func (e *chanEndpoint) Inbox() <-chan Envelope { return e.inbox }

@@ -2,9 +2,7 @@ package runtime
 
 import (
 	"bytes"
-	"crypto/sha256"
 	"encoding/binary"
-	"encoding/hex"
 	"errors"
 	"math"
 	"math/bits"
@@ -17,7 +15,6 @@ import (
 	"rex/internal/compress"
 	"rex/internal/core"
 	"rex/internal/dataset"
-	"rex/internal/gossip"
 	"rex/internal/mf"
 	"rex/internal/model"
 	"rex/internal/movielens"
@@ -77,64 +74,6 @@ func sampleRatings(n int, seed int64) []dataset.Rating {
 		}
 	}
 	return out
-}
-
-// savingFloorFlatDigest is rmseDigest of the trajectories the flat-frame
-// wire produced on TestDeltaWireSavingFloor's workload, native and secure
-// alike. It was recorded at commit 2e0ec37, the last to carry that wire
-// (identical under REX_VEC=go and avx2, -cpu 1 and 4), and is never
-// regenerated: it stands in for the second encoder the floor used to run
-// beside the delta wire.
-const savingFloorFlatDigest = "9344ad83b6f7a50e8a284ef06e6b6826d65781b3d8b7ce548544bdbd965fb587"
-
-// rmseDigest hashes every node's RMSE trajectory: the node count, then per
-// node its epoch count and every epoch's RMSE bits, all little-endian.
-func rmseDigest(stats []*Stats) string {
-	b := binary.LittleEndian.AppendUint32(nil, uint32(len(stats)))
-	for _, s := range stats {
-		b = binary.LittleEndian.AppendUint32(b, uint32(len(s.RMSE)))
-		for _, v := range s.RMSE {
-			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
-		}
-	}
-	sum := sha256.Sum256(b)
-	return hex.EncodeToString(sum[:])
-}
-
-// TestDeltaWireSavingFloor holds the delta wire's reason to exist: on the
-// live 8-node full mesh (D-PSGD raw-data sharing, light training, 400
-// shared points per epoch — the runtime-weighted workload) the flat
-// reference encoding of the frames sent (Stats.WireRawBytes) must cost at
-// least 3x the bytes the delta wire put on it (Stats.BytesOnWire), native
-// and secure, with every node's trajectory the one the flat wire produced.
-// Bytes are deterministic per seed, so the floor cannot flake. Secure
-// reads lower (4.9x against 5.76x) because BytesOnWire also pays the seal
-// overhead and the attestation handshakes. The workload matters: on the
-// fault-free 4-node x 30-point scenariotest cluster the secure ratio is
-// 1.6x (native 4.3x), because the handshakes dominate.
-func TestDeltaWireSavingFloor(t *testing.T) {
-	const floor = 3.0
-	for _, secure := range []bool{false, true} {
-		cfg := clusterWorkloadSized(t, 8, core.DataSharing, gossip.DPSGD, 6, 33, 50, 400)
-		cfg.Secure = secure
-		stats, err := RunCluster(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := rmseDigest(stats); got != savingFloorFlatDigest {
-			t.Fatalf("secure=%v: trajectory digest %s, the flat wire recorded %s", secure, got, savingFloorFlatDigest)
-		}
-		var raw, onWire int64
-		for _, s := range stats {
-			raw += s.WireRawBytes
-			onWire += s.BytesOnWire
-		}
-		ratio := float64(raw) / float64(onWire)
-		t.Logf("secure=%v: flat %d B, delta %d B on the wire, %.2fx", secure, raw, onWire, ratio)
-		if ratio < floor {
-			t.Errorf("secure=%v: flat/delta wire bytes %.2fx, want >= %.1fx", secure, ratio, floor)
-		}
-	}
 }
 
 // TestModelSectionSavingFloor holds the word planes' reason to exist: on a

@@ -13,10 +13,9 @@ import (
 	"rex/internal/model"
 )
 
-// Engine is the resumable form of the epoch loop: where Run executes a
-// fixed number of epochs and returns, an Engine exposes the loop one epoch
-// at a time so a long-running daemon (cmd/rexd) can interleave training
-// with serving, ingestion and persistence. Lifecycle:
+// Engine is one node's epoch loop, exposed one epoch at a time: a batch
+// job is a loop of Steps, and a long-running daemon (cmd/rexd) interleaves
+// them with serving, ingestion and persistence. Lifecycle:
 //
 //	e, err := NewEngine(cfg)   // validate, build the runner
 //	err = e.Start()            // attest neighbors (secure mode)
@@ -145,10 +144,10 @@ func (e *Engine) Epoch() int { return e.epoch }
 // should use Status instead.
 func (e *Engine) Stats() *Stats { return e.r.stats }
 
-// Drain asks the stepping loop to stop: Run (and daemon loops) check it
-// between epochs, so the current epoch always completes cleanly — shares
-// sent, RMSE recorded — before the node goes quiet. Safe from any
-// goroutine; idempotent.
+// Drain asks the stepping loop to stop: the loop checks Draining between
+// epochs (rexd's generation loop does), so the current epoch always
+// completes cleanly — shares sent, RMSE recorded — before the node goes
+// quiet. Safe from any goroutine; idempotent.
 func (e *Engine) Drain() { e.draining.Store(true) }
 
 // Draining reports whether Drain has been requested.

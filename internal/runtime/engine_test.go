@@ -1,48 +1,45 @@
-package runtime
+package runtime_test
 
 import (
 	"math"
+	"slices"
 	"sync"
 	"testing"
+	"time"
 
 	"rex/internal/core"
 	"rex/internal/dataset"
 	"rex/internal/gossip"
+	"rex/internal/runtime"
 )
 
-// TestEngineMatchesRun pins that manually stepping Engines produces the
-// exact trajectory Run produces: Run is now a wrapper over the engine, but
-// this guards the equivalence if either side evolves — the daemon's
-// incremental loop and the batch loop must stay one protocol.
+// TestEngineMatchesRun pins that stepping Engines by hand in Publish mode
+// produces the exact trajectory a batch run (scenariotest.RunCluster)
+// produces: publishing snapshots must not touch the learning, and the
+// daemon's incremental loop and the batch loop must stay one protocol.
 func TestEngineMatchesRun(t *testing.T) {
 	const n, epochs = 4, 6
-	ref := clusterWorkload(t, n, core.DataSharing, gossip.DPSGD, epochs)
-	refStats, err := RunCluster(ref)
-	if err != nil {
-		t.Fatal(err)
-	}
+	w := workload(t, n, core.DataSharing, gossip.DPSGD)
+	refStats := runChanNet(t, w, epochs, false)
 
-	cfg := clusterWorkload(t, n, core.DataSharing, gossip.DPSGD, epochs)
-	eps := NewChanNet(n)
+	eps := runtime.NewChanNet(n)
+	cfgs := w.Configs(t, eps, false)
 	defer func() {
 		for _, ep := range eps {
 			ep.Close()
 		}
 	}()
 	trajs := make([][]float64, n)
-	snaps := make([]*Snapshot, n)
+	snaps := make([]*runtime.Snapshot, n)
 	var wg sync.WaitGroup
 	errs := make([]error, n)
 	for i := 0; i < n; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			e, err := NewEngine(Config{
-				Node: cfg.Nodes[i], Endpoint: eps[i],
-				Neighbors: cfg.Graph.Neighbors(i),
-				NewModel:  cfg.NewModel,
-				Publish:   true,
-			})
+			cfg := cfgs[i]
+			cfg.Publish = true
+			e, err := runtime.NewEngine(cfg)
 			if err != nil {
 				errs[i] = err
 				return
@@ -72,7 +69,7 @@ func TestEngineMatchesRun(t *testing.T) {
 	for i := 0; i < n; i++ {
 		for k := 0; k < epochs; k++ {
 			if trajs[i][k] != refStats[i].RMSE[k] {
-				t.Fatalf("node %d epoch %d: engine %v != Run %v", i, k, trajs[i][k], refStats[i].RMSE[k])
+				t.Fatalf("node %d epoch %d: engine %v != batch %v", i, k, trajs[i][k], refStats[i].RMSE[k])
 			}
 		}
 		snap := snaps[i]
@@ -90,12 +87,13 @@ func TestEngineMatchesRun(t *testing.T) {
 // Step, published snapshots are deep copies untouched by later training,
 // and Status mirrors the counters.
 func TestEngineIngestAndSnapshotIsolation(t *testing.T) {
-	cfg := clusterWorkload(t, 1, core.DataSharing, gossip.DPSGD, 1)
-	eps := NewChanNet(1)
+	w := workload(t, 1, core.DataSharing, gossip.DPSGD)
+	node := w.Nodes()[0]
+	eps := runtime.NewChanNet(1)
 	defer eps[0].Close()
-	e, err := NewEngine(Config{
-		Node: cfg.Nodes[0], Endpoint: eps[0],
-		NewModel: cfg.NewModel, Publish: true,
+	e, err := runtime.NewEngine(runtime.Config{
+		Node: node, Endpoint: eps[0],
+		NewModel: w.NewModel, Publish: true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -118,7 +116,7 @@ func TestEngineIngestAndSnapshotIsolation(t *testing.T) {
 	if snap1 == nil || snap1.Epoch != 1 {
 		t.Fatalf("snapshot after first step: %+v", snap1)
 	}
-	storeLen := cfg.Nodes[0].Store.Len()
+	storeLen := node.Store.Len()
 	if len(snap1.Ratings) != storeLen {
 		t.Fatalf("snapshot holds %d ratings, store %d", len(snap1.Ratings), storeLen)
 	}
@@ -130,16 +128,16 @@ func TestEngineIngestAndSnapshotIsolation(t *testing.T) {
 	if got := e.Ingest([]dataset.Rating{novel, dup}); got != 2 {
 		t.Fatalf("Ingest accepted %d of 2", got)
 	}
-	if cfg.Nodes[0].Store.Len() != storeLen {
+	if node.Store.Len() != storeLen {
 		t.Fatal("mailbox leaked into the store before Step")
 	}
 	if _, err := e.Step(); err != nil {
 		t.Fatal(err)
 	}
-	if got := cfg.Nodes[0].Store.Len(); got != storeLen+1 {
+	if got := node.Store.Len(); got != storeLen+1 {
 		t.Fatalf("store has %d ratings after ingest, want %d", got, storeLen+1)
 	}
-	if !cfg.Nodes[0].Store.Contains(novel.User, novel.Item) {
+	if !node.Store.Contains(novel.User, novel.Item) {
 		t.Fatal("ingested rating missing from store")
 	}
 	snap2 := e.Snapshot()
@@ -177,11 +175,11 @@ func TestEngineIngestAndSnapshotIsolation(t *testing.T) {
 // an engine restarted with StartEpoch=E continues the epoch count from E
 // and keeps training from the restored state.
 func TestEngineResumeStartEpoch(t *testing.T) {
-	cfg := clusterWorkload(t, 1, core.DataSharing, gossip.DPSGD, 1)
-	node := cfg.Nodes[0]
-	eps := NewChanNet(1)
+	w := workload(t, 1, core.DataSharing, gossip.DPSGD)
+	node := w.Nodes()[0]
+	eps := runtime.NewChanNet(1)
 	defer eps[0].Close()
-	e, err := NewEngine(Config{Node: node, Endpoint: eps[0], NewModel: cfg.NewModel, Publish: true})
+	e, err := runtime.NewEngine(runtime.Config{Node: node, Endpoint: eps[0], NewModel: w.NewModel, Publish: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,11 +195,11 @@ func TestEngineResumeStartEpoch(t *testing.T) {
 	snap := e.Snapshot()
 
 	// "Restart": rebuild the node from the snapshot, as cmd/rexd does.
-	restored := core.NewNode(node.Cfg, snap.Model.Clone(), snap.Ratings, cfg.Nodes[0].Test)
-	eps2 := NewChanNet(1)
+	restored := core.NewNode(node.Cfg, snap.Model.Clone(), snap.Ratings, node.Test)
+	eps2 := runtime.NewChanNet(1)
 	defer eps2[0].Close()
-	e2, err := NewEngine(Config{
-		Node: restored, Endpoint: eps2[0], NewModel: cfg.NewModel,
+	e2, err := runtime.NewEngine(runtime.Config{
+		Node: restored, Endpoint: eps2[0], NewModel: w.NewModel,
 		Publish: true, StartEpoch: snap.Epoch,
 	})
 	if err != nil {
@@ -226,5 +224,84 @@ func TestEngineResumeStartEpoch(t *testing.T) {
 	}
 	if got := e2.Snapshot(); got.Epoch != 4 {
 		t.Fatalf("resumed snapshot epoch %d, want 4", got.Epoch)
+	}
+}
+
+// TestRoundTimerReuse pins the one round timer the runner keeps across
+// gathers. A round that finishes early leaves the timer to fire unread;
+// the next round must still wait its full timeout for a late frame, not
+// take the stale tick. And with PeerGrace 1 a silent peer survives its
+// first timed-out round and is dropped after its second. On the way it
+// checks the published Status: only in Publish mode, with one neighbor
+// view shared until the set changes.
+func TestRoundTimerReuse(t *testing.T) {
+	const timeout = 300 * time.Millisecond
+	w := workload(t, 2, core.DataSharing, gossip.DPSGD)
+	nodes := w.Nodes()
+	eps := runtime.NewChanNet(2)
+	defer eps[0].Close()
+	defer eps[1].Close()
+	engines := make([]*runtime.Engine, 2)
+	for i := range engines {
+		cfg := runtime.Config{Node: nodes[i], Endpoint: eps[i], Neighbors: []int{1 - i}, NewModel: w.NewModel}
+		if i == 0 {
+			cfg.RoundTimeout, cfg.PeerGrace, cfg.Publish = timeout, 1, true
+		}
+		var err error
+		if engines[i], err = runtime.NewEngine(cfg); err != nil {
+			t.Fatal(err)
+		}
+		if err := engines[i].Start(); err != nil {
+			t.Fatal(err)
+		}
+		defer engines[i].Stop()
+	}
+	a, b := engines[0], engines[1]
+	if b.Status() != nil {
+		t.Fatal("a Status was published without Config.Publish")
+	}
+	step := func(e *runtime.Engine) {
+		t.Helper()
+		if _, err := e.Step(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// stepLate steps a while b's frame for the round arrives a tenth of
+	// the timeout late, and fails if a's round did not wait for it.
+	stepLate := func() {
+		t.Helper()
+		late := make(chan struct{})
+		go func() {
+			defer close(late)
+			time.Sleep(timeout / 10)
+			if _, err := b.Step(); err != nil {
+				t.Error(err)
+			}
+		}()
+		step(a)
+		<-late
+		if got := len(eps[0].Inbox()); got != 0 {
+			t.Fatalf("b's late frame is still queued (%d in a's inbox), not merged in its round", got)
+		}
+	}
+	step(a)
+	stepLate()              // the round arms the timer and ends before it fires
+	time.Sleep(2 * timeout) // the timer fires with no round to read it
+	stepLate()              // this round must not take that stale tick
+	view := a.Status().Neighbors
+	// b is silent from here on: its first miss is forgiven, its second is not.
+	step(a)
+	if lost := a.Stats().PeersLost; lost != 0 {
+		t.Fatalf("PeerGrace 1: dropped after the first timed-out round (%d lost)", lost)
+	}
+	if nb := a.Status().Neighbors; !slices.Equal(nb, []int{1}) || &nb[0] != &view[0] {
+		t.Fatalf("unchanged neighbor set published as a new view %v (was %v)", nb, view)
+	}
+	step(a)
+	if lost := a.Stats().PeersLost; lost != 1 {
+		t.Fatalf("PeerGrace 1: %d peers lost after the second timed-out round, want 1", lost)
+	}
+	if nb := a.Status().Neighbors; len(nb) != 0 || !slices.Equal(view, []int{1}) {
+		t.Fatalf("after the drop: Status.Neighbors %v, the old view %v", nb, view)
 	}
 }

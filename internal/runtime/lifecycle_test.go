@@ -2,7 +2,6 @@ package runtime
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	goruntime "runtime"
 	"slices"
@@ -38,7 +37,7 @@ func tinyCluster(t *testing.T, n int, secure bool) ([]*Engine, []Endpoint) {
 		}
 		for i := range cfgs {
 			cfgs[i] = Config{Secure: true, Platform: platforms[i], Infra: inf,
-				Measurement: enclaveMeasurement, Entropy: rand.New(rand.NewSource(int64(i)))}
+				Measurement: EnclaveMeasurement, Entropy: rand.New(rand.NewSource(int64(i)))}
 		}
 	}
 	engines := make([]*Engine, n)
@@ -138,51 +137,6 @@ func TestWarmEpochAllocs(t *testing.T) {
 	}
 }
 
-// scribbleEndpoint is a ChanNet port that fills every frame the runner
-// releases with 0xA5 before recycling it, so a read of a frame after its
-// release would see garbage.
-type scribbleEndpoint struct {
-	Endpoint
-}
-
-func (s scribbleEndpoint) Release(frame []byte) {
-	for i := range frame {
-		frame[i] = 0xA5
-	}
-	s.Endpoint.(Releaser).Release(frame)
-}
-
-// TestReleasedFramesUnread proves that nothing reads a frame after the
-// runner releases it: with every released frame scribbled over before it
-// is recycled, every node's per-epoch RMSE is bit-equal to a plain run's,
-// native and secure, raw-data and model sharing.
-func TestReleasedFramesUnread(t *testing.T) {
-	for _, mode := range []core.Mode{core.DataSharing, core.ModelSharing} {
-		for _, secure := range []bool{false, true} {
-			t.Run(fmt.Sprintf("%v/secure=%v", mode, secure), func(t *testing.T) {
-				run := func(wrap func(int, Endpoint) Endpoint) []*Stats {
-					cfg := clusterWorkload(t, 4, mode, gossip.DPSGD, 6)
-					cfg.Secure = secure
-					cfg.WrapEndpoint = wrap
-					stats, err := RunCluster(cfg)
-					if err != nil {
-						t.Fatal(err)
-					}
-					return stats
-				}
-				plain := run(nil)
-				scribbled := run(func(_ int, ep Endpoint) Endpoint { return scribbleEndpoint{ep} })
-				for i := range plain {
-					a, b := plain[i].RMSE, scribbled[i].RMSE
-					if !slices.EqualFunc(a, b, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) }) {
-						t.Fatalf("node %d: RMSE %v with scribbled releases, %v plain", i, b, a)
-					}
-				}
-			})
-		}
-	}
-}
-
 // runnerGoroutines counts the live goroutines a runner started: its share
 // goroutine and its gather workers. It counts them by the "created by" line
 // of each stack, which is printed whether or not the goroutine has run yet;
@@ -235,83 +189,5 @@ func TestRunnerGoroutinesEnd(t *testing.T) {
 				time.Sleep(time.Millisecond)
 			}
 		})
-	}
-}
-
-// TestRoundTimerReuse pins the one round timer the runner keeps across
-// gathers. A round that finishes early leaves the timer to fire unread;
-// the next round must still wait its full timeout for a late frame, not
-// take the stale tick. And with PeerGrace 1 a silent peer survives its
-// first timed-out round and is dropped after its second. On the way it
-// checks the published Status: only in Publish mode, with one neighbor
-// view shared until the set changes.
-func TestRoundTimerReuse(t *testing.T) {
-	const timeout = 300 * time.Millisecond
-	cw := clusterWorkload(t, 2, core.DataSharing, gossip.DPSGD, 1)
-	eps := NewChanNet(2)
-	defer eps[0].Close()
-	defer eps[1].Close()
-	engines := make([]*Engine, 2)
-	for i := range engines {
-		cfg := Config{Node: cw.Nodes[i], Endpoint: eps[i], Neighbors: []int{1 - i}, NewModel: cw.NewModel}
-		if i == 0 {
-			cfg.RoundTimeout, cfg.PeerGrace, cfg.Publish = timeout, 1, true
-		}
-		var err error
-		if engines[i], err = NewEngine(cfg); err != nil {
-			t.Fatal(err)
-		}
-		if err := engines[i].Start(); err != nil {
-			t.Fatal(err)
-		}
-		defer engines[i].Stop()
-	}
-	a, b := engines[0], engines[1]
-	if b.Status() != nil {
-		t.Fatal("a Status was published without Config.Publish")
-	}
-	step := func(e *Engine) {
-		t.Helper()
-		if _, err := e.Step(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// stepLate steps a while b's frame for the round arrives a tenth of
-	// the timeout late, and fails if a's round did not wait for it.
-	stepLate := func() {
-		t.Helper()
-		late := make(chan struct{})
-		go func() {
-			defer close(late)
-			time.Sleep(timeout / 10)
-			if _, err := b.Step(); err != nil {
-				t.Error(err)
-			}
-		}()
-		step(a)
-		<-late
-		if got := len(eps[0].Inbox()); got != 0 {
-			t.Fatalf("b's late frame is still queued (%d in a's inbox), not merged in its round", got)
-		}
-	}
-	step(a)
-	stepLate()              // the round arms the timer and ends before it fires
-	time.Sleep(2 * timeout) // the timer fires with no round to read it
-	stepLate()              // this round must not take that stale tick
-	view := a.Status().Neighbors
-	// b is silent from here on: its first miss is forgiven, its second is not.
-	step(a)
-	if lost := a.Stats().PeersLost; lost != 0 {
-		t.Fatalf("PeerGrace 1: dropped after the first timed-out round (%d lost)", lost)
-	}
-	if nb := a.Status().Neighbors; !slices.Equal(nb, []int{1}) || &nb[0] != &view[0] {
-		t.Fatalf("unchanged neighbor set published as a new view %v (was %v)", nb, view)
-	}
-	step(a)
-	if lost := a.Stats().PeersLost; lost != 1 {
-		t.Fatalf("PeerGrace 1: %d peers lost after the second timed-out round, want 1", lost)
-	}
-	if nb := a.Status().Neighbors; len(nb) != 0 || !slices.Equal(view, []int{1}) {
-		t.Fatalf("after the drop: Status.Neighbors %v, the old view %v", nb, view)
 	}
 }

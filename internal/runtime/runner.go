@@ -27,8 +27,6 @@ type Config struct {
 	Endpoint Endpoint
 	// Neighbors lists the node's peers in the communication graph.
 	Neighbors []int
-	// Epochs is the number of merge-train-share-test rounds to run.
-	Epochs int
 
 	// Secure enables REX's protections: mutual attestation before any
 	// exchange, and AES-GCM sealing of every gossip payload. False runs
@@ -165,28 +163,6 @@ type Stats struct {
 	RMSE []float64
 	// FinalRMSE is the last entry of RMSE.
 	FinalRMSE float64
-}
-
-// Run executes one node as a batch job: epochs [StartEpoch,
-// StartEpoch+Epochs) on a fresh Engine, then Stop. It returns after the
-// node's own last epoch; peers may still be finishing theirs. Run is the
-// thin wrapper the cluster driver uses; long-running daemons drive the
-// Engine directly.
-func Run(cfg Config) (*Stats, error) {
-	e, err := NewEngine(cfg)
-	if err != nil {
-		return nil, err
-	}
-	if err := e.Start(); err != nil {
-		return nil, err
-	}
-	defer e.Stop()
-	for e.epoch < cfg.StartEpoch+cfg.Epochs && !e.draining.Load() {
-		if _, err := e.Step(); err != nil {
-			return e.r.stats, err
-		}
-	}
-	return e.r.stats, nil
 }
 
 type runner struct {

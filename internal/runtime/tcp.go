@@ -193,13 +193,6 @@ func (t *TCPNet) lane(to int) (*tcpLane, error) {
 // lane. It blocks only when that peer's queue is full (backpressure), and
 // returns the lane's sticky error if the peer has failed.
 func (t *TCPNet) Send(to int, data []byte) error {
-	return t.send(to, nil, data)
-}
-
-// send frames prefix+data as one message. The prefix rides inside the
-// lane's recycled frame buffer, so layered transports (the shard bridge's
-// routing header) add theirs without an extra allocation and copy.
-func (t *TCPNet) send(to int, prefix, data []byte) error {
 	l, err := t.lane(to)
 	if err != nil {
 		return err
@@ -207,12 +200,10 @@ func (t *TCPNet) send(to int, prefix, data []byte) error {
 	if err := l.sticky(); err != nil {
 		return err
 	}
-	body := len(prefix) + len(data)
-	frame := l.buffer(frameHeader + body)
-	binary.LittleEndian.PutUint32(frame, uint32(body))
+	frame := l.buffer(frameHeader + len(data))
+	binary.LittleEndian.PutUint32(frame, uint32(len(data)))
 	binary.LittleEndian.PutUint32(frame[4:], uint32(t.id))
-	copy(frame[frameHeader:], prefix)
-	copy(frame[frameHeader+len(prefix):], data)
+	copy(frame[frameHeader:], data)
 	l.sendMu.Lock()
 	defer l.sendMu.Unlock()
 	if l.closed {

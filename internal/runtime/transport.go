@@ -7,11 +7,13 @@
 //
 // The runtime is layered:
 //
-//   - transport (this file, channet.go, tcp.go, shard.go): Endpoint
-//     implementations. TCPNet gives every peer a dedicated outbound lane
-//     (writer goroutine + bounded queue) so a slow peer never stalls sends
-//     to healthy ones; the shard transport bridges several in-process
-//     nodes across OS processes over one TCP link per shard pair.
+//   - transport (this file, channet.go, tcp.go): Endpoint implementations.
+//     TCPNet is one node's port in a multi-process cluster, the shape
+//     rexd runs: one process per node, and Collateral pairs the nodes
+//     onto simulated platforms as the paper's two processes per machine.
+//     It gives every peer a dedicated outbound lane (writer goroutine +
+//     bounded queue) so a slow peer never stalls sends to healthy ones.
+//     ChanNet meshes the nodes of one process.
 //   - runner (runner.go, attest.go): the per-node epoch pipeline — frames
 //     are decrypted and decoded as they arrive, on one worker per P, and
 //     one goroutine seals and sends the share, overlapping the test stage.
@@ -20,13 +22,12 @@
 //     map and timer is a runner field refilled in place, so a warm epoch
 //     allocates only what the store and the model grow by. ChanNet
 //     recycles the frames the runner has opened (Releaser).
-//   - cluster driver (cluster.go): RunCluster executes a whole deployment
-//     in one process, or one shard of a multi-process deployment.
+//   - engine (engine.go): Engine drives one node's runner an epoch at a
+//     time, for a batch loop or for a daemon that serves between epochs.
 package runtime
 
 import (
 	"errors"
-	"fmt"
 	"sync/atomic"
 )
 
@@ -99,40 +100,5 @@ func maxQueueHWM(slot *atomic.Int64, depth int64) {
 		if depth <= cur || slot.CompareAndSwap(cur, depth) {
 			return
 		}
-	}
-}
-
-// deliverLocal implements in-process delivery shared by the chan and
-// shard transports: copy data into the destination inbox, honoring both
-// sides' shutdown signals. The copy reuses a frame from free, the
-// destination's released frames, when one is large enough (a nil free
-// always allocates). The upfront peer-done check gives a deterministic
-// ErrPeerClosed even when the inbox still has room.
-func deliverLocal(from int, data []byte, to int, inbox chan Envelope, free chan []byte, peerDone, ownDone <-chan struct{}, hwm *atomic.Int64) error {
-	select {
-	case <-peerDone:
-		return fmt.Errorf("runtime: peer %d: %w", to, ErrPeerClosed)
-	default:
-	}
-	var cp []byte
-	select {
-	case buf := <-free:
-		if cap(buf) >= len(data) {
-			cp = buf[:len(data)]
-		}
-	default:
-	}
-	if cp == nil {
-		cp = make([]byte, len(data))
-	}
-	copy(cp, data)
-	select {
-	case inbox <- Envelope{From: from, Data: cp}:
-		maxQueueHWM(hwm, int64(len(inbox)))
-		return nil
-	case <-peerDone:
-		return fmt.Errorf("runtime: peer %d: %w", to, ErrPeerClosed)
-	case <-ownDone:
-		return errEndpointClosed
 	}
 }

@@ -13,7 +13,8 @@ import (
 )
 
 // productionBinaries are the module's main packages: every function under
-// internal/ must be linked into at least one of them.
+// internal/ must be linked into at least one of them, and every function
+// of a binary under cmd/ into that binary.
 var productionBinaries = []string{"./cmd/rexd", "./cmd/rexbench", "./benchmark"}
 
 // unlinkedAllowed names the functions (key "pkg.Func" or "pkg.Type.Method")
@@ -27,7 +28,7 @@ var unlinkedAllowed = map[string]string{
 }
 
 // TestProductionCodeIsLinked fails on every function declared in a non-test
-// file under internal/ that none of the production binaries links. The
+// file under internal/ or cmd/ that none of the production binaries links. The
 // binaries are built without inlining in this module's packages, so every
 // function a binary reaches keeps its own symbol, and `go tool nm` lists
 // them; the declarations come from the files `go list` reports for the
@@ -44,17 +45,18 @@ func TestProductionCodeIsLinked(t *testing.T) {
 		if err != nil {
 			t.Fatalf("go tool nm %s: %v", p, err)
 		}
+		mainPkg := "rex/" + strings.TrimPrefix(p, "./")
 		for _, line := range strings.Split(string(out), "\n") {
 			f := strings.SplitN(strings.TrimSpace(line), " ", 3)
 			if len(f) == 3 && (f[1] == "T" || f[1] == "t") {
-				for _, k := range symbolKeys(f[2]) {
+				for _, k := range symbolKeys(f[2], mainPkg) {
 					linked[k] = true
 				}
 			}
 		}
 	}
 
-	out, err := exec.Command("go", "list", "-f", `{{.ImportPath}}{{"\t"}}{{.Dir}}{{"\t"}}{{join .GoFiles " "}}`, "./internal/...").Output()
+	out, err := exec.Command("go", "list", "-f", `{{.ImportPath}}{{"\t"}}{{.Dir}}{{"\t"}}{{join .GoFiles " "}}`, "./internal/...", "./cmd/...").Output()
 	if err != nil {
 		t.Fatalf("go list: %v", err)
 	}
@@ -87,7 +89,7 @@ func TestProductionCodeIsLinked(t *testing.T) {
 				rel, _ := filepath.Rel(root, path)
 				from, to := fset.Position(fd.Pos()).Line, fset.Position(fd.End()).Line
 				t.Errorf("%s:%d: %s (%d lines) is linked into no production binary: delete it, or give it a caller",
-					rel, from, strings.TrimPrefix(key, "rex/internal/"), to-from+1)
+					rel, from, strings.TrimPrefix(key, "rex/"), to-from+1)
 			}
 		}
 	}
@@ -96,7 +98,7 @@ func TestProductionCodeIsLinked(t *testing.T) {
 		case why == "":
 			t.Errorf("allowlist entry %s gives no reason", key)
 		case !declared[key]:
-			t.Errorf("allowlist entry %s names nothing declared under internal/", key)
+			t.Errorf("allowlist entry %s names nothing declared under internal/ or cmd/", key)
 		case linked[key]:
 			t.Errorf("allowlist entry %s is linked now: drop the entry", key)
 		}
@@ -126,8 +128,13 @@ func declKey(pkg string, fd *ast.FuncDecl) string {
 // module shows to be reached: "rex/internal/x.(*T[go.shape.int]).M-fm"
 // reaches x.T.M, "rex/internal/x.F.func1" (a closure) reaches x.F. Both the
 // first and the first two name components are returned, as a symbol does
-// not say whether its first component is a type or a function.
-func symbolKeys(sym string) []string {
+// not say whether its first component is a type or a function. A symbol of
+// package main belongs to mainPkg, the import path of the binary's own
+// package.
+func symbolKeys(sym, mainPkg string) []string {
+	if rest, ok := strings.CutPrefix(sym, "main."); ok {
+		sym = mainPkg + "." + rest
+	}
 	if !strings.HasPrefix(sym, "rex/") {
 		return nil
 	}
@@ -160,9 +167,10 @@ func symbolKeys(sym string) []string {
 }
 
 // TestSymbolKeys pins symbolKeys on each form of symbol the production
-// binaries hold, against the declKey of the declaration it belongs to.
+// binaries hold, against the declKey of the declaration it belongs to; a
+// main.* symbol belongs to the binary's package, here rex/cmd/x.
 func TestSymbolKeys(t *testing.T) {
-	const pkg = "rex/internal/x"
+	const pkg, mainPkg = "rex/internal/x", "rex/cmd/x"
 	for _, c := range []struct{ sym, decl string }{
 		{pkg + ".F", "func F() {}"},
 		{pkg + ".(*T).M", "func (t *T) M() {}"},
@@ -176,18 +184,27 @@ func TestSymbolKeys(t *testing.T) {
 		{pkg + ".(*T).M.func2.1", "func (t *T) M() {}"},
 		{pkg + ".F.gowrap1", "func F() {}"},
 		{pkg + ".init.0", "func init() {}"},
+		{"main.main", "func main() {}"},
+		{"main.F", "func F() {}"},
+		{"main.(*T).M", "func (t *T) M() {}"},
+		{"main.F.func1", "func F() {}"},
+		{"main.init.0", "func init() {}"},
 	} {
 		file, err := parser.ParseFile(token.NewFileSet(), "x.go", "package x\n"+c.decl, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := declKey(pkg, file.Decls[0].(*ast.FuncDecl))
-		if got := symbolKeys(c.sym); !slices.Contains(got, want) {
+		p := pkg
+		if strings.HasPrefix(c.sym, "main.") {
+			p = mainPkg
+		}
+		want := declKey(p, file.Decls[0].(*ast.FuncDecl))
+		if got := symbolKeys(c.sym, mainPkg); !slices.Contains(got, want) {
 			t.Errorf("symbolKeys(%q) = %q, want it to hold %q", c.sym, got, want)
 		}
 	}
-	for _, sym := range []string{"runtime.main", "type:.eq.rex/internal/x.T", "slices.Sort[go.shape.[]rex/internal/x.T]"} {
-		if got := symbolKeys(sym); got != nil {
+	for _, sym := range []string{"runtime.main", "type:.eq.rex/internal/x.T", "type:.eq.main.T", "slices.Sort[go.shape.[]rex/internal/x.T]"} {
+		if got := symbolKeys(sym, mainPkg); got != nil {
 			t.Errorf("symbolKeys(%q) = %q, want none: not a function of this module", sym, got)
 		}
 	}

@@ -12,6 +12,7 @@ import (
 	"rex/internal/baseline"
 	"rex/internal/core"
 	"rex/internal/dataset"
+	"rex/internal/faultnet/scenariotest"
 	"rex/internal/gossip"
 	"rex/internal/mf"
 	"rex/internal/model"
@@ -70,20 +71,9 @@ func TestFacadeSimulateREXvsMS(t *testing.T) {
 
 func TestFacadeLiveCluster(t *testing.T) {
 	const n = 4
-	train, test := buildWorkload(t, n, 33)
-	mcfg := mf.DefaultConfig()
-	nodes := make([]*core.Node, n)
-	for i := range nodes {
-		nodes[i] = core.NewNode(core.Config{
-			ID: i, Mode: core.DataSharing, Algo: gossip.DPSGD,
-			StepsPerEpoch: 80, SharePoints: 20, Seed: 33,
-		}, mf.New(mcfg), train[i], test[i])
-	}
-	stats, err := runtime.RunCluster(runtime.ClusterConfig{
-		Graph: topology.FullyConnected(n), Nodes: nodes, Epochs: 5,
-		Secure:   true,
-		NewModel: func() model.Model { return mf.New(mcfg) },
-	})
+	w := scenariotest.NewWorkloadSized(t, n, 0.06, 33)
+	w.Node.StepsPerEpoch, w.Node.SharePoints = 80, 20
+	stats, err := scenariotest.RunCluster(w.Configs(t, runtime.NewChanNet(n), true), 5, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
