@@ -1,6 +1,7 @@
 package dataset
 
 import (
+	"math"
 	"math/rand"
 	"slices"
 )
@@ -101,12 +102,19 @@ func (x *keyIndex) place(key uint64, pos int) {
 // may receive the same data point more than once, and Algorithm 2 line 16
 // appends only non-duplicate items. The Store preserves insertion order of
 // first occurrence so training iteration is deterministic under a fixed rng.
+//
+// Snapshots share the store's memory. A published prefix is never written
+// again: an overwrite inside it copies the slice first, and appends land
+// past every snapshot's capacity.
 type Store struct {
 	ratings []Rating
 	index   keyIndex // Key() -> position in ratings
 	// appended counts total Append attempts; appended-Len() is the number
 	// of duplicates rejected, a quantity surfaced in metrics.
 	appended int
+	// published is the length of the last snapshot taken of ratings'
+	// current backing array: ratings[:published] is shared and read-only.
+	published int
 }
 
 // NewStore creates a store seeded with the node's initial local ratings.
@@ -123,14 +131,26 @@ func NewStore(initial []Rating) *Store {
 }
 
 // Append merges new ratings into the store, skipping duplicates. A
-// duplicate with a different value updates the stored value in place (the
-// newest opinion wins); it still counts as a duplicate for accounting. It
-// returns the number of genuinely new data points added.
+// duplicate with a different value updates the stored value (the newest
+// opinion wins); it still counts as a duplicate for accounting. Inside
+// the published prefix a value the store holds bit for bit is not
+// written, so re-received points leave snapshots shared, and a new value
+// first copies the store away from its snapshots. It returns the number
+// of genuinely new data points added.
 func (s *Store) Append(rs []Rating) int {
 	added := 0
 	for _, r := range rs {
 		s.appended++
 		if pos, ok := s.index.get(s.ratings, r.Key()); ok {
+			if pos < s.published {
+				if math.Float32bits(s.ratings[pos].Value) == math.Float32bits(r.Value) {
+					continue
+				}
+				// The copy keeps the capacity, so the appends that follow
+				// do not move the store again.
+				s.ratings = append(make([]Rating, 0, cap(s.ratings)), s.ratings...)
+				s.published = 0
+			}
 			s.ratings[pos].Value = r.Value
 			continue
 		}
@@ -148,7 +168,8 @@ func (s *Store) Len() int { return len(s.ratings) }
 func (s *Store) Duplicates() int { return s.appended - len(s.ratings) }
 
 // Ratings exposes the backing slice for training loops. Callers must treat
-// it as read-only; it is invalidated by the next Append.
+// it as read-only, and must not retain it: the next Append may write into
+// it or move it. A view to keep is Snapshot.
 func (s *Store) Ratings() []Rating { return s.ratings }
 
 // Contains reports whether the (user, item) interaction is present.
@@ -212,9 +233,13 @@ func (s *Store) SampleAppend(dst []Rating, n int, rng *rand.Rand, perm *[]int) [
 // memory accounting in the SGX experiments (Fig 6/7 (b)).
 func (s *Store) Bytes() int { return len(s.ratings) * EncodedSize }
 
-// Snapshot returns a copy of the current contents, safe to retain.
+// Snapshot returns the current contents, safe to retain and read from
+// any goroutine. It copies nothing: the result shares the store's memory,
+// capped at its length, and is read-only. No later Append changes what it
+// reads: new points land past its capacity, and a new value for a point
+// it holds is written into a fresh copy of the store.
 func (s *Store) Snapshot() []Rating {
-	out := make([]Rating, len(s.ratings))
-	copy(out, s.ratings)
-	return out
+	n := len(s.ratings)
+	s.published = n
+	return s.ratings[:n:n]
 }

@@ -2,7 +2,9 @@ package dataset
 
 import (
 	"math/rand"
+	goruntime "runtime"
 	"slices"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -122,16 +124,103 @@ func TestStoreBytes(t *testing.T) {
 	}
 }
 
+// TestStoreSnapshotIndependent: nothing the store does after a snapshot
+// reaches it — not an append that fits the store's spare capacity, not a
+// new value for a point the snapshot holds — while the store itself takes
+// both.
 func TestStoreSnapshotIndependent(t *testing.T) {
-	s := NewStore([]Rating{{1, 1, 3}})
-	snap := s.Snapshot()
-	s.Append([]Rating{{2, 2, 4}})
-	if len(snap) != 1 {
-		t.Fatal("snapshot grew with the store")
+	s := NewStore([]Rating{{1, 1, 3}, {2, 2, 4}, {3, 3, 2}})
+	if cap(s.Ratings()) == s.Len() {
+		t.Fatal("store has no spare capacity: the append below would not share the snapshot's array")
 	}
-	snap[0].Value = 99
-	if s.Ratings()[0].Value == 99 {
-		t.Fatal("snapshot aliases store memory")
+	snap := s.Snapshot()
+	s.Append([]Rating{{4, 4, 5}})
+	s.Append([]Rating{{1, 1, 1}})
+	if want := []Rating{{1, 1, 3}, {2, 2, 4}, {3, 3, 2}}; !slices.Equal(snap, want) {
+		t.Fatalf("snapshot reads %v after later appends, want %v", snap, want)
+	}
+	if want := []Rating{{1, 1, 1}, {2, 2, 4}, {3, 3, 2}, {4, 4, 5}}; !slices.Equal(s.Ratings(), want) {
+		t.Fatalf("store reads %v, want %v", s.Ratings(), want)
+	}
+}
+
+// TestStoreSnapshotsMatchCopies runs random sequences of new points,
+// duplicates with the stored value, duplicates with a new value and
+// snapshots against a reference that copies on every snapshot: after every
+// operation, every retained snapshot reads exactly its copy, and the store
+// reads the reference. A reader goroutine compares the retained snapshots
+// all the while, so under -race a store write into shared memory is a
+// reported race even where the values happen to match.
+func TestStoreSnapshotsMatchCopies(t *testing.T) {
+	type kept struct{ snap, copy []Rating }
+	for seed := int64(1); seed <= 40; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		held := make(chan kept)
+		var wg sync.WaitGroup
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var retained []kept
+			for {
+				select {
+				case k, ok := <-held:
+					if !ok {
+						return
+					}
+					retained = append(retained, k)
+				default:
+					for i, k := range retained {
+						if !slices.Equal(k.snap, k.copy) {
+							t.Errorf("seed %d: reader sees snapshot %d diverge from its copy", seed, i)
+							retained = nil
+							break
+						}
+					}
+					goruntime.Gosched()
+				}
+			}
+		}()
+
+		s := NewStore(nil)
+		var ref []Rating
+		pos := map[uint64]int{}
+		var retained []kept
+		for op := 0; op < 300; op++ {
+			if rng.Intn(5) == 0 {
+				k := kept{s.Snapshot(), slices.Clone(ref)}
+				retained = append(retained, k)
+				held <- k
+			} else {
+				batch := make([]Rating, 1+rng.Intn(3))
+				for i := range batch {
+					r := Rating{User: uint32(rng.Intn(6)), Item: uint32(rng.Intn(40)), Value: float32(1 + rng.Intn(5))}
+					if len(ref) > 0 && rng.Intn(2) == 0 {
+						r = ref[rng.Intn(len(ref))] // a duplicate: same value, or a new one
+						if rng.Intn(2) == 0 {
+							r.Value += 0.5
+						}
+					}
+					batch[i] = r
+					if p, ok := pos[r.Key()]; ok {
+						ref[p].Value = r.Value
+					} else {
+						pos[r.Key()] = len(ref)
+						ref = append(ref, r)
+					}
+				}
+				s.Append(batch)
+			}
+			if !slices.Equal(s.Ratings(), ref) {
+				t.Fatalf("seed %d op %d: store diverged from the reference", seed, op)
+			}
+			for i, k := range retained {
+				if !slices.Equal(k.snap, k.copy) {
+					t.Fatalf("seed %d op %d: snapshot %d reads %v, its copy %v", seed, op, i, k.snap, k.copy)
+				}
+			}
+		}
+		close(held)
+		wg.Wait()
 	}
 }
 

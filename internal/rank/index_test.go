@@ -1,6 +1,7 @@
 package rank
 
 import (
+	"maps"
 	"math/rand"
 	"slices"
 	"sync"
@@ -134,7 +135,9 @@ func TestIndexSeenExclusion(t *testing.T) {
 	}
 }
 
-// indexWorkload trains a small MF model and indexes its ratings.
+// indexWorkload trains a small MF model and indexes its ratings. The
+// ratings sit at the front of an array with room for as many again, so a
+// test can append to them in place and derive indexes over the extension.
 func indexWorkload(t *testing.T) (*mf.Model, *Index, []uint32) {
 	t.Helper()
 	spec := movielens.Latest().Scaled(0.05)
@@ -148,7 +151,130 @@ func indexWorkload(t *testing.T) (*mf.Model, *Index, []uint32) {
 			users = append(users, r.User)
 		}
 	}
-	return m, NewIndex(ds.Ratings, ds.NumItems), users
+	ratings := append(make([]dataset.Rating, 0, 2*len(ds.Ratings)), ds.Ratings...)
+	return m, NewIndex(ratings, ds.NumItems), users
+}
+
+// checkIndex fails unless got holds what NewIndex builds over the same
+// ratings: the same users, each with the same seen span, and the same
+// TopN lists for every user and for one the index never saw.
+func checkIndex(t *testing.T, got *Index, ratings []dataset.Rating, numItems int) {
+	t.Helper()
+	want := NewIndex(ratings, numItems)
+	if len(got.row) != len(want.row) || len(got.spans) != len(want.spans) || got.live != want.live {
+		t.Fatalf("%d users, %d spans, %d entries; NewIndex has %d, %d, %d",
+			len(got.row), len(got.spans), got.live, len(want.row), len(want.spans), want.live)
+	}
+	for u, r := range want.row {
+		g, ok := got.row[u]
+		if !ok || !slices.Equal(got.spans[g], want.spans[r]) {
+			t.Fatalf("user %d: span %v, NewIndex %v", u, got.spans[g], want.spans[r])
+		}
+	}
+	for u := range want.row {
+		for _, n := range []int{1, 3, numItems} {
+			if g, w := got.TopN(scoreByID{}, u, n), want.TopN(scoreByID{}, u, n); !slices.Equal(g, w) {
+				t.Fatalf("user %d top %d: %v, NewIndex %v", u, n, g, w)
+			}
+		}
+	}
+	if g, w := got.TopN(scoreByID{}, 1<<30, numItems), want.TopN(scoreByID{}, 1<<30, numItems); !slices.Equal(g, w) {
+		t.Fatalf("unknown user: %v, NewIndex %v", g, w)
+	}
+}
+
+// FuzzIndexNext derives chains of indexes over growing prefixes of one
+// array, as serving does over a store's snapshots, and checks every link
+// against NewIndex over the same prefix (checkIndex). The ratings bring
+// new users all along and items at or above numItems; some links append
+// nothing; some hand Next ratings that do not extend the last — a copy,
+// or a shorter prefix — which must be built afresh. Every parent index
+// must read the same after its child is derived, and no link may hold
+// more stale entries than maxStaleShare allows.
+func FuzzIndexNext(f *testing.F) {
+	for seed := int64(0); seed < 24; seed++ {
+		f.Add(seed, uint8(seed*41))
+	}
+	f.Fuzz(func(t *testing.T, seed int64, shape uint8) {
+		rng := rand.New(rand.NewSource(seed))
+		numItems, users := 1+int(shape%32), 1+int(shape/32)*4
+		buf := make([]dataset.Rating, 600)
+		for i := range buf {
+			buf[i] = dataset.Rating{
+				User: uint32(rng.Intn(1 + users*(i+1)/len(buf))), // ids 0..users-1, the higher ones late
+				Item: uint32(rng.Intn(numItems + 3)),
+			}
+		}
+		var ix *Index
+		n := 0
+		for link := 0; link < 60; link++ {
+			prev := ix
+			var row map[uint32]int32
+			var spans [][]uint32
+			if prev != nil {
+				row = maps.Clone(prev.row)
+				for _, sp := range prev.spans {
+					spans = append(spans, slices.Clone(sp))
+				}
+			}
+			var ratings []dataset.Rating
+			fresh := prev == nil
+			switch k := rng.Intn(10); {
+			case k == 0:
+				n = min(len(buf), n+rng.Intn(20))
+				ratings, fresh = slices.Clone(buf[:n]), true
+			case k == 1:
+				m := rng.Intn(n + 1)
+				ratings, fresh = buf[:m], fresh || m < n
+				n = m
+			case k == 2:
+				ratings = buf[:n]
+			default:
+				n = min(len(buf), n+rng.Intn(40))
+				ratings = buf[:n]
+			}
+			ix = prev.Next(ratings, numItems)
+			checkIndex(t, ix, ratings, numItems)
+			if fresh && (ix == prev || ix.stale != 0) {
+				t.Fatalf("link %d: ratings that do not extend the last were not indexed afresh", link)
+			}
+			if float64(ix.stale) > maxStaleShare*float64(ix.stale+ix.live) {
+				t.Fatalf("link %d: %d stale entries beside %d live", link, ix.stale, ix.live)
+			}
+			if prev != nil {
+				if !maps.Equal(prev.row, row) || !slices.EqualFunc(prev.spans, spans, slices.Equal) {
+					t.Fatalf("link %d: deriving an index changed its parent", link)
+				}
+			}
+		}
+	})
+}
+
+// TestIndexNextRebuildsStale grows one user's span by an item a link:
+// every derivation supersedes the whole span, so stale entries pile up
+// until they pass maxStaleShare and Next builds afresh, after which
+// derivation resumes.
+func TestIndexNextRebuildsStale(t *testing.T) {
+	buf := make([]dataset.Rating, 64)
+	for i := range buf {
+		buf[i] = dataset.Rating{User: 3, Item: uint32(i)}
+	}
+	ix := NewIndex(buf[:1], len(buf))
+	derived, rebuilt := 0, 0
+	for n := 2; n <= len(buf); n++ {
+		prev := ix
+		ix = prev.Next(buf[:n], len(buf))
+		checkIndex(t, ix, buf[:n], len(buf))
+		switch {
+		case ix.stale > prev.stale:
+			derived++
+		case ix.stale == 0 && prev.stale > 0:
+			rebuilt++
+		}
+	}
+	if derived == 0 || rebuilt == 0 {
+		t.Fatalf("%d derivations and %d rebuilds over 63 links, want both", derived, rebuilt)
+	}
 }
 
 // TestIndexTopNSteadyStateAllocs pins the serving path's garbage: once the
@@ -173,9 +299,24 @@ func TestIndexTopNSteadyStateAllocs(t *testing.T) {
 // snapshot (cloned and canonicalized, as the engine publishes), and then
 // the trained model itself, whose lazy ascending-id order is stale: the
 // serial answers come from a clone, so under -race a scorer that rebuilt
-// that order would be caught writing shared state.
+// that order would be caught writing shared state. Meanwhile the test's
+// own goroutine derives newer indexes from the one being read, as serving
+// does once per published snapshot: a derivation that wrote into what it
+// shares with its parent would change the readers' answers, and under
+// -race would be reported.
 func TestIndexTopNConcurrent(t *testing.T) {
 	m, ix, users := indexWorkload(t)
+	// What later snapshots append, in place past the indexed ratings:
+	// known users' new interactions, items past the catalog and, in the
+	// second half only, new users.
+	grown := ix.ratings[:cap(ix.ratings)]
+	rng := rand.New(rand.NewSource(23))
+	for i := len(ix.ratings); i < len(grown); i++ {
+		grown[i] = dataset.Rating{User: users[rng.Intn(len(users))], Item: uint32(rng.Intn(ix.numItems + 10))}
+		if 2*i > len(ix.ratings)+len(grown) && rng.Intn(8) == 0 {
+			grown[i].User = 1<<20 + uint32(rng.Intn(50))
+		}
+	}
 	users = append(users, 1<<30)
 	published := m.Clone()
 	published.(model.Canonicalizer).Canonicalize()
@@ -199,6 +340,11 @@ func TestIndexTopNConcurrent(t *testing.T) {
 					}
 				}
 			}(g)
+		}
+		next := ix
+		for n := len(ix.ratings); n < len(grown); n += len(grown) / 40 {
+			next = next.Next(grown[:n], ix.numItems)
+			checkIndex(t, next, grown[:n], ix.numItems)
 		}
 		wg.Wait()
 	}

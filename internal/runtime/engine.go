@@ -52,9 +52,10 @@ type Engine struct {
 }
 
 // Snapshot is a read-consistent view of a node's state at the end of one
-// epoch: a deep clone of the model and a copy of the raw-data store. It is
-// immutable once published — serving reads it (rank.TopN, knn) while the
-// next epoch trains, with no locks and no torn reads. Published after
+// epoch: a deep clone of the model and the raw-data store's published
+// prefix, shared with the store rather than copied (dataset.Store.Snapshot).
+// It is immutable once published — serving reads it (rank.TopN, knn) while
+// the next epoch trains, with no locks and no torn reads. Published after
 // every epoch when Config.Publish is set.
 type Snapshot struct {
 	// Epoch is the number of completed epochs at capture time.
@@ -63,8 +64,12 @@ type Snapshot struct {
 	RMSE float64
 	// Model is an independent deep copy; callers must not mutate it.
 	Model model.Model
-	// Ratings is a copy of the raw-data store (the node's deduplicated
-	// profile database); callers must treat it as read-only.
+	// Ratings is the raw-data store (the node's deduplicated profile
+	// database) as it stood at capture time. It shares the store's memory:
+	// it must never be written, and the store never writes it — a later
+	// overwrite of a point it holds copies the store first. Each snapshot's
+	// Ratings extend the previous one's until such a copy, which is what
+	// lets serving derive its rank index instead of rebuilding it.
 	Ratings []dataset.Rating
 }
 

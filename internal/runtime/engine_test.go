@@ -1,6 +1,7 @@
 package runtime_test
 
 import (
+	"bytes"
 	"math"
 	"slices"
 	"sync"
@@ -84,8 +85,10 @@ func TestEngineMatchesRun(t *testing.T) {
 
 // TestEngineIngestAndSnapshotIsolation exercises the daemon-facing surface
 // on a single isolated node: mailbox ratings land in the store at the next
-// Step, published snapshots are deep copies untouched by later training,
-// and Status mirrors the counters.
+// Step, a published snapshot is untouched by later training and ingestion
+// — its model is a deep copy, and a new value for a rating it holds is
+// written into a copy of the store, not into the snapshot — and Status
+// mirrors the counters.
 func TestEngineIngestAndSnapshotIsolation(t *testing.T) {
 	w := workload(t, 1, core.DataSharing, gossip.DPSGD)
 	node := w.Nodes()[0]
@@ -120,13 +123,23 @@ func TestEngineIngestAndSnapshotIsolation(t *testing.T) {
 	if len(snap1.Ratings) != storeLen {
 		t.Fatalf("snapshot holds %d ratings, store %d", len(snap1.Ratings), storeLen)
 	}
+	model1, err := snap1.Model.Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
 
-	// Ingest one novel rating and one duplicate; the next step must fold
-	// exactly the novel one into the store and the following snapshot.
+	// Ingest one novel rating, one duplicate and a new value for a rating
+	// snap1 holds; the next step must fold exactly the novel one into the
+	// store and the following snapshot, and overwrite the changed one.
 	novel := dataset.Rating{User: 1 << 20, Item: 7, Value: 4.5}
 	dup := snap1.Ratings[0]
-	if got := e.Ingest([]dataset.Rating{novel, dup}); got != 2 {
-		t.Fatalf("Ingest accepted %d of 2", got)
+	old := snap1.Ratings[1]
+	changed := old
+	if changed.Value = 1; old.Value == 1 {
+		changed.Value = 2
+	}
+	if got := e.Ingest([]dataset.Rating{novel, dup, changed}); got != 3 {
+		t.Fatalf("Ingest accepted %d of 3", got)
 	}
 	if node.Store.Len() != storeLen {
 		t.Fatal("mailbox leaked into the store before Step")
@@ -144,21 +157,23 @@ func TestEngineIngestAndSnapshotIsolation(t *testing.T) {
 	if len(snap2.Ratings) != storeLen+1 {
 		t.Fatalf("second snapshot holds %d ratings, want %d", len(snap2.Ratings), storeLen+1)
 	}
+	if got := snap2.Ratings[1]; got != changed {
+		t.Fatalf("second snapshot holds %+v, want the ingested %+v", got, changed)
+	}
 	// snap1 must be isolated from everything that happened after it.
 	if len(snap1.Ratings) != storeLen {
 		t.Fatal("first snapshot mutated by later ingest")
 	}
-	if snap1.Model.Predict(0, 0) == snap2.Model.Predict(0, 0) &&
-		snap1.RMSE == snap2.RMSE && storeLen > 0 {
-		// Training moved the live model; a cloned snapshot model may
-		// coincidentally predict equal values, but rmse+prediction both
-		// frozen would mean the snapshot aliases live state.
-		t.Log("warning: consecutive snapshots identical; clone isolation unverifiable here")
+	if got := snap1.Ratings[1]; got != old {
+		t.Fatalf("first snapshot reads %+v after the store took a new value, want %+v", got, old)
+	}
+	if again, err := snap1.Model.Marshal(); err != nil || !bytes.Equal(again, model1) {
+		t.Fatalf("first snapshot's model changed under a later epoch (err %v)", err)
 	}
 
 	st := e.Status()
-	if st.Epoch != 2 || st.Ingested != 2 {
-		t.Fatalf("status %+v, want epoch 2 ingested 2", st)
+	if st.Epoch != 2 || st.Ingested != 3 {
+		t.Fatalf("status %+v, want epoch 2 ingested 3", st)
 	}
 	if e.Draining() {
 		t.Fatal("draining before Drain")

@@ -9,12 +9,14 @@ import (
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 
 	"rex/internal/core"
 	"rex/internal/dataset"
 	"rex/internal/gossip"
 	"rex/internal/mf"
 	"rex/internal/model"
+	"rex/internal/rank"
 )
 
 // tinyCluster builds n started D-PSGD REX engines, fully meshed over one
@@ -134,6 +136,115 @@ func TestWarmEpochAllocs(t *testing.T) {
 				t.Fatalf("a warm 4-node epoch at %d P allocates %.0f objects, want 0", procs, n)
 			}
 		})
+	}
+}
+
+// TestWarmPublishAllocs is TestWarmEpochAllocs' gate for Publish mode:
+// a warm publishing epoch shares the store with its snapshot instead of
+// copying it. Two native engines hold the same users×items grid, each
+// point with the same value on both, so gossip brings a node only points
+// it holds bit for bit and no warm epoch writes a store. A two-node epoch
+// then allocates two model clones and a few small objects, well under one
+// store's size; a copy of a store would be at least that. The last step
+// shows the gate can see a copy: a new value for a published point makes
+// node 0 copy its store.
+func TestWarmPublishAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race runtime drops sync.Pool items: allocation counts are not the build's")
+	}
+	const users, items = 100, 100
+	var grid []dataset.Rating
+	for u := 0; u < users; u++ {
+		for i := 0; i < items; i++ {
+			grid = append(grid, dataset.Rating{User: uint32(u), Item: uint32(i), Value: float32(1 + (u*7+i*3)%5)})
+		}
+	}
+	newModel := func() model.Model { return mf.New(mf.DefaultConfig()) }
+	eps := NewChanNet(2)
+	engines := make([]*Engine, 2)
+	for i := range engines {
+		node := core.NewNode(core.Config{
+			ID: i, Mode: core.DataSharing, Algo: gossip.DPSGD,
+			StepsPerEpoch: 2000, SharePoints: 30, Seed: 3,
+		}, newModel(), grid, grid[:50])
+		var err error
+		engines[i], err = NewEngine(Config{Node: node, Endpoint: eps[i], Neighbors: []int{1 - i}, NewModel: newModel, Publish: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	t.Cleanup(func() {
+		for i := range engines {
+			engines[i].Stop()
+			eps[i].Close()
+		}
+	})
+	for i, e := range engines {
+		if err := e.Start(); err != nil {
+			t.Fatalf("node %d start: %v", i, err)
+		}
+	}
+	for ep := 0; ep < 20; ep++ {
+		stepAll(t, engines)
+	}
+	epochBytes := func(epochs int) uint64 {
+		var m0, m1 goruntime.MemStats
+		goruntime.ReadMemStats(&m0)
+		for k := 0; k < epochs; k++ {
+			stepAll(t, engines)
+		}
+		goruntime.ReadMemStats(&m1)
+		return (m1.TotalAlloc - m0.TotalAlloc) / uint64(epochs)
+	}
+	storeBytes := uint64(len(grid)) * uint64(unsafe.Sizeof(dataset.Rating{}))
+	if got := epochBytes(10); got >= storeBytes/2 {
+		t.Fatalf("a warm publishing epoch allocates %d B, want well under the %d B store", got, storeBytes)
+	}
+	r := grid[0]
+	r.Value++
+	engines[0].Ingest([]dataset.Rating{r})
+	if got := epochBytes(1); got < storeBytes {
+		t.Fatalf("an epoch overwriting a published point allocates %d B, want the %d B store copied", got, storeBytes)
+	}
+}
+
+// TestIndexDeriveAllocs is the serving half of that gate: deriving the
+// rank index of a snapshot that extends the last one allocates the user
+// table, the touched users' spans and the appended ratings' keys — four
+// objects — not an index over every rating, which NewIndex allocates.
+func TestIndexDeriveAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race runtime drops sync.Pool items: allocation counts are not the build's")
+	}
+	const users, items, touched = 2000, 50, 5
+	ratings := make([]dataset.Rating, 0, users*items+touched)
+	for u := 0; u < users; u++ {
+		for i := 0; i < items; i++ {
+			ratings = append(ratings, dataset.Rating{User: uint32(u), Item: uint32(2 * i)})
+		}
+	}
+	prev := rank.NewIndex(ratings, 2*items)
+	for k := 0; k < touched; k++ {
+		ratings = append(ratings, dataset.Rating{User: uint32(k * 300), Item: uint32(2*k + 1)})
+	}
+	var next *rank.Index
+	if n := testing.AllocsPerRun(20, func() { next = prev.Next(ratings, 2*items) }); n > 4 {
+		t.Fatalf("deriving an index allocates %.0f objects, want at most 4", n)
+	}
+	if next == prev {
+		t.Fatal("no new index derived")
+	}
+	var m0, m1 goruntime.MemStats
+	goruntime.ReadMemStats(&m0)
+	for k := 0; k < 20; k++ {
+		next = prev.Next(ratings, 2*items)
+	}
+	goruntime.ReadMemStats(&m1)
+	table := users * int(unsafe.Sizeof([]uint32(nil)))
+	spans := touched * (items + 1) * 4
+	keys := touched * 8
+	if got, want := (m1.TotalAlloc-m0.TotalAlloc)/20, uint64(table+spans+keys); got > want+want/4+512 {
+		t.Fatalf("deriving an index allocates %d B, want about %d B (user table %d, spans %d, keys %d)", got, want, table, spans, keys)
 	}
 }
 

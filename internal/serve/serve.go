@@ -12,9 +12,11 @@
 //	POST /drain                             graceful stop of training
 //	GET  /snapshot                          serialized serving state
 //
-// Ranking goes through a cached candidate index (rank.Index) rebuilt once
-// per snapshot epoch, not per query; a query then scores the rows the
-// snapshot's model holds (rank.TopN's kernel). Results are bit-identical to running the
+// Ranking goes through a cached candidate index (rank.Index) brought up to
+// date once per snapshot epoch, not per query: a snapshot's ratings extend
+// the last one's, so the index files only what the epoch appended
+// (rank.Index.Next). A query then scores the rows the snapshot's model
+// holds (rank.TopN's kernel). Results are bit-identical to running the
 // uncached rank.TopN offline against the same snapshot — the contract the
 // daemon's acceptance test pins. model=knn serves user-based KNN from
 // the node's raw-data store through the same handler, the profile database
@@ -94,8 +96,9 @@ type Server struct {
 	adm   *admission                // nil when no gate is configured
 	stats map[string]*endpointStats // keyed by endpoint name, fixed at New
 
-	// Per-snapshot caches, rebuilt when the served epoch advances. The
-	// KNN recommender is built lazily: only queries asking for it pay the
+	// Per-snapshot caches, brought up to date when the served epoch
+	// advances: the index is derived from the last one, the KNN
+	// recommender rebuilt lazily — only queries asking for it pay the
 	// profile-database construction.
 	mu       sync.Mutex
 	cacheEp  int
@@ -199,13 +202,13 @@ func writeErr(w http.ResponseWriter, status int, format string, args ...any) {
 	writeJSON(w, status, map[string]string{"error": fmt.Sprintf(format, args...)})
 }
 
-// indexFor returns the candidate index for the snapshot, rebuilding the
-// cache if the snapshot advanced past the cached epoch.
+// indexFor returns the candidate index for the snapshot, deriving it from
+// the cached one if the snapshot advanced past the cached epoch.
 func (s *Server) indexFor(snap *runtime.Snapshot) *rank.Index {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if snap.Epoch != s.cacheEp {
-		s.index = rank.NewIndex(snap.Ratings, s.cfg.NumItems)
+		s.index = s.index.Next(snap.Ratings, s.cfg.NumItems)
 		s.cacheEp = snap.Epoch
 		s.knnBuilt = false
 		s.knnRec, s.knnSnap = nil, nil

@@ -8,7 +8,9 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -338,6 +340,96 @@ func TestRecommendBitIdenticalToOfflineTopN(t *testing.T) {
 	}
 	if w, _ := get(t, h, "/recommend?user=1&model=rf"); w.Code != http.StatusBadRequest {
 		t.Fatalf("unknown model: %d", w.Code)
+	}
+}
+
+// TestRecommendOnDerivedIndexMatchesOffline holds the serving contract
+// across published snapshots, where the server derives each epoch's rank
+// index from the last one's. Between epochs users rate their top item —
+// known users and new ones — and, every third epoch, a rating the
+// published snapshots hold takes a new value, which copies the store. While the
+// engine steps, readers keep querying: every answer served from a
+// snapshot must equal the offline rank.TopN over that snapshot.
+func TestRecommendOnDerivedIndexMatchesOffline(t *testing.T) {
+	e, numItems, stop := engineNode(t)
+	defer stop()
+	s, err := New(Config{Node: e, NumItems: numItems})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := s.Handler()
+	var users []uint32
+	for _, r := range e.Snapshot().Ratings {
+		if len(users) < 8 && !slices.Contains(users, r.User) {
+			users = append(users, r.User)
+		}
+	}
+	users = append(users, 1<<20, 1<<20+1) // ingested below
+	check := func(u uint32) error {
+		snap := e.Snapshot()
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest("GET", fmt.Sprintf("/recommend?user=%d&n=10", u), nil))
+		var resp RecommendResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil || rec.Code != http.StatusOK {
+			return fmt.Errorf("user %d: %d %s", u, rec.Code, rec.Body.String())
+		}
+		if resp.Epoch != snap.Epoch {
+			return nil // a newer snapshot was published between the two reads
+		}
+		want := rank.TopN(snap.Model, u, numItems, 10, rank.SeenSet(snap.Ratings, u))
+		for i, it := range want {
+			if i >= len(resp.Items) || resp.Items[i].Item != it.ID || resp.Items[i].Score != it.Score {
+				return fmt.Errorf("epoch %d user %d: served %v, offline %v", snap.Epoch, u, resp.Items, want)
+			}
+		}
+		return nil
+	}
+	rng := rand.New(rand.NewSource(5))
+	for ep := 0; ep < 9; ep++ {
+		done := make(chan struct{})
+		var wg sync.WaitGroup
+		for g := 0; g < 2; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				for i := g; ; i++ {
+					select {
+					case <-done:
+						return
+					default:
+					}
+					if err := check(users[i%len(users)]); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+			}(g)
+		}
+		// Users rate what they were recommended, so the next lists
+		// change only if the index files the new ratings.
+		snap := e.Snapshot()
+		var in []dataset.Rating
+		for k := 0; k < 6; k++ {
+			u := users[rng.Intn(len(users))]
+			top := rank.TopN(snap.Model, u, numItems, 1, rank.SeenSet(snap.Ratings, u))
+			in = append(in, dataset.Rating{User: u, Item: top[0].ID, Value: 4})
+		}
+		if ep%3 == 2 {
+			held := snap.Ratings[rng.Intn(len(snap.Ratings))]
+			held.Value = 5.5 - held.Value
+			in = append(in, held)
+		}
+		e.Ingest(in)
+		if _, err := e.Step(); err != nil {
+			t.Fatal(err)
+		}
+		close(done)
+		wg.Wait()
+		for _, u := range users {
+			if err := check(u); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
 }
 
