@@ -7,8 +7,10 @@
 // model payloads are coded as word planes (planes.go: exponent bytes
 // through a canonical Huffman coder of their own, huffman.go; mantissa
 // bytes stored), which is what a model frame carries. DEFLATE (Deflate,
-// Inflate) is the general-purpose yardstick beside them. All are evaluated
-// by the ext-compression experiment.
+// Inflate) is the general-purpose yardstick beside them: no frame carries
+// it, but the benchmark's compress.deflate_* rows measure it and
+// TestModelSectionSavingFloor requires a model's word-plane section to
+// come out smaller than its DEFLATE.
 package compress
 
 import (

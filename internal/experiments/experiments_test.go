@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"slices"
 	"strings"
 	"testing"
 
@@ -9,20 +10,20 @@ import (
 	"rex/internal/gossip"
 )
 
+// TestRegistryComplete pins the exact registry: the paper's eleven
+// artifacts in paper order, then the extensions in ID order. Adding or
+// dropping an experiment must edit this list.
 func TestRegistryComplete(t *testing.T) {
-	want := []string{"table1", "fig1", "fig2", "table2", "fig3", "fig4", "table3", "fig5", "fig6", "fig7", "table4"}
+	want := []string{
+		"table1", "fig1", "fig2", "table2", "fig3", "fig4", "table3", "fig5", "fig6", "fig7", "table4",
+		"ext-churn", "ext-knn", "ext-noniid", "ext-poison",
+	}
+	if ids := IDs(); !slices.Equal(ids, want) {
+		t.Fatalf("IDs() = %q\nwant     %q", ids, want)
+	}
 	for _, id := range want {
-		if _, ok := ByID(id); !ok {
-			t.Fatalf("experiment %s not registered", id)
-		}
-	}
-	ids := IDs()
-	if len(ids) < len(want) {
-		t.Fatalf("only %d experiments registered", len(ids))
-	}
-	for i, id := range want {
-		if ids[i] != id {
-			t.Fatalf("order: ids[%d] = %s want %s", i, ids[i], id)
+		if e, ok := ByID(id); !ok || e.ID != id {
+			t.Fatalf("ByID(%q) does not resolve", id)
 		}
 	}
 	if _, ok := ByID("nonsense"); ok {

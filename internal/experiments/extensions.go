@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"sort"
 
-	"rex/internal/compress"
 	"rex/internal/core"
 	"rex/internal/dataset"
 	"rex/internal/gossip"
@@ -16,8 +15,8 @@ import (
 )
 
 // The ext-* experiments cover the paper's discussion section (§IV-E) and
-// explicitly deferred future work: payload compression, pathological
-// non-IID partitioning, crash failures, and data poisoning.
+// explicitly deferred future work: pathological non-IID partitioning,
+// crash failures, and data poisoning.
 
 // partitionNonIID deals users to nodes in *sorted mean-rating order*, in
 // contiguous blocks: every node sees a biased slice of the rating scale —
@@ -205,69 +204,6 @@ func init() {
 			fmt.Fprintln(p.Out, "stop poisoned *inputs*. Notably, raw data sharing is the more exposed")
 			fmt.Fprintln(p.Out, "scheme: poisoned triplets persist verbatim in every receiving store, while")
 			fmt.Fprintln(p.Out, "weighted model averaging dilutes a poisoned model at each merge.")
-			return nil
-		},
-	})
-
-	register(Experiment{
-		ID:    "ext-compression",
-		Title: "Extension: payload compression (paper §IV-E-e) — packed triplets vs models under DEFLATE and as word planes",
-		Run: func(p Params) error {
-			p = p.defaults()
-			spec := latestSpec(p.Full, p.Seed)
-			ds := movielens.Generate(spec)
-			rng := rand.New(rand.NewSource(p.Seed))
-
-			// Raw-data payload: the 300-point epoch sample of §IV-A3a, packed
-			// by the columnar codec a data frame carries it in.
-			sample := dataset.NewStore(ds.Ratings).Sample(sharePoints(p.Full), rng)
-			raw := len(dataset.EncodeRatings(sample))
-			columnar := compress.AppendRatingsColumnar(nil, sample)
-			packed := len(columnar)
-			packedFlate, err := compress.Deflate(columnar, 9)
-			if err != nil {
-				return err
-			}
-
-			// Model payload: an MF model trained over the full dataset.
-			mcfg := mf.DefaultConfig()
-			m := mf.New(mcfg)
-			m.Train(ds.Ratings, 50_000, rng)
-			mbytes, err := m.Marshal()
-			if err != nil {
-				return err
-			}
-			mflate, err := compress.Deflate(mbytes, 9)
-			if err != nil {
-				return err
-			}
-			// What a model frame carries: exponent bytes Huffman-coded,
-			// mantissa bytes stored.
-			var planes compress.PlaneEncoder
-			mplanes := planes.Append(nil, mbytes)
-
-			t := metrics.NewTable("Payload", "Raw", "Compressed", "Ratio")
-			t.AddRow("REX epoch sample (triplets)",
-				metrics.FormatBytes(float64(raw)),
-				metrics.FormatBytes(float64(packed)),
-				fmt.Sprintf("%.1fx", float64(raw)/float64(packed)))
-			t.AddRow("REX sample + DEFLATE",
-				metrics.FormatBytes(float64(raw)),
-				metrics.FormatBytes(float64(len(packedFlate))),
-				fmt.Sprintf("%.1fx", float64(raw)/float64(len(packedFlate))))
-			t.AddRow("MF model (MS payload) + DEFLATE",
-				metrics.FormatBytes(float64(len(mbytes))),
-				metrics.FormatBytes(float64(len(mflate))),
-				fmt.Sprintf("%.1fx", float64(len(mbytes))/float64(len(mflate))))
-			t.AddRow("MF model (MS payload), word planes",
-				metrics.FormatBytes(float64(len(mbytes))),
-				metrics.FormatBytes(float64(len(mplanes))),
-				fmt.Sprintf("%.1fx", float64(len(mbytes))/float64(len(mplanes))))
-			fmt.Fprintln(p.Out, "== Extension: compressibility of data vs model payloads ==")
-			t.Fprint(p.Out)
-			ratio := float64(min(len(mflate), len(mplanes))) / float64(packed)
-			fmt.Fprintf(p.Out, "even with both sides compressed, one model payload still outweighs a\n")
-			fmt.Fprintf(p.Out, "REX epoch sample by %.0fx — compression does not close the gap (§IV-E-e).\n", ratio)
 			return nil
 		},
 	})

@@ -2,13 +2,13 @@ package experiments
 
 import (
 	"fmt"
-	"math"
 
 	"rex/internal/core"
 	"rex/internal/gossip"
 	"rex/internal/knn"
 	"rex/internal/metrics"
 	"rex/internal/mf"
+	"rex/internal/model"
 	"rex/internal/rank"
 	"rex/internal/sim"
 )
@@ -43,28 +43,12 @@ func init() {
 			kcfg := knn.DefaultConfig()
 			localKNN := knn.New(kcfg, w.train[node])     // before any gossip
 			gossipKNN := knn.New(kcfg, res.Stores[node]) // after REX raw-data gossip
-			mfRMSE := 0.0
-			if len(test) > 0 {
-				var se float64
-				for _, r := range test {
-					pr := float64(res.Models[node].Predict(r.User, r.Item))
-					if pr < 0.5 {
-						pr = 0.5
-					}
-					if pr > 5 {
-						pr = 5
-					}
-					se += (pr - float64(r.Value)) * (pr - float64(r.Value))
-				}
-				mfRMSE = se / float64(len(test))
-			}
-
 			t := metrics.NewTable("Predictor", "Profiles known", "RMSE on node-0 test set")
 			t.AddRow("KNN, local data only", fmt.Sprintf("%d", localKNN.NumProfiles()),
 				fmt.Sprintf("%.4f", localKNN.RMSE(test)))
 			t.AddRow("KNN, post-REX store", fmt.Sprintf("%d", gossipKNN.NumProfiles()),
 				fmt.Sprintf("%.4f", gossipKNN.RMSE(test)))
-			t.AddRow("MF trained via REX", "-", fmt.Sprintf("%.4f", sqrtf(mfRMSE)))
+			t.AddRow("MF trained via REX", "-", fmt.Sprintf("%.4f", model.RMSE(res.Models[node], test)))
 			fmt.Fprintln(p.Out, "== Extension: user-based KNN over raw-data stores ==")
 			t.Fprint(p.Out)
 			fmt.Fprintf(p.Out, "store grew %d -> %d ratings through gossip; KNN needs those alien\n",
@@ -80,12 +64,4 @@ func init() {
 			return nil
 		},
 	})
-}
-
-// sqrtf is a tiny helper keeping the table construction readable.
-func sqrtf(x float64) float64 {
-	if x <= 0 {
-		return 0
-	}
-	return math.Sqrt(x)
 }

@@ -137,9 +137,12 @@ type Stats struct {
 	// dictionary back-references versus explicit entries; both stay zero
 	// under model sharing, whose frames carry no triplets.
 	DeltaRefs, DeltaExplicit int64
-	// Resyncs counts stream-reset frames sent: full-frame resyncs
-	// triggered by peers whose view of this node's delta stream gapped
-	// (drops, churn, restarts).
+	// Resyncs counts every stream-reset frame sent (deltaFlagReset),
+	// whatever caused it: a dictionary roll-over (the dictionary would
+	// pass its cap, a routine event on long fault-free runs), a peer's
+	// resync request after its view of this node's delta stream gapped
+	// (drops, churn, restarts), or the first frame after a daemon
+	// resume. It does not tell these causes apart.
 	Resyncs int64
 	// WireRawBytes accumulates, for every gossip frame actually handed to
 	// the transport, the plaintext bytes its payload would have cost in the

@@ -39,8 +39,7 @@ type engine struct {
 	// gossip target lists. Like inbox[i] and results[i].out they hold one
 	// entry per neighbor, so newEngine sizes all four from the graph's
 	// degree and the epoch loop allocates nothing per node for messages; a
-	// dynamic topology or a duplicate fault that needs more grows them by
-	// append.
+	// duplicate fault that needs more grows them by append.
 	results    []nodeResult
 	rmse       []float64
 	rmseOK     []bool

@@ -6,7 +6,6 @@ import (
 	"rex/internal/core"
 	"rex/internal/faultnet"
 	"rex/internal/gossip"
-	"rex/internal/topology"
 )
 
 // runEpoch advances every node by one merge-train-share-test round
@@ -18,12 +17,6 @@ import (
 func (eng *engine) runEpoch(e int) {
 	cfg := &eng.cfg
 	n := eng.n
-	var graph topology.Source = cfg.Graph
-	if cfg.Topology != nil {
-		if g := cfg.Topology(e); g != nil && g.N() == n {
-			graph = g
-		}
-	}
 	// Crash the nodes scheduled to fail this epoch (oracle failure
 	// detection: neighbors immediately stop expecting their traffic).
 	for id, at := range cfg.FailAt {
@@ -57,7 +50,7 @@ func (eng *engine) runEpoch(e int) {
 	// inboxes. A worker writes only results[i] and node-i state; payload
 	// models/data from other nodes are read-only here.
 	eng.pool.run(n, func(i int) {
-		eng.stepNode(e, graph, i, &eng.results[i])
+		eng.stepNode(e, i, &eng.results[i])
 	})
 
 	// --- epoch barrier: deliver staged messages and fold accounting, both
@@ -148,7 +141,7 @@ func (eng *engine) runEpoch(e int) {
 // deliveries plus this node's epoch accounting into r (reusing r's slices
 // from the previous epoch), so concurrent steps never race and the
 // steady-state epoch loop stops allocating per-node result storage.
-func (eng *engine) stepNode(e int, graph topology.Source, i int, r *nodeResult) {
+func (eng *engine) stepNode(e, i int, r *nodeResult) {
 	r.stage = StageTimes{}
 	r.bytes = 0
 	r.out = r.out[:0]
@@ -159,6 +152,7 @@ func (eng *engine) stepNode(e int, graph topology.Source, i int, r *nodeResult) 
 	}
 	cfg := &eng.cfg
 	cp := cfg.Compute
+	graph := cfg.Graph
 	node := eng.nodes[i]
 	enc := eng.encl[i]
 	deg := graph.Degree(i)

@@ -18,14 +18,8 @@ type Config struct {
 	// or a streamed form (topology.SmallWorldStream) that derives neighbor
 	// lists on demand, which is what makes 100k+ node runs affordable.
 	Graph topology.Source
-	// Topology, when set, supplies the communication graph for each epoch
-	// (same node count as Graph), enabling dynamic overlays such as a
-	// peer-sampling service re-sampled between rounds. The Algorithm 2
-	// barrier still holds: a node trains once every message addressed to
-	// it in the previous epoch has arrived.
-	Topology func(epoch int) *topology.Graph
-	Algo     gossip.Algo
-	Mode     core.Mode
+	Algo  gossip.Algo
+	Mode  core.Mode
 
 	Epochs        int
 	StepsPerEpoch int // fixed SGD steps per epoch (§III-E); <=0 = full pass
