@@ -29,10 +29,7 @@ func main() {
 		list       = flag.Bool("list", false, "list available experiments")
 		load       = flag.String("load", "", "run a declarative load workload instead of a paper artifact: a canned spec name (steady, zipf-burst, flashcrowd) or a JSON spec file")
 		loadTarget = flag.String("load-target", "", "comma-separated rexd base URLs for live replay (e.g. http://127.0.0.1:8800,http://127.0.0.1:8801); empty = in-process sim cluster")
-		loadNodes  = flag.Int("load-nodes", 2, "sim-mode cluster size for -load")
-		loadWork   = flag.Int("load-workers", 4, "dispatch concurrency for -load")
 		loadRetry  = flag.Int("load-retries", 0, "per-event retry budget on 429/503/transport errors (deterministic backoff from the event hash)")
-		loadTO     = flag.Duration("load-timeout", 0, "per-request timeout in live mode (0 = 30s)")
 	)
 	flag.Parse()
 
@@ -42,10 +39,6 @@ func main() {
 			fmt.Fprintf(os.Stderr, "rexbench: %v\n", err)
 			os.Exit(2)
 		}
-		var urls []string
-		if *loadTarget != "" {
-			urls = strings.Split(*loadTarget, ",")
-		}
 		var sc *faultnet.Scenario
 		if *scenario != "" {
 			if sc, err = faultnet.Resolve(*scenario); err != nil {
@@ -53,14 +46,26 @@ func main() {
 				os.Exit(2)
 			}
 		}
+		// Sim mode runs a two-node in-process cluster under the scenario's
+		// faults; live mode replays against rexd daemons started with it.
+		var tgt loadgen.Target
+		if *loadTarget != "" {
+			tgt, err = loadgen.NewHTTPTarget(strings.Split(*loadTarget, ","), spec.TickMillis, sc)
+		} else {
+			tgt, err = loadgen.NewEngineClusterOpts(spec, 2, loadgen.ClusterOptions{Scenario: sc})
+		}
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "rexbench: load: %v\n", err)
+			os.Exit(1)
+		}
 		// The runner judges its own run: a broken invariant (an acked
 		// rating lost, a perturbed schedule, unbounded shedding, ...) comes
 		// back as the error, and the exit code is the verdict.
-		if _, err := experiments.RunLoad(experiments.LoadConfig{
-			Spec: spec, Scenario: sc, TargetURLs: urls, Nodes: *loadNodes,
-			Workers: *loadWork, Retries: *loadRetry, Timeout: *loadTO,
-			Out: os.Stdout,
-		}); err != nil {
+		rep, err := loadgen.Run(spec, tgt, loadgen.Options{Retries: *loadRetry})
+		if rep != nil {
+			rep.Fprint(os.Stdout)
+		}
+		if err != nil {
 			fmt.Fprintf(os.Stderr, "rexbench: load: %v\n", err)
 			os.Exit(1)
 		}

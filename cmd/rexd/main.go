@@ -402,17 +402,8 @@ func runNode(o daemonOpts, ncfg core.Config, sc *faultnet.Scenario) error {
 					"resumed":    resumed,
 				}
 				if faultLog != nil {
-					c := faultLog.Counts()
 					m["scenario"] = sc.Name
-					m["faults"] = map[string]int64{
-						"dropped":         c.Dropped,
-						"delayed":         c.Delayed,
-						"duplicated":      c.Duplicated,
-						"reordered":       c.Reordered,
-						"partition_drops": c.PartitionDrops,
-						"leaves":          c.Leaves,
-						"rejoins":         c.Rejoins,
-					}
+					m["faults"] = faultLog.Counts()
 				}
 				return m
 			},

@@ -376,11 +376,16 @@ func (e Event) String() string {
 	return fmt.Sprintf("e%d %d->%d %s", e.Epoch, e.From, e.To, e.Kind)
 }
 
-// Counts aggregates injected faults.
+// Counts aggregates injected faults; rexd's /status serves it as
+// "faults".
 type Counts struct {
-	Dropped, Delayed, Duplicated, Reordered int64
-	PartitionDrops                          int64
-	Leaves, Rejoins                         int64
+	Dropped        int64 `json:"dropped"`
+	Delayed        int64 `json:"delayed"`
+	Duplicated     int64 `json:"duplicated"`
+	Reordered      int64 `json:"reordered"`
+	PartitionDrops int64 `json:"partition_drops"`
+	Leaves         int64 `json:"leaves"`
+	Rejoins        int64 `json:"rejoins"`
 }
 
 // Log collects fault events from concurrent injectors. Events() returns a

@@ -3,10 +3,13 @@ package loadgen
 import (
 	"encoding/json"
 	"math"
+	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
+	"time"
 )
 
 func tinySpec() *Spec {
@@ -163,13 +166,37 @@ func TestDiurnalAndFlashCrowd(t *testing.T) {
 	}
 }
 
-// nullTarget swallows events; used to exercise the runner machinery
-// without a cluster.
-type nullTarget struct{}
+// memTarget accepts every event and keeps every write, a perfect store
+// the verdict holds on; used to exercise the runner machinery without a
+// cluster. items is the catalog it reports (0 = unknown) and itemsErr its
+// preflight error.
+type memTarget struct {
+	mu       sync.Mutex
+	kept     map[uint64]bool
+	items    int
+	itemsErr error
+}
 
-func (nullTarget) Do(Event) (int, error)           { return 200, nil }
-func (nullTarget) EndTick(int) error               { return nil }
-func (nullTarget) Finish() (*ServerMetrics, error) { return nil, nil }
+func (m *memTarget) NumItems() (int, error) { return m.items, m.itemsErr }
+
+func (m *memTarget) Do(ev Event) (int, error) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.kept == nil {
+		m.kept = make(map[uint64]bool)
+	}
+	if ev.Kind == Write {
+		m.kept[ackKey(ev.User, ev.Item)] = true
+	}
+	return 200, nil
+}
+
+func (m *memTarget) EndTick(int) error { return nil }
+func (m *memTarget) Stop()             {}
+
+func (m *memTarget) Finish() (*Final, error) {
+	return &Final{Mode: "sim", Nodes: 1, Ratings: m.kept}, nil
+}
 
 // TestDigestIndependentOfWorkers: the schedule digest — and therefore
 // the schedule — is identical whatever the dispatch concurrency.
@@ -177,7 +204,7 @@ func TestDigestIndependentOfWorkers(t *testing.T) {
 	spec := tinySpec()
 	var first *Report
 	for _, workers := range []int{1, 2, 4} {
-		rep, err := Run(spec, nullTarget{}, "sim", 1, Options{Workers: workers})
+		rep, err := Run(spec, &memTarget{}, Options{Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -197,6 +224,43 @@ func TestDigestIndependentOfWorkers(t *testing.T) {
 	}
 }
 
+// serveLive puts c's serve handlers behind real HTTP listeners, wrapped
+// by wrap when it is non-nil, and steps its engines in the background as
+// rexd does, until the test ends. It returns the base URLs.
+func serveLive(t *testing.T, c *EngineCluster, wrap func(http.Handler) http.Handler) []string {
+	t.Helper()
+	var urls []string
+	for _, sn := range c.nodes {
+		h := sn.srv.Handler()
+		if wrap != nil {
+			h = wrap(h)
+		}
+		ts := httptest.NewServer(h)
+		t.Cleanup(ts.Close)
+		urls = append(urls, ts.URL)
+	}
+	quit, done := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		for {
+			select {
+			case <-quit:
+				return
+			default:
+			}
+			if err := c.stepAll(); err != nil {
+				t.Error(err)
+				return
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}()
+	// Cleanups run last-in first-out: the stepping ends and the engines
+	// stop before the listeners close.
+	t.Cleanup(func() { close(quit); <-done; c.Stop() })
+	return urls
+}
+
 // TestSimVsLiveReplay is the end-to-end determinism pin: the same
 // spec+seed driven into an in-process engine cluster and replayed over
 // real HTTP against live serve handlers produces the identical schedule
@@ -209,7 +273,7 @@ func TestSimVsLiveReplay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	simRep, err := Run(spec, sim, "sim", 2, Options{Workers: 3})
+	simRep, err := Run(spec, sim, Options{Workers: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,18 +284,11 @@ func TestSimVsLiveReplay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer live.Stop()
-	var urls []string
-	for _, sn := range live.nodes {
-		ts := httptest.NewServer(sn.srv.Handler())
-		defer ts.Close()
-		urls = append(urls, ts.URL)
-	}
-	tgt, err := NewHTTPTarget(urls, 0, 0)
+	tgt, err := NewHTTPTarget(serveLive(t, live, nil), 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	liveRep, err := Run(spec, tgt, "live", 2, Options{Workers: 2})
+	liveRep, err := Run(spec, tgt, Options{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

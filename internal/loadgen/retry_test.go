@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -82,8 +81,8 @@ func TestRetryable(t *testing.T) {
 //	user%5 == 3 → always a transport error            (failed)
 //	otherwise   → 200                                 (accepted)
 type scriptedTarget struct {
-	mu       sync.Mutex
-	attempts map[uint64]int
+	memTarget // keeps the writes answered 200
+	attempts  map[uint64]int
 }
 
 func (s *scriptedTarget) Do(ev Event) (int, error) {
@@ -96,7 +95,7 @@ func (s *scriptedTarget) Do(ev Event) (int, error) {
 		if n == 1 {
 			return 429, nil
 		}
-		return 200, nil
+		return s.memTarget.Do(ev)
 	case 1:
 		return 429, nil
 	case 2:
@@ -104,26 +103,29 @@ func (s *scriptedTarget) Do(ev Event) (int, error) {
 	case 3:
 		return 0, fmt.Errorf("scripted transport error")
 	default:
-		return 200, nil
+		return s.memTarget.Do(ev)
 	}
 }
 
-func (s *scriptedTarget) EndTick(int) error               { return nil }
-func (s *scriptedTarget) Finish() (*ServerMetrics, error) { return nil, nil }
-
 // TestRunnerRetryOutcomes drives a schedule into the scripted target and
 // checks that every event is classified exactly once, retry budgets are
-// honored per class, and the schedule digest ignores dispatch attempts.
+// honored per class, the verdict reads those outcomes, and the schedule
+// digest ignores dispatch attempts.
 func TestRunnerRetryOutcomes(t *testing.T) {
 	spec := tinySpec()
 	tgt := &scriptedTarget{attempts: make(map[uint64]int)}
 	const budget = 2
-	rep, err := Run(spec, tgt, "sim", 1, Options{
+	rep, err := Run(spec, tgt, Options{
 		Workers: 3, Retries: budget,
 		RetryBase: time.Microsecond, RetryJitter: time.Microsecond,
 	})
-	if err != nil {
+	if rep == nil {
 		t.Fatal(err)
+	}
+	// Every acked write was kept, so the first broken invariant is the
+	// scripted 400s.
+	if err == nil || !strings.Contains(err.Error(), "rejected 400") {
+		t.Fatalf("verdict %v, want the scripted 400s", err)
 	}
 
 	// Recompute the expected classification from the schedule itself.
@@ -160,7 +162,7 @@ func TestRunnerRetryOutcomes(t *testing.T) {
 
 	// The digest fingerprints generated events, not attempts: a retry-free
 	// run of the same spec reports the same digest.
-	plain, err := Run(spec, nullTarget{}, "sim", 1, Options{Workers: 1})
+	plain, err := Run(spec, &memTarget{}, Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,21 +171,12 @@ func TestRunnerRetryOutcomes(t *testing.T) {
 	}
 }
 
-// catalogTarget is a nullTarget that reports a catalog size.
-type catalogTarget struct {
-	nullTarget
-	items int
-	err   error
-}
-
-func (c catalogTarget) NumItems() (int, error) { return c.items, c.err }
-
 // TestPreflightCatalogCoverage: a spec whose item universe exceeds the
 // target's catalog must fail fast with the fix spelled out, before any
 // event is dispatched; an unknown catalog (0) skips the check.
 func TestPreflightCatalogCoverage(t *testing.T) {
 	spec := tinySpec() // 30 items
-	_, err := Run(spec, catalogTarget{items: 10}, "live", 1, Options{})
+	_, err := Run(spec, &memTarget{items: 10}, Options{})
 	if err == nil {
 		t.Fatal("undersized catalog passed preflight")
 	}
@@ -193,13 +186,13 @@ func TestPreflightCatalogCoverage(t *testing.T) {
 		}
 	}
 
-	if _, err := Run(spec, catalogTarget{items: 0}, "live", 1, Options{}); err != nil {
+	if _, err := Run(spec, &memTarget{items: 0}, Options{}); err != nil {
 		t.Fatalf("unknown catalog (0) should skip the preflight: %v", err)
 	}
-	if _, err := Run(spec, catalogTarget{items: 30}, "live", 1, Options{}); err != nil {
+	if _, err := Run(spec, &memTarget{items: 30}, Options{}); err != nil {
 		t.Fatalf("exact-fit catalog rejected: %v", err)
 	}
-	if _, err := Run(spec, catalogTarget{err: fmt.Errorf("node down")}, "live", 1, Options{}); err == nil {
+	if _, err := Run(spec, &memTarget{itemsErr: fmt.Errorf("node down")}, Options{}); err == nil {
 		t.Fatal("preflight swallowed a scrape error")
 	}
 }
@@ -216,7 +209,7 @@ func TestSimClusterAdmissionSheds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := Run(spec, cluster, "sim", 2, Options{Workers: 2})
+	rep, err := Run(spec, cluster, Options{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -25,9 +25,11 @@ import (
 // load run exercises the identical serving path; EndTick steps every
 // engine one training epoch in lockstep, making one tick = one epoch.
 type EngineCluster struct {
-	spec    *Spec
-	nodes   []*simNode
-	stopped bool
+	spec     *Spec
+	nodes    []*simNode
+	scenario string
+	faults   faultnet.Log
+	stopped  bool
 }
 
 // ClusterOptions extends the sim cluster for chaos-load runs.
@@ -35,10 +37,8 @@ type ClusterOptions struct {
 	// Scenario, when non-nil and enabled, injects the faultnet schedule
 	// into every engine's gossip endpoint — the same wrapper a live rexd
 	// applies, so sim and live degrade under identical fault schedules.
+	// The cluster collects the injected faults for Finish.
 	Scenario *faultnet.Scenario
-	// FaultLog, when set with Scenario, collects the injected faults for
-	// the report's fault counters.
-	FaultLog *faultnet.Log
 	// Admission configures the serving edge's overload gates on every
 	// node. Sim ticks run unpaced (EndTick trains instead of sleeping),
 	// so time-based rate limits would shed almost everything — leave the
@@ -50,7 +50,8 @@ type ClusterOptions struct {
 // SettleEpochs is how many epochs past the load's end a cluster gets
 // before its published snapshots are scraped, so mailbox-buffered ratings
 // reach the snapshots the accept-then-lose check reads: the lockstep
-// epochs Finish runs here, and the epochs a live run waits for.
+// epochs EngineCluster.Finish runs, and the epochs HTTPTarget.Finish
+// waits for.
 const SettleEpochs = 2
 
 // simNode is one engine plus its serving layer and protocol goroutine.
@@ -79,7 +80,8 @@ const simEpochSteps = 40
 // deterministic synthetic shard per node (users striped across nodes,
 // items within the spec's catalog), then runs one warm-up epoch so every
 // node has a published snapshot before the first query arrives. opts
-// carries the chaos-load settings; the zero value runs fault-free.
+// carries the chaos-load settings; the zero value runs fault-free. On an
+// error it stops whatever it started.
 func NewEngineClusterOpts(spec *Spec, n int, opts ClusterOptions) (*EngineCluster, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
@@ -90,6 +92,9 @@ func NewEngineClusterOpts(spec *Spec, n int, opts ClusterOptions) (*EngineCluste
 	eps := runtime.NewChanNet(n)
 	mcfg := mf.DefaultConfig()
 	c := &EngineCluster{spec: spec}
+	if opts.Scenario != nil {
+		c.scenario = opts.Scenario.Name
+	}
 	for i := 0; i < n; i++ {
 		// Ring neighbors keep gossip volume O(1) per node regardless of
 		// cluster size; the ChanNet mesh carries any pair anyway.
@@ -109,7 +114,7 @@ func NewEngineClusterOpts(spec *Spec, n int, opts ClusterOptions) (*EngineCluste
 			Publish:  true,
 		}
 		if opts.Scenario != nil && opts.Scenario.Enabled() {
-			opts.Scenario.ApplyRun(&rcfg, opts.FaultLog)
+			opts.Scenario.ApplyRun(&rcfg, &c.faults)
 		}
 		eng, err := runtime.NewEngine(rcfg)
 		if err != nil {
@@ -125,17 +130,14 @@ func NewEngineClusterOpts(spec *Spec, n int, opts ClusterOptions) (*EngineCluste
 		}
 		c.nodes = append(c.nodes, &simNode{eng: eng, srv: srv, stages: stages, cmd: make(chan simCmd)})
 	}
-	// Protocol goroutines: Start, then serve step/stop commands. Engines
-	// gossip every epoch, so steps across nodes must be in flight
-	// together — stepAll issues all n before waiting on any.
+	// Protocol goroutines: Start, then serve step/stop commands (also
+	// after a failed Start, so Stop reaches every node). Engines gossip
+	// every epoch, so steps across nodes must be in flight together —
+	// stepAll issues all n before waiting on any.
 	startErrs := make(chan error, n)
 	for _, sn := range c.nodes {
 		go func(sn *simNode) {
-			err := sn.eng.Start()
-			startErrs <- err
-			if err != nil {
-				return
-			}
+			startErrs <- sn.eng.Start()
 			for cmd := range sn.cmd {
 				if cmd.stop {
 					sn.eng.Stop()
@@ -150,12 +152,17 @@ func NewEngineClusterOpts(spec *Spec, n int, opts ClusterOptions) (*EngineCluste
 			}
 		}(sn)
 	}
+	var err error
 	for range c.nodes {
-		if err := <-startErrs; err != nil {
-			return nil, err
+		if e := <-startErrs; e != nil && err == nil {
+			err = e
 		}
 	}
-	if err := c.stepAll(); err != nil { // warm-up epoch: publish snapshots
+	if err == nil {
+		err = c.stepAll() // warm-up epoch: publish snapshots
+	}
+	if err != nil {
+		c.Stop()
 		return nil, err
 	}
 	return c, nil
@@ -260,37 +267,24 @@ func (c *EngineCluster) Do(ev Event) (int, error) {
 // EndTick implements Target: one training epoch across the cluster.
 func (c *EngineCluster) EndTick(int) error { return c.stepAll() }
 
-// NumItems implements CatalogReporter: the sim cluster serves exactly
-// the spec's catalog, so the preflight always passes.
+// NumItems implements Target: the sim cluster serves exactly the spec's
+// catalog, so the preflight always passes.
 func (c *EngineCluster) NumItems() (int, error) { return c.spec.Items, nil }
 
-// FinalRatings returns the union of every node's published snapshot
-// ratings, keyed (user, item) — the store dedups on that pair, so
-// presence is the durable fact the accept-then-lose check verifies.
-func (c *EngineCluster) FinalRatings() map[uint64]bool {
-	out := make(map[uint64]bool)
-	for _, sn := range c.nodes {
-		snap := sn.eng.Snapshot()
-		if snap == nil {
-			continue
-		}
-		for _, r := range snap.Ratings {
-			out[uint64(r.User)<<32|uint64(r.Item)] = true
-		}
-	}
-	return out
-}
-
 // Finish implements Target: settle (so mailbox-buffered ratings reach
-// published snapshots), scrape every node's /metrics through the same
-// handler a live deployment serves, merge, and stop the engines.
-func (c *EngineCluster) Finish() (*ServerMetrics, error) {
-	for i := 0; i < SettleEpochs && !c.stopped; i++ {
+// published snapshots), scrape and merge every node's /metrics through
+// the same handler a live deployment serves, and read the published
+// snapshots and the fault log.
+func (c *EngineCluster) Finish() (*Final, error) {
+	for i := 0; i < SettleEpochs; i++ {
 		if err := c.stepAll(); err != nil {
 			return nil, err
 		}
 	}
-	merged := newServerMetrics()
+	fin := &Final{
+		Mode: "sim", Nodes: len(c.nodes), Scenario: c.scenario,
+		Server: newServerMetrics(), Ratings: make(map[uint64]bool), Faults: c.faults.Counts(),
+	}
 	for _, sn := range c.nodes {
 		w, err := dispatch(sn.srv, http.MethodGet, "/metrics", nil)
 		if err != nil {
@@ -303,18 +297,20 @@ func (c *EngineCluster) Finish() (*ServerMetrics, error) {
 		if err := json.Unmarshal(w.body.Bytes(), &resp); err != nil {
 			return nil, fmt.Errorf("loadgen: sim /metrics: %w", err)
 		}
-		merged.fold(&resp)
+		fin.Server.fold(&resp)
+		if snap := sn.eng.Snapshot(); snap != nil {
+			for _, r := range snap.Ratings {
+				fin.Ratings[ackKey(r.User, r.Item)] = true
+			}
+		}
 	}
-	if err := c.Stop(); err != nil {
-		return nil, err
-	}
-	return merged, nil
+	return fin, nil
 }
 
-// Stop shuts the engines down (idempotent).
-func (c *EngineCluster) Stop() error {
+// Stop implements Target: it shuts the engines down (idempotent).
+func (c *EngineCluster) Stop() {
 	if c.stopped {
-		return nil
+		return
 	}
 	c.stopped = true
 	errs := make([]chan error, len(c.nodes))
@@ -325,7 +321,6 @@ func (c *EngineCluster) Stop() error {
 	for _, ch := range errs {
 		<-ch
 	}
-	return nil
 }
 
 func newServerMetrics() *ServerMetrics {

@@ -8,6 +8,16 @@
 // is a reproducible experiment, not a dice roll: the schedule driven
 // into an in-process engine cluster is event-for-event the schedule
 // driven against a live rexd deployment.
+//
+// Run is the one load runner. It drives a schedule into a Target (an
+// EngineCluster in sim mode, an HTTPTarget in live mode), optionally
+// under a faultnet scenario the target carries, and judges the run it
+// made: its error is the verdict, the first broken invariant among a
+// schedule digest equal to the fault-free one, no acked rating missing
+// from the final snapshots, outcomes that sum to the events, no 400s, at
+// most 2 % transport failures, at most 75 % shed, and a scenario that
+// injected faults. Report.Fprint writes the survival and fault summary
+// and the latency tables.
 package loadgen
 
 import (
