@@ -25,6 +25,7 @@ type HTTPTarget struct {
 	client     *http.Client
 	tickMillis int
 	scenario   string
+	enabled    bool // the scenario injects faults
 	start      time.Time
 }
 
@@ -59,7 +60,7 @@ func NewHTTPTarget(urls []string, tickMillis int, sc *faultnet.Scenario) (*HTTPT
 		start:      time.Now(),
 	}
 	if sc != nil {
-		h.scenario = sc.Name
+		h.scenario, h.enabled = sc.Name, sc.Enabled()
 	}
 	return h, nil
 }
@@ -156,7 +157,7 @@ func (h *HTTPTarget) EndTick(t int) error {
 // /snapshot ratings.
 func (h *HTTPTarget) Finish() (*Final, error) {
 	fin := &Final{
-		Mode: "live", Nodes: len(h.urls), Scenario: h.scenario,
+		Mode: "live", Nodes: len(h.urls), Scenario: h.scenario, ScenarioEnabled: h.enabled,
 		Server: newServerMetrics(), Ratings: make(map[uint64]bool),
 	}
 	for _, base := range h.urls {

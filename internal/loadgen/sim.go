@@ -28,6 +28,7 @@ type EngineCluster struct {
 	spec     *Spec
 	nodes    []*simNode
 	scenario string
+	enabled  bool // the scenario injects faults
 	faults   faultnet.Log
 	stopped  bool
 }
@@ -93,7 +94,7 @@ func NewEngineClusterOpts(spec *Spec, n int, opts ClusterOptions) (*EngineCluste
 	mcfg := mf.DefaultConfig()
 	c := &EngineCluster{spec: spec}
 	if opts.Scenario != nil {
-		c.scenario = opts.Scenario.Name
+		c.scenario, c.enabled = opts.Scenario.Name, opts.Scenario.Enabled()
 	}
 	for i := 0; i < n; i++ {
 		// Ring neighbors keep gossip volume O(1) per node regardless of
@@ -113,7 +114,7 @@ func NewEngineClusterOpts(spec *Spec, n int, opts ClusterOptions) (*EngineCluste
 			NewModel: func() model.Model { return mf.New(mcfg) },
 			Publish:  true,
 		}
-		if opts.Scenario != nil && opts.Scenario.Enabled() {
+		if c.enabled {
 			opts.Scenario.ApplyRun(&rcfg, &c.faults)
 		}
 		eng, err := runtime.NewEngine(rcfg)
@@ -282,7 +283,7 @@ func (c *EngineCluster) Finish() (*Final, error) {
 		}
 	}
 	fin := &Final{
-		Mode: "sim", Nodes: len(c.nodes), Scenario: c.scenario,
+		Mode: "sim", Nodes: len(c.nodes), Scenario: c.scenario, ScenarioEnabled: c.enabled,
 		Server: newServerMetrics(), Ratings: make(map[uint64]bool), Faults: c.faults.Counts(),
 	}
 	for _, sn := range c.nodes {

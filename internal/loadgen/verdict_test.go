@@ -47,6 +47,44 @@ func TestChaosLoadSimInvariants(t *testing.T) {
 	}
 }
 
+// TestFaultFreeScenarioVerdict runs the canned "faultfree" scenario, which
+// is named but injects nothing by design: the sim run passes and its
+// header still names the scenario. An enabled scenario that injected
+// nothing still fails.
+func TestFaultFreeScenarioVerdict(t *testing.T) {
+	spec := &Spec{
+		Name: "faultfree-tiny", Seed: 9,
+		Users: 30, Items: 25, Ticks: 3,
+		RatePerUserTick: 0.6, ZipfS: 0.8, QueryFraction: 0.4,
+	}
+	sc, err := faultnet.Resolve("faultfree")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sc.Enabled() {
+		t.Fatal("the faultfree scenario injects faults")
+	}
+	cluster, err := NewEngineClusterOpts(spec, 2, ClusterOptions{Scenario: sc})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := Run(spec, cluster, Options{Workers: 2})
+	if err != nil {
+		t.Fatalf("fault-free run judged broken: %v", err)
+	}
+	var head bytes.Buffer
+	rep.Fprint(&head)
+	if !strings.Contains(head.String(), `scenario "faultfree"`) {
+		t.Fatalf("header does not name the scenario:\n%s", head.String())
+	}
+
+	rep.ScenarioEnabled = true
+	err = rep.verdict()
+	if want := `scenario "faultfree" injected zero faults`; err == nil || err.Error() != want {
+		t.Fatalf("enabled scenario with zero faults: verdict %v, want %q", err, want)
+	}
+}
+
 // TestLoadVerdict breaks each invariant the load runner holds, one at a
 // time, on an otherwise clean report: every one must turn into an error,
 // and the clean report must not.
@@ -57,6 +95,7 @@ func TestLoadVerdict(t *testing.T) {
 			ScheduleDigest:  "00000000deadbeef",
 			Outcomes:        Outcomes{Accepted: 60, RetriedOK: 10, Shed: 29, Failed: 1, Retries: 40},
 			Scenario:        "lossy",
+			ScenarioEnabled: true,
 			FaultFreeDigest: "00000000deadbeef",
 			Acked:           40,
 			Faults:          faultnet.Counts{Dropped: 3},
@@ -93,7 +132,7 @@ func TestLoadVerdict(t *testing.T) {
 	// zero injected faults.
 	r := clean()
 	r.Outcomes = Outcomes{Accepted: 25, Shed: 75}
-	r.Scenario, r.Faults = "", faultnet.Counts{}
+	r.Scenario, r.ScenarioEnabled, r.Faults = "", false, faultnet.Counts{}
 	if err := r.verdict(); err != nil {
 		t.Fatalf("result on the bounds judged broken: %v", err)
 	}

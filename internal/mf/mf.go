@@ -388,10 +388,11 @@ func (m *Model) PredictBatch(users, items []uint32, out []float32) {
 // is what Predict(user, uint32(ids[s])) returns for the item in slot s,
 // and cold, mean (+ b_u), what it returns for every item the model lacks.
 // The user is resolved once, and one walk over the packed item records in
-// slot order writes each score by slot. The sums keep predictOne's
-// association, ((mean + b_u) + b_i) + x_u·y_i, so the bits match. Only rec
-// and ids are read, never the lazy ordered() permutation, so concurrent
-// queries on a published model write nothing shared.
+// slot order (vec.ScoreRows for a held user) writes each score by slot.
+// The sums keep predictOne's association, ((mean + b_u) + b_i) + x_u·y_i,
+// so the bits match. Only rec and ids are read, never the lazy ordered()
+// permutation, so concurrent queries on a published model write nothing
+// shared.
 func (m *Model) ScoreHeld(user uint32, buf []float32) ([]int32, []float32, float32) {
 	cold := float32(m.cfg.GlobalMean)
 	var x []float32 // the user's factors; nil for a user the model lacks
@@ -408,13 +409,12 @@ func (m *Model) ScoreHeld(user uint32, buf []float32) ([]int32, []float32, float
 		buf = make([]float32, n, 2*n)
 	}
 	scores := buf[:n]
-	for s := range scores {
-		r := items.rec[s*w : (s+1)*w]
-		p := cold + r[0]
-		if x != nil {
-			p += vec.Dot(x, r[1:])
+	if x == nil {
+		for s := range scores {
+			scores[s] = cold + items.rec[s*w]
 		}
-		scores[s] = p
+	} else {
+		vec.ScoreRows(scores, x, items.rec, w, cold)
 	}
 	return items.ids, scores, cold
 }

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -349,7 +350,9 @@ func TestRecommendBitIdenticalToOfflineTopN(t *testing.T) {
 // known users and new ones — and, every third epoch, a rating the
 // published snapshots hold takes a new value, which copies the store. While the
 // engine steps, readers keep querying: every answer served from a
-// snapshot must equal the offline rank.TopN over that snapshot.
+// snapshot must equal the offline rank.TopN over that snapshot, and a full
+// sort of per-item Predict over the catalog (predictTopN), which shares no
+// scoring kernel with either.
 func TestRecommendOnDerivedIndexMatchesOffline(t *testing.T) {
 	e, numItems, stop := engineNode(t)
 	defer stop()
@@ -376,10 +379,18 @@ func TestRecommendOnDerivedIndexMatchesOffline(t *testing.T) {
 		if resp.Epoch != snap.Epoch {
 			return nil // a newer snapshot was published between the two reads
 		}
-		want := rank.TopN(snap.Model, u, numItems, 10, rank.SeenSet(snap.Ratings, u))
-		for i, it := range want {
-			if i >= len(resp.Items) || resp.Items[i].Item != it.ID || resp.Items[i].Score != it.Score {
-				return fmt.Errorf("epoch %d user %d: served %v, offline %v", snap.Epoch, u, resp.Items, want)
+		seen := rank.SeenSet(snap.Ratings, u)
+		for oracle, want := range map[string][]rank.Item{
+			"rank.TopN":   rank.TopN(snap.Model, u, numItems, 10, seen),
+			"predictTopN": predictTopN(snap.Model, u, numItems, 10, seen),
+		} {
+			if len(resp.Items) != len(want) {
+				return fmt.Errorf("epoch %d user %d: served %v, %s %v", snap.Epoch, u, resp.Items, oracle, want)
+			}
+			for i, it := range want {
+				if resp.Items[i].Item != it.ID || math.Float32bits(resp.Items[i].Score) != math.Float32bits(it.Score) {
+					return fmt.Errorf("epoch %d user %d: served %v, %s %v", snap.Epoch, u, resp.Items, oracle, want)
+				}
 			}
 		}
 		return nil
@@ -431,6 +442,23 @@ func TestRecommendOnDerivedIndexMatchesOffline(t *testing.T) {
 			}
 		}
 	}
+}
+
+// predictTopN is the /recommend oracle that shares no kernel with the
+// server: every catalog item the user has not rated, scored one Predict
+// call at a time and fully sorted in rank's order (higher score first, NaN
+// last, ties by ascending id).
+func predictTopN(m model.Model, user uint32, numItems, n int, seen map[uint32]bool) []rank.Item {
+	var items []rank.Item
+	for i := 0; i < numItems; i++ {
+		if !seen[uint32(i)] {
+			items = append(items, rank.Item{ID: uint32(i), Score: m.Predict(user, uint32(i))})
+		}
+	}
+	// cmp.Compare orders NaN below every number, so descending puts it
+	// last; equal scores keep their ascending ids in the stable sort.
+	slices.SortStableFunc(items, func(a, b rank.Item) int { return cmp.Compare(b.Score, a.Score) })
+	return items[:min(n, len(items))]
 }
 
 // TestRecommendKNNFromRawStore is the raw-data-sharing payoff the paper

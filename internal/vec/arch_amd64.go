@@ -2,6 +2,8 @@
 
 package vec
 
+import "math"
+
 // Runtime CPU-feature detection, self-contained so the module needs no
 // external dependency: CPUID leaf 1 for AVX+OSXSAVE, XGETBV for OS-enabled
 // YMM state, CPUID leaf 7 for AVX2. SSE2 is architectural on amd64.
@@ -48,18 +50,21 @@ func archImpls() []impl {
 		// SSE2 Adam would need 2-wide float64 lanes for marginal gain;
 		// the scalar reference loop stays the SSE2-tier implementation.
 		adam: adamStepGo,
+		// No gather before AVX2: rows score through the reference loop.
+		scoreRows: scoreRowsGo,
 	}
 	if !hasAVX2() {
 		return []impl{sse2}
 	}
 	avx2 := impl{
-		name:  "avx2",
-		add:   addAVX2Full,
-		axpy:  axpyAVX2Full,
-		scale: scaleAVX2Full,
-		zero:  zeroAVX2Full,
-		sgd10: sgd10AVX2,
-		adam:  adamAVX2Full,
+		name:      "avx2",
+		add:       addAVX2Full,
+		axpy:      axpyAVX2Full,
+		scale:     scaleAVX2Full,
+		zero:      zeroAVX2Full,
+		sgd10:     sgd10AVX2,
+		adam:      adamAVX2Full,
+		scoreRows: scoreRowsAVX2Full,
 	}
 	return []impl{avx2, sse2}
 }
@@ -102,6 +107,9 @@ func sgd10AVX2(x, y []float32, rating, mean, bu, bi, lr, reg float32) (float32, 
 
 //go:noescape
 func adamAVX2(w, g, m, v []float32, lr float64, b1, onemb1, b2, onemb2 float32, bc1, bc2, eps float64)
+
+//go:noescape
+func scoreRowsAVX2(out, x, rec []float32, stride int, base float32)
 
 func addSSE2Full(dst, src []float32) {
 	n := len(dst)
@@ -198,4 +206,20 @@ func adamAVX2Full(w, g, m, v []float32, lr, wd float64, b1, b2 float32, bc1, bc2
 		adamAVX2(w[:blk], g[:blk], m[:blk], v[:blk], lr, b1, 1-b1, b2, 1-b2, bc1, bc2, eps)
 	}
 	adamTail(w, g, m, v, blk, lr, b1, b2, bc1, bc2, eps)
+}
+
+// scoreRowsAVX2Full scores whole 8-row blocks in assembly and the rows past
+// the last block with the reference loop. Rows are independent, so the
+// split cannot change a bit. Gather indices are int32, so a stride whose
+// 7*stride overflows them takes the reference loop throughout.
+func scoreRowsAVX2Full(out, x, rec []float32, stride int, base float32) {
+	n := len(out)
+	if n < 8 || stride < 0 || stride > math.MaxInt32/7 {
+		scoreRowsGo(out, x, rec, stride, base)
+		return
+	}
+	_ = rec[(n-1)*stride+len(x)] // the last record read is in bounds
+	blk := n &^ 7
+	scoreRowsAVX2(out[:blk], x, rec, stride, base)
+	scoreRowsGo(out[blk:], x, rec[blk*stride:], stride, base)
 }

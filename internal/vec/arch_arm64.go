@@ -17,6 +17,8 @@ func archImpls() []impl {
 		zero:  zeroNEONFull,
 		sgd10: sgd10NEON,
 		adam:  adamNEONFull,
+		// NEON has no gather: rows score through the reference loop.
+		scoreRows: scoreRowsGo,
 	}}
 }
 

@@ -9,28 +9,32 @@ import (
 // points. Every slot carries full semantics — any length, including the
 // remainder elements past the last full vector block (implementations
 // handle tails in Go, so the assembly only ever sees whole blocks).
-// The reduction (Dot) is deliberately absent: the bit-identity contract
-// keeps its serial accumulator chain scalar on every arch.
+// A single reduction (Dot) is deliberately absent: the bit-identity
+// contract keeps its serial accumulator chain scalar on every arch. Many
+// independent reductions (scoreRows) are here: a lane per row keeps each
+// row's chain serial.
 type impl struct {
-	name  string
-	add   func(dst, src []float32)
-	axpy  func(alpha float32, x, y []float32)
-	scale func(alpha float32, x []float32)
-	zero  func(x []float32)
-	sgd10 func(x, y []float32, rating, mean, bu, bi, lr, reg float32) (float32, float32)
-	adam  func(w, g, m, v []float32, lr, wd float64, b1, b2 float32, bc1, bc2, eps float64)
+	name      string
+	add       func(dst, src []float32)
+	axpy      func(alpha float32, x, y []float32)
+	scale     func(alpha float32, x []float32)
+	zero      func(x []float32)
+	sgd10     func(x, y []float32, rating, mean, bu, bi, lr, reg float32) (float32, float32)
+	adam      func(w, g, m, v []float32, lr, wd float64, b1, b2 float32, bc1, bc2, eps float64)
+	scoreRows func(out, x, rec []float32, stride int, base float32)
 }
 
 // goImpl is the portable reference implementation — the loops every other
 // implementation must reproduce float-op for float-op.
 var goImpl = impl{
-	name:  "go",
-	add:   addGo,
-	axpy:  axpyGo,
-	scale: scaleGo,
-	zero:  zeroGo,
-	sgd10: fusedSGDStep10,
-	adam:  adamStepGo,
+	name:      "go",
+	add:       addGo,
+	axpy:      axpyGo,
+	scale:     scaleGo,
+	zero:      zeroGo,
+	sgd10:     fusedSGDStep10,
+	adam:      adamStepGo,
+	scoreRows: scoreRowsGo,
 }
 
 // available lists the kernel sets usable on this machine, best first and

@@ -7,7 +7,9 @@
 //   - packed single/double ops compute the identical IEEE-754 operations
 //     the scalar loop would, lane by lane (no FMA contraction, default
 //     rounding; ÷ and √ are correctly rounded and therefore safe);
-//   - reductions never appear here — Dot/SumSq stay scalar Go by contract;
+//   - a reduction is never split across lanes — Dot stays scalar Go by
+//     contract; scoreRowsAVX2 runs 8 independent rows' reductions, one
+//     row per lane, each in Dot's serial order;
 //   - every kernel consumes only whole vector blocks (len pre-trimmed by
 //     the Go wrapper, which finishes the tail with the reference loop).
 // The AVX2 kernels are VEX-encoded throughout and end in VZEROUPPER so no
@@ -498,6 +500,75 @@ adamavx2_loop:
 	ADDQ $16, R9
 	DECQ CX
 	JNZ  adamavx2_loop
+
+	VZEROUPPER
+	RET
+
+// Row offsets 0..7 of an 8-row block, scaled by the stride at entry.
+DATA scoreRowsIota<>+0(SB)/4, $0
+DATA scoreRowsIota<>+4(SB)/4, $1
+DATA scoreRowsIota<>+8(SB)/4, $2
+DATA scoreRowsIota<>+12(SB)/4, $3
+DATA scoreRowsIota<>+16(SB)/4, $4
+DATA scoreRowsIota<>+20(SB)/4, $5
+DATA scoreRowsIota<>+24(SB)/4, $6
+DATA scoreRowsIota<>+28(SB)/4, $7
+GLOBL scoreRowsIota<>(SB), RODATA|NOPTR, $32
+
+// func scoreRowsAVX2(out, x, rec []float32, stride int, base float32)
+//
+// out[s] = (base + rec[s*stride]) + Dot(x, rec[s*stride+1:]) for 8 rows at
+// a time, one row per lane: lane j of a block holds row j's sum. Element d
+// of the 8 records is gathered at offsets {0, stride, ..., 7*stride}, x[d]
+// is broadcast, and each lane runs Dot's own sequence — one accumulator
+// from +0, a rounded product, then an add, in d order, no FMA — so every
+// lane reproduces the scalar Dot bit for bit. len(out) is a positive
+// multiple of 8; the wrapper has bounds-checked the last record and keeps
+// 7*stride within int32.
+TEXT ·scoreRowsAVX2(SB), NOSPLIT, $0-84
+	MOVQ out_base+0(FP), DI
+	MOVQ out_len+8(FP), CX
+	SHRQ $3, CX
+	MOVQ x_base+24(FP), SI
+	MOVQ x_len+32(FP), R8
+	MOVQ rec_base+48(FP), BX
+	MOVQ stride+72(FP), DX
+	VBROADCASTSS base+80(FP), Y7
+
+	MOVQ         DX, X6
+	VPBROADCASTD X6, Y6
+	VPMULLD      scoreRowsIota<>(SB), Y6, Y6 // row offsets j*stride
+	SHLQ         $5, DX                      // block step: 8 rows of 4-byte floats
+
+scorerows_block:
+	VXORPS Y0, Y0, Y0             // acc = +0
+	LEAQ   4(BX), R10             // factor 0 of the block's first record
+	MOVQ   SI, R11
+	MOVQ   R8, R12
+	TESTQ  R12, R12
+	JZ     scorerows_bias
+
+scorerows_dim:
+	VPCMPEQD     Y5, Y5, Y5       // gather mask: all lanes (the gather clears it)
+	VGATHERDPS   Y5, (R10)(Y6*4), Y1
+	VBROADCASTSS (R11), Y2
+	VMULPS       Y1, Y2, Y1       // x[d]*r[d]
+	VADDPS       Y1, Y0, Y0       // acc + x[d]*r[d]
+	ADDQ         $4, R10
+	ADDQ         $4, R11
+	DECQ         R12
+	JNZ          scorerows_dim
+
+scorerows_bias:
+	VPCMPEQD   Y5, Y5, Y5
+	VGATHERDPS Y5, (BX)(Y6*4), Y3 // the 8 biases
+	VADDPS     Y3, Y7, Y3         // base + bias
+	VADDPS     Y0, Y3, Y3         // (base + bias) + acc
+	VMOVUPS    Y3, (DI)
+	ADDQ       $32, DI
+	ADDQ       DX, BX
+	DECQ       CX
+	JNZ        scorerows_block
 
 	VZEROUPPER
 	RET

@@ -196,3 +196,66 @@ func BenchmarkFusedSGDStep10(b *testing.B) {
 		FusedSGDStep(x, y, 4, 3.5, 0.1, 0.1, 0.005, 0.1)
 	}
 }
+
+// TestScoreRowsParity holds every asm tier's ScoreRows to the reference
+// loop: query lengths 1..64 (a quarter of the trials at the paper's K=10),
+// strides len(x)+1..len(x)+4, 0..70 rows (every tail past an 8-row
+// block), random offsets and magnitudes, with NaN, ±Inf and -0 planted in
+// the query, the biases, the factors and the base. A NaN result matches
+// any NaN: which operand's payload survives is the compiler's choice of
+// operand order, not part of the contract.
+func TestScoreRowsParity(t *testing.T) {
+	specials := []float32{float32(math.NaN()), float32(math.Inf(1)), float32(math.Inf(-1)), float32(math.Copysign(0, -1))}
+	forEachAsmImpl(t, func(t *testing.T, im impl) {
+		rng := rand.New(rand.NewSource(17))
+		for trial := 0; trial < parityTrials; trial++ {
+			k := 1 + rng.Intn(64)
+			if trial%4 == 0 {
+				k = 10
+			}
+			stride := k + 1 + rng.Intn(4)
+			n := rng.Intn(71)
+			scale := math.Pow(10, float64(rng.Intn(9)-4))
+			x := offsetCopy(rng, scaledSlice(rng, k, scale))
+			rec := offsetCopy(rng, scaledSlice(rng, n*stride, scale))
+			base := float32(rng.NormFloat64() * scale)
+			switch rng.Intn(4) {
+			case 0: // one special value each in the query, a bias and a factor
+				x[rng.Intn(k)] = specials[rng.Intn(len(specials))]
+				if n > 0 {
+					s := rng.Intn(n) * stride
+					rec[s] = specials[rng.Intn(len(specials))]
+					rec[s+1+rng.Intn(k)] = specials[rng.Intn(len(specials))]
+				}
+			case 1: // signed zeros: a -0 query (so ±0 products), -0 biases and base
+				negZero := specials[3]
+				for d := range x {
+					x[d] = negZero
+				}
+				for s := 0; s < n; s++ {
+					rec[s*stride] = negZero
+				}
+				base = negZero
+			}
+			want := make([]float32, n)
+			goImpl.scoreRows(want, x, rec, stride, base)
+			buf := make([]float32, n+guard)
+			for i := range buf {
+				buf[i] = sentinel
+			}
+			got := offsetCopy(rng, buf)
+			im.scoreRows(got[:n], x, rec, stride, base)
+			for s := range want {
+				if !bitsEq(got[s], want[s]) && !(got[s] != got[s] && want[s] != want[s]) {
+					t.Fatalf("trial %d (k=%d stride=%d n=%d): row %d: got %v (%#x) want %v (%#x)",
+						trial, k, stride, n, s, got[s], math.Float32bits(got[s]), want[s], math.Float32bits(want[s]))
+				}
+			}
+			for i := n; i < len(got); i++ {
+				if got[i] != sentinel {
+					t.Fatalf("trial %d: write past row %d at %d", trial, n, i)
+				}
+			}
+		}
+	})
+}

@@ -8,13 +8,15 @@
 // dispatch.go and the README "Kernel dispatch" section.
 //
 // Bit-identity contract: every kernel performs exactly the floating-point
-// operations of its naive reference loop. The reduction (Dot) uses a
-// single sequentially-updated accumulator and therefore stays scalar on
-// every architecture — vectorizing a reduction reassociates the sum.
-// Element-wise kernels touch each index independently, so SIMD lanes
-// compute the identical IEEE-754 single operations the scalar loop would
-// (no FMA contraction, default rounding) and swapping implementations
-// never changes results by a single bit. Optimizations that reorder float
+// operations of its naive reference loop. A reduction is never split
+// within a row: Dot uses a single sequentially-updated accumulator, and
+// vectorizing one reduction across lanes would reassociate its sum, so Dot
+// stays scalar on every architecture. Independent rows may run in lanes:
+// ScoreRows gives each of 8 rows its own AVX2 lane, and each lane runs
+// Dot's serial chain. Element-wise kernels touch each index independently,
+// so SIMD lanes compute the identical IEEE-754 single operations the
+// scalar loop would (no FMA contraction, default rounding) and swapping
+// implementations never changes results by a single bit. Optimizations that reorder float
 // arithmetic (multiple accumulators, FMA) must not be introduced here
 // without owning a results change across the repo's golden and
 // determinism suites.
@@ -37,7 +39,8 @@ package vec
 import "math"
 
 // Dot returns the inner product Σ a[i]*b[i], accumulated left to right.
-// Serial by contract (reduction); identical on every dispatch path.
+// Serial by contract (one reduction is never split); identical on every
+// dispatch path.
 func Dot(a, b []float32) float32 {
 	n := len(a)
 	b = b[:n]
@@ -53,6 +56,26 @@ func Dot(a, b []float32) float32 {
 		s += float32(a[i] * b[i])
 	}
 	return s
+}
+
+// ScoreRows scores len(out) packed records against one query vector:
+//
+//	out[s] = (base + rec[s*stride]) + Dot(x, rec[s*stride+1 : s*stride+1+len(x)])
+//
+// Each record is a bias followed by len(x) factors, records stride floats
+// apart; this is an MF model scoring every item it holds for one user.
+// Each row's sum is Dot's own serial chain: a tier may score independent
+// rows in parallel lanes, never split one row's reduction.
+func ScoreRows(out, x, rec []float32, stride int, base float32) {
+	active.scoreRows(out, x, rec, stride, base)
+}
+
+func scoreRowsGo(out, x, rec []float32, stride int, base float32) {
+	k := len(x)
+	for s := range out {
+		r := rec[s*stride : s*stride+1+k]
+		out[s] = (base + r[0]) + Dot(x, r[1:])
+	}
 }
 
 // Scale multiplies x by alpha in place.

@@ -4,6 +4,7 @@ import (
 	"flag"
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 )
 
@@ -358,12 +359,15 @@ func BenchmarkScale(b *testing.B) {
 }
 
 // TestSIMDPaysForItself holds the dispatched kernels to a speed-up over
-// the portable loops on the two pure stream kernels, where the gap is wide
-// (4-7x with AVX2, 3-4x with SSE2 on a shared 2-vCPU box) and a 2x floor
-// leaves room for noise: both sides are timed in this process, back to
-// back, and each side is the minimum of three runs, so the machine cancels
-// out. The 1.1-1.6x kernels (fused SGD step, Adam) cannot be held by a wall
-// clock; run their benchmarks under REX_VEC=go and without it.
+// the portable loops on the two pure stream kernels and on ScoreRows, where
+// the gap is wide (4-7x with AVX2, 3-4x with SSE2 on a shared 2-vCPU box;
+// ScoreRows 4-5x with AVX2) and a 2x floor leaves room for noise: both
+// sides are timed in this process, back to back, and each side is the
+// minimum of three runs, so the machine cancels out. A kernel the
+// dispatched tier runs through the reference loop (ScoreRows under SSE2
+// and NEON) is skipped. The 1.1-1.6x kernels (fused SGD step, Adam) cannot
+// be held by a wall clock; run their benchmarks under REX_VEC=go and
+// without it.
 func TestSIMDPaysForItself(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing test")
@@ -395,13 +399,20 @@ func TestSIMDPaysForItself(t *testing.T) {
 		}
 		return min
 	}
+	portableRows := reflect.ValueOf(active.scoreRows).Pointer() == reflect.ValueOf(scoreRowsGo).Pointer()
 	for _, k := range []struct {
-		name string
-		body func(*testing.B)
+		name     string
+		body     func(*testing.B)
+		portable bool // the dispatched tier runs the reference loop
 	}{
-		{"AddScaled/n=1024", benchAddScaled(1024)},
-		{"Scale/n=1024", benchScale(1024)},
+		{"AddScaled/n=1024", benchAddScaled(1024), false},
+		{"Scale/n=1024", benchScale(1024), false},
+		{"ScoreRows/n=4096", benchScoreRows(4096), portableRows},
 	} {
+		if k.portable {
+			t.Logf("%s: %s runs the reference loop; nothing to compare", k.name, auto)
+			continue
+		}
 		slow, fast := best("go", k.body), best(auto, k.body)
 		t.Logf("%s: go %.1f ns/op, %s %.1f ns/op, %.1fx", k.name, slow, auto, fast, slow/fast)
 		if slow < 2*fast {
@@ -422,6 +433,22 @@ func BenchmarkAdamStep(b *testing.B) {
 		})
 	}
 }
+
+// benchScoreRows scores n packed K=10 records for one query, the shape of
+// an MF model's item table scored for one held user.
+func benchScoreRows(n int) func(*testing.B) {
+	const k = 10
+	rng := rand.New(rand.NewSource(9))
+	x, rec := randSlice(rng, k), randSlice(rng, n*(k+1))
+	out := make([]float32, n)
+	return func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			ScoreRows(out, x, rec, k+1, 3.5)
+		}
+	}
+}
+
+func BenchmarkScoreRows(b *testing.B) { benchScoreRows(4096)(b) }
 
 var sink float32
 
